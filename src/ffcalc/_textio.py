@@ -1,0 +1,52 @@
+"""Plain-text I/O shared by the modules: full-precision CSV rows and typed
+fields of JSON specs."""
+
+from __future__ import annotations
+
+import numpy as np
+
+from .errors import ValidationError
+
+
+def format_table(row_format: str, table) -> str:
+    """Every row of a 2-d table through the same %-format, in one formatting
+    pass. The format carries the line break; floats use ``%.17g``, enough
+    digits to round-trip a double."""
+    table = np.asarray(table)
+    return (row_format * table.shape[0]) % tuple(table.ravel().tolist())
+
+
+def format_columns(*columns) -> str:
+    """Lines of comma-separated ``%.17g`` values, one per row of the
+    column-stacked arrays."""
+    table = np.column_stack(columns)
+    return format_table(",".join(["%.17g"] * table.shape[1]) + "\n", table)
+
+
+def write_csv(target, header: str, body: str) -> None:
+    """Write a header line and a formatted body to a path or a writable
+    text buffer."""
+    payload = header + "\n" + body
+    if hasattr(target, "write"):
+        target.write(payload)
+    else:
+        with open(target, "w", encoding="utf-8") as fh:
+            fh.write(payload)
+
+
+def spec_number(value, name: str, kind=float):
+    """Convert a JSON spec field with ``kind`` (float or int), raising
+    ValidationError instead of the bare conversion error."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValidationError(f"'{name}' must be a number, got {value!r}") from None
+
+
+def spec_array(value, name: str) -> np.ndarray:
+    """Convert a JSON spec field to a float array, raising ValidationError
+    for non-numeric or ragged data."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(f"'{name}' must be an array of numbers") from None

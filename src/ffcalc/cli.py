@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from ._textio import format_columns, write_csv
 from .errors import FFCalcError, NumericError, ValidationError
 from .fractal_calc import f_derivative, f_integral
 from .fractal_curve import (
@@ -113,11 +114,7 @@ def _cmd_curve(args) -> int:
         names = ["x", "y", "z"][: curve.ndim]
     else:
         names = [f"x{k}" for k in range(curve.ndim)]
-    lines = ["u," + ",".join(names)]
-    for u, pt in zip(curve.params, curve.points):
-        lines.append(",".join(f"{v:.17g}" for v in (u, *pt)))
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_csv(args.out, "u," + ",".join(names), format_columns(curve.params, curve.points))
     print(f"{args.curve} level {curve.level}: {curve.params.size} vertices -> {args.out}")
     return 0
 

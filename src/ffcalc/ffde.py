@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline
 
+from ._textio import format_columns, format_table, write_csv
 from .errors import (
     ConditioningError,
     DivergenceError,
@@ -55,6 +55,46 @@ __all__ = [
 # crisp integration in the J coordinate
 
 
+class _CubicHermite:
+    """Piecewise cubic through nodes ``x`` with values ``y`` and slopes ``m``
+    (both along axis 0), evaluated inside [x[0], x[-1]].
+
+    Coefficients and evaluation repeat scipy's CubicHermiteSpline operation
+    for operation (power sum in s = x - x_i, intervals closed on the left),
+    so results agree with it bit for bit; the basis-function form differs in
+    the last ulp. The last node is reached through the last interval's cubic
+    and so is reproduced to rounding, not exactly.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
+        dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dx
+        t = (m[:-1] + m[1:] - 2 * slope) / dx
+        self._x = x
+        self._c = (t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])
+
+    def __call__(self, xq) -> np.ndarray:
+        xq = np.asarray(xq, dtype=float)
+        x = self._x
+        if np.any(xq < x[0]) or np.any(xq > x[-1]):
+            raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
+        flat = xq.ravel()
+        i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
+        s = (flat - x[i]).reshape((-1,) + (1,) * (self._c[0].ndim - 1))
+        # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's order of operations;
+        # indexing with the array i gathers copies, so terms are formed in place
+        c0, c1, c2, c3 = (c[i] for c in self._c)
+        c2 *= s
+        c2 += c3
+        s2 = s * s
+        c1 *= s2
+        c2 += c1
+        s2 *= s
+        c0 *= s2
+        c2 += c0
+        return c2.reshape(xq.shape + c2.shape[1:])
+
+
 @dataclass(frozen=True)
 class CrispTrajectory:
     """RK4 trajectory on a uniform J grid with cubic Hermite dense output."""
@@ -64,16 +104,11 @@ class CrispTrajectory:
     slopes: np.ndarray  # rhs values at the nodes
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_spline", CubicHermiteSpline(self.js, self.states, self.slopes, axis=0)
-        )
+        object.__setattr__(self, "_dense", _CubicHermite(self.js, self.states, self.slopes))
 
     def at(self, j):
         """Dense evaluation at J values inside the integration span."""
-        j_arr = np.asarray(j, dtype=float)
-        if np.any(j_arr < self.js[0]) or np.any(j_arr > self.js[-1]):
-            raise DomainError(f"J outside the integrated span [{self.js[0]}, {self.js[-1]}]")
-        return self._spline(j_arr)
+        return self._dense(j)
 
     @property
     def final(self) -> np.ndarray:
@@ -407,19 +442,16 @@ def verify_against_closed_form(
 def solution_to_csv(sol: FuzzySolution, target) -> None:
     """Write ``u,J,r,lower,upper,valid`` rows, row-major over u then r,
     at full double precision."""
-    lines = ["u,J,r,lower,upper,valid"]
-    for i in range(sol.us.size):
-        u, J, flag = sol.us[i], sol.Js[i], int(sol.validity[i])
-        lines.extend(
-            f"{u:.17g},{J:.17g},{r:.17g},{lo:.17g},{up:.17g},{flag}"
-            for r, lo, up in zip(sol.rs, sol.lower[i], sol.upper[i])
-        )
-    payload = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(payload)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    n_u, n_r = sol.lower.shape
+    # one block of n_r lines per u; u, J and the flag are formatted once per
+    # block and r once per level
+    cells = np.empty((n_u, n_r, 4), dtype=object)
+    cells[..., 0] = np.array(format_columns(sol.us, sol.Js).splitlines(), dtype=object)[:, None]
+    cells[..., 1] = sol.lower
+    cells[..., 2] = sol.upper
+    cells[..., 3] = sol.validity.astype(int)[:, None]
+    block = "".join(f"%s,{r},%.17g,%.17g,%d\n" for r in format_columns(sol.rs).splitlines())
+    write_csv(target, "u,J,r,lower,upper,valid", format_table(block, cells.reshape(n_u, -1)))
 
 
 def solution_from_csv(source, case: str = "unknown") -> FuzzySolution:
@@ -517,18 +549,13 @@ class SecondOrderSolution:
     problem: SecondOrderFuzzyBvp
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "_spline", CubicHermiteSpline(self.js, self.crisp, self.crisp_slope)
-        )
+        object.__setattr__(self, "_dense", _CubicHermite(self.js, self.crisp, self.crisp_slope))
         x1, x2 = _fundamental_pair(self.problem.p, self.problem.q)
         object.__setattr__(self, "_x1", x1)
         object.__setattr__(self, "_x2", x2)
 
     def crisp_at(self, j):
-        j_arr = np.asarray(j, dtype=float)
-        if np.any(j_arr < self.js[0]) or np.any(j_arr > self.js[-1]):
-            raise DomainError(f"J outside [{self.js[0]}, {self.js[-1]}]")
-        return self._spline(j_arr)
+        return self._dense(j)
 
     def q_at(self, j):
         """Interpolation weights (q1, q2) of the boundary uncertainty at J."""

@@ -17,6 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from ._textio import format_columns, spec_array, write_csv
 from .errors import (
     CapabilityError,
     DomainError,
@@ -500,14 +501,7 @@ def staircase_to_csv(table: StaircaseTable, target) -> None:
 
     ``target`` is a path or a writable text buffer.
     """
-    lines = ["u,J"]
-    lines.extend(f"{u:.17g},{J:.17g}" for u, J in zip(table.us, table.Js))
-    payload = "\n".join(lines) + "\n"
-    if hasattr(target, "write"):
-        target.write(payload)
-    else:
-        with open(target, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+    write_csv(target, "u,J", format_columns(table.us, table.Js))
 
 
 def curve_from_json(spec) -> FractalCurve:
@@ -526,7 +520,9 @@ def curve_from_json(spec) -> FractalCurve:
     if kind == "polyline":
         if "params" not in spec or "points" not in spec:
             raise ValidationError("polyline spec needs 'params' and 'points'")
-        return generate_polyline(spec["params"], spec["points"])
+        return generate_polyline(
+            spec_array(spec["params"], "params"), spec_array(spec["points"], "points")
+        )
     raise ValidationError(f"unknown curve kind {kind!r}")
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._textio import spec_array, spec_number
 from .errors import DomainError, HukuharaNonexistenceError, ValidationError
 
 __all__ = [
@@ -367,16 +368,12 @@ def fuzzy_from_json(spec) -> FuzzyNumber:
     kind = spec["kind"]
     if kind == "triangular":
         try:
-            return make_triangular(float(spec["a"]), float(spec["b"]), float(spec["c"]))
+            return make_triangular(*(spec_number(spec[k], k) for k in ("a", "b", "c")))
         except KeyError as exc:
             raise ValidationError(f"triangular spec missing field {exc}") from exc
     if kind == "table":
         try:
-            return FuzzyNumber(
-                np.asarray(spec["rs"], dtype=float),
-                np.asarray(spec["lowers"], dtype=float),
-                np.asarray(spec["uppers"], dtype=float),
-            )
+            return FuzzyNumber(*(spec_array(spec[k], k) for k in ("rs", "lowers", "uppers")))
         except KeyError as exc:
             raise ValidationError(f"table spec missing field {exc}") from exc
     raise ValidationError(f"unknown fuzzy kind {kind!r}")

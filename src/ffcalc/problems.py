@@ -13,6 +13,7 @@ import math
 
 import numpy as np
 
+from ._textio import spec_number
 from .errors import ValidationError
 from .ffde import FirstOrderFfdeProblem, LinearRhs, SecondOrderFuzzyBvp
 from .fractal_curve import StaircaseTable, build_staircase, curve_from_json, generate_polyline
@@ -116,8 +117,8 @@ def problem_from_json(spec):
     if not isinstance(rhs_spec, dict) or "kind" not in rhs_spec:
         raise ValidationError("problem spec needs an 'rhs' object with a 'kind'")
 
-    r_points = int(spec.get("r_points", 101))
-    j_steps = int(spec.get("j_steps", 256))
+    r_points = spec_number(spec.get("r_points", 101), "r_points", int)
+    j_steps = spec_number(spec.get("j_steps", 256), "j_steps", int)
     case = spec.get("case", "I")
 
     if rhs_spec["kind"] == "builtin":
@@ -131,11 +132,11 @@ def problem_from_json(spec):
     if rhs_spec["kind"] == "linear":
         if "a" not in rhs_spec or "c" not in rhs_spec:
             raise ValidationError("linear rhs needs fields 'a' and 'c'")
-        rhs = LinearRhs(float(rhs_spec["a"]), fuzzy_from_json(rhs_spec["c"]))
+        rhs = LinearRhs(spec_number(rhs_spec["a"], "a"), fuzzy_from_json(rhs_spec["c"]))
         if "curve" not in spec or "x0" not in spec:
             raise ValidationError("custom problem spec needs 'curve' and 'x0'")
         curve = curve_from_json(spec["curve"])
-        alpha = float(spec.get("alpha", 1.0))
+        alpha = spec_number(spec.get("alpha", 1.0), "alpha")
         table = build_staircase(curve, alpha=alpha, p0=curve.a0)
         span = spec.get("span", [curve.a0, curve.b0])
         if not (isinstance(span, (list, tuple)) and len(span) == 2):
@@ -144,7 +145,7 @@ def problem_from_json(spec):
             table=table,
             rhs=rhs,
             x0=fuzzy_from_json(spec["x0"]),
-            span=(float(span[0]), float(span[1])),
+            span=(spec_number(span[0], "span"), spec_number(span[1], "span")),
             case=case,
             r_points=r_points,
             j_steps=j_steps,

@@ -1,5 +1,6 @@
 """CLI surface: commands, artifacts, exit-status taxonomy, determinism."""
 
+import hashlib
 import json
 import math
 import subprocess
@@ -20,6 +21,18 @@ def run_cli(args, env=None, cwd=None):
         env=env,
         cwd=cwd,
     )
+
+
+_TRI = {"kind": "triangular", "a": -1, "b": 0, "c": 1}
+_LINEAR_SPEC = {
+    "curve": {"kind": "polyline", "params": [0, 1], "points": [[0, 0], [1, 0]]},
+    "case": "I",
+    "rhs": {"kind": "linear", "a": 1.0, "c": _TRI},
+    "x0": {"kind": "triangular", "a": 0, "b": 1, "c": 2},
+    "span": [0.0, 1.0],
+    "r_points": 5,
+    "j_steps": 32,
+}
 
 
 class TestInProcess:
@@ -164,6 +177,39 @@ class TestExitStatus:
         path.write_text(json.dumps(spec))
         assert main(["solve", "--spec", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "patch",
+        [
+            {"r_points": "abc"},
+            {"j_steps": [256]},
+            {"alpha": None},
+            {"span": [0.0, "end"]},
+            {"rhs": {"kind": "linear", "a": "q", "c": _TRI}},
+            {"rhs": {"kind": "linear", "a": 1.0, "c": {"kind": "triangular", "a": "x", "b": 0, "c": 1}}},
+            {"x0": {"kind": "triangular", "a": 0, "b": [1], "c": 2}},
+            {"x0": {"kind": "table", "rs": [0, 1], "lowers": ["lo", 1], "uppers": [2, 1]}},
+            {"x0": {"kind": "table", "rs": [0, [1]], "lowers": [0, 1], "uppers": [2, 1]}},
+            {"curve": {"kind": "polyline", "params": [0, "end"], "points": [[0, 0], [1, 0]]}},
+        ],
+        ids=["r_points", "j_steps", "alpha", "span", "rhs_a", "triangular_a", "triangular_b",
+             "table_lowers", "table_ragged", "polyline_params"],
+    )
+    def test_non_numeric_spec_field(self, tmp_path, capsys, patch):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**_LINEAR_SPEC, **patch}))
+        assert main(["solve", "--spec", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_non_numeric_spec_field_subprocess(self, tmp_path, cli_env):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**_LINEAR_SPEC, "r_points": "abc"}))
+        proc = run_cli(["solve", "--spec", str(path)], env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
     def test_bad_thread_cap(self, monkeypatch):
         monkeypatch.setenv("FFC_THREADS", "many")
         assert main(["dim", "--curve", "koch", "--level", "7"]) == 1
@@ -197,3 +243,54 @@ class TestDeterminism:
             assert proc.returncode == 0, proc.stderr
             blobs.append(out.read_bytes())
         assert blobs[0] == blobs[1]
+
+
+class TestGoldenBytes:
+    """sha256 of CLI outputs recorded while dense output still came from
+    scipy's CubicHermiteSpline and each writer formatted its own values; any
+    change to a number's computation or to its text form shows up here."""
+
+    KOCH_ALPHA = repr(math.log(4.0) / math.log(3.0))
+    CASES = {
+        "example1_I": (
+            ["solve", "--builtin", "example1", "--case", "I"],
+            "0f869391a29d3698e63704f82eccb70745d2ea9089a2becf2d95a3a39674bcb8",
+        ),
+        "example1_II": (
+            ["solve", "--builtin", "example1", "--case", "II"],
+            "53e35b065776352cc14a0aa0327720937df13ec63e71476377bafe0ae607a4f6",
+        ),
+        "example2": (
+            ["solve", "--builtin", "example2"],
+            "92d161e31dc01965dd0de5e943e64d1ef1a80f9a3f16416fa90aa650ce328c8f",
+        ),
+        "staircase_koch8": (
+            ["staircase", "--curve", "koch", "--level", "8", "--alpha", KOCH_ALPHA],
+            "205c36a6ce9b2db9d6213a94ba27e42affa7a263a36283e4202bef24da6c8ff0",
+        ),
+        "curve_koch4": (
+            ["curve", "--curve", "koch", "--level", "4"],
+            "5e1d7b7601337976927804fe131a4945cbc6b09c73ccc331fb05f2f6756791ec",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_output_hash(self, tmp_path, capsys, name):
+        args, digest = self.CASES[name]
+        out = tmp_path / "out.csv"
+        assert main([*args, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+
+def test_cli_does_not_import_scipy(tmp_path, cli_env):
+    code = (
+        "import sys, ffcalc\n"
+        "from ffcalc.cli import main\n"
+        "assert main(['solve', '--builtin', 'example1', '--out', 'sol.csv']) == 0\n"
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "assert not loaded, loaded\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, cwd=tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr

@@ -34,6 +34,7 @@ from ffcalc import (
     unit_segment_table,
     verify_against_closed_form,
 )
+from ffcalc.ffde import CrispTrajectory
 
 # closed forms restated independently of the library's copies
 def band_case1(J, r):
@@ -74,6 +75,85 @@ class TestCrispIntegrator:
     def test_step_floor(self):
         with pytest.raises(ValidationError):
             solve_crisp_in_J(lambda J, y: y, 1.0, (0.0, 1.0), 8)
+
+
+def _random_trajectory(seed, n=40, dim=3):
+    rng = np.random.default_rng(seed)
+    js = np.sort(rng.uniform(0.0, 3.0, n))
+    return CrispTrajectory(js, rng.normal(size=(n, dim)), rng.normal(size=(n, dim)))
+
+
+def _example1_bands_trajectory(case, steps=256, n_r=101):
+    # dx/dJ = x + c with c = [r - 1, 1 - r]; case II drives each endpoint by
+    # the opposite side's equation
+    rs = np.linspace(0.0, 1.0, n_r)
+    c_lo, c_up = rs - 1.0, 1.0 - rs
+
+    def system(J, y):
+        lo, up = y[:n_r], y[n_r:]
+        if case == "I":
+            return np.concatenate([lo + c_lo, up + c_up])
+        return np.concatenate([up + c_up, lo + c_lo])
+
+    return solve_crisp_in_J(system, np.concatenate([rs, 2.0 - rs]), (0.0, 1.0), steps)
+
+
+class TestHermiteDenseOutput:
+    def test_nodes_reproduced(self):
+        traj = _random_trajectory(1)
+        vals = traj.at(traj.js)
+        # every node but the last is the left end of its interval: exact
+        assert np.array_equal(vals[:-1], traj.states[:-1])
+        # the last node is the right end of the last cubic: exact to rounding
+        assert np.allclose(vals[-1], traj.states[-1], rtol=4e-16, atol=4e-16)
+        assert np.array_equal(traj.at(traj.js[0]), traj.states[0])
+
+    def test_reproduces_a_cubic(self):
+        js = np.concatenate([[0.0], np.sort(np.random.default_rng(2).uniform(0, 2, 30)), [2.0]])
+        coef = np.array([[0.3, -1.1], [1.7, 0.4], [-0.8, 2.2], [0.25, -0.6]])
+
+        def poly(x):
+            x = np.asarray(x)[..., None]
+            return coef[0] + coef[1] * x + coef[2] * x**2 + coef[3] * x**3
+
+        def dpoly(x):
+            x = np.asarray(x)[..., None]
+            return coef[1] + 2 * coef[2] * x + 3 * coef[3] * x**2
+
+        traj = CrispTrajectory(js, poly(js), dpoly(js))
+        q = np.linspace(0.0, 2.0, 1001)
+        assert np.max(np.abs(traj.at(q) - poly(q))) <= 1e-13
+
+    def test_output_shapes(self):
+        traj = _random_trajectory(3, dim=4)
+        assert traj.at(1.5).shape == (4,)
+        assert traj.at(np.array([0.5, 1.0, 2.0])).shape == (3, 4)
+        sol2 = solve_second_order_bvp(example2_bvp(steps=64))
+        assert np.shape(sol2.crisp_at(0.5)) == ()
+        assert sol2.crisp_at(np.array([0.1, 0.9])).shape == (2,)
+
+    def test_outside_span_raises(self):
+        traj = _random_trajectory(4)
+        for j in (traj.js[0] - 1e-9, traj.js[-1] + 1e-9, np.array([traj.js[0], traj.js[-1] * 2])):
+            with pytest.raises(DomainError):
+                traj.at(j)
+        sol2 = solve_second_order_bvp(example2_bvp(steps=64))
+        with pytest.raises(DomainError):
+            sol2.crisp_at(1.5)
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    @pytest.mark.parametrize("steps", [256, 4096])
+    def test_bit_identical_to_scipy(self, case, steps):
+        interpolate = pytest.importorskip("scipy.interpolate")
+        traj = _example1_bands_trajectory(case, steps)
+        ref = interpolate.CubicHermiteSpline(traj.js, traj.states, traj.slopes, axis=0)
+        js = np.concatenate([traj.js, np.random.default_rng(5).uniform(0.0, 1.0, 3000)])
+        assert np.array_equal(traj.at(0.37), ref(0.37))
+        for _ in range(2):  # later calls see the same coefficients
+            assert np.array_equal(traj.at(js), ref(js))
+        sol2 = solve_second_order_bvp(example2_bvp())
+        ref2 = interpolate.CubicHermiteSpline(sol2.js, sol2.crisp, sol2.crisp_slope)
+        assert np.array_equal(sol2.crisp_at(js), ref2(js))
 
 
 class TestCase1:
