@@ -64,6 +64,7 @@ from .ffde import (
     FuncRhs,
     FuzzySolution,
     LinearRhs,
+    MAX_GRID_CELLS,
     SecondOrderFuzzyBvp,
     SecondOrderSolution,
     VerificationReport,

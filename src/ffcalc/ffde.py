@@ -36,6 +36,7 @@ __all__ = [
     "LinearRhs",
     "FuncRhs",
     "FirstOrderFfdeProblem",
+    "MAX_GRID_CELLS",
     "FuzzySolution",
     "solve_case1",
     "solve_case2",
@@ -115,23 +116,28 @@ class CrispTrajectory:
         return self.states[-1]
 
 
-def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
-    """Classical 4th-order integration of dy/dJ = rhs(J, y) on a uniform grid.
-
-    ``rhs`` receives and returns numpy arrays; scalars are promoted to
-    1-vectors. A non-finite state aborts with the last valid J attached.
-    """
+def _uniform_grid(j_span, steps: int) -> tuple[np.ndarray, float]:
+    """Nodes and step of a uniform RK4 grid over an increasing finite span."""
     j0, j1 = float(j_span[0]), float(j_span[1])
     if not (np.isfinite(j0) and np.isfinite(j1)) or j1 <= j0:
         raise ValidationError(f"integration span must be increasing, got [{j0}, {j1}]")
     steps = int(steps)
     if steps < 16:
         raise ValidationError("at least 16 steps are required")
+    return np.linspace(j0, j1, steps + 1), (j1 - j0) / steps
+
+
+def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
+    """Classical 4th-order integration of dy/dJ = rhs(J, y) on a uniform grid.
+
+    ``rhs`` receives and returns numpy arrays; scalars are promoted to
+    1-vectors. A non-finite state aborts with the last valid J attached.
+    """
+    js, h = _uniform_grid(j_span, steps)
+    steps = js.size - 1
     y = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if y.ndim != 1:
         raise ValidationError("initial state must be a scalar or 1-d array")
-    js = np.linspace(j0, j1, steps + 1)
-    h = (j1 - j0) / steps
     states = np.empty((steps + 1, y.size))
     slopes = np.empty_like(states)
     states[0] = y
@@ -152,6 +158,67 @@ def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
             states[k + 1] = y
         slopes[-1] = np.asarray(rhs(js[-1], y), dtype=float)
     return CrispTrajectory(js=js, states=states, slopes=slopes)
+
+
+def _rk4_linear(a: float, c_lo, c_up, flip: bool, x0, j_span, steps: int) -> CrispTrajectory:
+    """RK4 for the band system y' = a*P*y + c, y = (lower, upper), where P
+    swaps the two bands when ``flip`` is set.
+
+    The same floating-point operations as :func:`solve_crisp_in_J` driven by
+    ``LinearRhs.lower``/``upper``, in the same order and association, so the
+    result is bit-identical; only the per-call overhead is gone. Every stage
+    is written in place into preallocated (2, n) buffers: k1 straight into
+    the slope table, the new state straight into the state table.
+    """
+    js, h = _uniform_grid(j_span, steps)
+    steps = js.size - 1
+    c = np.array([c_lo, c_up], dtype=float)
+    states = np.empty((steps + 1,) + c.shape)
+    slopes = np.empty_like(states)
+    states[0] = x0
+    yt, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
+    # P applied as a view; 0-d arrays are the cheapest scalars to pass to a ufunc
+    p_states, p_yt = (states[:, ::-1], yt[::-1]) if flip else (states, yt)
+    a, two, half, h, sixth = (np.array(v) for v in (a, 2.0, 0.5 * h, h, h / 6.0))
+    mul, add = np.multiply, np.add
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
+        for k in range(steps):
+            y, k1 = states[k], slopes[k]
+            mul(p_states[k], a, k1)
+            add(k1, c, k1)
+            mul(k1, half, yt)
+            add(yt, y, yt)
+            mul(p_yt, a, k2)
+            add(k2, c, k2)
+            mul(k2, half, yt)
+            add(yt, y, yt)
+            mul(p_yt, a, k3)
+            add(k3, c, k3)
+            mul(k3, h, yt)
+            add(yt, y, yt)
+            mul(p_yt, a, k4)
+            add(k4, c, k4)
+            # ((k1 + 2 k2) + 2 k3) + k4
+            mul(k2, two, k2)
+            add(k2, k1, k2)
+            mul(k3, two, k3)
+            add(k2, k3, k2)
+            add(k2, k4, k2)
+            mul(k2, sixth, k2)
+            add(y, k2, states[k + 1])
+        mul(p_states[-1], a, slopes[-1])
+        add(slopes[-1], c, slopes[-1])
+    # a non-finite entry stays non-finite in this recurrence, so the first
+    # non-finite row is where a per-step check would have stopped
+    finite = np.isfinite(states[1:]).all(axis=(1, 2))
+    if not finite.all():
+        k = int(np.argmin(finite))
+        raise DivergenceError(
+            f"state became non-finite between J={js[k]} and J={js[k + 1]}",
+            last_valid=float(js[k]),
+        )
+    dim = 2 * c.shape[1]
+    return CrispTrajectory(js=js, states=states.reshape(-1, dim), slopes=slopes.reshape(-1, dim))
 
 
 # ---------------------------------------------------------------------------
@@ -180,20 +247,13 @@ class LinearRhs(ParametricRhs):
     def __init__(self, a: float, c: FuzzyNumber):
         self.a = float(a)
         self.c = c
-        self._cut_cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
-
-    def _cuts(self, rs: np.ndarray):
-        key = rs.tobytes()
-        if key not in self._cut_cache:
-            self._cut_cache[key] = self.c.cuts_at(rs)
-        return self._cut_cache[key]
 
     def lower(self, J, lo, up, rs):
-        clo, _ = self._cuts(rs)
+        clo, _ = self.c.cuts_at(rs)
         return (self.a * lo if self.a >= 0.0 else self.a * up) + clo
 
     def upper(self, J, lo, up, rs):
-        _, chi = self._cuts(rs)
+        _, chi = self.c.cuts_at(rs)
         return (self.a * up if self.a >= 0.0 else self.a * lo) + chi
 
 
@@ -209,6 +269,20 @@ class FuncRhs(ParametricRhs):
 
     def upper(self, J, lo, up, rs):
         return self._upper(J, lo, up, rs)
+
+
+# Largest solution grid a problem may ask for, checked before anything is
+# allocated: j_steps x r_points (and u_points x r_points) for a first-order
+# problem, steps for the BVP. The largest grid in the tests and the
+# benchmark, 4096 x 101, is about a tenth of it.
+MAX_GRID_CELLS = 2**22
+
+
+def _check_grid_size(what: str, cells) -> None:
+    if cells > MAX_GRID_CELLS:
+        raise ValidationError(
+            f"grid too large: {what} = {cells:.4g} cells, the cap is {MAX_GRID_CELLS}"
+        )
 
 
 @dataclass(frozen=True)
@@ -242,6 +316,9 @@ class FirstOrderFfdeProblem:
             raise ValidationError("j_steps must be >= 16")
         if self.u_points is not None and self.u_points < 2:
             raise ValidationError("u_points must be >= 2")
+        _check_grid_size("j_steps x r_points", self.j_steps * self.r_points)
+        if self.u_points is not None:
+            _check_grid_size("u_points x r_points", self.u_points * self.r_points)
         object.__setattr__(self, "span", (u0, u1))
 
 
@@ -293,8 +370,21 @@ def _validity_flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
 
 
 def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool) -> CrispTrajectory:
-    n = rs.size
     rhs = problem.rhs
+    lo0, up0 = problem.x0.cuts_at(rs)
+    J0 = J_at(problem.table, problem.span[0])
+    J1 = J_at(problem.table, problem.span[1])
+    if J1 <= J0:
+        raise ValidationError("staircase does not advance over the span (flat J)")
+    # exact type: a subclass may override lower/upper. LinearRhs multiplies
+    # the opposite band when a < 0; case II swaps the two equations, which
+    # trades the constants and flips the band once more
+    if type(rhs) is LinearRhs:
+        clo, chi = rhs.c.cuts_at(rs)
+        c_lo, c_up = (chi, clo) if swap else (clo, chi)
+        flip = (rhs.a < 0.0) != swap
+        return _rk4_linear(rhs.a, c_lo, c_up, flip, (lo0, up0), (J0, J1), problem.j_steps)
+    n = rs.size
 
     def system(J, y):
         lo, up = y[:n], y[n:]
@@ -306,11 +396,6 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
             dup = rhs.upper(J, lo, up, rs)
         return np.concatenate([np.asarray(dlo, dtype=float), np.asarray(dup, dtype=float)])
 
-    lo0, up0 = problem.x0.cuts_at(rs)
-    J0 = J_at(problem.table, problem.span[0])
-    J1 = J_at(problem.table, problem.span[1])
-    if J1 <= J0:
-        raise ValidationError("staircase does not advance over the span (flat J)")
     return solve_crisp_in_J(system, np.concatenate([lo0, up0]), (J0, J1), problem.j_steps)
 
 
@@ -461,12 +546,18 @@ def solution_from_csv(source, case: str = "unknown") -> FuzzySolution:
     else:
         with open(source, "r", encoding="utf-8") as fh:
             text = fh.read()
-    lines = [ln for ln in text.strip().splitlines() if ln]
-    if not lines or lines[0].strip() != "u,J,r,lower,upper,valid":
+    header, _, body = text.lstrip().partition("\n")
+    if header.strip() != "u,J,r,lower,upper,valid":
         raise ValidationError("not a solution CSV (bad header)")
-    data = np.array([[float(x) for x in ln.split(",")] for ln in lines[1:]])
-    if data.ndim != 2 or data.shape[1] != 6:
-        raise ValidationError("malformed solution CSV body")
+    if not body or body.isspace():
+        raise ValidationError("malformed solution CSV body (no rows)")
+    try:  # one C-level parse; blank lines are skipped
+        data = np.loadtxt(body.splitlines(), delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        # numpy appends advice on `usecols` after a semicolon
+        raise ValidationError(f"malformed solution CSV body: {str(exc).split(';')[0]}") from None
+    if data.shape[1] != 6:
+        raise ValidationError("malformed solution CSV body (need 6 columns)")
     col_r = data[:, 2]
     wraps = np.flatnonzero(np.diff(col_r) < 0)
     n_r = int(wraps[0] + 1) if wraps.size else data.shape[0]
@@ -508,6 +599,7 @@ class SecondOrderFuzzyBvp:
             raise ValidationError(f"j_span must be increasing, got [{j0}, {j1}]")
         if self.steps < 16:
             raise ValidationError("steps must be >= 16")
+        _check_grid_size("steps", self.steps)
         object.__setattr__(self, "j_span", (j0, j1))
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from ffcalc.cli import main
-from ffcalc import solution_from_csv
+from ffcalc import MAX_GRID_CELLS, solution_from_csv
 
 
 def run_cli(args, env=None, cwd=None):
@@ -208,6 +208,30 @@ class TestExitStatus:
         proc = run_cli(["solve", "--spec", str(path)], env=cli_env, cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--builtin", "example1", "--j-steps", str(MAX_GRID_CELLS // 101 + 1)],
+            ["--builtin", "example1", "--r-points", str(MAX_GRID_CELLS // 256 + 1)],
+            ["--builtin", "example2", "--j-steps", str(MAX_GRID_CELLS + 1)],
+        ],
+        ids=["example1_j_steps", "example1_r_points", "example2_steps"],
+    )
+    def test_grid_just_over_cap(self, tmp_path, capsys, args):
+        out = tmp_path / "x.csv"
+        assert main(["solve", *args, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: grid too large") and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_grid_just_over_cap_subprocess(self, tmp_path, cli_env):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**_LINEAR_SPEC, "j_steps": MAX_GRID_CELLS // 5 + 1}))
+        proc = run_cli(["solve", "--spec", str(path)], env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: grid too large") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
     def test_bad_thread_cap(self, monkeypatch):

@@ -7,13 +7,16 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcalc import (
     DivergenceError,
     DomainError,
     FirstOrderFfdeProblem,
     FuncRhs,
+    FuzzySolution,
     LinearRhs,
+    MAX_GRID_CELLS,
     TriangularFuzzy,
     ValidationError,
     EXAMPLE1_CASE2_HORIZON_J,
@@ -34,6 +37,7 @@ from ffcalc import (
     unit_segment_table,
     verify_against_closed_form,
 )
+from ffcalc import ffde
 from ffcalc.ffde import CrispTrajectory
 
 # closed forms restated independently of the library's copies
@@ -338,6 +342,138 @@ class TestGeneralRhs:
         assert np.allclose(sol.upper, w * np.exp(sol.Js[:, None]), atol=1e-6)
 
 
+def _generic_band_solve(problem, rs, swap):
+    """The band system driven through LinearRhs.lower/upper by the generic
+    loop, as every first-order solve ran before the linear kernel."""
+    rhs, n = problem.rhs, rs.size
+
+    def system(J, y):
+        lo, up = y[:n], y[n:]
+        if swap:
+            dlo, dup = rhs.upper(J, lo, up, rs), rhs.lower(J, lo, up, rs)
+        else:
+            dlo, dup = rhs.lower(J, lo, up, rs), rhs.upper(J, lo, up, rs)
+        return np.concatenate([np.asarray(dlo, dtype=float), np.asarray(dup, dtype=float)])
+
+    lo0, up0 = problem.x0.cuts_at(rs)
+    span = (ffde.J_at(problem.table, problem.span[0]), ffde.J_at(problem.table, problem.span[1]))
+    return solve_crisp_in_J(system, np.concatenate([lo0, up0]), span, problem.j_steps)
+
+
+def _linear_problem(a, c, x0, span, case, r_points, j_steps):
+    return FirstOrderFfdeProblem(
+        table=unit_segment_table(),
+        rhs=LinearRhs(a, make_triangular(*sorted(c))),
+        x0=make_triangular(*sorted(x0)),
+        span=span,
+        case=case,
+        r_points=r_points,
+        j_steps=j_steps,
+    )
+
+
+_moderate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
+
+
+class TestLinearKernel:
+    """The in-place LinearRhs kernel against the generic RK4 loop. The kernel
+    is reached through _integrate_bands, so the case and sign wiring is
+    covered too; TestSolverPaths pins that this path takes the kernel."""
+
+    @given(
+        a=st.one_of(st.floats(min_value=-4.0, max_value=4.0), st.sampled_from([0.0, -0.0])),
+        c=st.tuples(_moderate, _moderate, _moderate),
+        x0=st.tuples(_moderate, _moderate, _moderate),
+        u0=st.floats(min_value=0.0, max_value=0.4),
+        u1=st.floats(min_value=0.6, max_value=1.0),
+        case=st.sampled_from(["I", "II"]),
+        r_points=st.integers(min_value=2, max_value=41),
+        j_steps=st.integers(min_value=16, max_value=128),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_generic_loop(self, a, c, x0, u0, u1, case, r_points, j_steps):
+        problem = _linear_problem(a, c, x0, (u0, u1), case, r_points, j_steps)
+        rs = np.linspace(0.0, 1.0, r_points)
+        swap = case == "II"
+        fast = ffde._integrate_bands(problem, rs, swap)
+        slow = _generic_band_solve(problem, rs, swap)
+        assert np.array_equal(fast.js, slow.js)
+        assert np.array_equal(fast.states, slow.states)
+        assert np.array_equal(fast.slopes, slow.slopes)
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    @pytest.mark.parametrize("a", [1e5, -1e5])
+    def test_divergence_reported_identically(self, case, a):
+        # |R(h a)| ~ 4e12 per step: the bands overflow part-way through
+        problem = _linear_problem(a, (-1.0, 0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0), case, 5, 32)
+        rs = np.linspace(0.0, 1.0, 5)
+        errors = []
+        for solve in (ffde._integrate_bands, _generic_band_solve):
+            with pytest.raises(DivergenceError) as exc:
+                solve(problem, rs, case == "II")
+            errors.append(exc.value)
+        fast, slow = errors
+        assert 0.0 < fast.last_valid < 1.0
+        assert fast.last_valid == slow.last_valid
+        assert str(fast) == str(slow)
+
+
+class TestSolverPaths:
+    """LinearRhs solves take the in-place kernel; every other right-hand
+    side and the BVP still reach the generic loop."""
+
+    @pytest.fixture()
+    def no_generic_loop(self, monkeypatch):
+        class GenericLoopCalled(Exception):
+            pass
+
+        def refuse(*args, **kwargs):
+            raise GenericLoopCalled
+
+        monkeypatch.setattr(ffde, "solve_crisp_in_J", refuse)
+        return GenericLoopCalled
+
+    @pytest.mark.parametrize("method", ["full", "cuts"])
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_linear_rhs_skips_generic_loop(self, no_generic_loop, case, method):
+        sol = ffde.solve_first_order(example1_problem(case, r_points=11, j_steps=64), method=method)
+        assert sol.lower.shape == (65, 11)
+
+    def test_func_rhs_reaches_generic_loop(self, no_generic_loop):
+        problem = FirstOrderFfdeProblem(
+            table=unit_segment_table(),
+            rhs=FuncRhs(lambda J, lo, up, rs: lo, lambda J, lo, up, rs: up),
+            x0=make_triangular(0.0, 1.0, 2.0),
+            span=(0.0, 1.0),
+            case="I",
+            r_points=5,
+            j_steps=32,
+        )
+        with pytest.raises(no_generic_loop):
+            ffde.solve_first_order(problem)
+
+    def test_linear_rhs_subclass_reaches_generic_loop(self, no_generic_loop):
+        class Damped(LinearRhs):
+            def lower(self, J, lo, up, rs):
+                return super().lower(J, lo, up, rs) - lo
+
+        problem = FirstOrderFfdeProblem(
+            table=unit_segment_table(),
+            rhs=Damped(1.0, make_triangular(-1.0, 0.0, 1.0)),
+            x0=make_triangular(0.0, 1.0, 2.0),
+            span=(0.0, 1.0),
+            case="I",
+            r_points=5,
+            j_steps=32,
+        )
+        with pytest.raises(no_generic_loop):
+            ffde.solve_first_order(problem)
+
+    def test_bvp_reaches_generic_loop(self, no_generic_loop):
+        with pytest.raises(no_generic_loop):
+            ffde.solve_second_order_bvp(example2_bvp(steps=64))
+
+
 class TestVerificationHarness:
     def test_solver_passes_against_own_closed_form(self):
         sol = solve_case1(example1_problem("I"))
@@ -464,6 +600,44 @@ class TestSolutionCsv:
         with pytest.raises(ValidationError):
             solution_from_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
+    def test_round_trip_exact_at_extreme_magnitudes(self):
+        rng = np.random.default_rng(7)
+        n_u, n_r = 9, 5
+        tiny_huge = np.array([1e300, -1e300, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308])
+        lower = rng.normal(size=(n_u, n_r)) * 10.0 ** rng.integers(-300, 301, size=(n_u, n_r))
+        lower.flat[: tiny_huge.size] = tiny_huge
+        sol = FuzzySolution(
+            us=np.linspace(0.0, 1.0, n_u) / 3.0,
+            Js=np.linspace(0.0, 1e-300, n_u),
+            rs=np.linspace(0.0, 1.0, n_r),
+            lower=lower,
+            upper=-lower[::-1],
+            validity=np.arange(n_u) % 2 == 0,
+            case="I",
+        )
+        buf = io.StringIO()
+        solution_to_csv(sol, buf)
+        buf.seek(0)
+        back = solution_from_csv(buf, case="I")
+        for name in ("us", "Js", "rs", "lower", "upper", "validity"):
+            assert np.array_equal(getattr(back, name), getattr(sol, name)), name
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            "",
+            "\n\n",
+            "0,0,0,1,2,1\n0,0,1,x,1,1\n",
+            "0,0,0,1,2,1\n0,0,1,1\n",
+            "0,0,0,1\n",
+            "0,0,0,1,2,1,7\n",
+        ],
+        ids=["empty", "blank", "non_numeric", "ragged", "narrow", "wide"],
+    )
+    def test_malformed_body_rejected(self, body):
+        with pytest.raises(ValidationError):
+            solution_from_csv(io.StringIO("u,J,r,lower,upper,valid\n" + body))
+
 
 class TestProblemJson:
     def test_builtin_example1(self):
@@ -512,6 +686,28 @@ class TestProblemValidation:
                 span=(0.0, 2.0),
                 case="I",
             )
+
+    @pytest.mark.parametrize(
+        "r_points, j_steps, u_points",
+        [
+            (101, MAX_GRID_CELLS // 101 + 1, None),
+            (MAX_GRID_CELLS // 16 + 1, 16, None),
+            (101, 256, MAX_GRID_CELLS // 101 + 1),
+        ],
+        ids=["j_steps", "r_points", "u_points"],
+    )
+    def test_grid_just_over_cap_rejected(self, r_points, j_steps, u_points):
+        with pytest.raises(ValidationError, match="grid too large"):
+            example1_problem("I", r_points=r_points, j_steps=j_steps, u_points=u_points)
+
+    def test_grid_at_cap_accepted(self):
+        problem = example1_problem("I", r_points=101, j_steps=MAX_GRID_CELLS // 101)
+        assert problem.j_steps * problem.r_points <= MAX_GRID_CELLS
+
+    def test_bvp_steps_just_over_cap_rejected(self):
+        with pytest.raises(ValidationError, match="grid too large"):
+            example2_bvp(steps=MAX_GRID_CELLS + 1)
+        assert example2_bvp(steps=MAX_GRID_CELLS).steps == MAX_GRID_CELLS
 
     def test_bad_case_label(self):
         with pytest.raises(ValidationError):
