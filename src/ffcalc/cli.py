@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -26,6 +25,7 @@ from .fractal_curve import (
     staircase_to_csv,
 )
 from .ffde import (
+    _check_grid_size,
     ode_residual_max,
     solution_to_csv,
     solve_first_order,
@@ -51,25 +51,6 @@ class _Parser(argparse.ArgumentParser):
     # validation-error status by raising instead
     def error(self, message):
         raise _UsageError(message)
-
-
-def _apply_thread_cap():
-    """Honor FFC_THREADS as an upper bound on internal parallelism.
-
-    All computations are deterministic regardless of the cap; the variable
-    is validated and forwarded to the usual threadpool knobs.
-    """
-    raw = os.environ.get("FFC_THREADS")
-    if raw is None:
-        return
-    try:
-        cap = int(raw)
-    except ValueError:
-        raise ValidationError(f"FFC_THREADS must be a positive integer, got {raw!r}") from None
-    if cap < 1:
-        raise ValidationError(f"FFC_THREADS must be a positive integer, got {raw!r}")
-    for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        os.environ.setdefault(var, str(cap))
 
 
 def _base_curve(name: str, level: int):
@@ -176,6 +157,9 @@ def _cmd_differentiate(args) -> int:
 def _cmd_solve(args) -> int:
     problem = _problem_from_args(args)
     if hasattr(problem, "boundary_start"):  # second-order problem
+        if args.r_points < 2:
+            raise ValidationError("r_points must be >= 2")
+        _check_grid_size("(steps + 1) x r_points", (problem.steps + 1) * args.r_points)
         sol2 = solve_second_order_bvp(problem)
         sol = sol2.to_solution(np.linspace(0.0, 1.0, args.r_points))
         solution_to_csv(sol, args.out)
@@ -331,7 +315,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_thread_cap()
         return _COMMANDS[args.command](args)
     except json.JSONDecodeError as exc:
         print(

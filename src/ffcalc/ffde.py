@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fractal_curve import J_at, StaircaseTable
-from .fuzzy_core import FuzzyNumber, TriangularFuzzy
+from .fuzzy_core import _SHAPE_TOL, FuzzyNumber, TriangularFuzzy, _band_defects, _scale_of
 
 __all__ = [
     "CrispTrajectory",
@@ -361,12 +361,10 @@ class FuzzySolution:
 
 
 def _validity_flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    scale = max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
-    tol = 1e-9 * scale
-    ok_lo = np.all(np.diff(lower, axis=1) >= -tol, axis=1)
-    ok_up = np.all(np.diff(upper, axis=1) <= tol, axis=1)
-    ok_w = np.all(upper - lower >= -tol, axis=1)
-    return ok_lo & ok_up & ok_w
+    tol = _SHAPE_TOL * _scale_of(lower, upper)
+    # a slice whose endpoint differences include inf - inf is not valid either
+    defects = _band_defects(lower, upper, tol, nan_is_defect=True)
+    return ~np.any([bad.any(axis=1) for bad in defects], axis=0)
 
 
 def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool) -> CrispTrajectory:

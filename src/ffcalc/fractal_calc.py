@@ -14,7 +14,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, IntegrityError, ValidationError
-from .fractal_curve import FractalCurve, J_at, StaircaseTable
+from .fractal_curve import FractalCurve, J_at, StaircaseTable, _vertex_knots
 
 __all__ = ["CurveFunction", "FIntegralResult", "f_derivative", "f_integral"]
 
@@ -88,20 +88,15 @@ def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> 
     return (float(func(u + h)) - float(func(u - h))) / den
 
 
-def _cells(table: StaircaseTable, a: float, b: float):
-    knots = np.concatenate(
-        [
-            [a],
-            table.us[
-                int(np.searchsorted(table.us, a, side="right")) : int(
-                    np.searchsorted(table.us, b, side="left")
-                )
-            ],
-            [b],
-        ]
-    )
-    Jk = np.interp(knots, table.us, table.Js)
-    dJ = np.diff(Jk)
+def _cells(curve: FractalCurve, table: StaircaseTable, a: float | None, b: float | None):
+    """Knots of the vertex subdivision of [a, b] (default: the table domain) and each cell's dJ."""
+    lo, hi = table.domain
+    a = lo if a is None else float(a)
+    b = hi if b is None else float(b)
+    if not (lo <= a < b <= hi) or not (curve.a0 <= a and b <= curve.b0):
+        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of the domain")
+    knots = _vertex_knots(table.us, a, b)
+    dJ = np.diff(np.interp(knots, table.us, table.Js))
     if np.any(dJ < 0.0):
         raise IntegrityError("staircase increments are negative; table is corrupt")
     return knots, dJ
@@ -122,13 +117,8 @@ def f_integral(
     upper sums. Summation is numpy's pairwise reduction, so the result is
     independent of any evaluation-order choice.
     """
-    lo, hi = table.domain
-    a = lo if a is None else float(a)
-    b = hi if b is None else float(b)
-    if not (lo <= a < b <= hi) or not (curve.a0 <= a and b <= curve.b0):
-        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of the domain")
+    knots, dJ = _cells(curve, table, a, b)
     func = as_curve_function(f, table.domain)
-    knots, dJ = _cells(table, a, b)
     mids = 0.5 * (knots[:-1] + knots[1:])
     fm = np.asarray(func(mids), dtype=float)
     fl = np.asarray(func(knots[:-1]), dtype=float)

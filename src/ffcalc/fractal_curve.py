@@ -309,20 +309,35 @@ def _check_order(alpha: float, ndim: int):
         raise OrderError(f"order alpha must lie in [1, {ndim}], got {alpha}")
 
 
+def _inner_vertices(t: np.ndarray, a: float, b: float) -> slice:
+    """Index range of the vertices t strictly between a and b."""
+    return slice(int(np.searchsorted(t, a, side="right")), int(np.searchsorted(t, b, side="left")))
+
+
+def _vertex_knots(t: np.ndarray, a: float, b: float) -> np.ndarray:
+    """Knots of [a, b] on the vertex grid t: a, the vertices strictly between, b."""
+    return np.concatenate([[a], t[_inner_vertices(t, a, b)], [b]])
+
+
 def natural_subdivision(curve: FractalCurve, a: float, b: float) -> Subdivision:
     """Vertices of the working level restricted to [a, b], endpoints included."""
-    t = curve.params
-    i0 = int(np.searchsorted(t, a, side="right"))
-    i1 = int(np.searchsorted(t, b, side="left"))
-    return Subdivision(np.concatenate([[a], t[i0:i1], [b]]))
+    return Subdivision(_vertex_knots(curve.params, a, b))
 
 
-def _restricted_sum(curve: FractalCurve, alpha: float, a: float, b: float) -> float:
-    knots = natural_subdivision(curve, a, b).breakpoints
-    pts = curve.point_at(knots)
+def _sub_interval(curve: FractalCurve, a: float | None, b: float | None) -> tuple[float, float]:
+    a = curve.a0 if a is None else float(a)
+    b = curve.b0 if b is None else float(b)
+    if not (curve.a0 <= a < b <= curve.b0):
+        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of [{curve.a0}, {curve.b0}]")
+    return a, b
+
+
+def _sub_polyline_lengths(curve: FractalCurve, a: float, b: float) -> np.ndarray:
+    """Segment lengths from w(a) to w(b) through the curve's own vertices in between."""
+    ends = curve.point_at([a, b])
+    pts = np.concatenate([ends[:1], curve.points[_inner_vertices(curve.params, a, b)], ends[1:]])
     d = np.diff(pts, axis=0)
-    lens = np.sqrt(np.sum(d * d, axis=1))
-    return float(np.sum(lens**alpha) / math.gamma(alpha + 1.0))
+    return np.sqrt(np.sum(d * d, axis=1))
 
 
 def mass_function(
@@ -340,10 +355,7 @@ def mass_function(
     value is the sum at the deepest level.
     """
     _check_order(alpha, curve.ndim)
-    a = curve.a0 if a is None else float(a)
-    b = curve.b0 if b is None else float(b)
-    if not (curve.a0 <= a < b <= curve.b0):
-        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of [{curve.a0}, {curve.b0}]")
+    a, b = _sub_interval(curve, a, b)
     target = curve.level if max_level is None else int(max_level)
     if target < curve.level:
         raise ValidationError("max_level below the curve's current level")
@@ -353,7 +365,8 @@ def mass_function(
     levels: list[tuple[int, float]] = []
     cur = curve
     while True:
-        levels.append((cur.level, _restricted_sum(cur, alpha, a, b)))
+        mass = np.sum(_sub_polyline_lengths(cur, a, b) ** alpha) / math.gamma(alpha + 1.0)
+        levels.append((cur.level, float(mass)))
         if cur.level >= target:
             break
         cur = cur.refine()
@@ -393,20 +406,14 @@ def gamma_dimension(
         raise ValidationError("fit_levels must be >= 2")
     if max_level < curve.level + fit_levels - 1:
         raise ValidationError("max_level leaves too few levels for the slope fit")
-    a = curve.a0 if a is None else float(a)
-    b = curve.b0 if b is None else float(b)
-    if not (curve.a0 <= a < b <= curve.b0):
-        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of [{curve.a0}, {curve.b0}]")
+    a, b = _sub_interval(curve, a, b)
 
     keep_from = max_level - fit_levels + 1
     length_arrays: list[np.ndarray] = []
     cur = curve
     while True:
         if cur.level >= keep_from:
-            knots = natural_subdivision(cur, a, b).breakpoints
-            pts = cur.point_at(knots)
-            d = np.diff(pts, axis=0)
-            length_arrays.append(np.sqrt(np.sum(d * d, axis=1)))
+            length_arrays.append(_sub_polyline_lengths(cur, a, b))
         if cur.level >= max_level:
             break
         cur = cur.refine()

@@ -123,9 +123,9 @@ class FuzzyNumber:
 
     def __post_init__(self):
         rs, lowers, uppers = _endpoint_table(self.rs, self.lowers, self.uppers)
-        report = validate(rs, lowers, uppers, tol=_SHAPE_TOL * _scale_of(lowers, uppers))
-        if not report.ok:
-            v = report.violations[0]
+        defects = _band_defects(lowers, uppers, _SHAPE_TOL * _scale_of(lowers, uppers))
+        if any(bad.any() for bad in defects):
+            v = _violations(rs, lowers, uppers, defects)[0]
             raise ValidationError(
                 f"not a valid fuzzy number: {v.condition} violated at r={v.r} by {v.magnitude:g}"
             )
@@ -270,20 +270,18 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
     clo = alo - blo
     chi = ahi - bhi
-    # ties (equal widths, crisp stretches) wobble by an ulp under subtraction
-    tol = 1e-12 * _scale_of(alo, ahi, blo, bhi)
-    bad = clo - chi > tol
-    if np.any(bad):
-        r = float(rs[np.argmax(bad)])
+    # ties (equal widths, crisp stretches) wobble by an ulp under subtraction;
+    # an overflowed difference (inf - inf) is left to the constructor, which
+    # rejects non-finite endpoints
+    bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * _scale_of(alo, ahi, blo, bhi))
+    if bad_w.any():
+        r = float(rs[np.argmax(bad_w)])
         raise HukuharaNonexistenceError(
             f"difference not a fuzzy number: cut of the subtrahend wider at r={r}", failing_r=r
         )
-    bad_lo = np.diff(clo) < -tol
-    bad_hi = np.diff(chi) > tol
-    if np.any(bad_lo) or np.any(bad_hi):
-        i_lo = int(np.argmax(bad_lo)) + 1 if np.any(bad_lo) else rs.size
-        i_hi = int(np.argmax(bad_hi)) + 1 if np.any(bad_hi) else rs.size
-        r = float(rs[min(i_lo, i_hi)])
+    bad_mono = bad_lo | bad_up
+    if bad_mono.any():
+        r = float(rs[np.argmax(bad_mono) + 1])
         raise HukuharaNonexistenceError(
             f"difference endpoints lose monotonicity at r={r}", failing_r=r
         )
@@ -314,6 +312,45 @@ class ValidationReport:
         return {v.condition for v in self.violations}
 
 
+def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float, nan_is_defect: bool = False):
+    """Where band arrays of shape (..., n_r) break the level-cut conditions by more than tol.
+
+    Returns one boolean mask per condition, along the last axis: lower
+    non-decreasing in r (marked at k where lowers[k] - lowers[k+1] > tol),
+    upper non-increasing (uppers[k+1] - uppers[k] > tol) and lower <= upper
+    (lowers[k] - uppers[k] > tol). A NaN difference (inf - inf) is marked
+    only with ``nan_is_defect``.
+    """
+
+    def broken(size):
+        return ~(size <= tol) if nan_is_defect else size > tol
+
+    return (
+        broken(lowers[..., :-1] - lowers[..., 1:]),
+        broken(uppers[..., 1:] - uppers[..., :-1]),
+        broken(lowers - uppers),
+    )
+
+
+def _violations(rs, lowers, uppers, defects) -> list[Violation]:
+    bad_lo, bad_up, bad_w = defects
+    found = []
+    for i in np.flatnonzero(bad_lo | bad_up):
+        drop, rise, r = lowers[i] - lowers[i + 1], uppers[i + 1] - uppers[i], float(rs[i + 1])
+        if bad_lo[i]:
+            found.append(Violation("lower_monotone", int(i + 1), r, float(drop)))
+        if bad_up[i]:
+            found.append(Violation("upper_monotone", int(i + 1), r, float(rise)))
+        # nestedness of consecutive cuts (implied by the monotone conditions,
+        # reported separately to localize the defect)
+        found.append(Violation("nested", int(i + 1), r, float(max(drop, rise))))
+    for i in np.flatnonzero(bad_w):
+        gap = float(lowers[i] - uppers[i])
+        found.append(Violation("lower_le_upper", int(i), float(rs[i]), gap))
+    found.sort(key=lambda v: (v.index, v.condition))
+    return found
+
+
 def validate(number_or_rs, lowers=None, uppers=None, tol: float = 0.0) -> ValidationReport:
     """Check the parametric-form conditions of an endpoint table.
 
@@ -327,28 +364,7 @@ def validate(number_or_rs, lowers=None, uppers=None, tol: float = 0.0) -> Valida
         rs, lo, hi = number_or_rs.rs, number_or_rs.lowers, number_or_rs.uppers
     else:
         rs, lo, hi = _endpoint_table(number_or_rs, lowers, uppers)
-
-    violations: list[Violation] = []
-
-    dlo = np.diff(lo)
-    for i in np.flatnonzero(dlo < -tol):
-        violations.append(Violation("lower_monotone", int(i + 1), float(rs[i + 1]), float(-dlo[i])))
-    dhi = np.diff(hi)
-    for i in np.flatnonzero(dhi > tol):
-        violations.append(Violation("upper_monotone", int(i + 1), float(rs[i + 1]), float(dhi[i])))
-    gap = lo - hi
-    for i in np.flatnonzero(gap > tol):
-        violations.append(Violation("lower_le_upper", int(i), float(rs[i]), float(gap[i])))
-    # nestedness of consecutive cuts (implied by the monotone conditions,
-    # reported separately to localize the defect)
-    out_lo = lo[:-1] - lo[1:]
-    out_hi = hi[1:] - hi[:-1]
-    for i in np.flatnonzero(np.maximum(out_lo, out_hi) > tol):
-        violations.append(
-            Violation("nested", int(i + 1), float(rs[i + 1]), float(max(out_lo[i], out_hi[i])))
-        )
-    violations.sort(key=lambda v: (v.index, v.condition))
-    return ValidationReport(violations)
+    return ValidationReport(_violations(rs, lo, hi, _band_defects(lo, hi, tol)))
 
 
 # ---------------------------------------------------------------------------

@@ -15,7 +15,6 @@ from .errors import (
     DegenerateDenominatorError,
     DomainError,
     HukuharaNonexistenceError,
-    IntegrityError,
     ValidationError,
 )
 from .fractal_calc import _cells, _default_step, as_curve_function
@@ -175,14 +174,7 @@ def ff_riemann_integral(
     """
     if rule not in ("left", "midpoint"):
         raise ValidationError(f"rule must be 'left' or 'midpoint', got {rule!r}")
-    lo, hi = table.domain
-    a = lo if a is None else float(a)
-    b = hi if b is None else float(b)
-    if not (lo <= a < b <= hi) or not (curve.a0 <= a and b <= curve.b0):
-        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of the domain")
-    knots, dJ = _cells(table, a, b)
-    if np.any(dJ < 0.0):
-        raise IntegrityError("negative staircase increment in the integration cells")
+    knots, dJ = _cells(curve, table, a, b)
     nodes = knots[:-1] if rule == "left" else 0.5 * (knots[:-1] + knots[1:])
 
     samples = [f(u) for u in nodes]

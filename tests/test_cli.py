@@ -234,39 +234,47 @@ class TestExitStatus:
         assert proc.stderr.startswith("error: grid too large") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
-    def test_bad_thread_cap(self, monkeypatch):
-        monkeypatch.setenv("FFC_THREADS", "many")
-        assert main(["dim", "--curve", "koch", "--level", "7"]) == 1
+    @pytest.mark.parametrize(
+        "r_points, message",
+        [
+            (-1, "error: r_points must be >= 2"),
+            (0, "error: r_points must be >= 2"),
+            (1, "error: r_points must be >= 2"),
+            # the default --j-steps 256 gives the kappa table 257 rows
+            (MAX_GRID_CELLS // 257 + 1, "error: grid too large"),
+        ],
+        ids=["neg", "zero", "one", "over_cap"],
+    )
+    def test_example2_kappa_levels_checked(self, tmp_path, capsys, r_points, message):
+        out = tmp_path / "x.csv"
+        args = ["solve", "--builtin", "example2", "--r-points", str(r_points), "--out", str(out)]
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_example2_kappa_levels_overflow_subprocess(self, tmp_path, cli_env):
+        args = ["solve", "--builtin", "example2", "--r-points", str(10**29)]
+        proc = run_cli(args, env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: grid too large") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestDeterminism:
-    def test_identical_csv_across_thread_caps(self, tmp_path, cli_env):
-        outputs = []
-        for cap in ("1", "8"):
-            env = dict(cli_env)
-            env["FFC_THREADS"] = cap
-            out = tmp_path / f"sol_{cap}.csv"
-            proc = run_cli(
-                ["solve", "--builtin", "example1", "--case", "II", "--out", str(out)],
-                env=env,
-                cwd=tmp_path,
-            )
-            assert proc.returncode == 0, proc.stderr
-            outputs.append(out.read_bytes())
-        assert outputs[0] == outputs[1]
-
     def test_repeat_run_byte_identical(self, tmp_path, cli_env):
-        blobs = []
-        for k in range(2):
-            out = tmp_path / f"rep_{k}.csv"
-            proc = run_cli(
-                ["solve", "--builtin", "example1", "--case", "I", "--out", str(out)],
-                env=cli_env,
-                cwd=tmp_path,
-            )
-            assert proc.returncode == 0, proc.stderr
-            blobs.append(out.read_bytes())
-        assert blobs[0] == blobs[1]
+        for case in ("I", "II"):
+            blobs = []
+            for k in range(2):
+                out = tmp_path / f"rep_{case}_{k}.csv"
+                proc = run_cli(
+                    ["solve", "--builtin", "example1", "--case", case, "--out", str(out)],
+                    env=cli_env,
+                    cwd=tmp_path,
+                )
+                assert proc.returncode == 0, proc.stderr
+                blobs.append(out.read_bytes())
+            assert blobs[0] == blobs[1], f"case {case}"
 
 
 class TestGoldenBytes:

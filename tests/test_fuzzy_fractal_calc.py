@@ -211,7 +211,7 @@ class TestRiemannIntegral:
         from ffcalc import generate_polyline
 
         f = FuzzyCurveFunction(lambda u: make_crisp(1.0), (0.0, 3.0))
-        # corrupt a table after construction to exercise the integral's own guard
+        # corrupt a table after construction to exercise the negative-increment guard
         table = StaircaseTable(
             alpha=1.0, p0=0.0, us=np.array([0.0, 1.5, 3.0]), Js=np.array([0.0, 1.0, 2.0])
         )
