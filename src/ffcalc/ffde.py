@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fractal_curve import J_at, StaircaseTable
-from .fuzzy_core import _SHAPE_TOL, FuzzyNumber, TriangularFuzzy, _band_defects, _scale_of
+from .fuzzy_core import _SHAPE_TOL, FuzzyNumber, TriangularFuzzy, _band_defects
 
 __all__ = [
     "CrispTrajectory",
@@ -124,7 +124,13 @@ def _uniform_grid(j_span, steps: int) -> tuple[np.ndarray, float]:
     steps = int(steps)
     if steps < 16:
         raise ValidationError("at least 16 steps are required")
-    return np.linspace(j0, j1, steps + 1), (j1 - j0) / steps
+    js = np.linspace(j0, j1, steps + 1)
+    if not np.all(js[1:] > js[:-1]):
+        raise ValidationError(
+            f"integration span [{j0!r}, {j1!r}] is too narrow for {steps} steps: "
+            "grid nodes coincide"
+        )
+    return js, (j1 - j0) / steps
 
 
 def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
@@ -361,10 +367,20 @@ class FuzzySolution:
 
 
 def _validity_flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    tol = _SHAPE_TOL * _scale_of(lower, upper)
-    # a slice whose endpoint differences include inf - inf is not valid either
-    defects = _band_defects(lower, upper, tol, nan_is_defect=True)
-    return ~np.any([bad.any(axis=1) for bad in defects], axis=0)
+    """Rows of the bands that are fuzzy numbers at a tolerance set by the finite endpoints.
+
+    A row with a NaN or infinite endpoint is not valid; such endpoints do
+    not enter the tolerance, so one of them cannot wave the other rows through.
+    """
+    finite_lo, finite_up = np.isfinite(lower), np.isfinite(upper)
+    scale = max(
+        1.0,
+        float(np.max(np.abs(lower), where=finite_lo, initial=0.0)),
+        float(np.max(np.abs(upper), where=finite_up, initial=0.0)),
+    )
+    defects = _band_defects(lower, upper, _SHAPE_TOL * scale)
+    valid = finite_lo.all(axis=1) & finite_up.all(axis=1)
+    return valid & ~np.any([bad.any(axis=1) for bad in defects], axis=0)
 
 
 def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool) -> CrispTrajectory:

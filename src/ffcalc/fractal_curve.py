@@ -78,15 +78,15 @@ class FractalCurve:
         points = np.asarray(self.points, dtype=float)
         if points.ndim == 1:
             points = points[:, None]
-        if points.ndim != 2 or not np.all(np.isfinite(points)):
-            raise ValidationError("points must be a finite (m, n) array")
+        if points.ndim != 2 or points.shape[1] == 0 or not np.all(np.isfinite(points)):
+            raise ValidationError("points must be a finite (m, n) array with n >= 1")
         if params.size < 2:
             raise ValidationError("a curve needs at least 2 vertices")
         if points.shape[0] != params.size:
             raise ValidationError(
                 f"params/points length mismatch: {params.size} vs {points.shape[0]}"
             )
-        if np.any(np.diff(params) <= 0.0):
+        if np.any(params[1:] <= params[:-1]):
             raise ValidationError("params must be strictly increasing")
         if self.level < 0:
             raise ValidationError("level must be non-negative")
@@ -110,8 +110,7 @@ class FractalCurve:
         return self.params.size - 1
 
     def segment_lengths(self) -> np.ndarray:
-        d = np.diff(self.points, axis=0)
-        return np.sqrt(np.sum(d * d, axis=1))
+        return _polyline_lengths(self.points)
 
     def point_at(self, u):
         """w(u), linearly interpolated between vertices."""
@@ -151,7 +150,7 @@ class Subdivision:
 
     def __post_init__(self):
         bp = _float_array(self.breakpoints, "breakpoints", 1)
-        if bp.size < 2 or np.any(np.diff(bp) <= 0.0):
+        if bp.size < 2 or np.any(bp[1:] <= bp[:-1]):
             raise ValidationError("breakpoints must be strictly increasing with >= 2 entries")
         object.__setattr__(self, "breakpoints", bp)
 
@@ -197,14 +196,15 @@ class StaircaseTable:
         Js = _float_array(self.Js, "Js", 1)
         if us.size != Js.size or us.size < 2:
             raise ValidationError("us and Js must have equal length >= 2")
-        if np.any(np.diff(us) <= 0.0):
+        if np.any(us[1:] <= us[:-1]):
             raise ValidationError("us must be strictly increasing")
-        if np.any(np.diff(Js) < 0.0):
+        if np.any(Js[1:] < Js[:-1]):
             raise ValidationError("Js must be non-decreasing")
         if not (us[0] <= self.p0 <= us[-1]):
             raise ValidationError("anchor p0 outside the tabulated range")
         anchor = float(np.interp(self.p0, us, Js))
-        scale = max(1.0, float(np.max(np.abs(Js))))
+        # Js is non-decreasing, so its largest magnitude sits at an end
+        scale = max(1.0, abs(float(Js[0])), abs(float(Js[-1])))
         if abs(anchor) > 1e-9 * scale:
             raise ValidationError("table is not anchored: S(p0) != 0")
         object.__setattr__(self, "us", us)
@@ -219,6 +219,24 @@ class StaircaseTable:
         return float(self.Js[0]), float(self.Js[-1])
 
 
+def _polyline_lengths(points: np.ndarray) -> np.ndarray:
+    """Lengths |w_{i+1} - w_i| of the segments of an (m, n) vertex array.
+
+    The squared differences are summed one coordinate column at a time,
+    left to right, in place. For n < 8 that is the order numpy's row-wise
+    ``np.sum(d * d, axis=1)`` uses, so the bits are the same, at a fraction
+    of the cost of a reduction over a short axis.
+    """
+    s = np.subtract(points[1:, 0], points[:-1, 0])
+    s *= s
+    d = np.empty_like(s)
+    for k in range(1, points.shape[1]):
+        np.subtract(points[1:, k], points[:-1, k], out=d)
+        d *= d
+        s += d
+    return np.sqrt(s, out=s)
+
+
 # ---------------------------------------------------------------------------
 # generators
 
@@ -229,10 +247,16 @@ def generate_polyline(params: Sequence[float], points) -> FractalCurve:
 
 
 def _refine_params(params: np.ndarray, splits: int) -> np.ndarray:
-    offsets = np.arange(splits) / splits
+    """``splits`` equal sub-steps per parameter cell, one column of cells at a time."""
+    out = np.empty((params.size - 1) * splits + 1)
+    cells = out[:-1].reshape(-1, splits)
     dt = np.diff(params)
-    cells = params[:-1, None] + dt[:, None] * offsets[None, :]
-    return np.append(cells.ravel(), params[-1])
+    step = np.empty_like(dt)
+    for j, offset in enumerate(np.arange(splits) / splits):
+        np.multiply(dt, offset, out=step)
+        np.add(step, params[:-1], out=cells[:, j])
+    out[-1] = params[-1]
+    return out
 
 
 _KOCH_ROT = np.array(
@@ -241,18 +265,20 @@ _KOCH_ROT = np.array(
 
 
 def _koch_refiner(curve: FractalCurve) -> FractalCurve:
+    # each segment p -> q becomes p, a = p + d/3, b = a + R(d/3), c = p + 2d/3;
+    # the points are written straight into their rows of ``out``
     p = curve.points[:-1]
-    q = curve.points[1:]
-    d = q - p
-    a = p + d / 3.0
-    c = p + 2.0 * d / 3.0
-    b = a + (d / 3.0) @ _KOCH_ROT.T
-    m = p.shape[0]
-    out = np.empty((4 * m + 1, 2))
+    out = np.empty((4 * p.shape[0] + 1, 2))
+    d = curve.points[1:] - p
+    third = d / 3.0
+    a = np.add(p, third, out=out[1::4])
+    # a matmul, not column arithmetic: BLAS fuses the multiply-add, and the
+    # curve's points carry those bits
+    np.add(a, third @ _KOCH_ROT.T, out=out[2::4])
+    d *= 2.0
+    d /= 3.0
+    np.add(p, d, out=out[3::4])
     out[0:-1:4] = p
-    out[1::4] = a
-    out[2::4] = b
-    out[3::4] = c
     out[-1] = curve.points[-1]
     return FractalCurve(
         _refine_params(curve.params, 4), out, refiner=_koch_refiner, level=curve.level + 1
@@ -336,8 +362,7 @@ def _sub_polyline_lengths(curve: FractalCurve, a: float, b: float) -> np.ndarray
     """Segment lengths from w(a) to w(b) through the curve's own vertices in between."""
     ends = curve.point_at([a, b])
     pts = np.concatenate([ends[:1], curve.points[_inner_vertices(curve.params, a, b)], ends[1:]])
-    d = np.diff(pts, axis=0)
-    return np.sqrt(np.sum(d * d, axis=1))
+    return _polyline_lengths(pts)
 
 
 def mass_function(
@@ -452,10 +477,14 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
     p0 = curve.a0 if p0 is None else float(p0)
     if not (curve.a0 <= p0 <= curve.b0):
         raise DomainError(f"anchor {p0} outside [{curve.a0}, {curve.b0}]")
-    masses = curve.segment_lengths() ** alpha / math.gamma(alpha + 1.0)
-    cum = np.concatenate([[0.0], np.cumsum(masses)])
-    cum -= np.interp(p0, curve.params, cum)
-    return StaircaseTable(alpha=float(alpha), p0=p0, us=curve.params.copy(), Js=cum)
+    masses = curve.segment_lengths()
+    masses **= alpha
+    masses /= math.gamma(alpha + 1.0)
+    Js = np.empty(curve.params.size)
+    Js[0] = 0.0
+    np.cumsum(masses, out=Js[1:])
+    Js -= np.interp(p0, curve.params, Js)
+    return StaircaseTable(alpha=float(alpha), p0=p0, us=curve.params.copy(), Js=Js)
 
 
 def J_at(table: StaircaseTable, u):

@@ -312,23 +312,18 @@ class ValidationReport:
         return {v.condition for v in self.violations}
 
 
-def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float, nan_is_defect: bool = False):
+def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float):
     """Where band arrays of shape (..., n_r) break the level-cut conditions by more than tol.
 
     Returns one boolean mask per condition, along the last axis: lower
     non-decreasing in r (marked at k where lowers[k] - lowers[k+1] > tol),
     upper non-increasing (uppers[k+1] - uppers[k] > tol) and lower <= upper
-    (lowers[k] - uppers[k] > tol). A NaN difference (inf - inf) is marked
-    only with ``nan_is_defect``.
+    (lowers[k] - uppers[k] > tol). A NaN difference (inf - inf) is not marked.
     """
-
-    def broken(size):
-        return ~(size <= tol) if nan_is_defect else size > tol
-
     return (
-        broken(lowers[..., :-1] - lowers[..., 1:]),
-        broken(uppers[..., 1:] - uppers[..., :-1]),
-        broken(lowers - uppers),
+        lowers[..., :-1] - lowers[..., 1:] > tol,
+        uppers[..., 1:] - uppers[..., :-1] > tol,
+        lowers - uppers > tol,
     )
 
 
@@ -358,8 +353,11 @@ def validate(number_or_rs, lowers=None, uppers=None, tol: float = 0.0) -> Valida
     arrays (the raw form is what lets invalid hand-built tables and solver
     output be diagnosed without constructing a number). Reported
     conditions: ``lower_monotone``, ``upper_monotone``, ``lower_le_upper``
-    and ``nested``; defects up to ``tol`` are ignored.
+    and ``nested``; defects up to ``tol`` are ignored. ``tol`` must be
+    finite and non-negative.
     """
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}")
     if isinstance(number_or_rs, FuzzyNumber):
         rs, lo, hi = number_or_rs.rs, number_or_rs.lowers, number_or_rs.uppers
     else:

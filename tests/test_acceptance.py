@@ -13,10 +13,13 @@ import numpy as np
 import pytest
 
 from ffcalc import (
+    EXAMPLE1_CASE2_HORIZON_J,
     HukuharaNonexistenceError,
     J_at,
     add,
     build_staircase,
+    example1_case1_band,
+    example1_case2_band,
     example1_problem,
     example2_bvp,
     example2_crisp_closed_form,
@@ -226,3 +229,30 @@ def test_criterion_8_determinism(tmp_path, cli_env):
         blobs.append(out.read_bytes())
     assert blobs[0] == blobs[1], "CSV bytes differ between two runs"
     report(8, f"byte-identical CSV across two fresh runs ({len(blobs[0])} bytes)")
+
+
+@pytest.mark.parametrize("level", [4, 6, 8])
+@pytest.mark.parametrize("case", ["I", "II"])
+def test_criterion_9_example1_on_koch_staircase(case, level):
+    """Example 1 solved in the staircase coordinate of Koch level 4, 6 and 8
+    (alpha = ln4/ln3, J ending at ~0.877): the closed forms are functions of
+    J alone, so they must hold within 1e-6 at the solution's J values, for
+    case II below its horizon, and the case-II horizon must lie within one
+    J cell of J = ln 2, which is inside the span."""
+    table = build_staircase(generate_koch(level), KOCH_DIM)
+    sol = (solve_case1 if case == "I" else solve_case2)(example1_problem(case, table=table))
+    assert sol.Js[-1] == pytest.approx(table.Js[-1])  # < 1: sub-unit total mass
+    J, r = sol.Js[:, None], sol.rs[None, :]
+    lo, up = (example1_case1_band if case == "I" else example1_case2_band)(J, r)
+    rows = slice(None)
+    if case == "II":
+        assert table.Js[-1] > EXAMPLE1_CASE2_HORIZON_J
+        horizon_J = J_at(table, sol.validity_horizon)
+        cell = float(np.max(np.diff(sol.Js)))
+        gap = abs(horizon_J - EXAMPLE1_CASE2_HORIZON_J)
+        assert gap <= cell, f"horizon at J={horizon_J:g}, {gap:g} from ln 2 (cell {cell:g})"
+        rows = sol.Js <= horizon_J
+    err = float(np.max(np.maximum(np.abs(sol.lower - lo), np.abs(sol.upper - up))[rows]))
+    assert err <= 1e-6, f"max endpoint error {err:g} above 1e-6"
+    J_top = float(sol.Js[rows][-1])
+    report(9, f"Koch-{level} case {case}: max error {err:.3g} over J in [0, {J_top:.4f}]")

@@ -226,6 +226,15 @@ class TestExitStatus:
         assert err.startswith("error: grid too large") and err.count("\n") == 1
         assert not out.exists()
 
+    def test_span_too_narrow_subprocess(self, tmp_path, cli_env):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**_LINEAR_SPEC, "span": [0.5, 0.5 + 1e-15], "j_steps": 256}))
+        proc = run_cli(["solve", "--spec", str(path)], env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: integration span") and proc.stderr.count("\n") == 1
+        assert "too narrow" in proc.stderr and "Traceback" not in proc.stderr
+        assert not (tmp_path / "solution.csv").exists()
+
     def test_grid_just_over_cap_subprocess(self, tmp_path, cli_env):
         path = tmp_path / "spec.json"
         path.write_text(json.dumps({**_LINEAR_SPEC, "j_steps": MAX_GRID_CELLS // 5 + 1}))

@@ -267,33 +267,6 @@ class TestCase2:
         assert sol.validity_horizon == sol.us[0]
 
 
-class TestOnFractalSupport:
-    def test_case1_on_koch_staircase(self):
-        # the closed form depends on J alone, so solving over a genuinely
-        # fractal staircase must still match it after the u -> J map
-        from ffcalc import build_staircase, generate_koch
-
-        table = build_staircase(generate_koch(6), math.log(4.0) / math.log(3.0), p0=0.0)
-        problem = example1_problem("I", r_points=41, j_steps=256, table=table)
-        sol = solve_case1(problem)
-        assert sol.Js[-1] == pytest.approx(table.Js[-1])  # < 1: sub-unit total mass
-        lo, up = band_case1(sol.Js[:, None], sol.rs[None, :])
-        assert float(np.max(np.abs(sol.lower - lo))) < 1e-6
-        assert float(np.max(np.abs(sol.upper - up))) < 1e-6
-
-    def test_case2_horizon_in_j_on_koch_staircase(self):
-        from ffcalc import J_at, build_staircase, generate_koch
-
-        # at the critical order the total mass (~0.877) exceeds ln 2, so the
-        # horizon is crossed inside the span; it must sit at J = ln 2
-        table = build_staircase(generate_koch(6), math.log(4.0) / math.log(3.0), p0=0.0)
-        problem = example1_problem("II", r_points=41, j_steps=256, table=table)
-        sol = solve_case2(problem)
-        horizon_J = J_at(table, sol.validity_horizon)
-        j_cell = float(np.max(np.diff(sol.Js)))
-        assert abs(horizon_J - math.log(2.0)) <= j_cell
-
-
 class TestConvergence:
     def test_fourth_order_in_j_steps(self):
         errs = {}
@@ -708,6 +681,48 @@ class TestProblemValidation:
         with pytest.raises(ValidationError, match="grid too large"):
             example2_bvp(steps=MAX_GRID_CELLS + 1)
         assert example2_bvp(steps=MAX_GRID_CELLS).steps == MAX_GRID_CELLS
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    @pytest.mark.parametrize("method", ["full", "cuts"])
+    def test_span_too_narrow_for_step_count(self, case, method):
+        # 1e-15 is ~9 ulps of 0.5: 256 linspace nodes would repeat, and the
+        # dense output would divide by the zero gaps
+        problem = example1_problem(case, r_points=5, j_steps=256)
+        problem = FirstOrderFfdeProblem(
+            table=problem.table,
+            rhs=problem.rhs,
+            x0=problem.x0,
+            span=(0.5, 0.5 + 1e-15),
+            case=case,
+            r_points=5,
+            j_steps=256,
+        )
+        with pytest.raises(ValidationError, match="too narrow for 256 steps"):
+            ffde.solve_first_order(problem, method=method)
+
+    def test_narrow_span_rejected_by_bvp_and_crisp_solver(self):
+        with pytest.raises(ValidationError, match="too narrow"):
+            solve_crisp_in_J(lambda J, y: y, 1.0, (0.5, 0.5 + 1e-15), 256)
+        bvp = example2_bvp(steps=256)
+        narrow = ffde.SecondOrderFuzzyBvp(
+            p=bvp.p,
+            q=bvp.q,
+            forcing=bvp.forcing,
+            boundary_start=bvp.boundary_start,
+            boundary_end=bvp.boundary_end,
+            j_span=(0.5, 0.5 + 1e-15),
+            steps=256,
+        )
+        with pytest.raises(ValidationError, match="too narrow"):
+            solve_second_order_bvp(narrow)
+
+    def test_narrowest_resolvable_span_accepted(self):
+        # 16 steps over 16 ulps: every node distinct
+        j0 = 0.5
+        j1 = j0 + 16 * np.spacing(j0)
+        traj = solve_crisp_in_J(lambda J, y: y, 1.0, (j0, j1), 16)
+        assert np.all(np.diff(traj.js) > 0.0)
+        assert np.all(np.isfinite(traj.at(traj.js)))
 
     def test_bad_case_label(self):
         with pytest.raises(ValidationError):

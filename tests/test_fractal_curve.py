@@ -74,6 +74,8 @@ class TestGenerators:
             generate_polyline([0.0, 1.0], [(0.0, 0.0)])  # length mismatch
         with pytest.raises(ValidationError):
             generate_polyline([0.0, 0.0, 1.0], [(0, 0), (0, 0), (1, 0)])  # not increasing
+        with pytest.raises(ValidationError, match="n >= 1"):
+            generate_polyline([0.0, 1.0], np.empty((2, 0)))  # no coordinates
         with pytest.raises(CapabilityError):
             generate_polyline([0.0, 1.0], [(0, 0), (1, 0)]).refine()
 

@@ -267,6 +267,15 @@ class TestValidate:
         locs = [(v.condition, v.r) for v in report.violations]
         assert ("lower_monotone", 1.0) in locs
 
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+    def test_bad_tolerance_rejected(self, tol):
+        # a NaN tolerance made every comparison false and the report clean
+        rs = np.array([0.0, 0.5, 1.0])
+        with pytest.raises(ValidationError, match="tol must be"):
+            validate(rs, np.array([0.0, 5.0, 0.0]), np.array([1.0, 0.0, 9.0]), tol=tol)
+        with pytest.raises(ValidationError, match="tol must be"):
+            validate(make_triangular(0.0, 1.0, 2.0), tol=tol)
+
 
 class TestJson:
     def test_triangular_spec(self):

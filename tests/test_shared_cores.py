@@ -1,9 +1,10 @@
-"""The shared band-shape check and vertex-knot path against the separate
-implementations they replaced.
+"""The shared band-shape check, vertex-knot path and curve-geometry kernels
+against the separate implementations they replaced.
 
 Each reference below is the code a caller ran before the callers shared
-one helper, copied unchanged. The library must give the same reports,
-flags, messages, exceptions and bits on every input.
+one helper, copied unchanged unless its docstring says otherwise. The
+library must give the same reports, flags, messages, exceptions and bits on
+every input.
 """
 
 import math
@@ -77,12 +78,19 @@ def ref_fuzzy_number(rs, lowers, uppers):
 
 
 def ref_validity_flags(lower, upper):
-    scale = max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
+    """The separate flag code, with two changes for non-finite endpoints:
+    they do not enter the scale, and a row holding one is not valid."""
+    finite_lo, finite_up = np.isfinite(lower), np.isfinite(upper)
+    scale = max(
+        1.0,
+        float(np.max(np.abs(lower[finite_lo]), initial=0.0)),
+        float(np.max(np.abs(upper[finite_up]), initial=0.0)),
+    )
     tol = 1e-9 * scale
     ok_lo = np.all(np.diff(lower, axis=1) >= -tol, axis=1)
     ok_up = np.all(np.diff(upper, axis=1) <= tol, axis=1)
     ok_w = np.all(upper - lower >= -tol, axis=1)
-    return ok_lo & ok_up & ok_w
+    return ok_lo & ok_up & ok_w & np.all(finite_lo, axis=1) & np.all(finite_up, axis=1)
 
 
 def ref_hukuhara_diff(A, B):
@@ -116,6 +124,44 @@ def ref_sub_polyline_lengths(curve, a, b):
     pts = curve.point_at(knots)
     d = np.diff(pts, axis=0)
     return np.sqrt(np.sum(d * d, axis=1))
+
+
+def ref_segment_lengths(points):
+    d = np.diff(points, axis=0)
+    return np.sqrt(np.sum(d * d, axis=1))
+
+
+def ref_build_staircase(curve, alpha, p0=None):
+    """us and Js of the row-wise staircase build; the argument checks are left out."""
+    p0 = curve.a0 if p0 is None else float(p0)
+    masses = ref_segment_lengths(curve.points) ** alpha / math.gamma(alpha + 1.0)
+    cum = np.concatenate([[0.0], np.cumsum(masses)])
+    cum -= np.interp(p0, curve.params, cum)
+    return curve.params.copy(), cum
+
+
+def ref_refine_params(params, splits):
+    offsets = np.arange(splits) / splits
+    dt = np.diff(params)
+    cells = params[:-1, None] + dt[:, None] * offsets[None, :]
+    return np.append(cells.ravel(), params[-1])
+
+
+def ref_koch_points(points):
+    p = points[:-1]
+    q = points[1:]
+    d = q - p
+    a = p + d / 3.0
+    c = p + 2.0 * d / 3.0
+    b = a + (d / 3.0) @ fractal_curve._KOCH_ROT.T
+    m = p.shape[0]
+    out = np.empty((4 * m + 1, 2))
+    out[0:-1:4] = p
+    out[1::4] = a
+    out[2::4] = b
+    out[3::4] = c
+    out[-1] = points[-1]
+    return out
 
 
 def ref_cells(table, a, b):
@@ -293,6 +339,18 @@ class TestBandShapeCheck:
         assert outcome(hukuhara_diff, A, B) == outcome(ref_hukuhara_diff, A, B)
         assert outcome(hukuhara_diff, B, A) == outcome(ref_hukuhara_diff, B, A)
 
+    def test_infinite_endpoint_does_not_validate_other_rows(self):
+        # row 0 is a fuzzy number; row 1 breaks all three conditions
+        lower = np.array([[0.0, 1.0], [5.0, 4.0]])
+        upper = np.array([[3.0, 2.0], [3.0, 4.5]])
+        assert _validity_flags(lower, upper).tolist() == [True, False]
+        for value in (-np.inf, np.inf, np.nan):
+            bad = lower.copy()
+            bad[0, 0] = value
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                assert _validity_flags(bad, upper).tolist() == [False, False]
+
     def test_width_failure_precedes_monotonicity_failure(self):
         rs = np.linspace(0.0, 1.0, 3)
         A = FuzzyNumber(rs, np.array([0.0, 1.0, 2.0]), np.array([6.0, 5.0, 2.0]))
@@ -373,3 +431,115 @@ class TestVertexKnots:
         knots, dJ = fractal_calc._cells(KOCH5, table, a, b)
         ref_knots, ref_dJ = ref_cells(table, a, b)
         assert knots.tobytes() == ref_knots.tobytes() and dJ.tobytes() == ref_dJ.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# column-wise curve-geometry kernels
+
+KOCHS = [generate_koch(k) for k in range(9)]
+SEGMENTS = [generate_segment(level=k) for k in range(7)] + [
+    generate_segment((0.3, -1.7), (2.5, 9.1), level=5),
+    generate_segment((1e-150, 3.0, -2.0), (5e-151, -1e3, 7.0), level=4),
+]
+
+
+def same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+@st.composite
+def polylines(draw, columns=st.integers(1, 4)):
+    """Params and points of a polyline at a magnitude from 1e-150 to 1e150.
+
+    Entries stay within a few decades of each other, so that the order in
+    which squared differences are summed changes the rounding.
+    """
+    m = draw(st.integers(2, 40))
+    n = draw(columns)
+    base = draw(st.integers(-148, 148))
+    mantissa = st.floats(min_value=-10.0, max_value=10.0)
+    spread = st.integers(-2, 2)
+    points = np.array(
+        [[draw(mantissa) * 10.0 ** (base + draw(spread)) for _ in range(n)] for _ in range(m)]
+    )
+    steps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0), min_size=m, max_size=m))
+    return np.cumsum(steps), points
+
+
+def anchors(params):
+    """p0 on a vertex, between two vertices, and at both ends."""
+    k = params.size // 2
+    between = 0.5 * float(params[k - 1] + params[k])
+    return [float(params[k]), between, float(params[0]), float(params[-1])]
+
+
+def reference_table(curve, alpha, p0):
+    us, Js = ref_build_staircase(curve, alpha, p0)
+    return fractal_curve.StaircaseTable(alpha=float(alpha), p0=float(p0), us=us, Js=Js)
+
+
+def staircase_outcome(build, curve, alpha, p0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # lengths ** alpha may overflow
+        try:
+            table = build(curve, alpha, p0)
+        except ValidationError as exc:
+            return ("error", str(exc))
+    return ("table", table.us.tobytes(), table.Js.tobytes())
+
+
+class TestGeometryKernels:
+    @given(polylines())
+    @settings(max_examples=300, deadline=None)
+    def test_segment_lengths_match_row_wise_reduce(self, polyline):
+        params, points = polyline
+        curve = fractal_curve.generate_polyline(params, points)
+        assert same_bytes(curve.segment_lengths(), ref_segment_lengths(curve.points))
+
+    @given(polylines(), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=300, deadline=None)
+    def test_staircase_matches_reference_on_polylines(self, polyline, t):
+        params, points = polyline
+        curve = fractal_curve.generate_polyline(params, points)
+        alpha = 1.0 + t * (curve.ndim - 1)
+        for p0 in anchors(params):
+            assert staircase_outcome(build_staircase, curve, alpha, p0) == staircase_outcome(
+                reference_table, curve, alpha, p0
+            )
+
+    @pytest.mark.parametrize("curve", KOCHS + SEGMENTS, ids=lambda c: f"{c.ndim}d_level{c.level}")
+    def test_staircase_matches_reference_on_refined_curves(self, curve):
+        for alpha in sorted({1.0, KOCH_DIM, 1.7, 2.0}):
+            if alpha > curve.ndim:
+                continue
+            for p0 in anchors(curve.params):
+                got = build_staircase(curve, alpha, p0)
+                us, Js = ref_build_staircase(curve, alpha, p0)
+                assert same_bytes(got.us, us) and same_bytes(got.Js, Js)
+        assert same_bytes(curve.segment_lengths(), ref_segment_lengths(curve.points))
+
+    def test_koch_levels_match_reference_refiner(self):
+        params, points = KOCHS[0].params, KOCHS[0].points
+        for curve in KOCHS[1:]:
+            params, points = ref_refine_params(params, 4), ref_koch_points(points)
+            assert same_bytes(curve.params, params) and same_bytes(curve.points, points)
+
+    @given(polylines(columns=st.just(2)))
+    @settings(max_examples=200, deadline=None)
+    def test_koch_refiner_matches_reference_on_polylines(self, polyline):
+        params, points = polyline
+        curve = fractal_curve.generate_polyline(params, points)
+        got = fractal_curve._koch_refiner(curve)
+        assert same_bytes(got.points, ref_koch_points(curve.points))
+        assert same_bytes(got.params, ref_refine_params(curve.params, 4))
+
+    @given(
+        st.lists(st.floats(min_value=1e-9, max_value=1e3), min_size=1, max_size=30),
+        st.floats(min_value=-1e6, max_value=1e6),
+        st.integers(1, 6),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_refine_params_matches_reference(self, steps, start, splits):
+        params = start + np.cumsum([0.0] + steps)
+        got = fractal_curve._refine_params(params, splits)
+        assert same_bytes(got, ref_refine_params(params, splits))
