@@ -247,16 +247,10 @@ def generate_polyline(params: Sequence[float], points) -> FractalCurve:
 
 
 def _refine_params(params: np.ndarray, splits: int) -> np.ndarray:
-    """``splits`` equal sub-steps per parameter cell, one column of cells at a time."""
-    out = np.empty((params.size - 1) * splits + 1)
-    cells = out[:-1].reshape(-1, splits)
+    offsets = np.arange(splits) / splits
     dt = np.diff(params)
-    step = np.empty_like(dt)
-    for j, offset in enumerate(np.arange(splits) / splits):
-        np.multiply(dt, offset, out=step)
-        np.add(step, params[:-1], out=cells[:, j])
-    out[-1] = params[-1]
-    return out
+    cells = params[:-1, None] + dt[:, None] * offsets[None, :]
+    return np.append(cells.ravel(), params[-1])
 
 
 _KOCH_ROT = np.array(
@@ -265,20 +259,18 @@ _KOCH_ROT = np.array(
 
 
 def _koch_refiner(curve: FractalCurve) -> FractalCurve:
-    # each segment p -> q becomes p, a = p + d/3, b = a + R(d/3), c = p + 2d/3;
-    # the points are written straight into their rows of ``out``
     p = curve.points[:-1]
-    out = np.empty((4 * p.shape[0] + 1, 2))
-    d = curve.points[1:] - p
-    third = d / 3.0
-    a = np.add(p, third, out=out[1::4])
-    # a matmul, not column arithmetic: BLAS fuses the multiply-add, and the
-    # curve's points carry those bits
-    np.add(a, third @ _KOCH_ROT.T, out=out[2::4])
-    d *= 2.0
-    d /= 3.0
-    np.add(p, d, out=out[3::4])
+    q = curve.points[1:]
+    d = q - p
+    a = p + d / 3.0
+    c = p + 2.0 * d / 3.0
+    b = a + (d / 3.0) @ _KOCH_ROT.T
+    m = p.shape[0]
+    out = np.empty((4 * m + 1, 2))
     out[0:-1:4] = p
+    out[1::4] = a
+    out[2::4] = b
+    out[3::4] = c
     out[-1] = curve.points[-1]
     return FractalCurve(
         _refine_params(curve.params, 4), out, refiner=_koch_refiner, level=curve.level + 1

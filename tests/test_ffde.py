@@ -267,6 +267,33 @@ class TestCase2:
         assert sol.validity_horizon == sol.us[0]
 
 
+class TestOnFractalSupport:
+    def test_case1_on_koch_staircase(self):
+        # the closed form depends on J alone, so solving over a genuinely
+        # fractal staircase must still match it after the u -> J map
+        from ffcalc import build_staircase, generate_koch
+
+        table = build_staircase(generate_koch(6), math.log(4.0) / math.log(3.0), p0=0.0)
+        problem = example1_problem("I", r_points=41, j_steps=256, table=table)
+        sol = solve_case1(problem)
+        assert sol.Js[-1] == pytest.approx(table.Js[-1])  # < 1: sub-unit total mass
+        lo, up = band_case1(sol.Js[:, None], sol.rs[None, :])
+        assert float(np.max(np.abs(sol.lower - lo))) < 1e-6
+        assert float(np.max(np.abs(sol.upper - up))) < 1e-6
+
+    def test_case2_horizon_in_j_on_koch_staircase(self):
+        from ffcalc import J_at, build_staircase, generate_koch
+
+        # at the critical order the total mass (~0.877) exceeds ln 2, so the
+        # horizon is crossed inside the span; it must sit at J = ln 2
+        table = build_staircase(generate_koch(6), math.log(4.0) / math.log(3.0), p0=0.0)
+        problem = example1_problem("II", r_points=41, j_steps=256, table=table)
+        sol = solve_case2(problem)
+        horizon_J = J_at(table, sol.validity_horizon)
+        j_cell = float(np.max(np.diff(sol.Js)))
+        assert abs(horizon_J - math.log(2.0)) <= j_cell
+
+
 class TestConvergence:
     def test_fourth_order_in_j_steps(self):
         errs = {}
