@@ -69,15 +69,19 @@ _FUNCTIONS = {
 }
 
 
-def _load_spec(path: str):
+def _load_spec(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        spec = json.load(fh)
+    # a JSON string in the file is data, not a second document to parse
+    if not isinstance(spec, dict):
+        raise ValidationError("problem spec must be a JSON object")
+    return spec
 
 
 def _problem_from_args(args):
     if args.spec:
         spec = _load_spec(args.spec)
-        if args.case and isinstance(spec, dict):
+        if args.case:
             spec.setdefault("case", args.case)
         return problem_from_json(spec)
     if args.builtin == "example1":

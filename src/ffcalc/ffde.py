@@ -133,6 +133,14 @@ def _uniform_grid(j_span, steps: int) -> tuple[np.ndarray, float]:
     return js, (j1 - j0) / steps
 
 
+def _raise_divergence(js: np.ndarray, k: int):
+    """Report a state that became non-finite on the step from js[k] to js[k + 1]."""
+    raise DivergenceError(
+        f"state became non-finite between J={js[k]} and J={js[k + 1]}",
+        last_valid=float(js[k]),
+    )
+
+
 def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
     """Classical 4th-order integration of dy/dJ = rhs(J, y) on a uniform grid.
 
@@ -157,10 +165,7 @@ def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
             slopes[k] = k1
             y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
             if not np.all(np.isfinite(y)):
-                raise DivergenceError(
-                    f"state became non-finite between J={jk} and J={js[k + 1]}",
-                    last_valid=float(jk),
-                )
+                _raise_divergence(js, k)
             states[k + 1] = y
         slopes[-1] = np.asarray(rhs(js[-1], y), dtype=float)
     return CrispTrajectory(js=js, states=states, slopes=slopes)
@@ -218,11 +223,7 @@ def _rk4_linear(a: float, c_lo, c_up, flip: bool, x0, j_span, steps: int) -> Cri
     # non-finite row is where a per-step check would have stopped
     finite = np.isfinite(states[1:]).all(axis=(1, 2))
     if not finite.all():
-        k = int(np.argmin(finite))
-        raise DivergenceError(
-            f"state became non-finite between J={js[k]} and J={js[k + 1]}",
-            last_valid=float(js[k]),
-        )
+        _raise_divergence(js, int(np.argmin(finite)))
     dim = 2 * c.shape[1]
     return CrispTrajectory(js=js, states=states.reshape(-1, dim), slopes=slopes.reshape(-1, dim))
 
@@ -597,7 +598,17 @@ def solution_from_csv(source, case: str = "unknown") -> FuzzySolution:
 class SecondOrderFuzzyBvp:
     """x'' + p x' + q x = g(J) in the J coordinate with triangular fuzzy
     boundary values at the ends of ``j_span``. Only the boundary data is
-    fuzzy; the operator coefficients are crisp constants."""
+    fuzzy; the operator coefficients are crisp constants.
+
+    ``forcing`` must accept a 1-d array of J values and return one value per
+    point (or a scalar, for a constant forcing): the solver evaluates it once
+    on all RK4 stage nodes, and :func:`ode_residual_max` on the grid. A
+    forcing that gives the same bits on an array as on each scalar, such as
+    one written through ``np.asarray``, solves bit-identically to a
+    point-by-point evaluation; a bare ``J**2`` does not (numpy squares an
+    array but calls libm ``pow`` on a scalar, 1 ulp apart on ~0.1% of
+    values), so its solution moves within rounding only.
+    """
 
     p: float
     q: float
@@ -695,34 +706,86 @@ class SecondOrderSolution:
         )
 
 
+def _rk4_shoot(p: float, q: float, g: np.ndarray, x0: float, js: np.ndarray, h: float):
+    """RK4 for the two shooting systems of the BVP, advanced together in one
+    loop over Python floats: the forced (x, v)' = (v, (g - p v) - q x) from
+    (x0, 0) and the homogeneous (y, w)' = (w, -p w - q y) from (0, 1).
+
+    ``g`` is the forcing on the stage nodes, shape (3, steps): J_k,
+    J_k + h/2 and J_k + h. Every operation of :func:`solve_crisp_in_J`
+    driven by the two right-hand sides is repeated in the same order and
+    association, so the states are bit-identical; the per-step arrays and
+    calls are gone. Returns the columns x, v, y, w over ``js``.
+    """
+    p, q, half, sixth = float(p), float(q), 0.5 * h, h / 6.0
+    x, v, y, w = float(x0), 0.0, 0.0, 1.0
+    xs, vs, ys, ws = [x], [v], [y], [w]
+    for g1, g2, g4 in zip(*g.tolist()):
+        # k = (velocity, acceleration) at the four stages; stage states are
+        # state + (h/2) k1, state + (h/2) k2, state + h k3
+        a1 = (g1 - p * v) - q * x
+        x2, v2 = x + half * v, v + half * a1
+        a2 = (g2 - p * v2) - q * x2
+        x3, v3 = x + half * v2, v + half * a2
+        a3 = (g2 - p * v3) - q * x3
+        x4, v4 = x + h * v3, v + h * a3
+        a4 = (g4 - p * v4) - q * x4
+        x += sixth * (((v + 2.0 * v2) + 2.0 * v3) + v4)
+        v += sixth * (((a1 + 2.0 * a2) + 2.0 * a3) + a4)
+
+        # no forcing term here: (0.0 - p w) and -p w differ on signed zeros
+        b1 = -p * w - q * y
+        y2, w2 = y + half * w, w + half * b1
+        b2 = -p * w2 - q * y2
+        y3, w3 = y + half * w2, w + half * b2
+        b3 = -p * w3 - q * y3
+        y4, w4 = y + h * w3, w + h * b3
+        b4 = -p * w4 - q * y4
+        y += sixth * (((w + 2.0 * w2) + 2.0 * w3) + w4)
+        w += sixth * (((b1 + 2.0 * b2) + 2.0 * b3) + b4)
+
+        xs.append(x)
+        vs.append(v)
+        ys.append(y)
+        ws.append(w)
+    # a non-finite float stays non-finite in this recurrence, so the first
+    # non-finite row is where a per-step check would stop; the forced solve
+    # is checked before the homogeneous one
+    cols = np.array([xs, vs, ys, ws])
+    for pair in (cols[:2], cols[2:]):
+        finite = np.isfinite(pair[:, 1:]).all(axis=0)
+        if not finite.all():
+            _raise_divergence(js, int(np.argmin(finite)))
+    return cols
+
+
 def solve_second_order_bvp(problem: SecondOrderFuzzyBvp) -> SecondOrderSolution:
     """Linear shooting for the crisp part, fundamental-pair interpolation
     weights for the uncertainty part.
 
-    The crisp problem uses the boundary peaks. The uncertainty envelope is
+    The crisp problem uses the boundary peaks; its forced and homogeneous
+    shooting solves run together in :func:`_rk4_shoot`. The uncertainty envelope is
     q1(J) * (start band) + q2(J) * (end band) where the weights are the
     fundamental row times the inverse boundary matrix, computed by solving
     the 2x2 systems rather than inverting.
     """
-    p, q, g = problem.p, problem.q, problem.forcing
+    p, q = problem.p, problem.q
     j0, j1 = problem.j_span
     peak0 = problem.boundary_start.b
     peak1 = problem.boundary_end.b
 
-    def forced(J, y):
-        return np.array([y[1], float(g(J)) - p * y[1] - q * y[0]])
-
-    def homogeneous(J, y):
-        return np.array([y[1], -p * y[1] - q * y[0]])
-
-    base = solve_crisp_in_J(forced, [peak0, 0.0], (j0, j1), problem.steps)
-    hom = solve_crisp_in_J(homogeneous, [0.0, 1.0], (j0, j1), problem.steps)
-    den = float(hom.final[0])
-    if abs(den) <= 1e-12 * max(1.0, abs(peak1), abs(float(base.final[0]))):
+    js, h = _uniform_grid((j0, j1), problem.steps)
+    nodes = np.concatenate((js[:-1], js[:-1] + 0.5 * h, js[:-1] + h))
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected explicitly
+        g = np.asarray(problem.forcing(nodes))
+    if g.dtype.kind not in "biuf" or g.ndim > 1 or g.size not in (1, nodes.size):
+        raise ValidationError("forcing must map an array of J values to one real value per point")
+    g = np.broadcast_to(g.astype(float, copy=False), nodes.shape).reshape(3, -1)
+    x, v, y, w = _rk4_shoot(p, q, g, peak0, js, h)
+    den = float(y[-1])
+    if abs(den) <= 1e-12 * max(1.0, abs(peak1), abs(float(x[-1]))):
         raise DivergenceError("shooting failed: homogeneous solution vanishes at the far end")
-    c = (peak1 - float(base.final[0])) / den
-    states = base.states + c * hom.states
-    slopes = base.slopes + c * hom.slopes
+    c = (peak1 - float(x[-1])) / den
 
     x1, x2 = _fundamental_pair(p, q)
     M = np.array([[float(x1(j0)), float(x2(j0))], [float(x1(j1)), float(x2(j1))]])
@@ -730,7 +793,6 @@ def solve_second_order_bvp(problem: SecondOrderFuzzyBvp) -> SecondOrderSolution:
     if abs(float(np.linalg.det(M))) <= 1e-12 * scale * scale:
         raise ConditioningError("boundary matrix of the fundamental pair is singular")
 
-    js = base.js
     P = np.stack([np.asarray(x1(js), dtype=float), np.asarray(x2(js), dtype=float)], axis=1)
     W = np.linalg.solve(M.T, P.T).T
     q1, q2 = W[:, 0], W[:, 1]
@@ -744,8 +806,8 @@ def solve_second_order_bvp(problem: SecondOrderFuzzyBvp) -> SecondOrderSolution:
 
     return SecondOrderSolution(
         js=js,
-        crisp=states[:, 0],
-        crisp_slope=states[:, 1],
+        crisp=x + c * y,
+        crisp_slope=v + c * w,
         q1=q1,
         q2=q2,
         un_lower=un_lower,

@@ -352,6 +352,8 @@ def _sub_interval(curve: FractalCurve, a: float | None, b: float | None) -> tupl
 
 def _sub_polyline_lengths(curve: FractalCurve, a: float, b: float) -> np.ndarray:
     """Segment lengths from w(a) to w(b) through the curve's own vertices in between."""
+    if a == curve.a0 and b == curve.b0:  # w(a0), w(b0) interpolate to the end vertices exactly
+        return _polyline_lengths(curve.points)
     ends = curve.point_at([a, b])
     pts = np.concatenate([ends[:1], curve.points[_inner_vertices(curve.params, a, b)], ends[1:]])
     return _polyline_lengths(pts)

@@ -266,13 +266,18 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     exceed upper) and the resulting endpoints to stay monotone in r. A
     violation beyond rounding scale raises
     :class:`HukuharaNonexistenceError` carrying the smallest failing level.
+    A difference that overflows raises :class:`ValidationError` first.
     """
     rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
-    clo = alo - blo
-    chi = ahi - bhi
-    # ties (equal widths, crisp stretches) wobble by an ulp under subtraction;
-    # an overflowed difference (inf - inf) is left to the constructor, which
-    # rejects non-finite endpoints
+    with np.errstate(over="ignore"):  # overflow is reported below
+        clo = alo - blo
+        chi = ahi - bhi
+    # both operands have finite endpoints, so a non-finite one here is overflow
+    overflow = ~(np.isfinite(clo) & np.isfinite(chi))
+    if overflow.any():
+        r = float(rs[np.argmax(overflow)])
+        raise ValidationError(f"Hukuhara difference overflows at r={r}: A - B is not finite")
+    # ties (equal widths, crisp stretches) wobble by an ulp under subtraction
     bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * _scale_of(alo, ahi, blo, bhi))
     if bad_w.any():
         r = float(rs[np.argmax(bad_w)])

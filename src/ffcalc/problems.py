@@ -101,6 +101,13 @@ def example2_crisp_closed_form(J):
     )
 
 
+def _nested(value, what: str) -> dict:
+    """A spec object inside a problem spec; a string there is not parsed as JSON again."""
+    if not isinstance(value, dict):
+        raise ValidationError(f"{what} spec must be an object with a 'kind' field")
+    return value
+
+
 def problem_from_json(spec):
     """Build a solvable problem from a JSON object or string.
 
@@ -132,10 +139,11 @@ def problem_from_json(spec):
     if rhs_spec["kind"] == "linear":
         if "a" not in rhs_spec or "c" not in rhs_spec:
             raise ValidationError("linear rhs needs fields 'a' and 'c'")
-        rhs = LinearRhs(spec_number(rhs_spec["a"], "a"), fuzzy_from_json(rhs_spec["c"]))
+        a = spec_number(rhs_spec["a"], "a")
+        rhs = LinearRhs(a, fuzzy_from_json(_nested(rhs_spec["c"], "fuzzy")))
         if "curve" not in spec or "x0" not in spec:
             raise ValidationError("custom problem spec needs 'curve' and 'x0'")
-        curve = curve_from_json(spec["curve"])
+        curve = curve_from_json(_nested(spec["curve"], "curve"))
         alpha = spec_number(spec.get("alpha", 1.0), "alpha")
         table = build_staircase(curve, alpha=alpha, p0=curve.a0)
         span = spec.get("span", [curve.a0, curve.b0])
@@ -144,7 +152,7 @@ def problem_from_json(spec):
         return FirstOrderFfdeProblem(
             table=table,
             rhs=rhs,
-            x0=fuzzy_from_json(spec["x0"]),
+            x0=fuzzy_from_json(_nested(spec["x0"], "fuzzy")),
             span=(spec_number(span[0], "span"), spec_number(span[1], "span")),
             case=case,
             r_points=r_points,

@@ -1,13 +1,19 @@
 """CLI surface: commands, artifacts, exit-status taxonomy, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import subprocess
 import sys
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ffcalc.cli import main
 from ffcalc import MAX_GRID_CELLS, solution_from_csv
@@ -178,6 +184,28 @@ class TestExitStatus:
         assert main(["solve", "--spec", str(path), "--out", str(tmp_path / "x.csv")]) == 2
 
     @pytest.mark.parametrize(
+        "text, message",
+        [
+            ('"spec"', "problem spec must be a JSON object"),
+            (json.dumps(json.dumps(_LINEAR_SPEC)), "problem spec must be a JSON object"),
+            (
+                json.dumps({**_LINEAR_SPEC, "curve": json.dumps(_LINEAR_SPEC["curve"])}),
+                "curve spec must be an object with a 'kind' field",
+            ),
+            (
+                json.dumps({**_LINEAR_SPEC, "x0": json.dumps(_TRI)}),
+                "fuzzy spec must be an object with a 'kind' field",
+            ),
+        ],
+        ids=["string", "encoded_spec", "encoded_curve", "encoded_x0"],
+    )
+    def test_json_string_in_spec_not_parsed_again(self, tmp_path, capsys, text, message):
+        path = tmp_path / "spec.json"
+        path.write_text(text)
+        assert main(["solve", "--spec", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "patch",
         [
             {"r_points": "abc"},
@@ -268,6 +296,108 @@ class TestExitStatus:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: grid too large") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
+
+
+# JSON values a spec field may hold: small valid sizes, values at and past
+# the limits, non-finite floats and values of the wrong type
+_FIELD = st.one_of(
+    st.integers(min_value=-3, max_value=40),
+    st.floats(min_value=-50.0, max_value=50.0),
+    st.sampled_from([0.5, 1.0, 1.5, 2.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
+    st.sampled_from([MAX_GRID_CELLS + 1, 1e30]),
+    st.sampled_from([None, True, "3", "x", "{}", [], [1, 2], {}, {"kind": "koch"}]),
+)
+_UNIT = st.floats(min_value=0.0, max_value=1.0)
+
+
+def _triangular(draw, width=1.0):
+    a, b, c = sorted(draw(st.floats(min_value=-width, max_value=width)) for _ in range(3))
+    return {"kind": "triangular", "a": a, "b": b, "c": c}
+
+
+@st.composite
+def _sound_specs(draw):
+    """A spec that solves: a linear problem on a segment or a Koch curve, or a builtin."""
+    kind = draw(st.sampled_from(["segment", "koch", "example1", "example2"]))
+    sizes = {
+        "r_points": draw(st.integers(min_value=2, max_value=11)),
+        "j_steps": draw(st.integers(min_value=16, max_value=64)),
+        "case": draw(st.sampled_from(["I", "II"])),
+    }
+    if kind.startswith("example"):
+        return {"rhs": {"kind": "builtin", "name": kind}, **sizes}
+    u0, u1 = sorted(draw(st.tuples(_UNIT, _UNIT)))
+    if kind == "segment":
+        curve = {"kind": "polyline", "params": [0, 1], "points": [[0, 0], [1, 0]]}
+        alpha = 1.0
+    else:
+        curve = {"kind": "koch", "level": draw(st.integers(min_value=0, max_value=3))}
+        alpha = draw(st.floats(min_value=1.0, max_value=2.0))
+    return {
+        "curve": curve,
+        "alpha": alpha,
+        "rhs": {"kind": "linear", "a": draw(st.floats(-3.0, 3.0)), "c": _triangular(draw)},
+        "x0": _triangular(draw, 2.0),
+        "span": [u0, u1],
+        **sizes,
+    }
+
+
+# where a mutation may land: a top-level field, a field of a nested object,
+# or a nested object as a whole
+_PATHS = [
+    ("rhs",), ("rhs", "kind"), ("rhs", "name"), ("rhs", "a"), ("rhs", "c"), ("rhs", "c", "kind"),
+    ("rhs", "c", "a"), ("rhs", "c", "b"), ("x0",), ("x0", "kind"), ("x0", "a"), ("x0", "c"),
+    ("x0", "rs"), ("x0", "lowers"), ("curve",), ("curve", "kind"), ("curve", "level"),
+    ("curve", "params"), ("curve", "points"), ("alpha",), ("span",), ("span", 0), ("span", 1),
+    ("case",), ("r_points",), ("j_steps",),
+]
+
+
+@st.composite
+def _specs(draw):
+    """A sound spec with up to three fields replaced or deleted, or a JSON
+    value that is not an object."""
+    if draw(st.integers(min_value=0, max_value=19)) == 0:
+        return draw(st.sampled_from([[], "spec", '{"rhs": {"kind": "builtin"}}', 3, None]))
+    spec = draw(_sound_specs())
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        *parents, last = draw(st.sampled_from(_PATHS))
+        node = spec
+        for key in parents:
+            node = node.get(key) if isinstance(node, dict) else None
+        if isinstance(node, list) and isinstance(last, int) and last < len(node):
+            node[last] = draw(_FIELD)
+        elif isinstance(node, dict):
+            if draw(st.booleans()):
+                node.pop(last, None)
+            else:
+                node[last] = draw(_FIELD)
+    return spec
+
+
+class TestSpecFuzz:
+    """`solve --spec` on arbitrary spec objects ends in a status, not a traceback."""
+
+    @given(spec=_specs())
+    @settings(max_examples=300, deadline=None)
+    def test_solve_spec_exits_cleanly(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = Path(tmp) / "spec.json", Path(tmp) / "x.csv"
+            path.write_text(json.dumps(spec))
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)  # "no valid slice"
+                    status = main(["solve", "--spec", str(path), "--out", str(out)])
+        lines = err.getvalue().splitlines()
+        assert status in (0, 1, 2)
+        if status == 0:
+            assert lines == []
+        else:
+            assert len(lines) == 1
+            assert lines[0].startswith("error: " if status == 1 else "numeric failure: ")
+            assert "malformed JSON" not in lines[0]  # the file always holds valid JSON
 
 
 class TestDeterminism:

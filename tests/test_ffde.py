@@ -419,8 +419,8 @@ class TestLinearKernel:
 
 
 class TestSolverPaths:
-    """LinearRhs solves take the in-place kernel; every other right-hand
-    side and the BVP still reach the generic loop."""
+    """LinearRhs solves and the BVP take their own kernels; every other
+    right-hand side still reaches the generic loop."""
 
     @pytest.fixture()
     def no_generic_loop(self, monkeypatch):
@@ -469,9 +469,9 @@ class TestSolverPaths:
         with pytest.raises(no_generic_loop):
             ffde.solve_first_order(problem)
 
-    def test_bvp_reaches_generic_loop(self, no_generic_loop):
-        with pytest.raises(no_generic_loop):
-            ffde.solve_second_order_bvp(example2_bvp(steps=64))
+    def test_bvp_skips_generic_loop(self, no_generic_loop):
+        sol = ffde.solve_second_order_bvp(example2_bvp(steps=64))
+        assert sol.crisp.shape == (65,)
 
 
 class TestVerificationHarness:
@@ -571,6 +571,158 @@ class TestSecondOrder:
         c1, c2 = _fundamental_pair(0.0, 1.0)
         assert c1(0.5) == pytest.approx(math.cos(0.5))
         assert c2(0.5) == pytest.approx(math.sin(0.5))
+
+
+def _generic_shooting(problem):
+    """solve_second_order_bvp as it ran before the shooting kernel: the
+    forced and the homogeneous solve each through the generic loop."""
+    p, q, g = problem.p, problem.q, problem.forcing
+    j0, j1 = problem.j_span
+    peak0 = problem.boundary_start.b
+    peak1 = problem.boundary_end.b
+
+    def forced(J, y):
+        return np.array([y[1], float(g(J)) - p * y[1] - q * y[0]])
+
+    def homogeneous(J, y):
+        return np.array([y[1], -p * y[1] - q * y[0]])
+
+    base = solve_crisp_in_J(forced, [peak0, 0.0], (j0, j1), problem.steps)
+    hom = solve_crisp_in_J(homogeneous, [0.0, 1.0], (j0, j1), problem.steps)
+    den = float(hom.final[0])
+    if abs(den) <= 1e-12 * max(1.0, abs(peak1), abs(float(base.final[0]))):
+        raise DivergenceError("shooting failed: homogeneous solution vanishes at the far end")
+    c = (peak1 - float(base.final[0])) / den
+    states = base.states + c * hom.states
+
+    x1, x2 = ffde._fundamental_pair(p, q)
+    M = np.array([[float(x1(j0)), float(x2(j0))], [float(x1(j1)), float(x2(j1))]])
+    scale = max(1.0, float(np.max(np.abs(M))))
+    if abs(float(np.linalg.det(M))) <= 1e-12 * scale * scale:
+        raise ffde.ConditioningError("boundary matrix of the fundamental pair is singular")
+    js = base.js
+    P = np.stack([np.asarray(x1(js), dtype=float), np.asarray(x2(js), dtype=float)], axis=1)
+    W = np.linalg.solve(M.T, P.T).T
+    q1, q2 = W[:, 0], W[:, 1]
+    b0, b1 = problem.boundary_start, problem.boundary_end
+    lo0, hi0 = b0.a - b0.b, b0.c - b0.b
+    lo1, hi1 = b1.a - b1.b, b1.c - b1.b
+    un_lower = np.minimum(q1 * lo0, q1 * hi0) + np.minimum(q2 * lo1, q2 * hi1)
+    un_upper = np.maximum(q1 * lo0, q1 * hi0) + np.maximum(q2 * lo1, q2 * hi1)
+    return js, states[:, 0], states[:, 1], q1, q2, un_lower, un_upper
+
+
+def _shooting_outcome(solve, problem):
+    """The solution arrays, or the error with its message and last_valid."""
+    try:
+        out = solve(problem)
+    except (DivergenceError, ffde.ConditioningError) as exc:
+        return (type(exc), str(exc), getattr(exc, "last_valid", None))
+    if isinstance(out, ffde.SecondOrderSolution):
+        out = (out.js, out.crisp, out.crisp_slope, out.q1, out.q2, out.un_lower, out.un_upper)
+    return tuple(np.asarray(a) for a in out)
+
+
+def _assert_same_shooting(problem):
+    fast = _shooting_outcome(solve_second_order_bvp, problem)
+    slow = _shooting_outcome(_generic_shooting, problem)
+    if isinstance(slow[0], type):
+        assert fast == slow
+    else:
+        assert len(fast) == len(slow)
+        for a, b in zip(fast, slow):
+            assert np.array_equal(a, b)
+
+
+def _forcing(kind, c0, c1, c2):
+    """Forcings written through np.asarray, so arrays and scalars give the same bits."""
+    if kind == "polynomial":
+        return lambda J: c0 + c1 * np.asarray(J, dtype=float) + c2 * np.asarray(J, dtype=float) ** 2
+    if kind == "sin":
+        return lambda J: c0 * np.sin(c1 * np.asarray(J, dtype=float) + c2)
+    if kind == "exp":
+        return lambda J: c0 * np.exp(0.5 * c1 * np.asarray(J, dtype=float))
+    return lambda J: c0
+
+
+_coeff = st.floats(min_value=-20.0, max_value=20.0)
+_peak = st.floats(min_value=-5.0, max_value=5.0)
+
+
+class TestShootingKernel:
+    """The one-loop shooting kernel against the two generic-loop solves it
+    replaced, through solve_second_order_bvp."""
+
+    @given(
+        p=_coeff,
+        q=_coeff,
+        j0=st.floats(min_value=-2.0, max_value=2.0),
+        width=st.floats(min_value=0.05, max_value=5.0),
+        steps=st.integers(min_value=16, max_value=600),
+        peaks=st.tuples(_peak, _peak),
+        kind=st.sampled_from(["polynomial", "sin", "exp", "constant"]),
+        c=st.tuples(_peak, _peak, _peak),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_generic_loop(self, p, q, j0, width, steps, peaks, kind, c):
+        problem = ffde.SecondOrderFuzzyBvp(
+            p=p,
+            q=q,
+            forcing=_forcing(kind, *c),
+            boundary_start=TriangularFuzzy(peaks[0] - 1.0, peaks[0], peaks[0] + 0.5),
+            boundary_end=TriangularFuzzy(peaks[1] - 0.25, peaks[1], peaks[1] + 2.0),
+            j_span=(j0, j0 + width),
+            steps=steps,
+        )
+        _assert_same_shooting(problem)
+
+    @pytest.mark.parametrize("steps", [256, 4096])
+    def test_example2_bit_identical(self, steps):
+        _assert_same_shooting(example2_bvp(steps=steps))
+        _assert_same_shooting(
+            ffde.SecondOrderFuzzyBvp(**{**vars(example2_bvp(777)), "j_span": (0.1, 1.3)})
+        )
+
+    @pytest.mark.parametrize(
+        "forcing, start, diverges",
+        [
+            # both solves overflow; the forced one is reported
+            (lambda J: 1.0 - 2.0 * np.asarray(J, dtype=float) ** 2, (2.0, 3.0, 4.0), "both"),
+            # zero peak and forcing keep the forced solve at 0: only the homogeneous overflows
+            (lambda J: 0.0, (-1.0, 0.0, 1.0), "homogeneous"),
+            # a NaN forcing past J = 5 breaks only the forced solve
+            (lambda J: np.where(np.asarray(J) > 5.0, np.nan, 1.0), (2.0, 3.0, 4.0), "forced"),
+        ],
+    )
+    def test_divergence_reported_identically(self, forcing, start, diverges):
+        p = 0.0 if diverges == "forced" else -400.0
+        problem = ffde.SecondOrderFuzzyBvp(
+            p=p,
+            q=4.0,
+            forcing=forcing,
+            boundary_start=TriangularFuzzy(*start),
+            boundary_end=TriangularFuzzy(1.0, 2.0, 2.5),
+            j_span=(0.0, 10.0),
+            steps=500,
+        )
+        with pytest.raises(DivergenceError) as exc:
+            solve_second_order_bvp(problem)
+        assert 0.0 < exc.value.last_valid < 10.0
+        _assert_same_shooting(problem)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            lambda J: np.zeros(3),
+            lambda J: np.zeros((np.size(J), 1)),
+            lambda J: "one",
+            lambda J: None,
+        ],
+    )
+    def test_bad_forcing_result_rejected(self, result):
+        problem = ffde.SecondOrderFuzzyBvp(**{**vars(example2_bvp(64)), "forcing": result})
+        with pytest.raises(ValidationError, match="forcing must map"):
+            solve_second_order_bvp(problem)
 
 
 class TestSolutionCsv:

@@ -311,9 +311,19 @@ class TestBandShapeCheck:
     @given(hukuhara_pairs())
     @settings(max_examples=400, deadline=None)
     def test_hukuhara_diff_matches_reference(self, pair):
+        # the reference leaves an overflowed difference to the constructor;
+        # the library reports it as one overflow error at the first bad level
         A, B = pair
-        assert outcome(hukuhara_diff, A, B) == outcome(ref_hukuhara_diff, A, B)
-        assert outcome(hukuhara_diff, B, A) == outcome(ref_hukuhara_diff, B, A)
+        for X, Y in ((A, B), (B, A)):
+            rs, (xlo, xhi), (ylo, yhi) = _common_grid(X, Y)
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(xlo - ylo) & np.isfinite(xhi - yhi)
+            if finite.all():
+                assert outcome(hukuhara_diff, X, Y) == outcome(ref_hukuhara_diff, X, Y)
+            else:
+                r = float(rs[np.argmin(finite)])
+                message = f"Hukuhara difference overflows at r={r}: A - B is not finite"
+                assert outcome(hukuhara_diff, X, Y) == (ValidationError, message, None)
 
     def test_infinite_endpoint_does_not_validate_other_rows(self):
         # row 0 is a fuzzy number; row 1 breaks all three conditions
@@ -326,6 +336,15 @@ class TestBandShapeCheck:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 assert _validity_flags(bad, upper).tolist() == [False, False]
+
+    def test_overflowing_difference_is_one_error(self):
+        rs = np.linspace(0.0, 1.0, 3)
+        A = FuzzyNumber(rs, np.array([1e308, 1.2e308, 1.5e308]), np.full(3, 1.6e308))
+        B = FuzzyNumber(rs, np.full(3, -1.6e308), np.full(3, -1.5e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # and no overflow warning on the way
+            with pytest.raises(ValidationError, match=r"overflows at r=0\.0: A - B is not finite"):
+                hukuhara_diff(A, B)
 
     def test_width_failure_precedes_monotonicity_failure(self):
         rs = np.linspace(0.0, 1.0, 3)
