@@ -78,7 +78,7 @@ def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> 
     func = as_curve_function(f, table.domain)
     if h is None:
         h = _default_step(table, u)
-    if h <= 0.0:
+    if not h > 0.0:  # NaN too
         raise ValidationError("step h must be positive")
     if u - h < lo or u + h > hi:
         raise DomainError(f"stencil [{u - h}, {u + h}] leaves the domain [{lo}, {hi}]")

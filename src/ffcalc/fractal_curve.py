@@ -485,7 +485,7 @@ def J_at(table: StaircaseTable, u):
     """Staircase value at u (piecewise-linear between tabulated vertices)."""
     u_arr = np.asarray(u, dtype=float)
     lo, hi = table.domain
-    if np.any(u_arr < lo) or np.any(u_arr > hi):
+    if not ((u_arr >= lo) & (u_arr <= hi)).all():  # also false for NaN
         raise DomainError(f"parameter outside [{lo}, {hi}]")
     out = np.interp(u_arr, table.us, table.Js)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
@@ -499,7 +499,7 @@ def u_at(table: StaircaseTable, J):
     """
     J_arr = np.asarray(J, dtype=float)
     Jlo, Jhi = table.J_range
-    if np.any(J_arr < Jlo) or np.any(J_arr > Jhi):
+    if not ((J_arr >= Jlo) & (J_arr <= Jhi)).all():  # also false for NaN
         raise DomainError(f"staircase value outside [{Jlo}, {Jhi}]")
     scalar = np.isscalar(J) or J_arr.ndim == 0
     J_arr = np.atleast_1d(J_arr)

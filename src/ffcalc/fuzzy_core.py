@@ -11,6 +11,7 @@ grid first.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,6 +114,24 @@ def _endpoint_table(rs, lowers, uppers):
     return rs, lowers, uppers
 
 
+# The r-grid of every number built without one of its own. It is a view of a
+# bytes buffer, so it can never be made writeable; it passes the grid checks
+# once, here, and FuzzyNumber skips them for this very array and no other.
+_DEFAULT_RS = np.frombuffer(default_r_grid().tobytes())
+_endpoint_table(_DEFAULT_RS, _DEFAULT_RS, _DEFAULT_RS)
+
+
+def _default_grid_rows(rs, lowers, uppers) -> bool:
+    """Whether rs is the shared default grid and both rows are float64 arrays
+    of its shape, so that of _endpoint_table's checks only finiteness is left."""
+    return (
+        rs is _DEFAULT_RS
+        and type(lowers) is type(uppers) is np.ndarray
+        and lowers.dtype == uppers.dtype == rs.dtype
+        and lowers.shape == uppers.shape == rs.shape
+    )
+
+
 @dataclass(frozen=True, eq=False)
 class FuzzyNumber:
     """Fuzzy number tabulated as nested level cuts [lowers[k], uppers[k]] at rs[k]."""
@@ -122,10 +141,14 @@ class FuzzyNumber:
     uppers: np.ndarray
 
     def __post_init__(self):
-        rs, lowers, uppers = _endpoint_table(self.rs, self.lowers, self.uppers)
-        defects = _band_defects(lowers, uppers, _SHAPE_TOL * _scale_of(lowers, uppers))
-        if any(bad.any() for bad in defects):
-            v = _violations(rs, lowers, uppers, defects)[0]
+        rs, lowers, uppers = self.rs, self.lowers, self.uppers
+        scale = _scale_of(lowers, uppers) if _default_grid_rows(rs, lowers, uppers) else math.inf
+        if scale == math.inf:  # a grid of its own, input to convert, or a non-finite entry
+            rs, lowers, uppers = _endpoint_table(rs, lowers, uppers)
+            scale = _scale_of(lowers, uppers)
+        bad_lo, bad_up, bad_w = _band_defects(lowers, uppers, _SHAPE_TOL * scale)
+        if bad_lo.any() or bad_up.any() or bad_w.any():
+            v = _violations(rs, lowers, uppers, (bad_lo, bad_up, bad_w))[0]
             raise ValidationError(
                 f"not a valid fuzzy number: {v.condition} violated at r={v.r} by {v.magnitude:g}"
             )
@@ -164,7 +187,7 @@ class FuzzyNumber:
 
     def resample(self, rs: np.ndarray) -> "FuzzyNumber":
         rs = np.asarray(rs, dtype=float)
-        if rs.size == self.rs.size and np.array_equal(rs, self.rs):
+        if rs is self.rs or (rs.size == self.rs.size and np.array_equal(rs, self.rs)):
             return self
         lo, hi = self.cuts_at(rs)
         return FuzzyNumber(rs, lo, hi)
@@ -195,7 +218,9 @@ class FuzzyNumber:
 
 
 def _scale_of(*arrays) -> float:
-    return max(1.0, *(float(np.max(np.abs(a))) if a.size else 0.0 for a in arrays))
+    """max(1, largest |entry|) over the arrays; inf when an entry is NaN or infinite."""
+    peaks = [float(abs(a).max()) if a.size else 0.0 for a in arrays]
+    return max(1.0, *peaks) if all(map(math.isfinite, peaks)) else math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -209,15 +234,14 @@ def make_triangular(a: float, b: float, c: float, rs: np.ndarray | None = None) 
     """
     if not (a <= b <= c):
         raise ValidationError(f"triangular feet/peak out of order: ({a}, {b}, {c})")
-    rs = default_r_grid() if rs is None else np.asarray(rs, dtype=float)
-    lowers = a * (1.0 - rs) + b * rs
-    uppers = c * (1.0 - rs) + b * rs
-    return FuzzyNumber(rs, lowers, uppers)
+    rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
+    foot, peak = 1.0 - rs, b * rs
+    return FuzzyNumber(rs, a * foot + peak, c * foot + peak)
 
 
 def make_crisp(x: float, rs: np.ndarray | None = None) -> FuzzyNumber:
     """Real number embedded as a zero-width fuzzy number."""
-    rs = default_r_grid() if rs is None else np.asarray(rs, dtype=float)
+    rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
     vals = np.full(rs.shape, float(x))
     return FuzzyNumber(rs, vals, vals.copy())
 
@@ -232,7 +256,7 @@ def r_cut(A: FuzzyNumber, r: float) -> Interval:
 
 
 def _common_grid(A: FuzzyNumber, B: FuzzyNumber):
-    if A.rs.size == B.rs.size and np.array_equal(A.rs, B.rs):
+    if A.rs is B.rs or (A.rs.size == B.rs.size and np.array_equal(A.rs, B.rs)):
         return A.rs, (A.lowers, A.uppers), (B.lowers, B.uppers)
     rs = np.union1d(A.rs, B.rs)
     return rs, A.cuts_at(rs), B.cuts_at(rs)
@@ -269,24 +293,25 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     A difference that overflows raises :class:`ValidationError` first.
     """
     rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
+    scale = _scale_of(alo, ahi, blo, bhi)
     with np.errstate(over="ignore"):  # overflow is reported below
         clo = alo - blo
         chi = ahi - bhi
-    # both operands have finite endpoints, so a non-finite one here is overflow
-    overflow = ~(np.isfinite(clo) & np.isfinite(chi))
-    if overflow.any():
-        r = float(rs[np.argmax(overflow)])
-        raise ValidationError(f"Hukuhara difference overflows at r={r}: A - B is not finite")
+    # |A - B| <= 2 * scale, so only operands this large (or not finite) can overflow
+    if not 2.0 * scale < math.inf:
+        overflow = ~(np.isfinite(clo) & np.isfinite(chi))
+        if overflow.any():
+            r = float(rs[np.argmax(overflow)])
+            raise ValidationError(f"Hukuhara difference overflows at r={r}: A - B is not finite")
     # ties (equal widths, crisp stretches) wobble by an ulp under subtraction
-    bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * _scale_of(alo, ahi, blo, bhi))
+    bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * scale)
     if bad_w.any():
         r = float(rs[np.argmax(bad_w)])
         raise HukuharaNonexistenceError(
             f"difference not a fuzzy number: cut of the subtrahend wider at r={r}", failing_r=r
         )
-    bad_mono = bad_lo | bad_up
-    if bad_mono.any():
-        r = float(rs[np.argmax(bad_mono) + 1])
+    if bad_lo.any() or bad_up.any():
+        r = float(rs[np.argmax(bad_lo | bad_up) + 1])
         raise HukuharaNonexistenceError(
             f"difference endpoints lose monotonicity at r={r}", failing_r=r
         )

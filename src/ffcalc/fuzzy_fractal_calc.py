@@ -136,7 +136,7 @@ def fractal_hukuhara_derivative(
     lo, hi = table.domain
     if h is None:
         h = _default_step(table, u0)
-    if h <= 0.0:
+    if not h > 0.0:  # NaN too
         raise ValidationError("step h must be positive")
     if u0 < lo or u0 + h > hi:
         raise DomainError(f"forward stencil [{u0}, {u0 + h}] leaves the domain [{lo}, {hi}]")
@@ -179,7 +179,9 @@ def ff_riemann_integral(
 
     samples = [f(u) for u in nodes]
     rs = samples[0].rs
-    same_grid = all(s.rs.size == rs.size and np.array_equal(s.rs, rs) for s in samples[1:])
+    same_grid = all(
+        s.rs is rs or (s.rs.size == rs.size and np.array_equal(s.rs, rs)) for s in samples[1:]
+    )
     if not same_grid:
         rs = rs.copy()
         for s in samples[1:]:

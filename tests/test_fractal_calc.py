@@ -11,6 +11,7 @@ from ffcalc import (
     DomainError,
     J_at,
     StaircaseTable,
+    ValidationError,
     build_staircase,
     f_derivative,
     f_integral,
@@ -48,6 +49,16 @@ class TestDerivative:
         )
         with pytest.raises(DegenerateDenominatorError):
             f_derivative(lambda u: np.asarray(u, dtype=float), table, 1.5, h=0.25)
+
+    def test_nan_step_rejected(self, segment_table_12):
+        _, table = segment_table_12
+        with pytest.raises(ValidationError, match="^step h must be positive$"):
+            f_derivative(lambda u: J_at(table, u), table, 0.5, h=math.nan)
+
+    def test_nan_point_is_a_domain_error(self, segment_table_12):
+        _, table = segment_table_12
+        with pytest.raises(DomainError):
+            f_derivative(lambda u: J_at(table, u), table, math.nan)
 
     def test_stencil_must_stay_in_domain(self, segment_table_12):
         _, table = segment_table_12

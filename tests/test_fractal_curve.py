@@ -219,6 +219,18 @@ class TestLookups:
         with pytest.raises(DomainError):
             u_at(table, 2.5)
 
+    @pytest.mark.parametrize(
+        "query",
+        [math.nan, np.float64(math.nan), np.array(math.nan), np.array([0.25, math.nan, 0.5])],
+        ids=["float", "float64", "0d", "array"],
+    )
+    def test_nan_query_is_a_domain_error(self, query):
+        table = build_staircase(generate_koch(3), KOCH_DIM, p0=0.3)
+        with pytest.raises(DomainError, match=r"^parameter outside \[0\.0, 1\.0\]$"):
+            J_at(table, query)
+        with pytest.raises(DomainError, match=r"^staircase value outside \["):
+            u_at(table, query)
+
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_round_trip_on_strictly_increasing_table(self, u):
         table = build_staircase(generate_segment(level=6), 1.0, 0.0)

@@ -8,6 +8,7 @@ import pytest
 from ffcalc import (
     CaseInapplicableError,
     DegenerateDenominatorError,
+    DomainError,
     FuzzyCurveFunction,
     IntegrityError,
     J_at,
@@ -138,6 +139,14 @@ class TestHukuharaDerivative:
         f = FuzzyCurveFunction(lambda u: make_crisp(u), (0.0, 3.0))
         with pytest.raises(DegenerateDenominatorError):
             fractal_hukuhara_derivative(f, table, 1.0, "I", h=0.5)
+
+    def test_nan_step_rejected(self, segment6):
+        _, table = segment6
+        f = triangular_field(lambda u: u - 1.0, lambda u: u, lambda u: 2.0 * u + 1.0, (0.0, 1.0))
+        with pytest.raises(ValidationError, match="^step h must be positive$"):
+            fractal_hukuhara_derivative(f, table, 0.5, "I", h=math.nan)
+        with pytest.raises(DomainError):
+            fractal_hukuhara_derivative(f, table, math.nan, "I", h=1e-3)
 
     def test_unknown_case_rejected(self, segment6):
         _, table = segment6

@@ -1,5 +1,5 @@
-"""The shared band-shape check, vertex-knot path and curve-geometry kernels
-against the separate implementations they replaced.
+"""The shared band-shape check, vertex-knot path, curve-geometry kernels and
+the shared default r-grid against the implementations they replaced.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -15,30 +15,117 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffcalc import (
+    DomainError,
     FuzzyNumber,
     HukuharaNonexistenceError,
+    TriangularFuzzy,
     ValidationError,
+    J_at,
+    add,
+    default_r_grid,
+    fuzzy_from_json,
     generate_koch,
     generate_segment,
     hukuhara_diff,
+    make_crisp,
+    make_triangular,
     mass_function,
     build_staircase,
     gamma_dimension,
+    scale,
     validate,
 )
-from ffcalc import fractal_calc, fractal_curve
+from ffcalc import fractal_calc, fractal_curve, fuzzy_core
 from ffcalc.ffde import _validity_flags
 from ffcalc.fuzzy_core import (
+    DEFAULT_R_LEVELS,
+    _DEFAULT_RS,
     _SHAPE_TOL,
     ValidationReport,
     Violation,
-    _common_grid,
-    _endpoint_table,
-    _scale_of,
+    _band_defects,
+    _violations,
 )
 
 # ---------------------------------------------------------------------------
 # references
+
+
+def ref_endpoint_table(rs, lowers, uppers):
+    rs = np.asarray(rs, dtype=float)
+    lowers = np.asarray(lowers, dtype=float)
+    uppers = np.asarray(uppers, dtype=float)
+    for name, arr in (("rs", rs), ("lowers", lowers), ("uppers", uppers)):
+        if arr.ndim != 1 or not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{name} must be a finite 1-d array")
+    if not (rs.size == lowers.size == uppers.size):
+        raise ValidationError("rs, lowers and uppers must have equal length")
+    if rs.size < 2 or np.any(np.diff(rs) <= 0.0):
+        raise ValidationError("rs must be strictly increasing with >= 2 levels")
+    if rs[0] != 0.0 or rs[-1] != 1.0:
+        raise ValidationError("the r-grid must include the levels 0 and 1")
+    return rs, lowers, uppers
+
+
+def ref_scale_of(*arrays) -> float:
+    return max(1.0, *(float(np.max(np.abs(a))) if a.size else 0.0 for a in arrays))
+
+
+def ref_common_grid(A, B):
+    if A.rs.size == B.rs.size and np.array_equal(A.rs, B.rs):
+        return A.rs, (A.lowers, A.uppers), (B.lowers, B.uppers)
+    rs = np.union1d(A.rs, B.rs)
+    return rs, A.cuts_at(rs), B.cuts_at(rs)
+
+
+def ref_constructor_check(rs, lowers, uppers):
+    """FuzzyNumber.__post_init__ before the shared default grid: every table
+    goes through _endpoint_table. Returns the arrays the number would hold."""
+    rs, lowers, uppers = ref_endpoint_table(rs, lowers, uppers)
+    defects = _band_defects(lowers, uppers, _SHAPE_TOL * ref_scale_of(lowers, uppers))
+    if any(bad.any() for bad in defects):
+        v = _violations(rs, lowers, uppers, defects)[0]
+        raise ValidationError(
+            f"not a valid fuzzy number: {v.condition} violated at r={v.r} by {v.magnitude:g}"
+        )
+    return rs, lowers, uppers
+
+
+def ref_checked_hukuhara_diff(A, B):
+    """hukuhara_diff before the shared default grid, ending in the
+    constructor check above."""
+    rs, (alo, ahi), (blo, bhi) = ref_common_grid(A, B)
+    with np.errstate(over="ignore"):  # overflow is reported below
+        clo = alo - blo
+        chi = ahi - bhi
+    # both operands have finite endpoints, so a non-finite one here is overflow
+    overflow = ~(np.isfinite(clo) & np.isfinite(chi))
+    if overflow.any():
+        r = float(rs[np.argmax(overflow)])
+        raise ValidationError(f"Hukuhara difference overflows at r={r}: A - B is not finite")
+    # ties (equal widths, crisp stretches) wobble by an ulp under subtraction
+    bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * ref_scale_of(alo, ahi, blo, bhi))
+    if bad_w.any():
+        r = float(rs[np.argmax(bad_w)])
+        raise HukuharaNonexistenceError(
+            f"difference not a fuzzy number: cut of the subtrahend wider at r={r}", failing_r=r
+        )
+    bad_mono = bad_lo | bad_up
+    if bad_mono.any():
+        r = float(rs[np.argmax(bad_mono) + 1])
+        raise HukuharaNonexistenceError(
+            f"difference endpoints lose monotonicity at r={r}", failing_r=r
+        )
+    return ref_constructor_check(rs, clo, chi)
+
+
+def ref_J_at(table, u):
+    u_arr = np.asarray(u, dtype=float)
+    lo, hi = table.domain
+    if np.any(u_arr < lo) or np.any(u_arr > hi):
+        raise DomainError(f"parameter outside [{lo}, {hi}]")
+    out = np.interp(u_arr, table.us, table.Js)
+    return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
 
 def ref_violations(rs, lo, hi, tol):
@@ -63,12 +150,12 @@ def ref_violations(rs, lo, hi, tol):
 
 
 def ref_validate(rs, lowers, uppers, tol):
-    return ValidationReport(ref_violations(*_endpoint_table(rs, lowers, uppers), tol))
+    return ValidationReport(ref_violations(*ref_endpoint_table(rs, lowers, uppers), tol))
 
 
 def ref_fuzzy_number(rs, lowers, uppers):
-    rs, lowers, uppers = _endpoint_table(rs, lowers, uppers)
-    found = ref_violations(rs, lowers, uppers, _SHAPE_TOL * _scale_of(lowers, uppers))
+    rs, lowers, uppers = ref_endpoint_table(rs, lowers, uppers)
+    found = ref_violations(rs, lowers, uppers, _SHAPE_TOL * ref_scale_of(lowers, uppers))
     if found:
         v = found[0]
         raise ValidationError(
@@ -94,10 +181,10 @@ def ref_validity_flags(lower, upper):
 
 
 def ref_hukuhara_diff(A, B):
-    rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
+    rs, (alo, ahi), (blo, bhi) = ref_common_grid(A, B)
     clo = alo - blo
     chi = ahi - bhi
-    tol = 1e-12 * _scale_of(alo, ahi, blo, bhi)
+    tol = 1e-12 * ref_scale_of(alo, ahi, blo, bhi)
     bad = clo - chi > tol
     if np.any(bad):
         r = float(rs[np.argmax(bad)])
@@ -157,7 +244,12 @@ def ref_cells(table, a, b):
 
 
 def outcome(fn, *args):
-    """What a call returned or raised, in a form that compares by value."""
+    """What a call returned or raised, in a form that compares by value.
+
+    A number and the (rs, lowers, uppers) arrays a reference returns for one
+    compare alike: by type, dtype, shape and bytes, and by whether the grid
+    is the shared default one.
+    """
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the subtractions
         try:
@@ -165,8 +257,18 @@ def outcome(fn, *args):
         except (ValidationError, HukuharaNonexistenceError) as exc:
             return (type(exc), str(exc), getattr(exc, "failing_r", None))
     if isinstance(value, FuzzyNumber):
-        return ("number", value.rs.tobytes(), value.lowers.tobytes(), value.uppers.tobytes())
+        value = (value.rs, value.lowers, value.uppers)
+    if isinstance(value, tuple):
+        return ("number", value[0] is _DEFAULT_RS, *map(array_key, value))
+    if isinstance(value, np.ndarray):
+        return ("array", array_key(value))
+    if isinstance(value, float):
+        return ("float", type(value), value.hex())
     return ("value", value)
+
+
+def array_key(a):
+    return type(a), a.dtype, a.shape, a.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +357,7 @@ def hukuhara_pairs(draw):
     A = FuzzyNumber(rs, alo, aup)
     if mode == "tweak":
         blo, bup = alo.copy(), aup.copy()
-        tol = 1e-12 * _scale_of(alo, aup)
+        tol = 1e-12 * ref_scale_of(alo, aup)
         for _ in range(draw(st.integers(1, 3))):
             i = draw(st.integers(0, rs.size - 1))
             target = blo if draw(st.booleans()) else bup
@@ -315,7 +417,7 @@ class TestBandShapeCheck:
         # the library reports it as one overflow error at the first bad level
         A, B = pair
         for X, Y in ((A, B), (B, A)):
-            rs, (xlo, xhi), (ylo, yhi) = _common_grid(X, Y)
+            rs, (xlo, xhi), (ylo, yhi) = ref_common_grid(X, Y)
             with np.errstate(over="ignore"):
                 finite = np.isfinite(xlo - ylo) & np.isfinite(xhi - yhi)
             if finite.all():
@@ -529,3 +631,257 @@ class TestGeometryKernels:
         row_wise = ref_segment_lengths(points)
         assert np.any(got != row_wise)
         assert np.all(np.abs(got - row_wise) <= 4 * np.spacing(row_wise))
+
+
+# ---------------------------------------------------------------------------
+# the shared default r-grid
+
+
+class _Sub(np.ndarray):
+    """An ndarray subclass, which the constructor must convert as before."""
+
+
+ROW_FORMS = {
+    "array": lambda a: a,
+    "strided": lambda a: np.repeat(a, 2)[::2],
+    "read_only": lambda a: np.frombuffer(a.tobytes()),
+    "list": lambda a: a.tolist(),
+    "float32": lambda a: a.astype(np.float32),
+    "int": lambda a: np.rint(a).astype(np.int64),
+    "subclass": lambda a: a.view(_Sub),
+    "big_endian": lambda a: a.astype(">f8"),
+    "short": lambda a: a[:-1],
+    "long": lambda a: np.append(a, a[-1]),
+    "2d": lambda a: a[None, :],
+    "scalar": lambda a: a[0],
+}
+
+
+def foreign_grids(m):
+    """Grids other than the default one: a level nudged, off its ends, out of
+    order, holding NaN, or with another number of levels."""
+    base = default_r_grid(m)
+    nudged = base.copy()
+    nudged[m // 2] = np.nextafter(nudged[m // 2], 2.0)
+    shifted = base.copy()
+    shifted[-1] = np.nextafter(1.0, 0.0)
+    swapped = base.copy()
+    swapped[[1, 2]] = swapped[[2, 1]]
+    holed = base.copy()
+    holed[3] = np.nan
+    return st.sampled_from(
+        [nudged, shifted, swapped, holed, default_r_grid(m - 1), default_r_grid(m + 1)]
+    )
+
+
+@st.composite
+def default_grid_rows(draw, m=DEFAULT_R_LEVELS):
+    """Rows of a valid number on m levels, from a drawn seed, and their magnitude."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    magnitude = draw(st.sampled_from([1.0, 1e-6, 3.0, 1e9, 1e300]))
+    lo = np.sort(rng.uniform(-1.0, 1.0, m)) * magnitude
+    up = lo[-1] + np.sort(rng.uniform(0.0, 1.0, m))[::-1] * magnitude
+    if draw(st.booleans()):  # crisp stretches, where ties sit at the boundary
+        k = draw(st.integers(1, m))
+        lo[-k:] = up[-k:] = lo[-k]
+    return lo, up, magnitude
+
+
+@st.composite
+def default_grid_tables(draw):
+    """A table on the shared grid, on an equal writable copy of it or on a
+    grid of its own, with defects at +-tol and just past it, NaN/+-inf
+    entries, and rows of the wrong shape or of another type."""
+    lo, up, magnitude = draw(default_grid_rows())
+    grid = draw(st.sampled_from(["shared", "copy", "foreign"]))
+    rs = {"shared": _DEFAULT_RS, "copy": default_r_grid()}.get(grid)
+    if rs is None:
+        rs = draw(foreign_grids(DEFAULT_R_LEVELS))
+    place_defects(draw, lo, up, _SHAPE_TOL * ref_scale_of(lo, up), magnitude)
+    lo_form, up_form = draw(st.sampled_from(sorted(ROW_FORMS))), "array"
+    if draw(st.booleans()):
+        lo_form, up_form = up_form, lo_form
+    with np.errstate(over="ignore", invalid="ignore"):  # 1e300 as float32 or int
+        return rs, ROW_FORMS[lo_form](lo), ROW_FORMS[up_form](up)
+
+
+@st.composite
+def shared_grid_pairs(draw):
+    """A on the shared grid; B on it too, on an equal copy of it or on another
+    grid; near A, independent of it or overflowing against it."""
+    alo, aup, magnitude = draw(default_grid_rows())
+    mode = draw(st.sampled_from(["tweak", "independent", "other_grid", "overflow"]))
+    b_grid = _DEFAULT_RS if draw(st.booleans()) else default_r_grid()
+    if mode == "overflow":
+        # non-negative rows with the largest entry at `top`: A - B = A + A
+        # overflows for the largest tops, and no top makes 2 * top overflow
+        top = draw(st.sampled_from([0.5e308, 0.9e308, 1.6e308, 1.7e308]))
+        shift, span = alo[0], (aup[0] - alo[0]) or 1.0  # a crisp constant has no span
+        alo, aup = (alo - shift) / span * top, (aup - shift) / span * top
+        return FuzzyNumber(_DEFAULT_RS, alo, aup), FuzzyNumber(b_grid, -aup, -alo)
+    A = FuzzyNumber(_DEFAULT_RS, alo, aup)
+    if mode == "tweak":
+        blo, bup = alo.copy(), aup.copy()
+        tol = 1e-12 * ref_scale_of(alo, aup)
+        for _ in range(draw(st.integers(1, 3))):
+            i = draw(st.integers(0, DEFAULT_R_LEVELS - 1))
+            target = blo if draw(st.booleans()) else bup
+            target[i] += draw(st.sampled_from([tol, -tol, 2.0 * tol, -2.0 * tol, 0.0, -0.0]))
+    elif mode == "independent":
+        blo, bup, _ = draw(default_grid_rows())
+    else:
+        b_grid, blo, bup, _ = draw(sound_tables(draw(st.integers(2, 8))))
+    try:
+        B = FuzzyNumber(b_grid, blo, bup)
+    except ValidationError:
+        B = A
+    return A, B
+
+
+def lookup_tables():
+    koch = build_staircase(generate_koch(3), KOCH_DIM, p0=0.3)
+    segment = build_staircase(generate_segment((0.3, -1.7), (2.5, 9.1), level=4), 1.0)
+    return [koch, segment]
+
+
+@st.composite
+def lookup_queries(draw):
+    """A scalar (float, numpy float or 0-d array) or an array of parameters:
+    inside the domain, at and just past its ends, infinite or NaN."""
+    value = st.one_of(
+        st.floats(min_value=-0.5, max_value=1.5),
+        st.sampled_from(
+            [0.0, -0.0, 1.0, np.nextafter(0.0, -1.0), np.nextafter(1.0, 2.0), np.nan, np.inf, -np.inf]
+        ),
+    )
+    kind = draw(st.sampled_from(["float", "float64", "0d", "1d", "2d"]))
+    if kind == "float":
+        return draw(value)
+    if kind == "float64":
+        return np.float64(draw(value))
+    if kind == "0d":
+        return np.array(draw(value))
+    values = np.array(draw(st.lists(value, min_size=0 if kind == "1d" else 2, max_size=8)))
+    return values if kind == "1d" or values.size % 2 else values.reshape(2, -1)
+
+
+class TestSharedDefaultGrid:
+    @given(default_grid_tables())
+    @settings(max_examples=600, deadline=None)
+    def test_constructor_matches_reference(self, table):
+        rs, lo, up = table
+        assert outcome(FuzzyNumber, rs, lo, up) == outcome(ref_constructor_check, rs, lo, up)
+
+    @given(default_grid_tables())
+    @settings(max_examples=200, deadline=None)
+    def test_constructor_keeps_the_arrays_it_is_given(self, table):
+        # the stored arrays are the inputs exactly when the reference's
+        # np.asarray conversions return their inputs
+        rs, lo, up = table
+        try:
+            got = FuzzyNumber(rs, lo, up)
+        except ValidationError:
+            return
+        want = ref_constructor_check(rs, lo, up)
+        for stored, expected, given_ in zip((got.rs, got.lowers, got.uppers), want, (rs, lo, up)):
+            assert (stored is given_) == (expected is given_)
+
+    @pytest.mark.parametrize("rs", [_DEFAULT_RS, default_r_grid()], ids=["shared", "copy"])
+    @pytest.mark.parametrize("condition", ["lower_monotone", "upper_monotone", "lower_le_upper"])
+    def test_defect_exactly_at_tolerance(self, rs, condition):
+        # entries within [-1, 1] give the tolerance 1e-9 exactly
+        for defect, accepted in ((_SHAPE_TOL, True), (np.nextafter(_SHAPE_TOL, 1.0), False)):
+            lo, up = np.zeros(DEFAULT_R_LEVELS), np.zeros(DEFAULT_R_LEVELS)
+            if condition == "lower_monotone":
+                lo[:50] = defect  # lowers[49] - lowers[50] = defect
+                up[:] = 1.0
+            elif condition == "upper_monotone":
+                up[60:] = defect  # uppers[60] - uppers[59] = defect
+            else:
+                lo[-1] = defect  # lowers[100] - uppers[100] = defect
+            got = outcome(FuzzyNumber, rs, lo, up)
+            assert got == outcome(ref_constructor_check, rs, lo, up)
+            assert (got[0] == "number") == accepted
+
+    def test_only_the_shared_grid_skips_the_grid_checks(self, monkeypatch):
+        calls = []
+        real = fuzzy_core._endpoint_table
+
+        def counted(*args):
+            calls.append(args[0])
+            return real(*args)
+
+        monkeypatch.setattr(fuzzy_core, "_endpoint_table", counted)
+        lo, up = np.zeros(DEFAULT_R_LEVELS), np.ones(DEFAULT_R_LEVELS)
+        FuzzyNumber(_DEFAULT_RS, lo, up)
+        assert calls == []
+        copy = default_r_grid()
+        FuzzyNumber(copy, lo, up)
+        assert len(calls) == 1 and calls[0] is copy
+        bad = lo.copy()
+        bad[7] = np.nan
+        with pytest.raises(ValidationError, match="^lowers must be a finite 1-d array$"):
+            FuzzyNumber(_DEFAULT_RS, bad, up)
+        assert len(calls) == 2 and calls[1] is _DEFAULT_RS
+
+    @given(shared_grid_pairs())
+    @settings(max_examples=400, deadline=None)
+    def test_hukuhara_diff_matches_reference(self, pair):
+        A, B = pair
+        for X, Y in ((A, B), (B, A)):
+            assert outcome(hukuhara_diff, X, Y) == outcome(ref_checked_hukuhara_diff, X, Y)
+
+    @given(st.sampled_from(lookup_tables()), lookup_queries())
+    @settings(max_examples=400, deadline=None)
+    def test_J_at_matches_reference(self, table, u):
+        got = outcome(J_at, table, u)
+        if np.isnan(u).any():  # the reference returned NaN unless another query was out of range
+            lo, hi = table.domain
+            assert got == (DomainError, f"parameter outside [{lo}, {hi}]", None)
+        else:
+            assert got == outcome(ref_J_at, table, u)
+
+    def test_shared_grid_is_read_only_for_good(self):
+        assert not _DEFAULT_RS.flags.writeable
+        with pytest.raises(ValueError):
+            _DEFAULT_RS.setflags(write=True)
+        assert _DEFAULT_RS.tobytes() == np.linspace(0.0, 1.0, DEFAULT_R_LEVELS).tobytes()
+
+    def test_default_r_grid_is_fresh_and_writeable(self):
+        first, second = default_r_grid(), default_r_grid()
+        assert first is not second and first is not _DEFAULT_RS
+        assert first.tobytes() == _DEFAULT_RS.tobytes()
+        first[0] = 0.5
+        assert _DEFAULT_RS[0] == 0.0 and second[0] == 0.0
+
+    def test_results_keep_the_shared_grid(self):
+        A = make_triangular(-1.0, 0.5, 2.0)
+        B = make_triangular(-0.5, 0.5, 1.0)
+        numbers = [
+            A,
+            make_crisp(0.25),
+            TriangularFuzzy(0.0, 1.0, 3.0).to_fuzzy(),
+            fuzzy_from_json({"kind": "triangular", "a": 0, "b": 1, "c": 2}),
+            add(A, B),
+            scale(-2.5, A),
+            hukuhara_diff(A, B),
+        ]
+        assert all(n.rs is _DEFAULT_RS for n in numbers)
+        own = make_triangular(-1.0, 0.5, 2.0, rs=default_r_grid())
+        assert own.rs is not _DEFAULT_RS and own.data_equal(A)
+
+    def test_every_number_runs_post_init(self, monkeypatch):
+        calls = []
+        real = FuzzyNumber.__post_init__
+
+        def counted(self):
+            calls.append(self)
+            real(self)
+
+        monkeypatch.setattr(FuzzyNumber, "__post_init__", counted)
+        A = make_triangular(-1.0, 0.5, 2.0)
+        B = make_crisp(0.25)
+        S = add(A, B)
+        D = hukuhara_diff(A, B)
+        L = scale(3.0, D)
+        assert calls == [A, B, S, D, L]
