@@ -17,7 +17,10 @@ from ._textio import format_columns, write_csv
 from .errors import FFCalcError, NumericError, ValidationError
 from .fractal_calc import f_derivative, f_integral
 from .fractal_curve import (
+    KOCH_MAX_LEVEL,
+    SEGMENT_MAX_LEVEL,
     J_at,
+    _check_level,
     build_staircase,
     gamma_dimension,
     generate_koch,
@@ -51,6 +54,9 @@ class _Parser(argparse.ArgumentParser):
     # validation-error status by raising instead
     def error(self, message):
         raise _UsageError(message)
+
+
+_MAX_LEVELS = {"koch": KOCH_MAX_LEVEL, "segment": SEGMENT_MAX_LEVEL}
 
 
 def _base_curve(name: str, level: int):
@@ -106,6 +112,8 @@ def _cmd_curve(args) -> int:
 
 def _cmd_dim(args) -> int:
     base = _base_curve(args.curve, 0)
+    # gamma_dimension refines the level-0 curve itself, past the generators' caps
+    _check_level(args.level, args.curve, _MAX_LEVELS[args.curve])
     est = gamma_dimension(base, tol=args.tol, max_level=args.level)
     print(f"gamma-dimension estimate: {est:.6g} (curve={args.curve}, levels<={args.level})")
     if args.out:

@@ -46,6 +46,7 @@ __all__ = [
 ]
 
 KOCH_MAX_LEVEL = 12
+SEGMENT_MAX_LEVEL = 2 * KOCH_MAX_LEVEL  # 2**24 segments, as many as Koch-12
 
 Refiner = Callable[["FractalCurve"], "FractalCurve"]
 
@@ -115,7 +116,7 @@ class FractalCurve:
     def point_at(self, u):
         """w(u), linearly interpolated between vertices."""
         u_arr = np.asarray(u, dtype=float)
-        if np.any(u_arr < self.a0) or np.any(u_arr > self.b0):
+        if not ((u_arr >= self.a0) & (u_arr <= self.b0)).all():  # also false for NaN
             raise DomainError(f"parameter outside [{self.a0}, {self.b0}]")
         cols = [np.interp(u_arr, self.params, self.points[:, k]) for k in range(self.ndim)]
         out = np.stack(cols, axis=-1)
@@ -277,17 +278,28 @@ def _koch_refiner(curve: FractalCurve) -> FractalCurve:
     )
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer))
+
+
+def _check_level(level, curve: str, cap: int) -> int:
+    """``level`` as an int, if it is an integer in [0, cap]; built-in curves
+    are capped so that refinement cannot run the machine out of memory."""
+    if not _is_int(level) or not (0 <= level <= cap):
+        raise ValidationError(f"{curve} level must be an integer in [0, {cap}]")
+    return int(level)
+
+
 def generate_koch(level: int) -> FractalCurve:
     """Standard von Koch polyline over [0, 1] with 4**level segments."""
-    if not isinstance(level, (int, np.integer)) or not (0 <= level <= KOCH_MAX_LEVEL):
-        raise ValidationError(f"koch level must be an integer in [0, {KOCH_MAX_LEVEL}]")
+    level = _check_level(level, "koch", KOCH_MAX_LEVEL)
     base = FractalCurve(
         np.array([0.0, 1.0]),
         np.array([[0.0, 0.0], [1.0, 0.0]]),
         refiner=_koch_refiner,
         level=0,
     )
-    return base.refined_to(int(level))
+    return base.refined_to(level)
 
 
 def _midpoint_refiner(curve: FractalCurve) -> FractalCurve:
@@ -303,12 +315,14 @@ def _midpoint_refiner(curve: FractalCurve) -> FractalCurve:
 
 
 def generate_segment(start=(0.0, 0.0), end=(1.0, 0.0), level: int = 0) -> FractalCurve:
-    """Straight segment over [0, 1], refinable by midpoint subdivision.
+    """Straight segment over [0, 1] with 2**level pieces, refinable by
+    midpoint subdivision.
 
     Refinement adds vertices without changing the geometry, which makes the
     segment usable wherever a smooth refinable reference curve is needed
     (dimension estimates in particular).
     """
+    level = _check_level(level, "segment", SEGMENT_MAX_LEVEL)
     base = FractalCurve(
         np.array([0.0, 1.0]),
         np.array([list(start), list(end)], dtype=float),
@@ -375,6 +389,8 @@ def mass_function(
     """
     _check_order(alpha, curve.ndim)
     a, b = _sub_interval(curve, a, b)
+    if max_level is not None and not _is_int(max_level):
+        raise ValidationError("max_level must be an integer")
     target = curve.level if max_level is None else int(max_level)
     if target < curve.level:
         raise ValidationError("max_level below the curve's current level")
@@ -392,8 +408,13 @@ def mass_function(
     return MassEstimate(alpha=float(alpha), value=levels[-1][1], levels=levels)
 
 
-def _log_sum_slope(length_arrays: list[np.ndarray], alpha: float) -> float:
-    sums = [float(np.sum(lens**alpha)) for lens in length_arrays]
+def _log_sum_slope(bins: list[tuple[np.ndarray, np.ndarray]], alpha: float) -> float:
+    """Least-squares slope of log(sum of length**alpha) against level.
+
+    Each level is given as its distinct lengths and their counts. The sums
+    differ from a sum over every segment in their last ulps only.
+    """
+    sums = [float(counts @ values**alpha) for values, counts in bins]
     if min(sums) <= 0.0:
         raise EstimationError("mass sums vanish on the requested range")
     ys = np.log(sums)
@@ -419,8 +440,10 @@ def gamma_dimension(
     """
     if curve.refiner is None:
         raise CapabilityError("gamma dimension needs a refinable curve")
-    if tol <= 0.0:
-        raise ValidationError("tol must be positive")
+    if not 0.0 < tol < math.inf:  # also false for NaN
+        raise ValidationError("tol must be a finite positive number")
+    if not (_is_int(max_level) and _is_int(fit_levels)):
+        raise ValidationError("max_level and fit_levels must be integers")
     if fit_levels < 2:
         raise ValidationError("fit_levels must be >= 2")
     if max_level < curve.level + fit_levels - 1:
@@ -428,27 +451,29 @@ def gamma_dimension(
     a, b = _sub_interval(curve, a, b)
 
     keep_from = max_level - fit_levels + 1
-    length_arrays: list[np.ndarray] = []
+    bins: list[tuple[np.ndarray, np.ndarray]] = []
     cur = curve
     while True:
         if cur.level >= keep_from:
-            length_arrays.append(_sub_polyline_lengths(cur, a, b))
+            # self-similar curves have few distinct lengths (Koch-10: 984
+            # among 4**10), so bin them once instead of once per alpha
+            bins.append(np.unique(_sub_polyline_lengths(cur, a, b), return_counts=True))
         if cur.level >= max_level:
             break
         cur = cur.refine()
 
     lo, hi = 1.0, float(curve.ndim)
-    slope_lo = _log_sum_slope(length_arrays, lo)
+    slope_lo = _log_sum_slope(bins, lo)
     if slope_lo <= 1e-9:
         return 1.0
-    if curve.ndim > 1 and _log_sum_slope(length_arrays, hi) > 0.0:
+    if curve.ndim > 1 and _log_sum_slope(bins, hi) > 0.0:
         raise EstimationError(
             "mass sums still grow at alpha = n; no growth/decay transition in [1, n]"
         )
     it = 0
     while hi - lo > tol and it < 60:
         mid = 0.5 * (lo + hi)
-        if _log_sum_slope(length_arrays, mid) > 0.0:
+        if _log_sum_slope(bins, mid) > 0.0:
             lo = mid
         else:
             hi = mid

@@ -181,7 +181,7 @@ class FuzzyNumber:
     def cuts_at(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper endpoints interpolated at the given levels."""
         rs = np.asarray(rs, dtype=float)
-        if np.any(rs < 0.0) or np.any(rs > 1.0):
+        if not ((rs >= 0.0) & (rs <= 1.0)).all():  # also false for NaN
             raise DomainError("membership levels outside [0, 1]")
         return np.interp(rs, self.rs, self.lowers), np.interp(rs, self.rs, self.uppers)
 

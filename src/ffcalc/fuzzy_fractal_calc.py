@@ -96,7 +96,7 @@ class ContinuityProbe:
 def ff_continuity_probe(f: FuzzyCurveFunction, u0: float, deltas, tol: float = 1e-6) -> ContinuityProbe:
     """Probe fuzzy continuity of f at u0 along a decreasing delta family."""
     deltas = np.asarray(deltas, dtype=float)
-    if deltas.ndim != 1 or deltas.size == 0 or np.any(deltas <= 0.0):
+    if deltas.ndim != 1 or deltas.size == 0 or not (deltas > 0.0).all():  # also false for NaN
         raise ValidationError("deltas must be a non-empty array of positive values")
     if np.any(np.diff(deltas) >= 0.0):
         raise ValidationError("deltas must be strictly decreasing")

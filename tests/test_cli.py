@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffcalc.cli import main
-from ffcalc import MAX_GRID_CELLS, solution_from_csv
+from ffcalc import MAX_GRID_CELLS, FractalCurve, solution_from_csv
 
 
 def run_cli(args, env=None, cwd=None):
@@ -238,6 +238,27 @@ class TestExitStatus:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    def test_dim_tol_nan_subprocess(self, tmp_path, cli_env):
+        args = ["dim", "--curve", "koch", "--level", "6", "--tol", "nan"]
+        proc = run_cli(args, env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: tol must be a finite positive number\n"
+
+    @pytest.mark.parametrize(
+        "curve, level, cap",
+        [("koch", 13, 12), ("koch", -1, 12), ("segment", 25, 24), ("segment", 40, 24)],
+    )
+    def test_dim_level_over_cap(self, monkeypatch, capsys, curve, level, cap):
+        # a missing check would refine until memory runs out; fail at once instead
+        def no_refinement(self):
+            raise AssertionError("refinement reached")
+
+        monkeypatch.setattr(FractalCurve, "refine", no_refinement)
+        assert main(["dim", "--curve", curve, "--level", str(level)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {curve} level must be an integer in [0, {cap}]\n"
+
     def test_differentiate_at_nan_subprocess(self, tmp_path, cli_env):
         proc = run_cli(["differentiate", "--level", "4", "--at", "nan"], env=cli_env, cwd=tmp_path)
         assert proc.returncode == 1 and proc.stdout == ""
@@ -450,12 +471,35 @@ class TestGoldenBytes:
         ),
     }
 
+    # recorded while every bisection step summed over every segment; --tol
+    # 1e-9 takes 30 steps, so 30 sign decisions must match
+    DIM_CASES = {
+        "dim_koch10": (
+            ["dim", "--curve", "koch", "--level", "10"],
+            "b5c89510da79728728ddfb4b5c1f6ba14149c8d4b2b2cdbd9d4baec2a4d6d71f",
+            "742b5e35d038a19b770f2a126b20f72e8c59530a8283e944b82c0e1a863492c0",
+        ),
+        "dim_koch8_tol1e-9": (
+            ["dim", "--curve", "koch", "--level", "8", "--tol", "1e-9"],
+            "4752c057e972f74c3d2f9dac7f143443c7e6120dbc455e159a39ad6134ca6623",
+            "c093877fb13f564443149b4c907db35b4ad9dce82ab03ea14f64a6eebc145dcf",
+        ),
+    }
+
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_output_hash(self, tmp_path, capsys, name):
         args, digest = self.CASES[name]
         out = tmp_path / "out.csv"
         assert main([*args, "--out", str(out)]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("name", sorted(DIM_CASES))
+    def test_dim_stdout_and_json_hash(self, tmp_path, capsys, name):
+        args, stdout_digest, json_digest = self.DIM_CASES[name]
+        out = tmp_path / "out.json"
+        assert main([*args, "--out", str(out)]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
 
 
 def test_cli_does_not_import_scipy(tmp_path, cli_env):

@@ -29,6 +29,7 @@ from ffcalc import (
     staircase_to_csv,
     u_at,
 )
+from ffcalc.fractal_curve import SEGMENT_MAX_LEVEL
 
 KOCH_DIM = math.log(4.0) / math.log(3.0)
 
@@ -39,6 +40,10 @@ def polyline_length(points) -> float:
     for p, q in zip(points[:-1], points[1:]):
         total += math.sqrt(sum((qi - pi) ** 2 for pi, qi in zip(p, q)))
     return total
+
+
+def _no_refinement(curve):
+    raise AssertionError("refinement reached")
 
 
 class TestGenerators:
@@ -78,6 +83,17 @@ class TestGenerators:
             generate_polyline([0.0, 1.0], np.empty((2, 0)))  # no coordinates
         with pytest.raises(CapabilityError):
             generate_polyline([0.0, 1.0], [(0, 0), (1, 0)]).refine()
+
+    @pytest.mark.parametrize("level", [-1, SEGMENT_MAX_LEVEL + 1, 40, 2.5, 3.0])
+    def test_segment_level_bounds(self, monkeypatch, level):
+        # a missing check would refine towards 2**40 segments; fail at once instead
+        monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
+        message = r"^segment level must be an integer in \[0, 24\]$"
+        with pytest.raises(ValidationError, match=message):
+            generate_segment(level=level)
+
+    def test_segment_level_accepts_numpy_integers(self):
+        assert generate_segment(level=np.int64(3)).params.size == 2**3 + 1
 
     def test_segment_midpoint_refinement_preserves_geometry(self):
         c = generate_segment(level=5)
@@ -139,6 +155,13 @@ class TestMassFunction:
         sums = [s for _, s in est_high.levels[6:]]
         assert all(b < a for a, b in zip(sums, sums[1:]))
 
+    @pytest.mark.parametrize("max_level", [3.7, 3.0, "3"])
+    def test_max_level_must_be_an_integer(self, max_level):
+        with pytest.raises(ValidationError, match="^max_level must be an integer$"):
+            mass_function(generate_koch(0), 1.0, max_level=max_level)
+        est = mass_function(generate_koch(0), 1.0, max_level=np.int64(3))
+        assert est.levels == mass_function(generate_koch(0), 1.0, max_level=3).levels
+
     def test_refinement_request_needs_refiner(self):
         c = generate_polyline([0.0, 1.0], [(0, 0), (1, 0)])
         with pytest.raises(CapabilityError):
@@ -153,6 +176,23 @@ class TestGammaDimension:
         # oracle: log N / log (1/s) with N=4 pieces scaled by s=1/3
         est = gamma_dimension(generate_koch(0), tol=0.01, max_level=10)
         assert est == pytest.approx(KOCH_DIM, abs=0.05)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -0.01, np.float64(math.nan)])
+    def test_tol_must_be_finite_and_positive(self, tol):
+        with pytest.raises(ValidationError, match="^tol must be a finite positive number$"):
+            gamma_dimension(generate_koch(0), tol=tol, max_level=6)
+
+    @pytest.mark.parametrize(
+        "max_level, fit_levels", [(7.5, 3), (8.0, 3), (8, 3.0), (8, 2.5)]
+    )
+    def test_levels_must_be_integers(self, monkeypatch, max_level, fit_levels):
+        monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
+        with pytest.raises(ValidationError, match="^max_level and fit_levels must be integers$"):
+            gamma_dimension(generate_koch(0), max_level=max_level, fit_levels=fit_levels)
+
+    def test_levels_accept_numpy_integers(self):
+        est = gamma_dimension(generate_koch(0), max_level=np.int64(7), fit_levels=np.int32(3))
+        assert est == gamma_dimension(generate_koch(0), max_level=7, fit_levels=3)
 
     def test_non_refinable_curve_rejected(self):
         tent = generate_polyline([0.0, 0.5, 1.0], [(0, 0), (0.5, 0.5), (1, 0)])
@@ -293,6 +333,14 @@ class TestEuclideanRise:
     def test_domain_error(self):
         with pytest.raises(DomainError):
             euclidean_rise(generate_segment(), 2.0)
+
+    @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
+    def test_nan_parameter_is_a_domain_error(self, u):
+        curve = generate_koch(2)
+        with pytest.raises(DomainError, match=r"^parameter outside \[0\.0, 1\.0\]$"):
+            curve.point_at(u)
+        with pytest.raises(DomainError, match=r"^parameter outside \[0\.0, 1\.0\]$"):
+            euclidean_rise(curve, u)
 
 
 class TestTypesAndIO:

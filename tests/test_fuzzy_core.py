@@ -112,6 +112,11 @@ class TestCuts:
         with pytest.raises(DomainError):
             r_cut(A, -0.1)
 
+    @pytest.mark.parametrize("rs", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
+    def test_nan_level_is_a_domain_error(self, rs):
+        with pytest.raises(DomainError, match=r"^membership levels outside \[0, 1\]$"):
+            make_triangular(0.0, 1.0, 2.0).cuts_at(rs)
+
 
 class TestArithmetic:
     def test_add_triangulars(self):

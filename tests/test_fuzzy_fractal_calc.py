@@ -88,6 +88,13 @@ class TestContinuityProbe:
         with pytest.raises(ValidationError):
             ff_continuity_probe(f, 0.5, [0.01, 0.02])
 
+    @pytest.mark.parametrize("deltas", [[np.nan], [0.1, np.nan]], ids=["single", "array"])
+    def test_nan_delta_rejected(self, segment6, deltas):
+        _, table = segment6
+        f = crisp_embedding(lambda u: J_at(table, u), (0.0, 1.0))
+        with pytest.raises(ValidationError, match="positive values"):
+            ff_continuity_probe(f, 0.5, deltas)
+
 
 class TestHukuharaDerivative:
     def test_constant_band_differentiates_to_crisp_zero(self, segment6):

@@ -1,5 +1,6 @@
-"""The shared band-shape check, vertex-knot path, curve-geometry kernels and
-the shared default r-grid against the implementations they replaced.
+"""The shared band-shape check, vertex-knot path, curve-geometry kernels, the
+shared default r-grid and the binned dimension estimate against the
+implementations they replaced.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -7,6 +8,7 @@ library must give the same reports, flags, messages, exceptions and bits on
 every input.
 """
 
+import itertools
 import math
 import warnings
 
@@ -16,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from ffcalc import (
     DomainError,
+    EstimationError,
+    FractalCurve,
     FuzzyNumber,
     HukuharaNonexistenceError,
     TriangularFuzzy,
@@ -885,3 +889,213 @@ class TestSharedDefaultGrid:
         D = hukuhara_diff(A, B)
         L = scale(3.0, D)
         assert calls == [A, B, S, D, L]
+
+
+# ---------------------------------------------------------------------------
+# the binned dimension estimate
+
+
+def ref_log_sum_slope(length_arrays, alpha):
+    sums = [float(np.sum(lens**alpha)) for lens in length_arrays]
+    if min(sums) <= 0.0:
+        raise EstimationError("mass sums vanish on the requested range")
+    ys = np.log(sums)
+    ks = np.arange(ys.size, dtype=float)
+    ks -= ks.mean()
+    return float(np.sum(ks * (ys - ys.mean())) / np.sum(ks * ks))
+
+
+def ref_gamma_dimension(curve, a, b, tol, max_level, fit_levels, slope):
+    """gamma_dimension over every segment's length; the argument checks are
+    left out and each slope is taken through ``slope``, which wraps
+    ref_log_sum_slope."""
+    a, b = fractal_curve._sub_interval(curve, a, b)
+
+    keep_from = max_level - fit_levels + 1
+    length_arrays = []
+    cur = curve
+    while True:
+        if cur.level >= keep_from:
+            length_arrays.append(fractal_curve._sub_polyline_lengths(cur, a, b))
+        if cur.level >= max_level:
+            break
+        cur = cur.refine()
+
+    lo, hi = 1.0, float(curve.ndim)
+    slope_lo = slope(length_arrays, lo)
+    if slope_lo <= 1e-9:
+        return 1.0
+    if curve.ndim > 1 and slope(length_arrays, hi) > 0.0:
+        raise EstimationError(
+            "mass sums still grow at alpha = n; no growth/decay transition in [1, n]"
+        )
+    it = 0
+    while hi - lo > tol and it < 60:
+        mid = 0.5 * (lo + hi)
+        if slope(length_arrays, mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        it += 1
+    return 0.5 * (lo + hi)
+
+
+def recording(slope, trace):
+    def record(levels, alpha):
+        value = slope(levels, alpha)
+        trace.append((alpha, value))
+        return value
+
+    return record
+
+
+def estimate_outcome(fn, *args):
+    try:
+        return ("float", fn(*args).hex())
+    except EstimationError as exc:
+        return ("error", str(exc))
+
+
+def decisions(trace):
+    """Each step's alpha and the test the bisection makes on its slope: at the
+    first step (alpha = 1) whether it is <= 1e-9, later whether it is > 0.
+
+    The sign itself is not compared at alpha = 1: on a straight segment that
+    slope is rounding noise, and its sign differs between the two sums.
+    """
+    return [(a.hex(), s <= 1e-9 if k == 0 else s > 0.0) for k, (a, s) in enumerate(trace)]
+
+
+def same_bisection(curve, interval, tol, max_level, fit_levels):
+    """Run gamma_dimension and the reference on one input, require the same
+    steps, slopes within 1e-12 and the same bits or message, and return the
+    outcome."""
+    args = (curve, *interval, tol, max_level, fit_levels)
+    got_trace, want_trace = [], []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            fractal_curve, "_log_sum_slope", recording(fractal_curve._log_sum_slope, got_trace)
+        )
+        got = estimate_outcome(gamma_dimension, *args)
+    want = estimate_outcome(ref_gamma_dimension, *args, recording(ref_log_sum_slope, want_trace))
+    assert decisions(got_trace) == decisions(want_trace)
+    assert all(abs(g - w) <= 1e-12 for (_, g), (_, w) in zip(got_trace, want_trace))
+    assert got == want
+    return got
+
+
+def refinable(refiner):
+    return FractalCurve(np.array([0.0, 1.0]), np.array([[0.0, 0.0], [1.0, 0.0]]), refiner=refiner)
+
+
+def similarity_refiner(template):
+    """Replace each segment p -> q by ``template`` under the similarity taking
+    (0, 0) to p and (1, 0) to q; parameters split uniformly per piece."""
+    shape = np.array([complex(x, y) for x, y in template[:-1]])
+    offsets = np.arange(shape.size) / shape.size
+
+    def refine(curve):
+        z = curve.points[:, 0] + 1j * curve.points[:, 1]
+        inner = (z[:-1, None] + np.diff(z)[:, None] * shape).ravel()
+        z = np.append(inner, z[-1])
+        t = curve.params
+        params = np.append((t[:-1, None] + np.diff(t)[:, None] * offsets).ravel(), t[-1])
+        return FractalCurve(params, np.column_stack([z.real, z.imag]), refine, curve.level + 1)
+
+    return refine
+
+
+def jittered_refiner(curve):
+    """Split each chord at a seeded random point near its middle, pushed off
+    the chord by a random fraction of it, so that no two lengths are equal."""
+    w, t = curve.points, curve.params
+    d = np.diff(w, axis=0)
+    along, off = np.random.default_rng(curve.level).uniform(-0.3, 0.3, size=(2, d.shape[0], 1))
+    nw = np.empty((2 * w.shape[0] - 1, 2))
+    nw[0::2] = w
+    nw[1::2] = w[:-1] + (0.5 + 0.5 * along) * d + off * np.column_stack([-d[:, 1], d[:, 0]])
+    nt = np.empty(2 * t.size - 1)
+    nt[0::2] = t
+    nt[1::2] = 0.5 * (t[:-1] + t[1:])
+    return FractalCurve(nt, nw, jittered_refiner, curve.level + 1)
+
+
+# unequal pieces of ratios 0.361, 0.412 and 0.316: few distinct lengths, but
+# more than one per level
+UNEQUAL = refinable(similarity_refiner([(0.0, 0.0), (0.3, 0.2), (0.7, 0.1), (1.0, 0.0)]))
+# every length distinct: binning's worst case, where only the order of the sum changes
+JITTERED = refinable(jittered_refiner)
+
+TOLS = [1e-2, 1e-3, 1e-6, 1e-9, 1e-12]
+INTERVALS = [
+    (None, None),
+    (0.25, 0.75),
+    (1 / 3, 0.9),
+    (0.0, 0.5),
+    (0.123456, 0.654321),
+    (0.5, 1.0),
+    (0.0, 1.0),
+]
+
+
+def grid(levels, fits=range(2, 6)):
+    """Every (max_level, fit_levels) pair, with tol and interval in rotation."""
+    pairs = itertools.product(levels, fits)
+    return [(ml, fl, TOLS[i % 5], INTERVALS[i % 7]) for i, (ml, fl) in enumerate(pairs)]
+
+
+class TestBinnedDimension:
+    @pytest.mark.parametrize(
+        "max_level, fit_levels, tol, interval",
+        grid(range(4, 11))
+        + [
+            (10, 4, 0.01, (None, None)),
+            (6, 3, 0.01, (None, None)),
+            (8, 4, 1e-6, (None, None)),
+            (9, 2, 1e-12, (None, None)),
+            (10, 5, 0.001, (None, None)),
+        ],
+    )
+    def test_koch_matches_reference(self, max_level, fit_levels, tol, interval):
+        same_bisection(generate_koch(0), interval, tol, max_level, fit_levels)
+
+    @given(
+        sub_intervals(KOCH5.params),
+        st.integers(4, 8),
+        st.integers(2, 5),
+        st.sampled_from(TOLS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_koch_sub_intervals_match_reference(self, interval, max_level, fit_levels, tol):
+        same_bisection(generate_koch(0), interval, tol, max_level, fit_levels)
+
+    @pytest.mark.parametrize(
+        "max_level, fit_levels, tol, interval", grid([6, 10, 14], fits=[2, 3, 5])
+    )
+    def test_segment_is_exactly_one(self, max_level, fit_levels, tol, interval):
+        curve = generate_segment(level=0)
+        assert same_bisection(curve, interval, tol, max_level, fit_levels) == ("float", (1.0).hex())
+
+    @pytest.mark.parametrize("max_level, fit_levels, tol, interval", grid(range(6, 13, 2)))
+    def test_unequal_pieces_match_reference(self, max_level, fit_levels, tol, interval):
+        same_bisection(UNEQUAL, interval, tol, max_level, fit_levels)
+
+    @pytest.mark.parametrize("max_level, fit_levels, tol, interval", grid(range(8, 15, 2)))
+    def test_distinct_lengths_match_reference(self, max_level, fit_levels, tol, interval):
+        same_bisection(JITTERED, interval, tol, max_level, fit_levels)
+
+    @given(
+        sub_intervals(JITTERED.refined_to(5).params),
+        st.integers(6, 12),
+        st.integers(2, 5),
+        st.sampled_from(TOLS),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_distinct_lengths_on_sub_intervals(self, interval, max_level, fit_levels, tol):
+        same_bisection(JITTERED, interval, tol, max_level, fit_levels)
+
+    def test_test_curves_have_the_intended_lengths(self):
+        unequal = UNEQUAL.refined_to(8).segment_lengths()
+        assert 1 < np.unique(unequal).size < unequal.size // 10
+        jittered = JITTERED.refined_to(12).segment_lengths()
+        assert np.unique(jittered).size == jittered.size
