@@ -77,7 +77,7 @@ class _CubicHermite:
     def __call__(self, xq) -> np.ndarray:
         xq = np.asarray(xq, dtype=float)
         x = self._x
-        if np.any(xq < x[0]) or np.any(xq > x[-1]):
+        if not ((xq >= x[0]) & (xq <= x[-1])).all():  # also false for NaN
             raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
         flat = xq.ravel()
         i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
@@ -675,7 +675,11 @@ class SecondOrderSolution:
         return self._dense(j)
 
     def q_at(self, j):
-        """Interpolation weights (q1, q2) of the boundary uncertainty at J."""
+        """Interpolation weights (q1, q2) of the boundary uncertainty at J
+        inside the integrated span."""
+        js, jq = self.js, np.asarray(j, dtype=float)
+        if not ((jq >= js[0]) & (jq <= js[-1])).all():  # also false for NaN
+            raise DomainError(f"J outside the integrated span [{js[0]}, {js[-1]}]")
         p_row = np.array([self._x1(j), self._x2(j)], dtype=float)
         return np.linalg.solve(self.boundary_matrix.T, p_row)
 
@@ -688,9 +692,9 @@ class SecondOrderSolution:
     def to_solution(self, kappas=None) -> FuzzySolution:
         """Band table over the kappa grid, in the FuzzySolution layout."""
         kappas = np.linspace(0.0, 1.0, 101) if kappas is None else np.asarray(kappas, float)
-        if kappas.ndim != 1 or np.any(np.diff(kappas) <= 0.0):
+        if kappas.ndim != 1 or not (np.diff(kappas) > 0.0).all():  # also false for NaN
             raise ValidationError("kappas must be strictly increasing")
-        if np.any(kappas < 0.0) or np.any(kappas > 1.0):
+        if not ((kappas >= 0.0) & (kappas <= 1.0)).all():
             raise DomainError("kappas outside [0, 1]")
         w = (1.0 - kappas)[None, :]
         lower = self.crisp[:, None] + w * self.un_lower[:, None]

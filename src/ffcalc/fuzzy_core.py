@@ -357,6 +357,17 @@ def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float):
     )
 
 
+def _rejected_rows(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """Which rows of band tables of shape (n, n_r) the FuzzyNumber constructor
+    would reject: rows with a non-finite entry, and rows whose shape defects
+    exceed _SHAPE_TOL times the row's own scale max(1, row abs-max)."""
+    scale = np.maximum(np.abs(lowers).max(axis=1), np.abs(uppers).max(axis=1))
+    np.maximum(scale, 1.0, out=scale)  # NaN stays NaN
+    with np.errstate(invalid="ignore"):  # inf - inf, in rows rejected as non-finite anyway
+        bad_lo, bad_up, bad_w = _band_defects(lowers, uppers, _SHAPE_TOL * scale[:, None])
+    return ~np.isfinite(scale) | bad_lo.any(axis=1) | bad_up.any(axis=1) | bad_w.any(axis=1)
+
+
 def _violations(rs, lowers, uppers, defects) -> list[Violation]:
     bad_lo, bad_up, bad_w = defects
     found = []

@@ -19,7 +19,15 @@ from .errors import (
 )
 from .fractal_calc import _cells, _default_step, as_curve_function
 from .fractal_curve import FractalCurve, J_at, StaircaseTable
-from .fuzzy_core import FuzzyNumber, hausdorff_distance, hukuhara_diff, make_crisp, scale
+from .fuzzy_core import (
+    _DEFAULT_RS,
+    FuzzyNumber,
+    _rejected_rows,
+    hausdorff_distance,
+    hukuhara_diff,
+    make_crisp,
+    scale,
+)
 
 __all__ = [
     "FuzzyCurveFunction",
@@ -45,20 +53,108 @@ class FuzzyCurveFunction:
             raise ValidationError("evaluator must return a FuzzyNumber")
         return value
 
+    def bands(self, us) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Values at the points ``us`` as one table ``(rs, lowers, uppers)``,
+        with one row of shape ``rs.shape`` per point. Values on different
+        level grids are resampled onto the union of their grids."""
+        samples = [self(u) for u in us]
+        rs = samples[0].rs
+        same_grid = all(
+            s.rs is rs or (s.rs.size == rs.size and np.array_equal(s.rs, rs)) for s in samples[1:]
+        )
+        if not same_grid:
+            rs = rs.copy()
+            for s in samples[1:]:
+                rs = np.union1d(rs, s.rs)
+        lows = np.empty((len(samples), rs.size))
+        ups = np.empty((len(samples), rs.size))
+        for i, s in enumerate(samples):
+            if same_grid:
+                lows[i], ups[i] = s.lowers, s.uppers
+            else:
+                lows[i], ups[i] = s.cuts_at(rs)
+        return rs, lows, ups
+
+
+@dataclass(frozen=True)
+class _ArrayField(FuzzyCurveFunction):
+    """Field built from real-valued functions that accept arrays of u.
+
+    ``rows`` maps an array of u to the lower and upper rows of the values on
+    the default level grid. Each row is bit-equal to the per-point value,
+    and a point whose value the per-point route rejects raises its error.
+    """
+
+    rows: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+
+    def bands(self, us) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        us = np.asarray(us, dtype=float)
+        if us.ndim != 1:
+            raise ValidationError("bands takes a 1-d array of points")
+        lowers, uppers = self.rows(us)
+        return _DEFAULT_RS, lowers, uppers
+
+
+def _values(f, us: np.ndarray) -> np.ndarray:
+    """f called once on the array us: one value per point, or a scalar for all."""
+    values = np.asarray(f(us), dtype=float)
+    if values.shape == us.shape:
+        return values
+    if values.ndim == 0:
+        return np.full(us.shape, values)
+    raise ValidationError(
+        f"field function returned shape {values.shape} for {us.size} points; "
+        "it must return one value per point or a scalar"
+    )
+
 
 def crisp_embedding(f, domain) -> FuzzyCurveFunction:
-    """Lift a real-valued function to a zero-width fuzzy function."""
+    """Lift a real-valued function to a zero-width fuzzy function.
+
+    ``f`` must accept numpy arrays, as for every :class:`CurveFunction`.
+    """
     func = as_curve_function(f, domain)
-    return FuzzyCurveFunction(lambda u: make_crisp(float(func(u))), func.domain)
+
+    def rows(us):
+        x = _values(func, us)
+        finite = np.isfinite(x)
+        if not finite.all():
+            make_crisp(float(x[np.argmin(finite)]))  # rejects the first such point
+        lowers = np.repeat(x[:, None], _DEFAULT_RS.size, axis=1)
+        return lowers, lowers.copy()
+
+    return _ArrayField(lambda u: make_crisp(float(func(u))), func.domain, rows)
 
 
 def triangular_field(f1, f2, f3, domain) -> FuzzyCurveFunction:
-    """Fuzzy function whose value at u is the triangular number (f1(u), f2(u), f3(u))."""
+    """Fuzzy function whose value at u is the triangular number (f1(u), f2(u), f3(u)).
+
+    f1, f2 and f3 must accept numpy arrays: :meth:`FuzzyCurveFunction.bands`
+    calls each of them once on all its points.
+    """
     from .fuzzy_core import make_triangular
 
-    return FuzzyCurveFunction(
+    rs = _DEFAULT_RS
+    foot = 1.0 - rs
+
+    def rows(us):
+        a, b, c = _values(f1, us), _values(f2, us), _values(f3, us)
+        # make_triangular's operations, one row per point; an infinite value
+        # makes NaN entries (inf * 0, inf - inf), and such rows are rejected below
+        with np.errstate(invalid="ignore"):
+            peak = b[:, None] * rs
+            lowers = a[:, None] * foot + peak
+            uppers = c[:, None] * foot + peak
+        bad = ~((a <= b) & (b <= c)) | _rejected_rows(lowers, uppers)
+        if bad.any():
+            i = int(np.argmax(bad))
+            make_triangular(float(a[i]), float(b[i]), float(c[i]))  # rejects the first such point
+        return lowers, uppers
+
+    return _ArrayField(
         lambda u: make_triangular(float(f1(u)), float(f2(u)), float(f3(u))),
         (float(domain[0]), float(domain[1])),
+        rows,
     )
 
 
@@ -170,28 +266,16 @@ def ff_riemann_integral(
     The defining sum evaluates f at the left knot of each cell; the
     ``midpoint`` rule is available for accuracy comparisons. Because every
     cell weight dJ is non-negative, the fuzzy sum equals the endpoint-wise
-    crisp Riemann sums level by level, which is how it is computed.
+    crisp Riemann sums level by level, which is how it is computed: the
+    field is evaluated once on all the nodes through
+    :meth:`FuzzyCurveFunction.bands`, and the sum is one weighted reduction
+    over that table.
     """
     if rule not in ("left", "midpoint"):
         raise ValidationError(f"rule must be 'left' or 'midpoint', got {rule!r}")
     knots, dJ = _cells(curve, table, a, b)
     nodes = knots[:-1] if rule == "left" else 0.5 * (knots[:-1] + knots[1:])
 
-    samples = [f(u) for u in nodes]
-    rs = samples[0].rs
-    same_grid = all(
-        s.rs is rs or (s.rs.size == rs.size and np.array_equal(s.rs, rs)) for s in samples[1:]
-    )
-    if not same_grid:
-        rs = rs.copy()
-        for s in samples[1:]:
-            rs = np.union1d(rs, s.rs)
-    lows = np.empty((len(samples), rs.size))
-    ups = np.empty((len(samples), rs.size))
-    for i, s in enumerate(samples):
-        if same_grid:
-            lows[i], ups[i] = s.lowers, s.uppers
-        else:
-            lows[i], ups[i] = s.cuts_at(rs)
+    rs, lows, ups = f.bands(nodes)
     w = dJ[:, None]
     return FuzzyNumber(rs, np.sum(w * lows, axis=0), np.sum(w * ups, axis=0))

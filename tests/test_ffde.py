@@ -145,6 +145,18 @@ class TestHermiteDenseOutput:
         with pytest.raises(DomainError):
             sol2.crisp_at(1.5)
 
+    @pytest.mark.parametrize("in_array", [False, True])
+    def test_nan_raises(self, in_array):
+        def query(js):  # NaN alone, or between two J values inside the span
+            return np.array([js[1], math.nan, js[-2]]) if in_array else math.nan
+
+        traj = _random_trajectory(4)
+        with pytest.raises(DomainError):
+            traj.at(query(traj.js))
+        sol2 = solve_second_order_bvp(example2_bvp(steps=64))
+        with pytest.raises(DomainError):
+            sol2.crisp_at(query(sol2.js))
+
     @pytest.mark.parametrize("case", ["I", "II"])
     @pytest.mark.parametrize("steps", [256, 4096])
     def test_bit_identical_to_scipy(self, case, steps):
@@ -554,6 +566,28 @@ class TestSecondOrder:
         # q1 (-1, 1) + q2 (-1, 0.5) with q1, q2 >= 0 on [0, 1]
         assert np.allclose(solution.un_lower, -solution.q1 - solution.q2, atol=1e-12)
         assert np.allclose(solution.un_upper, solution.q1 + 0.5 * solution.q2, atol=1e-12)
+
+    @pytest.mark.parametrize("j", [5.0, -0.1, np.array([0.5, 1.0 + 1e-9])])
+    def test_q_at_outside_span_raises(self, solution, j):
+        with pytest.raises(DomainError):
+            solution.q_at(j)
+
+    @pytest.mark.parametrize("j", [math.nan, np.array([0.5, math.nan])])
+    def test_q_at_nan_raises(self, solution, j):
+        with pytest.raises(DomainError):
+            solution.q_at(j)
+
+    def test_q_at_accepts_the_span_ends_and_arrays(self, solution):
+        q = solution.q_at(np.array([0.0, 0.5, 1.0]))
+        assert q.shape == (2, 3)
+        assert np.allclose(q[:, 0], [1.0, 0.0], atol=1e-10)
+        assert np.allclose(q[:, 2], [0.0, 1.0], atol=1e-10)
+
+    def test_to_solution_rejects_nan_kappas(self, solution):
+        with pytest.raises(ValidationError):
+            solution.to_solution([0.0, math.nan, 1.0])
+        with pytest.raises(DomainError):
+            solution.to_solution([math.nan])
 
     def test_to_solution_layout(self, solution):
         sol = solution.to_solution(np.linspace(0.0, 1.0, 5))

@@ -1,10 +1,12 @@
 """Fuzzy-valued calculus on a curve: continuity, derivatives, integrals."""
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
+from ffcalc import fuzzy_core
 from ffcalc import (
     CaseInapplicableError,
     DegenerateDenominatorError,
@@ -20,6 +22,7 @@ from ffcalc import (
     ff_continuity_probe,
     ff_riemann_integral,
     fractal_hukuhara_derivative,
+    generate_koch,
     generate_segment,
     hausdorff_distance,
     make_crisp,
@@ -265,3 +268,97 @@ class TestRiemannIntegral:
         target = f(u0)
         assert np.allclose(d.lowers, target.lowers, atol=5.0 * h)
         assert np.allclose(d.uppers, target.uppers, atol=5.0 * h)
+
+
+KOCH_ALPHA = math.log(4.0) / math.log(3.0)
+
+
+def counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    return wrapper
+
+
+class TestBandEvaluation:
+    """ff_riemann_integral evaluates a built-in field once over all cells."""
+
+    @pytest.mark.parametrize("level", [1, 3, 5])
+    @pytest.mark.parametrize("rule", ["left", "midpoint"])
+    def test_triangular_parts_called_once(self, monkeypatch, level, rule):
+        calls = {}
+        monkeypatch.setattr(
+            fuzzy_core, "make_triangular", counted(calls, "make_triangular", make_triangular)
+        )
+        curve = generate_koch(level)
+        table = build_staircase(curve, KOCH_ALPHA)
+        f = triangular_field(
+            counted(calls, "f1", lambda u: J_at(table, u) - 1.0),
+            counted(calls, "f2", lambda u: J_at(table, u)),
+            counted(calls, "f3", lambda u: 2.0 * J_at(table, u) + 1.0),
+            table.domain,
+        )
+        ff_riemann_integral(f, curve, table, rule=rule)
+        assert calls == {"f1": 1, "f2": 1, "f3": 1}
+        f(0.5)  # the per-point route does build through make_triangular
+        assert calls == {"f1": 2, "f2": 2, "f3": 2, "make_triangular": 1}
+
+    @pytest.mark.parametrize("level", [1, 5])
+    def test_crisp_function_called_once(self, level):
+        calls = {}
+        curve = generate_koch(level)
+        table = build_staircase(curve, KOCH_ALPHA)
+        f = crisp_embedding(counted(calls, "f", lambda u: J_at(table, u)), table.domain)
+        ff_riemann_integral(f, curve, table, 0.1, 0.9)
+        assert calls == {"f": 1}
+
+    def test_constant_parts_may_return_scalars(self, segment6):
+        curve, table = segment6
+        f = triangular_field(lambda u: 1.0, lambda u: 2.0, lambda u: 4.0, table.domain)
+        result = ff_riemann_integral(f, curve, table)
+        expected = make_triangular(1.0, 2.0, 4.0)
+        assert np.allclose(result.lowers, expected.lowers, atol=1e-12)
+        assert np.allclose(result.uppers, expected.uppers, atol=1e-12)
+
+    def test_parts_of_the_wrong_shape_rejected(self, segment6):
+        curve, table = segment6
+        f = triangular_field(
+            lambda u: np.zeros(3), lambda u: J_at(table, u), lambda u: 2.0, table.domain
+        )
+        with pytest.raises(ValidationError, match="one value per point or a scalar"):
+            ff_riemann_integral(f, curve, table)
+        g = crisp_embedding(lambda u: np.outer(u, u), table.domain)
+        with pytest.raises(ValidationError, match="one value per point or a scalar"):
+            ff_riemann_integral(g, curve, table)
+        with pytest.raises(ValidationError, match="1-d array"):
+            g.bands(np.zeros((2, 2)))
+
+
+class TestGoldenIntegralBytes:
+    """sha256 of (rs, lowers, uppers) of one triangular field's integral on
+    Koch-5, recorded while the integral built one number per cell."""
+
+    HASHES = {
+        "left": "dad2d9c362ebad536d9fa730782f877fead40c18538bd55220d9758b59edab8d",
+        "midpoint": "53c27759731d436e8366feb6ff0f1711737aca6885ba35c9b3eae34144ab6aee",
+    }
+
+    @pytest.mark.parametrize("rule", sorted(HASHES))
+    def test_koch5_integral_bytes(self, rule):
+        curve = generate_koch(5)
+        table = build_staircase(curve, KOCH_ALPHA)
+
+        def peak(u):
+            J = J_at(table, u)
+            return 0.3 - 0.7 * J + 0.45 * J * J
+
+        f = triangular_field(
+            lambda u: peak(u) - (0.5 + 0.25 * J_at(table, u)),
+            peak,
+            lambda u: peak(u) + (0.4 + 0.6 * J_at(table, u)),
+            table.domain,
+        )
+        res = ff_riemann_integral(f, curve, table, rule=rule)
+        digest = hashlib.sha256(res.rs.tobytes() + res.lowers.tobytes() + res.uppers.tobytes())
+        assert digest.hexdigest() == self.HASHES[rule]

@@ -1,6 +1,6 @@
 """The shared band-shape check, vertex-knot path, curve-geometry kernels, the
-shared default r-grid and the binned dimension estimate against the
-implementations they replaced.
+shared default r-grid, the binned dimension estimate and the band-valued
+fuzzy fields against the implementations they replaced.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -20,6 +20,7 @@ from ffcalc import (
     DomainError,
     EstimationError,
     FractalCurve,
+    FuzzyCurveFunction,
     FuzzyNumber,
     HukuharaNonexistenceError,
     TriangularFuzzy,
@@ -35,8 +36,11 @@ from ffcalc import (
     make_triangular,
     mass_function,
     build_staircase,
+    crisp_embedding,
+    ff_riemann_integral,
     gamma_dimension,
     scale,
+    triangular_field,
     validate,
 )
 from ffcalc import fractal_calc, fractal_curve, fuzzy_core
@@ -48,6 +52,7 @@ from ffcalc.fuzzy_core import (
     ValidationReport,
     Violation,
     _band_defects,
+    _rejected_rows,
     _violations,
 )
 
@@ -1099,3 +1104,228 @@ class TestBinnedDimension:
         assert 1 < np.unique(unequal).size < unequal.size // 10
         jittered = JITTERED.refined_to(12).segment_lengths()
         assert np.unique(jittered).size == jittered.size
+
+
+# ---------------------------------------------------------------------------
+# band-valued fuzzy fields
+
+
+def ref_ff_riemann_integral(f, curve, table, a=None, b=None, rule="left"):
+    """ff_riemann_integral while it sampled the field one f(u) per cell."""
+    if rule not in ("left", "midpoint"):
+        raise ValidationError(f"rule must be 'left' or 'midpoint', got {rule!r}")
+    knots, dJ = fractal_calc._cells(curve, table, a, b)
+    nodes = knots[:-1] if rule == "left" else 0.5 * (knots[:-1] + knots[1:])
+
+    samples = [f(u) for u in nodes]
+    rs = samples[0].rs
+    same_grid = all(
+        s.rs is rs or (s.rs.size == rs.size and np.array_equal(s.rs, rs)) for s in samples[1:]
+    )
+    if not same_grid:
+        rs = rs.copy()
+        for s in samples[1:]:
+            rs = np.union1d(rs, s.rs)
+    lows = np.empty((len(samples), rs.size))
+    ups = np.empty((len(samples), rs.size))
+    for i, s in enumerate(samples):
+        if same_grid:
+            lows[i], ups[i] = s.lowers, s.uppers
+        else:
+            lows[i], ups[i] = s.cuts_at(rs)
+    w = dJ[:, None]
+    return FuzzyNumber(rs, np.sum(w * lows, axis=0), np.sum(w * ups, axis=0))
+
+
+SEGMENT6 = generate_segment(level=6)
+FIELD_CURVES = {
+    "segment6": (SEGMENT6, build_staircase(SEGMENT6, 1.0, 0.0)),
+    "koch5": (KOCH5, build_staircase(KOCH5, KOCH_DIM)),
+}
+
+
+def quadratic_peak(table, peak=(0.3, -0.7, 0.45), left=(0.5, 0.25), right=(0.4, 0.6), bad=None):
+    """A triangular field with a quadratic peak and linear spreads in J, as
+    the benchmark integrates; each part is written once for u and for arrays.
+    ``bad = (k, g)`` replaces part k by g(a, b, c) from J = 0.6 on."""
+
+    def part(k):
+        def value(u):
+            J = J_at(table, u)
+            b = peak[0] + peak[1] * J + peak[2] * J * J
+            abc = (b - (left[0] + left[1] * J), b, b + (right[0] + right[1] * J))
+            if bad and bad[0] == k:
+                return np.where(J >= 0.6, bad[1](*abc), abc[k])
+            return abc[k]
+
+        return value
+
+    return triangular_field(part(0), part(1), part(2), table.domain)
+
+
+def fields(table):
+    """Fields of every kind on one table: the two built-in kinds (with
+    functions of u and constants), and scalar evaluators on the default
+    grid, on one grid of their own and on grids that alternate per point."""
+    tri = make_triangular(1.0, 2.0, 3.5)
+    own = default_r_grid(41)
+
+    def J(u):
+        return J_at(table, u)
+
+    def alternating(u):
+        n = 5 if math.floor(u * 37.0) % 2 == 0 else 9
+        return make_triangular(-1.0, J(u), 2.0, rs=np.linspace(0.0, 1.0, n))
+
+    return {
+        "triangular": quadratic_peak(table),
+        "triangular_shrinking": quadratic_peak(table, (-0.2, 0.9, -0.3), (2.0, -0.8), (1.9, -0.7)),
+        "triangular_constant": triangular_field(
+            lambda u: -1.0, lambda u: 0.5, lambda u: 2.0, table.domain
+        ),
+        "crisp": crisp_embedding(lambda u: 1.0 + J(u) - 0.5 * J(u) * J(u), table.domain),
+        "crisp_constant": crisp_embedding(lambda u: 2.5, table.domain),
+        "scalar_default_grid": FuzzyCurveFunction(lambda u: scale(J(u), tri), table.domain),
+        "scalar_own_grid": FuzzyCurveFunction(
+            lambda u: make_triangular(-J(u), 0.0, J(u) + 1.0, rs=own), table.domain
+        ),
+        "scalar_mixed_grids": FuzzyCurveFunction(alternating, table.domain),
+    }
+
+
+def field_intervals(params):
+    """The whole domain, and [a, b] with ends on vertices, between vertices
+    and at the domain ends."""
+    k = params.size
+    return [
+        (None, None),
+        (float(params[0]), float(params[-1])),
+        (float(params[3]), float(params[k - 5])),
+        (0.123456, 0.654321),
+        (float(params[0]), 0.5),
+        (0.3, float(params[-1])),
+        (float(params[k // 2]), 0.77),
+    ]
+
+
+def _rejected_triangular(k, g):
+    return lambda table: quadratic_peak(table, bad=(k, g))
+
+
+def _rejected_crisp(x):
+    return lambda table: crisp_embedding(
+        lambda u: np.where(J_at(table, u) >= 0.6, x, 1.0), table.domain
+    )
+
+
+# fields whose values are rejected from J = 0.6 on
+REJECTED = {
+    "left_foot_above_peak": _rejected_triangular(0, lambda a, b, c: b + 5.0),
+    "left_foot_an_ulp_above_peak": _rejected_triangular(0, lambda a, b, c: np.nextafter(b, 9.0)),
+    "right_foot_below_peak": _rejected_triangular(2, lambda a, b, c: b - 5.0),
+    "right_foot_an_ulp_below_peak": _rejected_triangular(2, lambda a, b, c: np.nextafter(b, -9.0)),
+    "nan_left_foot": _rejected_triangular(0, lambda a, b, c: np.nan),
+    "nan_peak": _rejected_triangular(1, lambda a, b, c: np.nan),
+    "nan_right_foot": _rejected_triangular(2, lambda a, b, c: np.nan),
+    "infinite_left_foot": _rejected_triangular(0, lambda a, b, c: -np.inf),
+    "infinite_peak": _rejected_triangular(1, lambda a, b, c: np.inf),
+    "infinite_right_foot": _rejected_triangular(2, lambda a, b, c: np.inf),
+    "crisp_nan": _rejected_crisp(np.nan),
+    "crisp_inf": _rejected_crisp(np.inf),
+    "crisp_minus_inf": _rejected_crisp(-np.inf),
+}
+
+
+class TestBandValuedFields:
+    @pytest.mark.parametrize("rule", ["left", "midpoint"])
+    @pytest.mark.parametrize("curve_name", sorted(FIELD_CURVES))
+    def test_integral_matches_reference(self, curve_name, rule):
+        curve, table = FIELD_CURVES[curve_name]
+        for name, f in fields(table).items():
+            for a, b in field_intervals(curve.params):
+                got = outcome(ff_riemann_integral, f, curve, table, a, b, rule)
+                want = outcome(ref_ff_riemann_integral, f, curve, table, a, b, rule)
+                assert got[0] == "number", (name, a, b)
+                assert got == want, (name, a, b)
+
+    @given(sub_intervals(KOCH5.params), st.sampled_from(["left", "midpoint"]))
+    @settings(max_examples=30, deadline=None)
+    def test_koch_sub_intervals_match_reference(self, interval, rule):
+        curve, table = FIELD_CURVES["koch5"]
+        f = quadratic_peak(table)
+        got = outcome(ff_riemann_integral, f, curve, table, *interval, rule)
+        assert got == outcome(ref_ff_riemann_integral, f, curve, table, *interval, rule)
+
+    @pytest.mark.parametrize("curve_name", sorted(FIELD_CURVES))
+    def test_band_rows_are_the_values(self, curve_name):
+        curve, table = FIELD_CURVES[curve_name]
+        us = np.concatenate([curve.params, 0.5 * (curve.params[:-1] + curve.params[1:])])
+        for name, f in fields(table).items():
+            rs, lowers, uppers = f.bands(us)
+            assert lowers.shape == uppers.shape == (us.size, rs.size)
+            for u, lo, up in zip(us, lowers, uppers):
+                value = f(u)
+                if name == "scalar_mixed_grids":  # rows are resampled onto the union grid
+                    want_lo, want_up = value.cuts_at(rs)
+                else:
+                    assert value.rs is rs or same_bytes(value.rs, rs)
+                    want_lo, want_up = value.lowers, value.uppers
+                assert same_bytes(lo, want_lo) and same_bytes(up, want_up), (name, u)
+
+    @pytest.mark.parametrize("rule", ["left", "midpoint"])
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_rejected_values_raise_as_before(self, name, rule):
+        curve, table = FIELD_CURVES["koch5"]
+        f = REJECTED[name](table)
+        got = outcome(ff_riemann_integral, f, curve, table, None, None, rule)
+        assert got[0] is ValidationError
+        assert got == outcome(ref_ff_riemann_integral, f, curve, table, None, None, rule)
+
+    @pytest.mark.parametrize("name", sorted(REJECTED))
+    def test_bands_reject_as_the_values_do(self, name):
+        curve, table = FIELD_CURVES["koch5"]
+        f = REJECTED[name](table)
+        got = outcome(f.bands, curve.params)
+        assert got[0] is ValidationError
+        assert got == outcome(lambda us: [f(u) for u in us], curve.params)
+
+
+@st.composite
+def per_row_bands(draw):
+    """Bands of 1-5 rows at unrelated magnitudes, each with defects at, or
+    just past, the tolerance of its own scale."""
+    rows = [draw(default_grid_rows()) for _ in range(draw(st.integers(1, 5)))]
+    lower = np.array([r[0] for r in rows])
+    upper = np.array([r[1] for r in rows])
+    for k, (lo, up, magnitude) in enumerate(rows):
+        place_defects(draw, lower[k], upper[k], _SHAPE_TOL * ref_scale_of(lo, up), magnitude)
+    return lower, upper
+
+
+def rejected(rs, lowers, uppers) -> bool:
+    try:
+        ref_constructor_check(rs, lowers, uppers)
+    except ValidationError:
+        return True
+    return False
+
+
+class TestRejectedRows:
+    @given(per_row_bands())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_constructor_row_by_row(self, band):
+        lowers, uppers = band
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _rejected_rows(lowers, uppers)
+        want = [rejected(_DEFAULT_RS, lo, up) for lo, up in zip(lowers, uppers)]
+        assert got.tolist() == want
+
+    def test_each_row_is_judged_at_its_own_scale(self):
+        big = np.linspace(-1e6, 0.0, DEFAULT_R_LEVELS)
+        small = np.linspace(0.0, 1.0, DEFAULT_R_LEVELS)
+        small[50] = small[49] - 1e-6  # past 1e-9 * 1, within 1e-9 * 1e6
+        lowers = np.array([big, small])
+        uppers = np.array([np.full(DEFAULT_R_LEVELS, 1e6), np.full(DEFAULT_R_LEVELS, 2.0)])
+        assert _rejected_rows(lowers, uppers).tolist() == [False, True]
+        assert _rejected_rows(lowers[::-1], uppers[::-1]).tolist() == [True, False]
