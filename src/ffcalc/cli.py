@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from ._textio import format_columns, write_csv
+from ._textio import format_columns, spec_number, write_csv
 from .errors import FFCalcError, NumericError, ValidationError
 from .fractal_calc import f_derivative, f_integral
 from .fractal_curve import (
@@ -89,7 +89,10 @@ def _problem_from_args(args):
         spec = _load_spec(args.spec)
         if args.case:
             spec.setdefault("case", args.case)
-        return problem_from_json(spec)
+        problem = problem_from_json(spec)
+        if "r_points" in spec:  # the kappa levels of a second-order solution
+            args.r_points = spec_number(spec["r_points"], "r_points", int)
+        return problem
     if args.builtin == "example1":
         return example1_problem(
             case=args.case or "I", r_points=args.r_points, j_steps=args.j_steps

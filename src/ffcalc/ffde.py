@@ -27,7 +27,7 @@ from .errors import (
     ValidationError,
 )
 from .fractal_curve import J_at, StaircaseTable
-from .fuzzy_core import _SHAPE_TOL, FuzzyNumber, TriangularFuzzy, _band_defects
+from .fuzzy_core import FuzzyNumber, TriangularFuzzy, _rejected_rows
 
 __all__ = [
     "CrispTrajectory",
@@ -367,23 +367,6 @@ class FuzzySolution:
         }
 
 
-def _validity_flags(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Rows of the bands that are fuzzy numbers at a tolerance set by the finite endpoints.
-
-    A row with a NaN or infinite endpoint is not valid; such endpoints do
-    not enter the tolerance, so one of them cannot wave the other rows through.
-    """
-    finite_lo, finite_up = np.isfinite(lower), np.isfinite(upper)
-    scale = max(
-        1.0,
-        float(np.max(np.abs(lower), where=finite_lo, initial=0.0)),
-        float(np.max(np.abs(upper), where=finite_up, initial=0.0)),
-    )
-    defects = _band_defects(lower, upper, _SHAPE_TOL * scale)
-    valid = finite_lo.all(axis=1) & finite_up.all(axis=1)
-    return valid & ~np.any([bad.any(axis=1) for bad in defects], axis=0)
-
-
 def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool) -> CrispTrajectory:
     rhs = problem.rhs
     lo0, up0 = problem.x0.cuts_at(rs)
@@ -414,9 +397,10 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
     return solve_crisp_in_J(system, np.concatenate([lo0, up0]), (J0, J1), problem.j_steps)
 
 
-def _solve_first_order(problem: FirstOrderFfdeProblem, swap: bool, method: str) -> FuzzySolution:
+def _solve_first_order(problem: FirstOrderFfdeProblem, method: str) -> FuzzySolution:
     if method not in ("full", "cuts"):
         raise ValidationError(f"method must be 'full' or 'cuts', got {method!r}")
+    swap = problem.case == "II"
     rs = np.linspace(0.0, 1.0, problem.r_points)
     u0, u1 = problem.span
     n_u = problem.u_points if problem.u_points is not None else problem.j_steps + 1
@@ -441,7 +425,8 @@ def _solve_first_order(problem: FirstOrderFfdeProblem, swap: bool, method: str) 
     lo0, up0 = problem.x0.cuts_at(rs)
     lower[0] = lo0  # the initial slice is copied, not integrated
     upper[0] = up0
-    validity = _validity_flags(lower, upper)
+    # a row is valid exactly when the FuzzyNumber constructor accepts it, so r_slice succeeds
+    validity = ~_rejected_rows(lower, upper)
     if not np.any(validity[1:]):
         warnings.warn(
             "no valid fuzzy slice beyond the initial point; the requested case does not "
@@ -464,7 +449,7 @@ def solve_case1(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySo
     """Solve a case-I problem: endpoint equations integrated as given."""
     if problem.case != "I":
         raise ValidationError("solve_case1 requires a problem declared with case 'I'")
-    return _solve_first_order(problem, swap=False, method=method)
+    return _solve_first_order(problem, method)
 
 
 def solve_case2(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySolution:
@@ -474,14 +459,12 @@ def solve_case2(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySo
     finite J."""
     if problem.case != "II":
         raise ValidationError("solve_case2 requires a problem declared with case 'II'")
-    return _solve_first_order(problem, swap=True, method=method)
+    return _solve_first_order(problem, method)
 
 
 def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySolution:
-    """Dispatch to the solver matching the problem's declared case."""
-    if problem.case == "I":
-        return solve_case1(problem, method=method)
-    return solve_case2(problem, method=method)
+    """Solve with the convention matching the problem's declared case."""
+    return _solve_first_order(problem, method)
 
 
 # ---------------------------------------------------------------------------

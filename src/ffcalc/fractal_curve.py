@@ -351,11 +351,6 @@ def _vertex_knots(t: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.concatenate([[a], t[_inner_vertices(t, a, b)], [b]])
 
 
-def natural_subdivision(curve: FractalCurve, a: float, b: float) -> Subdivision:
-    """Vertices of the working level restricted to [a, b], endpoints included."""
-    return Subdivision(_vertex_knots(curve.params, a, b))
-
-
 def _sub_interval(curve: FractalCurve, a: float | None, b: float | None) -> tuple[float, float]:
     a = curve.a0 if a is None else float(a)
     b = curve.b0 if b is None else float(b)

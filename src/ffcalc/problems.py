@@ -133,7 +133,7 @@ def problem_from_json(spec):
         if name == "example1":
             return example1_problem(case=case, r_points=r_points, j_steps=j_steps)
         if name == "example2":
-            return example2_bvp(steps=max(j_steps, 16))
+            return example2_bvp(steps=j_steps)
         raise ValidationError(f"unknown builtin name {name!r}")
 
     if rhs_spec["kind"] == "linear":

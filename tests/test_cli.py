@@ -104,6 +104,14 @@ class TestInProcess:
         assert sol.lower[0, -1] == pytest.approx(3.0, abs=1e-9)
         assert sol.lower[-1, -1] == pytest.approx(2.0, abs=1e-9)
 
+    def test_solve_example2_spec_kappa_levels(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rhs": {"kind": "builtin", "name": "example2"}, "r_points": 5}))
+        out = tmp_path / "bvp.csv"
+        assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
+        sol = solution_from_csv(out)
+        assert sol.rs.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0] and sol.us.size == 257
+
     def test_verify_example1_both_cases(self, capsys):
         assert main(["verify", "--builtin", "example1", "--case", "I", "--tol", "1e-6"]) == 0
         assert "VERIFY PASS" in capsys.readouterr().out
@@ -314,6 +322,14 @@ class TestExitStatus:
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
+
+    def test_example2_spec_steps_checked(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"rhs": {"kind": "builtin", "name": "example2"}, "j_steps": 8}))
+        out = tmp_path / "x.csv"
+        assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: steps must be >= 16\n"
         assert not out.exists()
 
     def test_example2_kappa_levels_overflow_subprocess(self, tmp_path, cli_env):

@@ -14,6 +14,7 @@ from ffcalc import (
     DomainError,
     FirstOrderFfdeProblem,
     FuncRhs,
+    FuzzyNumber,
     FuzzySolution,
     LinearRhs,
     MAX_GRID_CELLS,
@@ -25,6 +26,7 @@ from ffcalc import (
     example1_problem,
     example2_bvp,
     example2_crisp_closed_form,
+    make_crisp,
     make_triangular,
     ode_residual_max,
     problem_from_json,
@@ -33,6 +35,7 @@ from ffcalc import (
     solve_case1,
     solve_case2,
     solve_crisp_in_J,
+    solve_first_order,
     solve_second_order_bvp,
     unit_segment_table,
     verify_against_closed_form,
@@ -208,6 +211,35 @@ class TestCase1:
         assert np.allclose(full.lower, cuts.lower, atol=1e-12)
         assert np.allclose(full.upper, cuts.upper, atol=1e-12)
 
+    def test_valid_rows_are_the_sliceable_rows(self):
+        # the width defect 5e-8 at r = 1 is within the constructor's tolerance
+        # at |x| ~ 100 and past it once the band has shifted down to |x| ~ 1
+        x0 = FuzzyNumber([0.0, 0.5, 1.0], [99.0, 99.5, 100.0 + 5e-8], [101.0, 100.5, 100.0])
+
+        def shift(J, lo, up, rs):
+            return np.full_like(lo, -100.0)
+
+        problem = FirstOrderFfdeProblem(
+            table=unit_segment_table(),
+            rhs=FuncRhs(shift, shift),
+            x0=x0,
+            span=(0.0, 1.0),
+            case="I",
+            r_points=3,
+            j_steps=16,
+        )
+        sol = solve_case1(problem)
+        assert int(np.count_nonzero(sol.validity)) == 9
+        assert sol.validity_horizon == 0.5
+        for i, valid in enumerate(sol.validity):
+            if valid:
+                sol.r_slice(i)
+            else:
+                with pytest.raises(ValidationError):
+                    sol.r_slice(i)
+                with pytest.raises(ValidationError):
+                    FuzzyNumber(sol.rs, sol.lower[i], sol.upper[i])
+
     def test_case_declaration_enforced(self):
         with pytest.raises(ValidationError):
             solve_case1(example1_problem("II"))
@@ -277,6 +309,20 @@ class TestCase2:
             sol = solve_case2(problem)
         assert not np.any(sol.validity[1:])
         assert sol.validity_horizon == sol.us[0]
+
+    @pytest.mark.parametrize("solve", [solve_first_order, solve_case2])
+    def test_no_valid_slice_warning_points_at_the_caller(self, solve):
+        problem = FirstOrderFfdeProblem(
+            table=unit_segment_table(),
+            rhs=LinearRhs(1.0, make_triangular(-1.0, 0.0, 1.0)),
+            x0=make_crisp(1.0),
+            span=(0.0, 1.0),
+            case="II",
+            j_steps=16,
+        )
+        with pytest.warns(RuntimeWarning, match="no valid fuzzy slice") as record:
+            solve(problem)
+        assert [w.filename for w in record] == [__file__]
 
 
 class TestOnFractalSupport:

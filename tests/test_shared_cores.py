@@ -44,7 +44,6 @@ from ffcalc import (
     validate,
 )
 from ffcalc import fractal_calc, fractal_curve, fuzzy_core
-from ffcalc.ffde import _validity_flags
 from ffcalc.fuzzy_core import (
     DEFAULT_R_LEVELS,
     _DEFAULT_RS,
@@ -171,22 +170,6 @@ def ref_fuzzy_number(rs, lowers, uppers):
             f"not a valid fuzzy number: {v.condition} violated at r={v.r} by {v.magnitude:g}"
         )
     return FuzzyNumber(rs, lowers, uppers)
-
-
-def ref_validity_flags(lower, upper):
-    """The separate flag code, with two changes for non-finite endpoints:
-    they do not enter the scale, and a row holding one is not valid."""
-    finite_lo, finite_up = np.isfinite(lower), np.isfinite(upper)
-    scale = max(
-        1.0,
-        float(np.max(np.abs(lower[finite_lo]), initial=0.0)),
-        float(np.max(np.abs(upper[finite_up]), initial=0.0)),
-    )
-    tol = 1e-9 * scale
-    ok_lo = np.all(np.diff(lower, axis=1) >= -tol, axis=1)
-    ok_up = np.all(np.diff(upper, axis=1) <= tol, axis=1)
-    ok_w = np.all(upper - lower >= -tol, axis=1)
-    return ok_lo & ok_up & ok_w & np.all(finite_lo, axis=1) & np.all(finite_up, axis=1)
 
 
 def ref_hukuhara_diff(A, B):
@@ -345,10 +328,8 @@ def defective_bands(draw):
     rows = [draw(sound_tables(m)) for _ in range(draw(st.integers(1, 5)))]
     lower = np.array([r[1] for r in rows])
     upper = np.array([r[2] for r in rows])
-    magnitude = max(r[3] for r in rows)
-    tol = _SHAPE_TOL * max(1.0, float(np.max(np.abs(lower))), float(np.max(np.abs(upper))))
-    for k in range(lower.shape[0]):
-        place_defects(draw, lower[k], upper[k], tol, magnitude)
+    for k, (_, lo, up, magnitude) in enumerate(rows):
+        place_defects(draw, lower[k], upper[k], _SHAPE_TOL * ref_scale_of(lo, up), magnitude)
     return lower, upper
 
 
@@ -412,12 +393,14 @@ class TestBandShapeCheck:
     @given(defective_bands())
     @settings(max_examples=300, deadline=None)
     def test_validity_flags_match_reference(self, bands):
+        # the solver flags a row valid exactly when the constructor accepts it
         lower, upper = bands
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            got = _validity_flags(lower, upper)
-            want = ref_validity_flags(lower, upper)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+            warnings.simplefilter("error")
+            got = ~_rejected_rows(lower, upper)
+        rs = np.linspace(0.0, 1.0, lower.shape[1])
+        want = [not rejected(rs, lo, up) for lo, up in zip(lower, upper)]
+        assert got.dtype == bool and got.tolist() == want
 
     @given(hukuhara_pairs())
     @settings(max_examples=400, deadline=None)
@@ -440,13 +423,11 @@ class TestBandShapeCheck:
         # row 0 is a fuzzy number; row 1 breaks all three conditions
         lower = np.array([[0.0, 1.0], [5.0, 4.0]])
         upper = np.array([[3.0, 2.0], [3.0, 4.5]])
-        assert _validity_flags(lower, upper).tolist() == [True, False]
+        assert (~_rejected_rows(lower, upper)).tolist() == [True, False]
         for value in (-np.inf, np.inf, np.nan):
             bad = lower.copy()
             bad[0, 0] = value
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", RuntimeWarning)
-                assert _validity_flags(bad, upper).tolist() == [False, False]
+            assert (~_rejected_rows(bad, upper)).tolist() == [False, False]
 
     def test_overflowing_difference_is_one_error(self):
         rs = np.linspace(0.0, 1.0, 3)
