@@ -20,7 +20,6 @@ from .fractal_curve import (
     FractalCurve,
     MassEstimate,
     StaircaseTable,
-    Subdivision,
     J_at,
     build_staircase,
     curve_from_json,

@@ -34,13 +34,26 @@ def write_csv(target, header: str, body: str) -> None:
             fh.write(payload)
 
 
-def spec_number(value, name: str, kind=float):
-    """Convert a JSON spec field with ``kind`` (float or int), raising
-    ValidationError instead of the bare conversion error."""
+def spec_number(value, name: str) -> float:
+    """Convert a JSON spec field to float, raising ValidationError instead
+    of the bare conversion error."""
     try:
-        return kind(value)
+        return float(value)
     except (TypeError, ValueError, OverflowError):
         raise ValidationError(f"'{name}' must be a number, got {value!r}") from None
+
+
+def is_integer(value) -> bool:
+    """The one integer rule for counts and levels: a Python or numpy
+    integer, never a bool and never a float, however whole."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def spec_integer(value, name: str) -> int:
+    """A JSON spec field that must be an integer, as an int."""
+    if not is_integer(value):
+        raise ValidationError(f"'{name}' must be an integer, got {value!r}")
+    return int(value)
 
 
 def spec_array(value, name: str) -> np.ndarray:

@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from ._textio import format_columns, spec_number, write_csv
+from ._textio import format_columns, write_csv
 from .errors import FFCalcError, NumericError, ValidationError
 from .fractal_calc import f_derivative, f_integral
 from .fractal_curve import (
@@ -36,12 +36,11 @@ from .ffde import (
     verify_against_closed_form,
 )
 from .problems import (
+    BUILTIN_NAMES,
     example1_case1_band,
     example1_case2_band,
     example2_crisp_closed_form,
     problem_from_json,
-    example1_problem,
-    example2_bvp,
 )
 
 
@@ -75,31 +74,28 @@ _FUNCTIONS = {
 }
 
 
-def _load_spec(path: str) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        spec = json.load(fh)
-    # a JSON string in the file is data, not a second document to parse
-    if not isinstance(spec, dict):
-        raise ValidationError("problem spec must be a JSON object")
-    return spec
-
-
-def _problem_from_args(args):
+def _run_spec(args) -> dict:
+    """The run's problem spec: the --spec file, or the named builtin, with
+    each given flag filling its field. A flag may not restate a field the
+    spec sets, so every run parameter has one value."""
     if args.spec:
-        spec = _load_spec(args.spec)
-        if args.case:
-            spec.setdefault("case", args.case)
-        problem = problem_from_json(spec)
-        if "r_points" in spec:  # the kappa levels of a second-order solution
-            args.r_points = spec_number(spec["r_points"], "r_points", int)
-        return problem
-    if args.builtin == "example1":
-        return example1_problem(
-            case=args.case or "I", r_points=args.r_points, j_steps=args.j_steps
-        )
-    if args.builtin == "example2":
-        return example2_bvp(steps=args.j_steps)
-    raise ValidationError("provide either --builtin or --spec")
+        with open(args.spec, "r", encoding="utf-8") as fh:
+            spec = json.load(fh)
+        # a JSON string in the file is data, not a second document to parse
+        if not isinstance(spec, dict):
+            raise ValidationError("problem spec must be a JSON object")
+    elif args.builtin:
+        spec = {"rhs": {"kind": "builtin", "name": args.builtin}}
+    else:
+        raise ValidationError("provide either --builtin or --spec")
+    for name in ("case", "r_points", "j_steps"):
+        value = getattr(args, name)
+        if value is not None:
+            if name in spec:
+                flag = "--" + name.replace("_", "-")
+                raise ValidationError(f"{flag} conflicts with the spec field '{name}'")
+            spec[name] = value
+    return spec
 
 
 def _cmd_curve(args) -> int:
@@ -170,13 +166,16 @@ def _cmd_differentiate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
-    problem = _problem_from_args(args)
+    spec = _run_spec(args)
+    problem = problem_from_json(spec)
     if hasattr(problem, "boundary_start"):  # second-order problem
-        if args.r_points < 2:
+        # the kappa levels, with problem_from_json's default; it has checked the field
+        r_points = spec.get("r_points", 101)
+        if r_points < 2:
             raise ValidationError("r_points must be >= 2")
-        _check_grid_size("(steps + 1) x r_points", (problem.steps + 1) * args.r_points)
+        _check_grid_size("(steps + 1) x r_points", (problem.steps + 1) * r_points)
         sol2 = solve_second_order_bvp(problem)
-        sol = sol2.to_solution(np.linspace(0.0, 1.0, args.r_points))
+        sol = sol2.to_solution(np.linspace(0.0, 1.0, r_points))
         solution_to_csv(sol, args.out)
         print(
             f"second-order BVP: crisp boundaries ({sol2.crisp[0]:.12g}, {sol2.crisp[-1]:.12g}), "
@@ -194,14 +193,11 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _verify_example1(args) -> tuple[bool, dict]:
-    case = args.case or "I"
-    problem = example1_problem(case=case, r_points=args.r_points, j_steps=args.j_steps)
+def _verify_example1(problem, tol: float) -> tuple[bool, dict]:
+    case = problem.case
     sol = solve_first_order(problem)
     band = example1_case1_band if case == "I" else example1_case2_band
-    report = verify_against_closed_form(
-        sol, band, tol=args.tol, restrict_to_valid=(case == "II")
-    )
+    report = verify_against_closed_form(sol, band, tol=tol, restrict_to_valid=(case == "II"))
     out = report.to_dict()
     out["builtin"] = "example1"
     out["case"] = case
@@ -210,8 +206,8 @@ def _verify_example1(args) -> tuple[bool, dict]:
     return report.passed, out
 
 
-def _verify_example2(args) -> tuple[bool, dict]:
-    sol2 = solve_second_order_bvp(example2_bvp(steps=args.j_steps))
+def _verify_example2(problem, tol: float) -> tuple[bool, dict]:
+    sol2 = solve_second_order_bvp(problem)
     crisp_err = float(np.max(np.abs(sol2.crisp - example2_crisp_closed_form(sol2.js))))
     boundary_err = max(abs(sol2.crisp[0] - 3.0), abs(sol2.crisp[-1] - 2.0))
     residual = ode_residual_max(sol2.js, sol2.crisp, -4.0, 4.0, sol2.problem.forcing)
@@ -228,9 +224,9 @@ def _verify_example2(args) -> tuple[bool, dict]:
         nested &= bool(np.all(cur[0] >= prev[0]) and np.all(cur[1] <= prev[1]))
         prev = cur
     ok = (
-        crisp_err <= args.tol
+        crisp_err <= tol
         and boundary_err <= 1e-9
-        and residual <= 10.0 * args.tol
+        and residual <= 10.0 * tol
         and q_err <= 1e-10
         and collapse_exact
         and nested
@@ -243,7 +239,7 @@ def _verify_example2(args) -> tuple[bool, dict]:
         "q_identity_error": q_err,
         "kappa1_collapses": collapse_exact,
         "kappa_bands_nested": nested,
-        "tol": args.tol,
+        "tol": tol,
         "passed": ok,
     }
 
@@ -251,12 +247,10 @@ def _verify_example2(args) -> tuple[bool, dict]:
 def _cmd_verify(args) -> int:
     if args.spec:
         raise ValidationError("verify needs a builtin with a known closed form (--builtin)")
-    if args.builtin == "example1":
-        ok, report = _verify_example1(args)
-    elif args.builtin == "example2":
-        ok, report = _verify_example2(args)
-    else:
+    if args.builtin is None:
         raise ValidationError("provide --builtin example1 or --builtin example2")
+    verify = _verify_example2 if args.builtin == "example2" else _verify_example1
+    ok, report = verify(problem_from_json(_run_spec(args)), args.tol)
     for key, val in report.items():
         print(f"{key}: {val}")
     print("VERIFY PASS" if ok else "VERIFY FAIL")
@@ -301,15 +295,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     for name in ("solve", "verify"):
         p = sub.add_parser(name, help=f"{name} a built-in or JSON-spec problem")
-        p.add_argument("--builtin", choices=("example1", "example2"), default=None)
-        p.add_argument("--spec", default=None)
-        p.add_argument("--case", choices=("I", "II"), default=None)
-        p.add_argument("--r-points", type=int, default=101)
-        p.add_argument("--j-steps", type=int, default=256)
-        p.add_argument("--tol", type=float, default=1e-6)
+        source = p.add_mutually_exclusive_group()
+        source.add_argument("--builtin", choices=BUILTIN_NAMES)
+        source.add_argument("--spec")
+        # unset flags leave the spec's field, or problem_from_json's default
+        p.add_argument("--case", choices=("I", "II"))
+        p.add_argument("--r-points", type=int)
+        p.add_argument("--j-steps", type=int)
         if name == "solve":
             p.add_argument("--out", default="solution.csv")
         else:
+            p.add_argument("--tol", type=float, default=1e-6)
             p.add_argument("--out", default=None)
 
     return parser
@@ -343,7 +339,7 @@ def main(argv=None) -> int:
     except NumericError as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return 2
-    except FFCalcError as exc:
+    except (FFCalcError, OSError, UnicodeDecodeError) as exc:  # unreadable spec, unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -4,6 +4,12 @@ Errors fall into three families that the CLI maps onto exit codes:
 input/validation problems, numeric failures, and verification failures.
 """
 
+__all__ = [
+    "FFCalcError", "ValidationError", "DomainError", "OrderError", "CapabilityError",
+    "NumericError", "EstimationError", "DegenerateDenominatorError", "HukuharaNonexistenceError",
+    "CaseInapplicableError", "IntegrityError", "DivergenceError", "ConditioningError",
+]
+
 
 class FFCalcError(Exception):
     """Base class for every library error."""

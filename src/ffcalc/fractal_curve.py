@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._textio import format_columns, spec_array, write_csv
+from ._textio import format_columns, is_integer, spec_array, write_csv
 from .errors import (
     CapabilityError,
     DomainError,
@@ -28,7 +28,6 @@ from .errors import (
 
 __all__ = [
     "FractalCurve",
-    "Subdivision",
     "MassEstimate",
     "StaircaseTable",
     "generate_koch",
@@ -141,23 +140,6 @@ class FractalCurve:
         while cur.level < level:
             cur = cur.refine()
         return cur
-
-
-@dataclass(frozen=True)
-class Subdivision:
-    """Ordered breakpoints {a = t_0 < ... < t_n = b} of a parameter interval."""
-
-    breakpoints: np.ndarray
-
-    def __post_init__(self):
-        bp = _float_array(self.breakpoints, "breakpoints", 1)
-        if bp.size < 2 or np.any(bp[1:] <= bp[:-1]):
-            raise ValidationError("breakpoints must be strictly increasing with >= 2 entries")
-        object.__setattr__(self, "breakpoints", bp)
-
-    @property
-    def mesh(self) -> float:
-        return float(np.max(np.diff(self.breakpoints)))
 
 
 @dataclass(frozen=True)
@@ -278,14 +260,10 @@ def _koch_refiner(curve: FractalCurve) -> FractalCurve:
     )
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, (int, np.integer))
-
-
 def _check_level(level, curve: str, cap: int) -> int:
     """``level`` as an int, if it is an integer in [0, cap]; built-in curves
     are capped so that refinement cannot run the machine out of memory."""
-    if not _is_int(level) or not (0 <= level <= cap):
+    if not is_integer(level) or not (0 <= level <= cap):
         raise ValidationError(f"{curve} level must be an integer in [0, {cap}]")
     return int(level)
 
@@ -384,7 +362,7 @@ def mass_function(
     """
     _check_order(alpha, curve.ndim)
     a, b = _sub_interval(curve, a, b)
-    if max_level is not None and not _is_int(max_level):
+    if max_level is not None and not is_integer(max_level):
         raise ValidationError("max_level must be an integer")
     target = curve.level if max_level is None else int(max_level)
     if target < curve.level:
@@ -437,7 +415,7 @@ def gamma_dimension(
         raise CapabilityError("gamma dimension needs a refinable curve")
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise ValidationError("tol must be a finite positive number")
-    if not (_is_int(max_level) and _is_int(fit_levels)):
+    if not (is_integer(max_level) and is_integer(fit_levels)):
         raise ValidationError("max_level and fit_levels must be integers")
     if fit_levels < 2:
         raise ValidationError("fit_levels must be >= 2")

@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from ._textio import spec_number
+from ._textio import spec_integer, spec_number
 from .errors import ValidationError
 from .ffde import FirstOrderFfdeProblem, LinearRhs, SecondOrderFuzzyBvp
 from .fractal_curve import StaircaseTable, build_staircase, curve_from_json, generate_polyline
@@ -113,8 +113,10 @@ def problem_from_json(spec):
 
     ``rhs.kind`` selects between ``{"kind": "builtin", "name": ...}`` and
     ``{"kind": "linear", "a": ..., "c": {fuzzy}}``. The builtin "example2"
-    returns a :class:`SecondOrderFuzzyBvp`; everything else returns a
-    :class:`FirstOrderFfdeProblem`.
+    returns a :class:`SecondOrderFuzzyBvp` and takes no ``case``; everything
+    else returns a :class:`FirstOrderFfdeProblem`. The optional fields
+    ``case`` ("I"), ``r_points`` (101) and ``j_steps`` (256) take the
+    defaults shown; the last two must be JSON integers.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -124,8 +126,8 @@ def problem_from_json(spec):
     if not isinstance(rhs_spec, dict) or "kind" not in rhs_spec:
         raise ValidationError("problem spec needs an 'rhs' object with a 'kind'")
 
-    r_points = spec_number(spec.get("r_points", 101), "r_points", int)
-    j_steps = spec_number(spec.get("j_steps", 256), "j_steps", int)
+    r_points = spec_integer(spec.get("r_points", 101), "r_points")
+    j_steps = spec_integer(spec.get("j_steps", 256), "j_steps")
     case = spec.get("case", "I")
 
     if rhs_spec["kind"] == "builtin":
@@ -133,6 +135,8 @@ def problem_from_json(spec):
         if name == "example1":
             return example1_problem(case=case, r_points=r_points, j_steps=j_steps)
         if name == "example2":
+            if "case" in spec:
+                raise ValidationError("builtin 'example2' is second order and takes no 'case'")
             return example2_bvp(steps=j_steps)
         raise ValidationError(f"unknown builtin name {name!r}")
 

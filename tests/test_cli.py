@@ -1,6 +1,7 @@
 """CLI surface: commands, artifacts, exit-status taxonomy, determinism."""
 
 import contextlib
+import copy
 import hashlib
 import io
 import json
@@ -111,6 +112,22 @@ class TestInProcess:
         assert main(["solve", "--spec", str(spec), "--out", str(out)]) == 0
         sol = solution_from_csv(out)
         assert sol.rs.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0] and sol.us.size == 257
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {k: v for k, v in _LINEAR_SPEC.items() if k not in ("r_points", "j_steps")},
+            {"rhs": {"kind": "builtin", "name": "example1"}, "case": "II"},
+            {"rhs": {"kind": "builtin", "name": "example2"}},
+        ],
+        ids=["linear", "example1", "example2"],
+    )
+    def test_flags_fill_fields_the_spec_leaves_out(self, tmp_path, spec):
+        path, out = tmp_path / "spec.json", tmp_path / "sol.csv"
+        path.write_text(json.dumps(spec))
+        args = ["solve", "--spec", str(path), "--r-points", "5", "--j-steps", "32"]
+        assert main([*args, "--out", str(out)]) == 0
+        assert solution_from_csv(out).lower.shape == (33, 5)  # 257 x 101 if the flags are dropped
 
     def test_verify_example1_both_cases(self, capsys):
         assert main(["verify", "--builtin", "example1", "--case", "I", "--tol", "1e-6"]) == 0
@@ -332,6 +349,71 @@ class TestExitStatus:
         assert capsys.readouterr().err == "error: steps must be >= 16\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "args, spec, message",
+        [
+            (["solve", "--case", "II"], _LINEAR_SPEC,
+             "--case conflicts with the spec field 'case'"),
+            (["solve", "--r-points", "7"], _LINEAR_SPEC,
+             "--r-points conflicts with the spec field 'r_points'"),
+            (["solve", "--j-steps", "32"], _LINEAR_SPEC,
+             "--j-steps conflicts with the spec field 'j_steps'"),
+            (["solve", "--builtin", "example1"], _LINEAR_SPEC,
+             "argument --spec: not allowed with argument --builtin"),
+            (["verify", "--builtin", "example1"], _LINEAR_SPEC,
+             "argument --spec: not allowed with argument --builtin"),
+            (["solve", "--builtin", "example1", "--tol", "1e-6"], None,
+             "unrecognized arguments: --tol 1e-6"),
+            (["solve"], {**_LINEAR_SPEC, "r_points": 2.5},
+             "'r_points' must be an integer, got 2.5"),
+            (["solve"], {**_LINEAR_SPEC, "j_steps": 16.9},
+             "'j_steps' must be an integer, got 16.9"),
+            (["solve"], {**_LINEAR_SPEC, "j_steps": 32.0},
+             "'j_steps' must be an integer, got 32.0"),
+            (["solve"], {**_LINEAR_SPEC, "r_points": True},
+             "'r_points' must be an integer, got True"),
+            (["solve"], {**_LINEAR_SPEC, "curve": {"kind": "koch", "level": True}},
+             "koch level must be an integer in [0, 12]"),
+            (["solve", "--builtin", "example2", "--case", "II"], None,
+             "builtin 'example2' is second order and takes no 'case'"),
+            (["verify", "--builtin", "example2", "--case", "II"], None,
+             "builtin 'example2' is second order and takes no 'case'"),
+            (["solve"], {"rhs": {"kind": "builtin", "name": "example2"}, "case": "I"},
+             "builtin 'example2' is second order and takes no 'case'"),
+        ],
+        ids=["case_twice", "r_points_twice", "j_steps_twice", "builtin_and_spec",
+             "verify_builtin_and_spec", "solve_tol", "r_points_float", "j_steps_float",
+             "j_steps_whole_float", "r_points_bool", "koch_level_bool", "example2_case_flag",
+             "verify_example2_case_flag", "example2_case_field"],
+    )
+    def test_one_value_per_run_parameter(self, tmp_path, capsys, args, spec, message):
+        out = tmp_path / "out.csv"
+        argv = [*args, "--out", str(out)]
+        if spec is not None:
+            path = tmp_path / "spec.json"
+            path.write_text(json.dumps(spec))
+            argv += ["--spec", str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["--spec", "missing.json"], "No such file or directory: 'missing.json'"),
+            (["--spec", "."], "Is a directory: '.'"),
+            (["--spec", "latin1.json"], "'utf-8' codec can't decode byte 0xe9"),
+            (["--builtin", "example1", "--out", "no/such/dir.csv"], "No such file or directory"),
+        ],
+        ids=["missing_spec", "directory_spec", "undecodable_spec", "unwritable_out"],
+    )
+    def test_file_errors_subprocess(self, tmp_path, cli_env, args, message):
+        (tmp_path / "latin1.json").write_bytes('{"case": "\xe9"}'.encode("latin-1"))
+        proc = run_cli(["solve", *args], env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert message in proc.stderr
+
     def test_example2_kappa_levels_overflow_subprocess(self, tmp_path, cli_env):
         args = ["solve", "--builtin", "example2", "--r-points", str(10**29)]
         proc = run_cli(args, env=cli_env, cwd=tmp_path)
@@ -341,14 +423,15 @@ class TestExitStatus:
 
 
 # JSON values a spec field may hold: small valid sizes, values at and past
-# the limits, non-finite floats and values of the wrong type
+# the limits, non-finite floats and values of the wrong type; each draw is a
+# fresh copy, so a later mutation cannot write into a shared list or dict
 _FIELD = st.one_of(
     st.integers(min_value=-3, max_value=40),
     st.floats(min_value=-50.0, max_value=50.0),
     st.sampled_from([0.5, 1.0, 1.5, 2.0, 1e300, -1e300, math.inf, -math.inf, math.nan]),
     st.sampled_from([MAX_GRID_CELLS + 1, 1e30]),
     st.sampled_from([None, True, "3", "x", "{}", [], [1, 2], {}, {"kind": "koch"}]),
-)
+).map(copy.deepcopy)
 _UNIT = st.floats(min_value=0.0, max_value=1.0)
 
 
@@ -366,6 +449,8 @@ def _sound_specs(draw):
         "j_steps": draw(st.integers(min_value=16, max_value=64)),
         "case": draw(st.sampled_from(["I", "II"])),
     }
+    if kind == "example2":
+        del sizes["case"]  # a second-order problem takes no case
     if kind.startswith("example"):
         return {"rhs": {"kind": "builtin", "name": kind}, **sizes}
     u0, u1 = sorted(draw(st.tuples(_UNIT, _UNIT)))

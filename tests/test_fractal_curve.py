@@ -14,7 +14,6 @@ from ffcalc import (
     FractalCurve,
     OrderError,
     StaircaseTable,
-    Subdivision,
     ValidationError,
     J_at,
     build_staircase,
@@ -58,7 +57,7 @@ class TestGenerators:
         assert c.params.size == n_points
         assert polyline_length(c.points) == pytest.approx(length, rel=1e-12)
 
-    @pytest.mark.parametrize("level", [-1, 13, 2.5])
+    @pytest.mark.parametrize("level", [-1, 13, 2.5, 1.0, True, False])
     def test_koch_level_bounds(self, level):
         with pytest.raises(ValidationError):
             generate_koch(level)
@@ -84,7 +83,7 @@ class TestGenerators:
         with pytest.raises(CapabilityError):
             generate_polyline([0.0, 1.0], [(0, 0), (1, 0)]).refine()
 
-    @pytest.mark.parametrize("level", [-1, SEGMENT_MAX_LEVEL + 1, 40, 2.5, 3.0])
+    @pytest.mark.parametrize("level", [-1, SEGMENT_MAX_LEVEL + 1, 40, 2.5, 3.0, True])
     def test_segment_level_bounds(self, monkeypatch, level):
         # a missing check would refine towards 2**40 segments; fail at once instead
         monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
@@ -155,7 +154,7 @@ class TestMassFunction:
         sums = [s for _, s in est_high.levels[6:]]
         assert all(b < a for a, b in zip(sums, sums[1:]))
 
-    @pytest.mark.parametrize("max_level", [3.7, 3.0, "3"])
+    @pytest.mark.parametrize("max_level", [3.7, 3.0, "3", True])
     def test_max_level_must_be_an_integer(self, max_level):
         with pytest.raises(ValidationError, match="^max_level must be an integer$"):
             mass_function(generate_koch(0), 1.0, max_level=max_level)
@@ -183,7 +182,7 @@ class TestGammaDimension:
             gamma_dimension(generate_koch(0), tol=tol, max_level=6)
 
     @pytest.mark.parametrize(
-        "max_level, fit_levels", [(7.5, 3), (8.0, 3), (8, 3.0), (8, 2.5)]
+        "max_level, fit_levels", [(7.5, 3), (8.0, 3), (8, 3.0), (8, 2.5), (True, 3), (8, True)]
     )
     def test_levels_must_be_integers(self, monkeypatch, max_level, fit_levels):
         monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
@@ -344,12 +343,6 @@ class TestEuclideanRise:
 
 
 class TestTypesAndIO:
-    def test_subdivision_validation(self):
-        s = Subdivision(np.array([0.0, 0.25, 1.0]))
-        assert s.mesh == pytest.approx(0.75)
-        with pytest.raises(ValidationError):
-            Subdivision(np.array([0.0, 0.0, 1.0]))
-
     def test_staircase_table_validation(self):
         with pytest.raises(ValidationError):
             StaircaseTable(1.0, 0.0, np.array([0.0, 1.0]), np.array([0.0, -1.0]))
@@ -377,6 +370,11 @@ class TestTypesAndIO:
             curve_from_json({"kind": "sierpinski"})
         with pytest.raises(ValidationError):
             curve_from_json({"kind": "polyline", "params": [0, 1]})
+
+    @pytest.mark.parametrize("level", [True, 1.0, 1.5])
+    def test_curve_json_level_must_be_an_integer(self, level):
+        with pytest.raises(ValidationError, match=r"^koch level must be an integer"):
+            curve_from_json({"kind": "koch", "level": level})
 
     def test_curve_point_interpolation(self):
         c = generate_polyline([0.0, 1.0], [(0.0, 0.0), (2.0, 2.0)])
