@@ -28,6 +28,7 @@ from .fractal_curve import (
     staircase_to_csv,
 )
 from .ffde import (
+    SecondOrderFuzzyBvp,
     _check_grid_size,
     ode_residual_max,
     solution_to_csv,
@@ -165,15 +166,22 @@ def _cmd_differentiate(args) -> int:
     return 0
 
 
+def _kappa_levels(spec: dict, problem) -> int:
+    """The number of kappa levels of a second-order run: the spec's
+    ``r_points`` with problem_from_json's default, which has checked the
+    field's type, kept within the grid cap."""
+    r_points = spec.get("r_points", 101)
+    if r_points < 2:
+        raise ValidationError("r_points must be >= 2")
+    _check_grid_size("(steps + 1) x r_points", (problem.steps + 1) * r_points)
+    return r_points
+
+
 def _cmd_solve(args) -> int:
     spec = _run_spec(args)
     problem = problem_from_json(spec)
-    if hasattr(problem, "boundary_start"):  # second-order problem
-        # the kappa levels, with problem_from_json's default; it has checked the field
-        r_points = spec.get("r_points", 101)
-        if r_points < 2:
-            raise ValidationError("r_points must be >= 2")
-        _check_grid_size("(steps + 1) x r_points", (problem.steps + 1) * r_points)
+    if isinstance(problem, SecondOrderFuzzyBvp):
+        r_points = _kappa_levels(spec, problem)
         sol2 = solve_second_order_bvp(problem)
         sol = sol2.to_solution(np.linspace(0.0, 1.0, r_points))
         solution_to_csv(sol, args.out)
@@ -249,8 +257,14 @@ def _cmd_verify(args) -> int:
         raise ValidationError("verify needs a builtin with a known closed form (--builtin)")
     if args.builtin is None:
         raise ValidationError("provide --builtin example1 or --builtin example2")
-    verify = _verify_example2 if args.builtin == "example2" else _verify_example1
-    ok, report = verify(problem_from_json(_run_spec(args)), args.tol)
+    spec = _run_spec(args)
+    problem = problem_from_json(spec)
+    if isinstance(problem, SecondOrderFuzzyBvp):
+        # the report uses fixed kappas; the run's level count is still checked as solve checks it
+        _kappa_levels(spec, problem)
+        ok, report = _verify_example2(problem, args.tol)
+    else:
+        ok, report = _verify_example1(problem, args.tol)
     for key, val in report.items():
         print(f"{key}: {val}")
     print("VERIFY PASS" if ok else "VERIFY FAIL")

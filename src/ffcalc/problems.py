@@ -116,7 +116,8 @@ def problem_from_json(spec):
     returns a :class:`SecondOrderFuzzyBvp` and takes no ``case``; everything
     else returns a :class:`FirstOrderFfdeProblem`. The optional fields
     ``case`` ("I"), ``r_points`` (101) and ``j_steps`` (256) take the
-    defaults shown; the last two must be JSON integers.
+    defaults shown; the last two must be JSON integers. A builtin spec
+    takes no other field.
     """
     if isinstance(spec, str):
         spec = json.loads(spec)
@@ -132,13 +133,17 @@ def problem_from_json(spec):
 
     if rhs_spec["kind"] == "builtin":
         name = rhs_spec.get("name")
+        if name not in BUILTIN_NAMES:
+            raise ValidationError(f"unknown builtin name {name!r}")
+        # a builtin fixes its curve, data and span; a field it would drop is refused
+        for field in spec:
+            if field not in ("rhs", "case", "r_points", "j_steps"):
+                raise ValidationError(f"builtin {name!r} takes no {field!r}")
         if name == "example1":
             return example1_problem(case=case, r_points=r_points, j_steps=j_steps)
-        if name == "example2":
-            if "case" in spec:
-                raise ValidationError("builtin 'example2' is second order and takes no 'case'")
-            return example2_bvp(steps=j_steps)
-        raise ValidationError(f"unknown builtin name {name!r}")
+        if "case" in spec:
+            raise ValidationError("builtin 'example2' is second order and takes no 'case'")
+        return example2_bvp(steps=j_steps)
 
     if rhs_spec["kind"] == "linear":
         if "a" not in rhs_spec or "c" not in rhs_spec:

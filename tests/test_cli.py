@@ -31,6 +31,7 @@ def run_cli(args, env=None, cwd=None):
 
 
 _TRI = {"kind": "triangular", "a": -1, "b": 0, "c": 1}
+_EXAMPLE1 = {"kind": "builtin", "name": "example1"}
 _LINEAR_SPEC = {
     "curve": {"kind": "polyline", "params": [0, 1], "points": [[0, 0], [1, 0]]},
     "case": "I",
@@ -305,9 +306,14 @@ class TestExitStatus:
         assert err.startswith("error: grid too large") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_span_too_narrow_subprocess(self, tmp_path, cli_env):
+    @pytest.mark.parametrize(
+        "span, steps",
+        [([0.5, 0.5 + 1e-15], 256), ([0.0, 1e-160], 16)],
+        ids=["coincident_nodes", "step_squared_underflows"],
+    )
+    def test_span_too_narrow_subprocess(self, tmp_path, cli_env, span, steps):
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({**_LINEAR_SPEC, "span": [0.5, 0.5 + 1e-15], "j_steps": 256}))
+        path.write_text(json.dumps({**_LINEAR_SPEC, "span": span, "j_steps": steps}))
         proc = run_cli(["solve", "--spec", str(path)], env=cli_env, cwd=tmp_path)
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: integration span") and proc.stderr.count("\n") == 1
@@ -333,9 +339,10 @@ class TestExitStatus:
         ],
         ids=["neg", "zero", "one", "over_cap"],
     )
-    def test_example2_kappa_levels_checked(self, tmp_path, capsys, r_points, message):
-        out = tmp_path / "x.csv"
-        args = ["solve", "--builtin", "example2", "--r-points", str(r_points), "--out", str(out)]
+    @pytest.mark.parametrize("command", ["solve", "verify"])
+    def test_example2_kappa_levels_checked(self, tmp_path, capsys, command, r_points, message):
+        out = tmp_path / "x.out"
+        args = [command, "--builtin", "example2", "--r-points", str(r_points), "--out", str(out)]
         assert main(args) == 1
         err = capsys.readouterr().err
         assert err.startswith(message) and err.count("\n") == 1
@@ -380,11 +387,25 @@ class TestExitStatus:
              "builtin 'example2' is second order and takes no 'case'"),
             (["solve"], {"rhs": {"kind": "builtin", "name": "example2"}, "case": "I"},
              "builtin 'example2' is second order and takes no 'case'"),
+            (["solve"], {"rhs": _EXAMPLE1, "span": ["x", 1]},
+             "builtin 'example1' takes no 'span'"),
+            (["solve"], {"rhs": _EXAMPLE1, "span": [0.0, 0.5]},
+             "builtin 'example1' takes no 'span'"),
+            (["solve"], {"rhs": _EXAMPLE1, "curve": _LINEAR_SPEC["curve"]},
+             "builtin 'example1' takes no 'curve'"),
+            (["solve"], {"rhs": _EXAMPLE1, "alpha": 1.5},
+             "builtin 'example1' takes no 'alpha'"),
+            (["solve", "--case", "II"], {"rhs": _EXAMPLE1, "x0": _TRI},
+             "builtin 'example1' takes no 'x0'"),
+            (["solve"], {"rhs": {"kind": "builtin", "name": "example2"}, "x0": _TRI},
+             "builtin 'example2' takes no 'x0'"),
         ],
         ids=["case_twice", "r_points_twice", "j_steps_twice", "builtin_and_spec",
              "verify_builtin_and_spec", "solve_tol", "r_points_float", "j_steps_float",
              "j_steps_whole_float", "r_points_bool", "koch_level_bool", "example2_case_flag",
-             "verify_example2_case_flag", "example2_case_field"],
+             "verify_example2_case_flag", "example2_case_field", "builtin_bad_span",
+             "builtin_span", "builtin_curve", "builtin_alpha", "builtin_x0",
+             "example2_x0"],
     )
     def test_one_value_per_run_parameter(self, tmp_path, capsys, args, spec, message):
         out = tmp_path / "out.csv"

@@ -1,13 +1,15 @@
 """First-order solvers against closed forms, the second-order BVP, and the
 verification harness."""
 
+import hashlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ffcalc import (
     DivergenceError,
@@ -433,10 +435,28 @@ def _linear_problem(a, c, x0, span, case, r_points, j_steps):
 _moderate = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False)
 
 
+def _refuse(monkeypatch, name):
+    """Make ``ffde.<name>`` raise instead of running; returns the exception type."""
+
+    class Refused(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Refused(name)
+
+    monkeypatch.setattr(ffde, name, refuse)
+    return Refused
+
+
+_FLOAT_LEVELS = ffde._FLOAT_LEVELS
+
+
 class TestLinearKernel:
-    """The in-place LinearRhs kernel against the generic RK4 loop. The kernel
-    is reached through _integrate_bands, so the case and sign wiring is
-    covered too; TestSolverPaths pins that this path takes the kernel."""
+    """The LinearRhs kernels against the generic RK4 loop: bands of at most
+    _FLOAT_LEVELS levels take the float kernel, wider ones the in-place
+    kernel. Both are reached through _integrate_bands, so the case and sign
+    wiring is covered too; TestSolverPaths pins which path takes which
+    kernel."""
 
     @given(
         a=st.one_of(st.floats(min_value=-4.0, max_value=4.0), st.sampled_from([0.0, -0.0])),
@@ -449,6 +469,15 @@ class TestLinearKernel:
         j_steps=st.integers(min_value=16, max_value=128),
     )
     @settings(max_examples=60, deadline=None)
+    # the widest float band and the narrowest in-place band, with and without the swap P
+    @example(a=-1.5, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.1, u1=0.9, case="I",
+             r_points=_FLOAT_LEVELS, j_steps=32)
+    @example(a=-1.5, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.1, u1=0.9, case="I",
+             r_points=_FLOAT_LEVELS + 1, j_steps=32)
+    @example(a=2.0, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.1, u1=0.9, case="I",
+             r_points=_FLOAT_LEVELS, j_steps=32)
+    @example(a=2.0, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.1, u1=0.9, case="I",
+             r_points=_FLOAT_LEVELS + 1, j_steps=32)
     def test_bit_identical_to_generic_loop(self, a, c, x0, u0, u1, case, r_points, j_steps):
         problem = _linear_problem(a, c, x0, (u0, u1), case, r_points, j_steps)
         rs = np.linspace(0.0, 1.0, r_points)
@@ -459,12 +488,15 @@ class TestLinearKernel:
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.slopes, slow.slopes)
 
+    @pytest.mark.parametrize("r_points", [_FLOAT_LEVELS, _FLOAT_LEVELS + 1])
     @pytest.mark.parametrize("case", ["I", "II"])
     @pytest.mark.parametrize("a", [1e5, -1e5])
-    def test_divergence_reported_identically(self, case, a):
+    def test_divergence_reported_identically(self, case, a, r_points):
         # |R(h a)| ~ 4e12 per step: the bands overflow part-way through
-        problem = _linear_problem(a, (-1.0, 0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0), case, 5, 32)
-        rs = np.linspace(0.0, 1.0, 5)
+        problem = _linear_problem(
+            a, (-1.0, 0.0, 1.0), (0.0, 1.0, 2.0), (0.0, 1.0), case, r_points, 32
+        )
+        rs = np.linspace(0.0, 1.0, r_points)
         errors = []
         for solve in (ffde._integrate_bands, _generic_band_solve):
             with pytest.raises(DivergenceError) as exc:
@@ -478,24 +510,36 @@ class TestLinearKernel:
 
 class TestSolverPaths:
     """LinearRhs solves and the BVP take their own kernels; every other
-    right-hand side still reaches the generic loop."""
+    right-hand side still reaches the generic loop. A LinearRhs band of at
+    most _FLOAT_LEVELS levels takes the float kernel, a wider one the
+    in-place kernel."""
 
     @pytest.fixture()
     def no_generic_loop(self, monkeypatch):
-        class GenericLoopCalled(Exception):
-            pass
-
-        def refuse(*args, **kwargs):
-            raise GenericLoopCalled
-
-        monkeypatch.setattr(ffde, "solve_crisp_in_J", refuse)
-        return GenericLoopCalled
+        return _refuse(monkeypatch, "solve_crisp_in_J")
 
     @pytest.mark.parametrize("method", ["full", "cuts"])
     @pytest.mark.parametrize("case", ["I", "II"])
     def test_linear_rhs_skips_generic_loop(self, no_generic_loop, case, method):
         sol = ffde.solve_first_order(example1_problem(case, r_points=11, j_steps=64), method=method)
         assert sol.lower.shape == (65, 11)
+
+    @pytest.mark.parametrize(
+        "method, r_points, refused",
+        [
+            ("cuts", 101, "_linear_steps_inplace"),  # the 0/1-cut band has 2 levels
+            ("full", 2, "_linear_steps_inplace"),
+            ("full", _FLOAT_LEVELS, "_linear_steps_inplace"),
+            ("full", _FLOAT_LEVELS + 1, "_linear_steps_floats"),
+            ("full", 101, "_linear_steps_floats"),
+        ],
+    )
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_band_width_selects_kernel(self, monkeypatch, case, method, r_points, refused):
+        _refuse(monkeypatch, refused)
+        problem = example1_problem(case, r_points=r_points, j_steps=64)
+        sol = ffde.solve_first_order(problem, method=method)
+        assert sol.lower.shape == (65, r_points)
 
     def test_func_rhs_reaches_generic_loop(self, no_generic_loop):
         problem = FirstOrderFfdeProblem(
@@ -530,6 +574,39 @@ class TestSolverPaths:
     def test_bvp_skips_generic_loop(self, no_generic_loop):
         sol = ffde.solve_second_order_bvp(example2_bvp(steps=64))
         assert sol.crisp.shape == (65,)
+
+
+class TestGoldenCutsBytes:
+    """sha256 of (us, Js, rs, lower, upper, validity) of three 0/1-cut
+    solves at the default 101 levels and 256 steps, recorded while every
+    linear band ran the in-place kernel. Case II with a > 0 and case I with
+    a < 0 both run under the swap P."""
+
+    CASES = {
+        "example1_I": (
+            lambda: example1_problem("I"),
+            "10262eec29c22740d93eb9c2b643d9fae802b612dbc244fc1a624e2d1049356c",
+        ),
+        "example1_II": (
+            lambda: example1_problem("II"),
+            "976bbf1e519499a97167134e56a40e9914b8b6ed7ed8d4f767c3c449be6514ae",
+        ),
+        "negative_a_I": (
+            lambda: _linear_problem(
+                -1.5, (-0.5, 0.25, 1.0), (0.5, 1.0, 2.0), (0.0, 1.0), "I", 101, 256
+            ),
+            "7ddd3f9f7499b24e37c8add0bbdc6c43585041e769a19886e106eac1297e8ba7",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_cuts_solution_bytes(self, name):
+        make_problem, expected = self.CASES[name]
+        sol = solve_first_order(make_problem(), method="cuts")
+        digest = hashlib.sha256()
+        for arr in (sol.us, sol.Js, sol.rs, sol.lower, sol.upper, sol.validity):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == expected
 
 
 class TestVerificationHarness:
@@ -941,38 +1018,58 @@ class TestProblemValidation:
             example2_bvp(steps=MAX_GRID_CELLS + 1)
         assert example2_bvp(steps=MAX_GRID_CELLS).steps == MAX_GRID_CELLS
 
-    @pytest.mark.parametrize("case", ["I", "II"])
-    @pytest.mark.parametrize("method", ["full", "cuts"])
-    def test_span_too_narrow_for_step_count(self, case, method):
-        # 1e-15 is ~9 ulps of 0.5: 256 linspace nodes would repeat, and the
-        # dense output would divide by the zero gaps
-        problem = example1_problem(case, r_points=5, j_steps=256)
-        problem = FirstOrderFfdeProblem(
+    @staticmethod
+    def _example1_on(span, case, steps):
+        problem = example1_problem(case)
+        return FirstOrderFfdeProblem(
             table=problem.table,
             rhs=problem.rhs,
             x0=problem.x0,
-            span=(0.5, 0.5 + 1e-15),
+            span=span,
             case=case,
             r_points=5,
-            j_steps=256,
+            j_steps=steps,
         )
-        with pytest.raises(ValidationError, match="too narrow for 256 steps"):
+
+    # 1e-15 is ~9 ulps of 0.5: 256 linspace nodes would repeat, and the dense
+    # output would divide by the zero gaps. Over [0, 1e-160] the 16 nodes are
+    # distinct, but the square of the step underflows and the dense output's
+    # coefficients overflow to NaN rows
+    NARROW = [((0.5, 0.5 + 1e-15), 256), ((0.0, 1e-160), 16), ((0.0, 1e-300), 16)]
+    NARROW_IDS = ["coincident_nodes", "step_squared_1e-160", "step_squared_1e-300"]
+
+    @pytest.mark.parametrize("span, steps", NARROW, ids=NARROW_IDS)
+    @pytest.mark.parametrize("case", ["I", "II"])
+    @pytest.mark.parametrize("method", ["full", "cuts"])
+    def test_span_too_narrow_for_step_count(self, case, method, span, steps):
+        problem = self._example1_on(span, case, steps)
+        with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
             ffde.solve_first_order(problem, method=method)
 
-    def test_narrow_span_rejected_by_bvp_and_crisp_solver(self):
-        with pytest.raises(ValidationError, match="too narrow"):
-            solve_crisp_in_J(lambda J, y: y, 1.0, (0.5, 0.5 + 1e-15), 256)
-        bvp = example2_bvp(steps=256)
+    @pytest.mark.parametrize("case", ["I", "II"])
+    @pytest.mark.parametrize("method", ["full", "cuts"])
+    def test_tiny_span_with_representable_step_solves(self, case, method):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no "no valid slice" warning
+            sol = ffde.solve_first_order(self._example1_on((0.0, 1e-150), case, 16), method=method)
+        assert sol.validity.all() and sol.validity.size == 17
+        assert np.isfinite(sol.lower).all() and np.isfinite(sol.upper).all()
+
+    @pytest.mark.parametrize("span, steps", NARROW, ids=NARROW_IDS)
+    def test_narrow_span_rejected_by_bvp_and_crisp_solver(self, span, steps):
+        with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
+            solve_crisp_in_J(lambda J, y: y, 1.0, span, steps)
+        bvp = example2_bvp(steps=steps)
         narrow = ffde.SecondOrderFuzzyBvp(
             p=bvp.p,
             q=bvp.q,
             forcing=bvp.forcing,
             boundary_start=bvp.boundary_start,
             boundary_end=bvp.boundary_end,
-            j_span=(0.5, 0.5 + 1e-15),
-            steps=256,
+            j_span=span,
+            steps=steps,
         )
-        with pytest.raises(ValidationError, match="too narrow"):
+        with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
             solve_second_order_bvp(narrow)
 
     def test_narrowest_resolvable_span_accepted(self):
