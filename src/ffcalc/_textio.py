@@ -34,6 +34,29 @@ def write_csv(target, header: str, body: str) -> None:
             fh.write(payload)
 
 
+def spec_fields(spec: dict, what: str, required, optional=()) -> None:
+    """Check that a spec object has every ``required`` field and no field
+    outside ``required`` and ``optional``; ``what`` names it in the error."""
+    for name in spec:
+        if name not in required and name not in optional:
+            raise ValidationError(f"{what} takes no {name!r}")
+    for name in required:
+        if name not in spec:
+            raise ValidationError(f"{what} needs field {name!r}")
+
+
+def spec_kind(spec, what: str, kinds: dict) -> tuple[str, dict]:
+    """The kind of a spec object and the object, whose fields must be
+    ``kind`` and those ``kinds`` requires for it, no more and no fewer."""
+    if not isinstance(spec, dict) or "kind" not in spec:
+        raise ValidationError(f"{what} spec must be an object with a 'kind' field")
+    kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ValidationError(f"unknown {what} kind {kind!r}")
+    spec_fields(spec, f"{kind} {what} spec", ("kind", *kinds[kind]))
+    return kind, spec
+
+
 def spec_number(value, name: str) -> float:
     """Convert a JSON spec field to float, raising ValidationError instead
     of the bare conversion error."""

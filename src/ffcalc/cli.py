@@ -36,6 +36,7 @@ from .ffde import (
     solve_second_order_bvp,
     verify_against_closed_form,
 )
+from .fuzzy_core import _check_tol
 from .problems import (
     BUILTIN_NAMES,
     example1_case1_band,
@@ -257,6 +258,7 @@ def _cmd_verify(args) -> int:
         raise ValidationError("verify needs a builtin with a known closed form (--builtin)")
     if args.builtin is None:
         raise ValidationError("provide --builtin example1 or --builtin example2")
+    _check_tol(args.tol)  # before the solve, for both builtins
     spec = _run_spec(args)
     problem = problem_from_json(spec)
     if isinstance(problem, SecondOrderFuzzyBvp):

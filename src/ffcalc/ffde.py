@@ -28,7 +28,7 @@ from .errors import (
     ValidationError,
 )
 from .fractal_curve import J_at, StaircaseTable
-from .fuzzy_core import FuzzyNumber, TriangularFuzzy, _rejected_rows
+from .fuzzy_core import FuzzyNumber, TriangularFuzzy, _check_tol, _rejected_rows
 
 __all__ = [
     "CrispTrajectory",
@@ -569,8 +569,10 @@ def verify_against_closed_form(
 
     ``band_fn(J, r)`` must broadcast over a (len(us), 1) J column and a
     (1, len(rs)) level row and return (lower, upper). With
-    ``restrict_to_valid`` only rows flagged valid enter the error.
+    ``restrict_to_valid`` only rows flagged valid enter the error. ``tol``
+    must be finite and non-negative.
     """
+    _check_tol(tol)
     lo_ref, up_ref = band_fn(sol.Js[:, None], sol.rs[None, :])
     err = np.maximum(np.abs(sol.lower - lo_ref), np.abs(sol.upper - up_ref))
     if restrict_to_valid:
@@ -629,6 +631,15 @@ def solution_from_csv(source, case: str = "unknown") -> FuzzySolution:
     if data.shape[0] % n_r != 0:
         raise ValidationError("solution CSV rows do not form a full u x r grid")
     n_u = data.shape[0] // n_r
+    blocks = data.reshape(n_u, n_r, 6)
+    # every u-block repeats the first block's r column, and its rows share one
+    # u, J and 0/1 flag (NaN fails every comparison, so it is refused too)
+    if not (blocks[:, :, 2] == blocks[0, :, 2]).all():
+        raise ValidationError("solution CSV u-blocks do not share one r column")
+    if not np.isin(data[:, 5], (0.0, 1.0)).all():
+        raise ValidationError("solution CSV 'valid' column must hold 0 or 1")
+    if not (blocks[:, :, [0, 1, 5]] == blocks[:, :1, [0, 1, 5]]).all():
+        raise ValidationError("solution CSV rows of one u-block differ in u, J or valid")
     return FuzzySolution(
         us=data[::n_r, 0].copy(),
         Js=data[::n_r, 1].copy(),

@@ -10,14 +10,13 @@ serves as the differentiation/integration coordinate everywhere else.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from ._textio import format_columns, is_integer, spec_array, write_csv
+from ._textio import format_columns, is_integer, spec_array, spec_kind, write_csv
 from .errors import (
     CapabilityError,
     DomainError,
@@ -532,26 +531,19 @@ def staircase_to_csv(table: StaircaseTable, target) -> None:
     write_csv(target, "u,J", format_columns(table.us, table.Js))
 
 
-def curve_from_json(spec) -> FractalCurve:
-    """Build a curve from a JSON object or string.
+_CURVE_KINDS = {"koch": ("level",), "polyline": ("params", "points")}
 
-    Accepted kinds: ``{"kind": "koch", "level": k}`` and
-    ``{"kind": "polyline", "params": [...], "points": [[...], ...]}``.
-    """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError("curve spec must be an object with a 'kind' field")
-    kind = spec["kind"]
+
+def curve_from_json(spec: dict) -> FractalCurve:
+    """Build a curve from a JSON object, never a string: ``{"kind": "koch",
+    "level": k}`` or ``{"kind": "polyline", "params": [...], "points":
+    [[...], ...]}``, with each field shown and no other."""
+    kind, spec = spec_kind(spec, "curve", _CURVE_KINDS)
     if kind == "koch":
-        return generate_koch(spec.get("level", 0))
-    if kind == "polyline":
-        if "params" not in spec or "points" not in spec:
-            raise ValidationError("polyline spec needs 'params' and 'points'")
-        return generate_polyline(
-            spec_array(spec["params"], "params"), spec_array(spec["points"], "points")
-        )
-    raise ValidationError(f"unknown curve kind {kind!r}")
+        return generate_koch(spec["level"])
+    return generate_polyline(
+        spec_array(spec["params"], "params"), spec_array(spec["points"], "points")
+    )
 
 
 def curve_to_json(curve: FractalCurve) -> dict:

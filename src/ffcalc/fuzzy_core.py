@@ -10,13 +10,12 @@ grid first.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._textio import spec_array, spec_number
+from ._textio import spec_array, spec_kind, spec_number
 from .errors import DomainError, HukuharaNonexistenceError, ValidationError
 
 __all__ = [
@@ -187,7 +186,7 @@ class FuzzyNumber:
 
     def resample(self, rs: np.ndarray) -> "FuzzyNumber":
         rs = np.asarray(rs, dtype=float)
-        if rs is self.rs or (rs.size == self.rs.size and np.array_equal(rs, self.rs)):
+        if _same_grid(rs, self.rs):
             return self
         lo, hi = self.cuts_at(rs)
         return FuzzyNumber(rs, lo, hi)
@@ -255,8 +254,13 @@ def r_cut(A: FuzzyNumber, r: float) -> Interval:
     return A.r_cut(r)
 
 
+def _same_grid(rs: np.ndarray, other: np.ndarray) -> bool:
+    """Whether two level grids are the same array or hold the same levels."""
+    return rs is other or (rs.size == other.size and np.array_equal(rs, other))
+
+
 def _common_grid(A: FuzzyNumber, B: FuzzyNumber):
-    if A.rs is B.rs or (A.rs.size == B.rs.size and np.array_equal(A.rs, B.rs)):
+    if _same_grid(A.rs, B.rs):
         return A.rs, (A.lowers, A.uppers), (B.lowers, B.uppers)
     rs = np.union1d(A.rs, B.rs)
     return rs, A.cuts_at(rs), B.cuts_at(rs)
@@ -387,6 +391,12 @@ def _violations(rs, lowers, uppers, defects) -> list[Violation]:
     return found
 
 
+def _check_tol(tol) -> None:
+    """The one rule for a tolerance: finite and non-negative (NaN is neither)."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}")
+
+
 def validate(number_or_rs, lowers=None, uppers=None, tol: float = 0.0) -> ValidationReport:
     """Check the parametric-form conditions of an endpoint table.
 
@@ -397,8 +407,7 @@ def validate(number_or_rs, lowers=None, uppers=None, tol: float = 0.0) -> Valida
     and ``nested``; defects up to ``tol`` are ignored. ``tol`` must be
     finite and non-negative.
     """
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}")
+    _check_tol(tol)
     if isinstance(number_or_rs, FuzzyNumber):
         rs, lo, hi = number_or_rs.rs, number_or_rs.lowers, number_or_rs.uppers
     else:
@@ -410,28 +419,18 @@ def validate(number_or_rs, lowers=None, uppers=None, tol: float = 0.0) -> Valida
 # i/o
 
 
-def fuzzy_from_json(spec) -> FuzzyNumber:
-    """Build a fuzzy number from a JSON object or string.
+_FUZZY_KINDS = {"triangular": ("a", "b", "c"), "table": ("rs", "lowers", "uppers")}
 
-    Accepted kinds: ``{"kind": "triangular", "a":, "b":, "c":}`` and
-    ``{"kind": "table", "rs": [...], "lowers": [...], "uppers": [...]}``.
-    """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ValidationError("fuzzy spec must be an object with a 'kind' field")
-    kind = spec["kind"]
+
+def fuzzy_from_json(spec: dict) -> FuzzyNumber:
+    """Build a fuzzy number from a JSON object, never a string:
+    ``{"kind": "triangular", "a":, "b":, "c":}`` or ``{"kind": "table",
+    "rs": [...], "lowers": [...], "uppers": [...]}``, with each field shown
+    and no other."""
+    kind, spec = spec_kind(spec, "fuzzy", _FUZZY_KINDS)
     if kind == "triangular":
-        try:
-            return make_triangular(*(spec_number(spec[k], k) for k in ("a", "b", "c")))
-        except KeyError as exc:
-            raise ValidationError(f"triangular spec missing field {exc}") from exc
-    if kind == "table":
-        try:
-            return FuzzyNumber(*(spec_array(spec[k], k) for k in ("rs", "lowers", "uppers")))
-        except KeyError as exc:
-            raise ValidationError(f"table spec missing field {exc}") from exc
-    raise ValidationError(f"unknown fuzzy kind {kind!r}")
+        return make_triangular(*(spec_number(spec[k], k) for k in _FUZZY_KINDS[kind]))
+    return FuzzyNumber(*(spec_array(spec[k], k) for k in _FUZZY_KINDS[kind]))
 
 
 def fuzzy_to_json(A: FuzzyNumber) -> dict:

@@ -23,6 +23,7 @@ from .fuzzy_core import (
     _DEFAULT_RS,
     FuzzyNumber,
     _rejected_rows,
+    _same_grid,
     hausdorff_distance,
     hukuhara_diff,
     make_crisp,
@@ -59,9 +60,7 @@ class FuzzyCurveFunction:
         level grids are resampled onto the union of their grids."""
         samples = [self(u) for u in us]
         rs = samples[0].rs
-        same_grid = all(
-            s.rs is rs or (s.rs.size == rs.size and np.array_equal(s.rs, rs)) for s in samples[1:]
-        )
+        same_grid = all(_same_grid(s.rs, rs) for s in samples[1:])
         if not same_grid:
             rs = rs.copy()
             for s in samples[1:]:

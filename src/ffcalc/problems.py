@@ -8,12 +8,11 @@ explicit function of J.
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
 
-from ._textio import spec_integer, spec_number
+from ._textio import spec_fields, spec_integer, spec_kind, spec_number
 from .errors import ValidationError
 from .ffde import FirstOrderFfdeProblem, LinearRhs, SecondOrderFuzzyBvp
 from .fractal_curve import StaircaseTable, build_staircase, curve_from_json, generate_polyline
@@ -101,71 +100,59 @@ def example2_crisp_closed_form(J):
     )
 
 
-def _nested(value, what: str) -> dict:
-    """A spec object inside a problem spec; a string there is not parsed as JSON again."""
-    if not isinstance(value, dict):
-        raise ValidationError(f"{what} spec must be an object with a 'kind' field")
-    return value
+_RHS_KINDS = {"builtin": ("name",), "linear": ("a", "c")}
+# the fields every problem spec may set; a builtin fixes everything else
+_RUN_FIELDS = ("case", "r_points", "j_steps")
+_LINEAR_FIELDS = ("alpha", "span", *_RUN_FIELDS)
 
 
-def problem_from_json(spec):
-    """Build a solvable problem from a JSON object or string.
+def problem_from_json(spec: dict):
+    """Build a solvable problem from a JSON object, never a string.
 
     ``rhs.kind`` selects between ``{"kind": "builtin", "name": ...}`` and
     ``{"kind": "linear", "a": ..., "c": {fuzzy}}``. The builtin "example2"
     returns a :class:`SecondOrderFuzzyBvp` and takes no ``case``; everything
     else returns a :class:`FirstOrderFfdeProblem`. The optional fields
     ``case`` ("I"), ``r_points`` (101) and ``j_steps`` (256) take the
-    defaults shown; the last two must be JSON integers. A builtin spec
-    takes no other field.
+    defaults shown; the last two must be JSON integers. A linear spec needs
+    ``curve`` and ``x0`` and may set ``alpha`` (1.0) and ``span``. Any
+    other field, here or in a nested object, is refused.
     """
-    if isinstance(spec, str):
-        spec = json.loads(spec)
     if not isinstance(spec, dict):
         raise ValidationError("problem spec must be a JSON object")
-    rhs_spec = spec.get("rhs")
-    if not isinstance(rhs_spec, dict) or "kind" not in rhs_spec:
-        raise ValidationError("problem spec needs an 'rhs' object with a 'kind'")
+    kind, rhs_spec = spec_kind(spec.get("rhs"), "rhs", _RHS_KINDS)
+    if kind == "builtin":
+        name = rhs_spec["name"]
+        if name not in BUILTIN_NAMES:
+            raise ValidationError(f"unknown builtin name {name!r}")
+        spec_fields(spec, f"builtin {name!r}", ("rhs",), _RUN_FIELDS)
+    else:
+        spec_fields(spec, "linear problem spec", ("rhs", "curve", "x0"), _LINEAR_FIELDS)
 
     r_points = spec_integer(spec.get("r_points", 101), "r_points")
     j_steps = spec_integer(spec.get("j_steps", 256), "j_steps")
     case = spec.get("case", "I")
 
-    if rhs_spec["kind"] == "builtin":
-        name = rhs_spec.get("name")
-        if name not in BUILTIN_NAMES:
-            raise ValidationError(f"unknown builtin name {name!r}")
-        # a builtin fixes its curve, data and span; a field it would drop is refused
-        for field in spec:
-            if field not in ("rhs", "case", "r_points", "j_steps"):
-                raise ValidationError(f"builtin {name!r} takes no {field!r}")
+    if kind == "builtin":
         if name == "example1":
             return example1_problem(case=case, r_points=r_points, j_steps=j_steps)
         if "case" in spec:
             raise ValidationError("builtin 'example2' is second order and takes no 'case'")
         return example2_bvp(steps=j_steps)
 
-    if rhs_spec["kind"] == "linear":
-        if "a" not in rhs_spec or "c" not in rhs_spec:
-            raise ValidationError("linear rhs needs fields 'a' and 'c'")
-        a = spec_number(rhs_spec["a"], "a")
-        rhs = LinearRhs(a, fuzzy_from_json(_nested(rhs_spec["c"], "fuzzy")))
-        if "curve" not in spec or "x0" not in spec:
-            raise ValidationError("custom problem spec needs 'curve' and 'x0'")
-        curve = curve_from_json(_nested(spec["curve"], "curve"))
-        alpha = spec_number(spec.get("alpha", 1.0), "alpha")
-        table = build_staircase(curve, alpha=alpha, p0=curve.a0)
-        span = spec.get("span", [curve.a0, curve.b0])
-        if not (isinstance(span, (list, tuple)) and len(span) == 2):
-            raise ValidationError("'span' must be a pair [u0, u1]")
-        return FirstOrderFfdeProblem(
-            table=table,
-            rhs=rhs,
-            x0=fuzzy_from_json(_nested(spec["x0"], "fuzzy")),
-            span=(spec_number(span[0], "span"), spec_number(span[1], "span")),
-            case=case,
-            r_points=r_points,
-            j_steps=j_steps,
-        )
-
-    raise ValidationError(f"unknown rhs kind {rhs_spec['kind']!r}")
+    rhs = LinearRhs(spec_number(rhs_spec["a"], "a"), fuzzy_from_json(rhs_spec["c"]))
+    curve = curve_from_json(spec["curve"])
+    x0 = fuzzy_from_json(spec["x0"])
+    alpha = spec_number(spec.get("alpha", 1.0), "alpha")
+    span = spec.get("span", [curve.a0, curve.b0])
+    if not (isinstance(span, (list, tuple)) and len(span) == 2):
+        raise ValidationError("'span' must be a pair [u0, u1]")
+    return FirstOrderFfdeProblem(
+        table=build_staircase(curve, alpha=alpha, p0=curve.a0),
+        rhs=rhs,
+        x0=x0,
+        span=(spec_number(span[0], "span"), spec_number(span[1], "span")),
+        case=case,
+        r_points=r_points,
+        j_steps=j_steps,
+    )

@@ -20,6 +20,10 @@ from ffcalc.cli import main
 from ffcalc import MAX_GRID_CELLS, FractalCurve, solution_from_csv
 
 
+def _without(obj: dict, field: str) -> dict:
+    return {k: v for k, v in obj.items() if k != field}
+
+
 def run_cli(args, env=None, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "ffcalc", *args],
@@ -32,6 +36,7 @@ def run_cli(args, env=None, cwd=None):
 
 _TRI = {"kind": "triangular", "a": -1, "b": 0, "c": 1}
 _EXAMPLE1 = {"kind": "builtin", "name": "example1"}
+_TABLE = {"kind": "table", "rs": [0, 1], "lowers": [0, 1], "uppers": [2, 1]}
 _LINEAR_SPEC = {
     "curve": {"kind": "polyline", "params": [0, 1], "points": [[0, 0], [1, 0]]},
     "case": "I",
@@ -270,6 +275,25 @@ class TestExitStatus:
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == "error: tol must be a finite positive number\n"
 
+    @pytest.mark.parametrize("builtin", ["example1", "example2"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1e-6"])
+    def test_verify_tol_checked_before_solve(self, monkeypatch, capsys, builtin, tol):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve reached")
+
+        monkeypatch.setattr("ffcalc.cli.solve_first_order", no_solve)
+        monkeypatch.setattr("ffcalc.cli.solve_second_order_bvp", no_solve)
+        assert main(["verify", "--builtin", builtin, f"--tol={tol}"]) == 1
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: tol must be a finite non-negative number, got {float(tol)!r}\n"
+
+    def test_verify_tol_nan_subprocess(self, tmp_path, cli_env):
+        args = ["verify", "--builtin", "example1", "--tol", "nan"]
+        proc = run_cli(args, env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == "error: tol must be a finite non-negative number, got nan\n"
+
     @pytest.mark.parametrize(
         "curve, level, cap",
         [("koch", 13, 12), ("koch", -1, 12), ("segment", 25, 24), ("segment", 40, 24)],
@@ -419,6 +443,55 @@ class TestExitStatus:
         assert not out.exists()
 
     @pytest.mark.parametrize(
+        "spec, message",
+        [
+            ({**_without(_LINEAR_SPEC, "j_steps"), "r_points": 3, "j_step": 16},
+             "linear problem spec takes no 'j_step'"),
+            (_without(_LINEAR_SPEC, "x0"), "linear problem spec needs field 'x0'"),
+            ({"rhs": _EXAMPLE1, "j_step": 16}, "builtin 'example1' takes no 'j_step'"),
+            ({"j_steps": 16}, "rhs spec must be an object with a 'kind' field"),
+            (
+                {"rhs": {"kind": "builtin", "name": "example1", "a": 5.0}, "j_steps": 16, "r_points": 3},
+                "builtin rhs spec takes no 'a'",
+            ),
+            ({"rhs": {"kind": "builtin"}}, "builtin rhs spec needs field 'name'"),
+            ({**_LINEAR_SPEC, "rhs": {**_LINEAR_SPEC["rhs"], "b": 2.0}},
+             "linear rhs spec takes no 'b'"),
+            ({**_LINEAR_SPEC, "rhs": _without(_LINEAR_SPEC["rhs"], "c")},
+             "linear rhs spec needs field 'c'"),
+            ({**_LINEAR_SPEC, "curve": {"kind": "koch", "levle": 5}},
+             "koch curve spec takes no 'levle'"),
+            ({**_LINEAR_SPEC, "curve": {"kind": "koch"}}, "koch curve spec needs field 'level'"),
+            ({**_LINEAR_SPEC, "curve": {**_LINEAR_SPEC["curve"], "closed": True}},
+             "polyline curve spec takes no 'closed'"),
+            ({**_LINEAR_SPEC, "curve": _without(_LINEAR_SPEC["curve"], "points")},
+             "polyline curve spec needs field 'points'"),
+            ({**_LINEAR_SPEC, "x0": {**_LINEAR_SPEC["x0"], "d": 3}},
+             "triangular fuzzy spec takes no 'd'"),
+            ({**_LINEAR_SPEC, "x0": _without(_LINEAR_SPEC["x0"], "c")},
+             "triangular fuzzy spec needs field 'c'"),
+            ({**_LINEAR_SPEC, "x0": {**_TABLE, "levels": 2}}, "table fuzzy spec takes no 'levels'"),
+            ({**_LINEAR_SPEC, "x0": _without(_TABLE, "uppers")},
+             "table fuzzy spec needs field 'uppers'"),
+            ({**_LINEAR_SPEC, "x0": {"kind": ["x"]}}, "unknown fuzzy kind ['x']"),
+        ],
+        ids=["custom_unknown", "custom_missing", "builtin_unknown", "builtin_missing",
+             "builtin_rhs_unknown", "builtin_rhs_missing", "linear_rhs_unknown",
+             "linear_rhs_missing", "koch_unknown", "koch_missing", "polyline_unknown",
+             "polyline_missing", "triangular_unknown", "triangular_missing", "table_unknown",
+             "table_missing", "kind_not_a_string"],
+    )
+    def test_spec_fields_checked(self, tmp_path, capsys, spec, message):
+        # every spec object holds exactly the fields of its kind: a misspelt or
+        # extra field is refused by name, never dropped in favour of a default
+        out = tmp_path / "out.csv"
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        assert main(["solve", "--spec", str(path), "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
         "args, message",
         [
             (["--spec", "missing.json"], "No such file or directory: 'missing.json'"),
@@ -502,10 +575,28 @@ _PATHS = [
 ]
 
 
+# a field no spec object has
+_UNKNOWN = "no_such_field"
+
+
+def _objects(node):
+    """The spec object and every object nested in it, depth first."""
+    if isinstance(node, dict):
+        yield node
+        children = node.values()
+    elif isinstance(node, list):
+        children = node
+    else:
+        return
+    for child in children:
+        yield from _objects(child)
+
+
 @st.composite
 def _specs(draw):
-    """A sound spec with up to three fields replaced or deleted, or a JSON
-    value that is not an object."""
+    """A sound spec with up to three fields replaced or deleted, then at
+    times an unknown field put into the spec or an object nested in it, or a
+    JSON value that is not an object."""
     if draw(st.integers(min_value=0, max_value=19)) == 0:
         return draw(st.sampled_from([[], "spec", '{"rhs": {"kind": "builtin"}}', 3, None]))
     spec = draw(_sound_specs())
@@ -521,6 +612,8 @@ def _specs(draw):
                 node.pop(last, None)
             else:
                 node[last] = draw(_FIELD)
+    if draw(st.booleans()):
+        draw(st.sampled_from(list(_objects(spec))))[_UNKNOWN] = draw(_FIELD)
     return spec
 
 
@@ -540,6 +633,8 @@ class TestSpecFuzz:
                     status = main(["solve", "--spec", str(path), "--out", str(out)])
         lines = err.getvalue().splitlines()
         assert status in (0, 1, 2)
+        if _UNKNOWN in json.dumps(spec):
+            assert status == 1  # refused while the spec is read, before any solve
         if status == 0:
             assert lines == []
         else:

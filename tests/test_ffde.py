@@ -637,6 +637,12 @@ class TestVerificationHarness:
         # so even the full-grid error stays small; the flag governs coverage
         assert full.n_points == sol.lower.size
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        sol = solve_case1(example1_problem("I", r_points=3, j_steps=16))
+        with pytest.raises(ValidationError, match="tol must be a finite non-negative number"):
+            verify_against_closed_form(sol, example1_case1_band, tol=tol)
+
 
 @pytest.fixture(scope="module")
 def solution():
@@ -947,6 +953,35 @@ class TestSolutionCsv:
         with pytest.raises(ValidationError):
             solution_from_csv(io.StringIO("u,J,r,lower,upper,valid\n" + body))
 
+    @pytest.mark.parametrize(
+        "row, column, value, message",
+        [
+            (4, 2, "0.75", "do not share one r column"),
+            (5, 0, "0.5", "differ in u, J or valid"),
+            (5, 1, "0.5", "differ in u, J or valid"),
+            (5, 5, "0", "differ in u, J or valid"),
+            (3, 2, "nan", "do not share one r column"),
+            (4, 0, "nan", "differ in u, J or valid"),
+        ],
+        ids=["second_block_r", "u_in_block", "J_in_block", "flag_in_block", "nan_r", "nan_u"],
+    )
+    def test_inconsistent_grid_rejected(self, row, column, value, message):
+        # two u-blocks of three levels: rows 0-2 and 3-5
+        lines = ["0,0,0,1,2,1", "0,0,0.5,1,2,1", "0,0,1,1,2,1",
+                 "1,2,0,1,2,1", "1,2,0.5,1,2,1", "1,2,1,1,2,1"]
+        fields = lines[row].split(",")
+        fields[column] = value
+        lines[row] = ",".join(fields)
+        body = "u,J,r,lower,upper,valid\n" + "\n".join(lines) + "\n"
+        with pytest.raises(ValidationError, match=message):
+            solution_from_csv(io.StringIO(body))
+
+    @pytest.mark.parametrize("flag", ["7", "nan", "-1", "0.5"])
+    def test_valid_column_must_be_zero_or_one(self, flag):
+        body = f"u,J,r,lower,upper,valid\n0,0,0,1,2,{flag}\n0,0,1,1,2,{flag}\n"
+        with pytest.raises(ValidationError, match="must hold 0 or 1"):
+            solution_from_csv(io.StringIO(body))
+
 
 class TestProblemJson:
     def test_builtin_example1(self):
@@ -971,7 +1006,7 @@ class TestProblemJson:
             "r_points": 11,
             "j_steps": 64,
         }
-        problem = problem_from_json(json.dumps(spec))
+        problem = problem_from_json(json.loads(json.dumps(spec)))
         sol = solve_case1(problem)
         lo, up = band_case1(sol.Js[:, None], sol.rs[None, :])
         assert float(np.max(np.abs(sol.lower - lo))) < 1e-5

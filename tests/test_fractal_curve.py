@@ -362,7 +362,7 @@ class TestTypesAndIO:
     def test_curve_json_round_trip(self):
         koch = curve_from_json({"kind": "koch", "level": 2})
         assert koch.params.size == 17
-        poly = curve_from_json(json.dumps(curve_to_json(koch)))
+        poly = curve_from_json(json.loads(json.dumps(curve_to_json(koch))))
         assert np.array_equal(poly.points, koch.points)
 
     def test_curve_json_rejects_unknown_kind(self):
