@@ -636,6 +636,10 @@ def solution_from_csv(source, case: str = "unknown") -> FuzzySolution:
     # u, J and 0/1 flag (NaN fails every comparison, so it is refused too)
     if not (blocks[:, :, 2] == blocks[0, :, 2]).all():
         raise ValidationError("solution CSV u-blocks do not share one r column")
+    rs = data[:n_r, 2]
+    # the rule SecondOrderSolution.to_solution applies to kappas
+    if not ((np.diff(rs) > 0.0).all() and rs[0] >= 0.0 and rs[-1] <= 1.0):
+        raise ValidationError("solution CSV r column must be strictly increasing within [0, 1]")
     if not np.isin(data[:, 5], (0.0, 1.0)).all():
         raise ValidationError("solution CSV 'valid' column must hold 0 or 1")
     if not (blocks[:, :, [0, 1, 5]] == blocks[:, :1, [0, 1, 5]]).all():

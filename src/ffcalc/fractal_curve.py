@@ -116,9 +116,10 @@ class FractalCurve:
         u_arr = np.asarray(u, dtype=float)
         if not ((u_arr >= self.a0) & (u_arr <= self.b0)).all():  # also false for NaN
             raise DomainError(f"parameter outside [{self.a0}, {self.b0}]")
-        cols = [np.interp(u_arr, self.params, self.points[:, k]) for k in range(self.ndim)]
-        out = np.stack(cols, axis=-1)
-        return out
+        return _in_query_order(
+            lambda q: np.stack([np.interp(q, self.params, col) for col in self.points.T], axis=-1),
+            u_arr,
+        )
 
     def refine(self) -> "FractalCurve":
         """One refinement step; raises if the curve has no refinement rule."""
@@ -128,8 +129,8 @@ class FractalCurve:
         if new.params.size <= self.params.size:
             raise ValidationError("refinement did not increase the vertex count")
         if not (
-            np.allclose(new.points[0], self.points[0])
-            and np.allclose(new.points[-1], self.points[-1])
+            _same_point(new.points[0], self.points[0])
+            and _same_point(new.points[-1], self.points[-1])
         ):
             raise ValidationError("refinement moved an endpoint image")
         return new
@@ -199,6 +200,37 @@ class StaircaseTable:
     @property
     def J_range(self) -> tuple[float, float]:
         return float(self.Js[0]), float(self.Js[-1])
+
+
+def _same_point(a: np.ndarray, b: np.ndarray) -> bool:
+    """``np.allclose(a, b)`` for two finite vectors of one length: the same
+    test, |a - b| <= 1e-8 + 1e-5 * |b| per coordinate, in Python floats,
+    without numpy's ~30 us of per-call overhead."""
+    return a.shape == b.shape and all(
+        abs(x - y) <= 1e-8 + 1e-5 * abs(y) for x, y in zip(a.tolist(), b.tolist())
+    )
+
+
+def _in_query_order(lookup: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -> np.ndarray:
+    """``lookup(q)`` for a per-query table lookup, with the table searched in
+    ascending query order.
+
+    A batch out of order is sorted, ravelled if it is n-d, looked up, and the
+    answers are scattered back to q's shape; answers that are vectors keep
+    their trailing axis. ``np.interp`` and ``np.searchsorted`` give each query
+    the same answer in any order, so only the walk through the table changes
+    (in order, it stays in cache), not a bit of the output. Equal queries get
+    equal answers, so the sort need not be stable. A non-decreasing batch,
+    like the solvers' grids, is looked up as it is, without a copy.
+    """
+    flat = q.ravel()
+    if flat.size < 2 or (flat[:-1] <= flat[1:]).all():
+        return lookup(q)
+    order = np.argsort(flat)
+    found = lookup(flat[order])
+    out = np.empty_like(found)
+    out[order] = found
+    return out.reshape(q.shape + found.shape[1:])
 
 
 def _polyline_lengths(points: np.ndarray) -> np.ndarray:
@@ -484,8 +516,20 @@ def J_at(table: StaircaseTable, u):
     lo, hi = table.domain
     if not ((u_arr >= lo) & (u_arr <= hi)).all():  # also false for NaN
         raise DomainError(f"parameter outside [{lo}, {hi}]")
-    out = np.interp(u_arr, table.us, table.Js)
+    out = _in_query_order(lambda q: np.interp(q, table.us, table.Js), u_arr)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+
+
+def _preimages(table: StaircaseTable, J: np.ndarray) -> np.ndarray:
+    """Leftmost u with S(u) = J for staircase values J inside the table's range."""
+    us, Js = table.us, table.Js
+    idx = np.searchsorted(Js, J, side="left")  # J <= Js[-1], so idx < Js.size
+    left = np.maximum(idx - 1, 0)
+    J_idx, J_left, u_idx, u_left = Js[idx], Js[left], us[idx], us[left]
+    dJ = J_idx - J_left
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(dJ > 0.0, (J - J_left) / np.where(dJ > 0.0, dJ, 1.0), 0.0)
+    return np.where(J_idx == J, u_idx, u_left + frac * (u_idx - u_left))
 
 
 def u_at(table: StaircaseTable, J):
@@ -498,25 +542,16 @@ def u_at(table: StaircaseTable, J):
     Jlo, Jhi = table.J_range
     if not ((J_arr >= Jlo) & (J_arr <= Jhi)).all():  # also false for NaN
         raise DomainError(f"staircase value outside [{Jlo}, {Jhi}]")
-    scalar = np.isscalar(J) or J_arr.ndim == 0
-    J_arr = np.atleast_1d(J_arr)
-    idx = np.searchsorted(table.Js, J_arr, side="left")
-    idx = np.clip(idx, 0, table.Js.size - 1)
-    exact = table.Js[idx] == J_arr
-    left = np.clip(idx - 1, 0, table.Js.size - 1)
-    dJ = table.Js[idx] - table.Js[left]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frac = np.where(dJ > 0.0, (J_arr - table.Js[left]) / np.where(dJ > 0.0, dJ, 1.0), 0.0)
-    interp = table.us[left] + frac * (table.us[idx] - table.us[left])
-    out = np.where(exact, table.us[idx], interp)
-    return float(out[0]) if scalar else out
+    out = _in_query_order(lambda q: _preimages(table, q), J_arr)
+    return float(out) if np.isscalar(J) or J_arr.ndim == 0 else out
 
 
-def euclidean_rise(curve: FractalCurve, u) -> float:
-    """Euclidean distance of the curve point w(u) from the origin."""
+def euclidean_rise(curve: FractalCurve, u):
+    """Euclidean distance of the curve point w(u) from the origin: a float
+    for a scalar or 0-d u, otherwise an array of u's shape."""
     pts = curve.point_at(u)
-    out = np.sqrt(np.sum(np.atleast_2d(pts) ** 2, axis=1))
-    return float(out[0]) if out.size == 1 else out
+    out = np.sqrt(np.sum(pts**2, axis=-1))
+    return float(out) if np.ndim(u) == 0 else out
 
 
 # ---------------------------------------------------------------------------

@@ -976,6 +976,34 @@ class TestSolutionCsv:
         with pytest.raises(ValidationError, match=message):
             solution_from_csv(io.StringIO(body))
 
+    @pytest.mark.parametrize(
+        "levels",
+        [("0", "0", "0.5"), ("0", "1.5"), ("-0.5", "0.5"), ("1.25",), ("0.5", "0.5")],
+        ids=["repeated", "above_one", "below_zero", "alone_above_one", "all_equal"],
+    )
+    def test_r_column_must_increase_within_unit_interval(self, levels):
+        # two u-blocks that share the r column, all rows flagged valid
+        rows = [f"{u},{u},{r},1,2,1" for u in (0, 1) for r in levels]
+        body = "u,J,r,lower,upper,valid\n" + "\n".join(rows) + "\n"
+        message = r"^solution CSV r column must be strictly increasing within \[0, 1\]$"
+        with pytest.raises(ValidationError, match=message):
+            solution_from_csv(io.StringIO(body))
+
+    @pytest.mark.parametrize("levels", [("nan",), ("0", "nan", "1"), ("nan", "0.5")])
+    def test_nan_levels_are_refused(self, levels):
+        # NaN equals no r, so the u-blocks cannot share the r column
+        rows = [f"{u},{u},{r},1,2,1" for u in (0, 1) for r in levels]
+        with pytest.raises(ValidationError, match="do not share one r column"):
+            solution_from_csv(io.StringIO("u,J,r,lower,upper,valid\n" + "\n".join(rows) + "\n"))
+
+    @pytest.mark.parametrize("levels", [("0.25", "0.75"), ("0", "1"), ("0.1", "0.2", "0.9")])
+    def test_r_column_need_not_hold_both_ends(self, levels):
+        rows = [f"{u},{u},{r},1,2,1" for u in (0, 1) for r in levels]
+        sol = solution_from_csv(io.StringIO("u,J,r,lower,upper,valid\n" + "\n".join(rows) + "\n"))
+        # loads, as to_solution accepts such kappas; FuzzyNumber (and so
+        # r_slice) still needs the levels 0 and 1
+        assert sol.rs.tolist() == [float(r) for r in levels]
+
     @pytest.mark.parametrize("flag", ["7", "nan", "-1", "0.5"])
     def test_valid_column_must_be_zero_or_one(self, flag):
         body = f"u,J,r,lower,upper,valid\n0,0,0,1,2,{flag}\n0,0,1,1,2,{flag}\n"

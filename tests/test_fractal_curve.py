@@ -333,6 +333,29 @@ class TestEuclideanRise:
         with pytest.raises(DomainError):
             euclidean_rise(generate_segment(), 2.0)
 
+    def test_2d_batch_matches_point_by_point_calls(self):
+        curve = generate_koch(3)
+        u = np.array([[0.1, 0.5], [0.9, 0.2]])
+        got = euclidean_rise(curve, u)
+        want = np.array([[euclidean_rise(curve, float(x)) for x in row] for row in u])
+        assert got.shape == (2, 2) and got.tobytes() == want.tobytes()
+        assert np.allclose(got, [[0.141, 0.577], [0.876, 0.252]], atol=1e-3)
+
+    def test_float_only_for_a_scalar_or_0d_query(self):
+        curve = generate_koch(3)
+        for u in (0.3, np.float64(0.3), np.array(0.3)):
+            assert type(euclidean_rise(curve, u)) is float
+        for u in ([0.3], np.array([0.3]), np.empty(0), np.empty((2, 0))):
+            got = euclidean_rise(curve, u)
+            assert isinstance(got, np.ndarray) and got.shape == np.shape(u)
+        assert euclidean_rise(curve, [0.3])[0] == euclidean_rise(curve, 0.3)
+
+    def test_1d_batch_keeps_its_bits(self):
+        curve = generate_koch(4)
+        u = np.random.default_rng(3).uniform(0.0, 1.0, 257)
+        row_wise = np.sqrt(np.sum(np.atleast_2d(curve.point_at(u)) ** 2, axis=1))
+        assert euclidean_rise(curve, u).tobytes() == row_wise.tobytes()
+
     @pytest.mark.parametrize("u", [math.nan, [0.5, math.nan]], ids=["scalar", "array"])
     def test_nan_parameter_is_a_domain_error(self, u):
         curve = generate_koch(2)

@@ -8,8 +8,10 @@ library must give the same reports, flags, messages, exceptions and bits on
 every input.
 """
 
+import hashlib
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -41,6 +43,7 @@ from ffcalc import (
     gamma_dimension,
     scale,
     triangular_field,
+    u_at,
     validate,
 )
 from ffcalc import fractal_calc, fractal_curve, fuzzy_core
@@ -134,6 +137,35 @@ def ref_J_at(table, u):
         raise DomainError(f"parameter outside [{lo}, {hi}]")
     out = np.interp(u_arr, table.us, table.Js)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
+
+
+def ref_u_at(table, J):
+    """u_at as it searched the table in the batch's own order."""
+    J_arr = np.asarray(J, dtype=float)
+    Jlo, Jhi = table.J_range
+    if not ((J_arr >= Jlo) & (J_arr <= Jhi)).all():
+        raise DomainError(f"staircase value outside [{Jlo}, {Jhi}]")
+    scalar = np.isscalar(J) or J_arr.ndim == 0
+    J_arr = np.atleast_1d(J_arr)
+    idx = np.searchsorted(table.Js, J_arr, side="left")
+    idx = np.clip(idx, 0, table.Js.size - 1)
+    exact = table.Js[idx] == J_arr
+    left = np.clip(idx - 1, 0, table.Js.size - 1)
+    dJ = table.Js[idx] - table.Js[left]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frac = np.where(dJ > 0.0, (J_arr - table.Js[left]) / np.where(dJ > 0.0, dJ, 1.0), 0.0)
+    interp = table.us[left] + frac * (table.us[idx] - table.us[left])
+    out = np.where(exact, table.us[idx], interp)
+    return float(out[0]) if scalar else out
+
+
+def ref_point_at(curve, u):
+    """FractalCurve.point_at as it searched the vertices in the batch's own order."""
+    u_arr = np.asarray(u, dtype=float)
+    if not ((u_arr >= curve.a0) & (u_arr <= curve.b0)).all():
+        raise DomainError(f"parameter outside [{curve.a0}, {curve.b0}]")
+    cols = [np.interp(u_arr, curve.params, curve.points[:, k]) for k in range(curve.ndim)]
+    return np.stack(cols, axis=-1)
 
 
 def ref_violations(rs, lo, hi, tol):
@@ -1310,3 +1342,263 @@ class TestRejectedRows:
         uppers = np.array([np.full(DEFAULT_R_LEVELS, 1e6), np.full(DEFAULT_R_LEVELS, 2.0)])
         assert _rejected_rows(lowers, uppers).tolist() == [False, True]
         assert _rejected_rows(lowers[::-1], uppers[::-1]).tolist() == [True, False]
+
+
+# ---------------------------------------------------------------------------
+# batch lookups in ascending query order
+
+# a zero-length segment between u = 0.5 and 0.7 gives Js a flat stretch
+FLAT_2D = fractal_curve.generate_polyline(
+    [0.0, 0.2, 0.5, 0.7, 1.0], [[0.0, 0.0], [0.3, 0.1], [0.5, -0.2], [0.5, -0.2], [1.0, 0.0]]
+)
+FLAT_3D = fractal_curve.generate_polyline(
+    [-2.0, -1.5, -0.25, 0.0, 3.0],
+    [[1.0, -2.0, 0.5], [1.0, -2.0, 0.5], [0.0, 1.0, -1.5], [2.0, 2.0, 2.0], [-1.0, 0.0, 4.0]],
+)
+# 0.1 + (0.45 - 0.1) != 0.45 in floats, so a vertex hit is not an interpolation
+FLAT_1D = fractal_curve.generate_polyline(
+    [0.0, 0.1, 0.45, 0.9, 1.0], [[-1.0], [2.0], [0.0], [0.0], [0.5]]
+)
+LOOKUP_CASES = [
+    (KOCH3 := generate_koch(3), build_staircase(KOCH3, KOCH_DIM, p0=0.3)),
+    (SEG := generate_segment((0.3, -1.7), (2.5, 9.1), level=4), build_staircase(SEG, 1.0)),
+    (FLAT_2D, build_staircase(FLAT_2D, 1.5, p0=0.6)),
+    (FLAT_3D, build_staircase(FLAT_3D, 2.5, p0=-1.5)),
+    (FLAT_1D, build_staircase(FLAT_1D, 1.0, p0=0.25)),
+]
+
+
+@st.composite
+def query_batches(draw, knots):
+    """Queries over the range of the sorted ``knots``: on knots, at both
+    ends and between, with repeats; shuffled, reversed or sorted; shaped
+    0-d, 1-d or 2-d, empty included."""
+    lo, hi = float(knots[0]), float(knots[-1])
+    ends = [lo, hi] + ([-0.0] if lo == 0.0 else [])
+    value = st.one_of(
+        st.floats(min_value=lo, max_value=hi),
+        st.sampled_from(knots.tolist()),
+        st.sampled_from(ends),
+    )
+    values = draw(st.lists(value, max_size=24))
+    if values and draw(st.booleans()):
+        values += draw(st.lists(st.sampled_from(values), min_size=1, max_size=8))
+    order = draw(st.sampled_from(["shuffled", "reversed", "sorted"]))
+    if order == "shuffled":
+        values = draw(st.permutations(values))
+    else:
+        values = sorted(values, reverse=order == "reversed")
+    shape = draw(st.sampled_from(["0d", "1d", "2d"]))
+    if shape == "0d":
+        return np.array(values[0] if values else lo)
+    batch = np.array(values, dtype=float)
+    if shape == "2d":
+        batch = batch.reshape(-1, 2) if batch.size % 2 == 0 else batch.reshape(1, -1)
+    return batch
+
+
+def one_by_one(lookup, batch, trailing=()):
+    """``lookup`` called on each query as a Python float, stacked to the
+    batch's shape and then the answers' own ``trailing`` shape."""
+    rows = [lookup(float(q)) for q in batch.ravel()]
+    return np.array(rows, dtype=float).reshape(batch.shape + trailing)
+
+
+def with_bad_query(draw, batch, lo, hi):
+    """The batch ravelled, with one NaN, infinite or just out-of-range query inserted."""
+    past = [np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf)]
+    bad = draw(st.sampled_from([np.nan, np.inf, -np.inf] + past))
+    flat = batch.ravel().tolist()
+    flat.insert(draw(st.integers(0, len(flat))), bad)
+    return np.array(flat)
+
+
+class TestLookupOrder:
+    @given(st.sampled_from(LOOKUP_CASES), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_J_at_is_bit_equal_in_any_order(self, case, data):
+        _, table = case
+        u = data.draw(query_batches(table.us))
+        got = outcome(J_at, table, u)
+        assert got == outcome(ref_J_at, table, u)
+        if u.ndim == 0:
+            assert got == outcome(J_at, table, float(u))
+        else:
+            assert same_bytes(J_at(table, u), one_by_one(lambda q: J_at(table, q), u))
+
+    @given(st.sampled_from(LOOKUP_CASES), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_u_at_is_bit_equal_in_any_order(self, case, data):
+        _, table = case
+        J = data.draw(query_batches(table.Js))
+        got = outcome(u_at, table, J)
+        assert got == outcome(ref_u_at, table, J)
+        if J.ndim == 0:
+            assert got == outcome(u_at, table, float(J))
+        else:
+            assert same_bytes(u_at(table, J), one_by_one(lambda q: u_at(table, q), J))
+
+    @given(st.sampled_from(LOOKUP_CASES), st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_point_at_is_bit_equal_in_any_order(self, case, data):
+        curve, _ = case
+        u = data.draw(query_batches(curve.params))
+        got = curve.point_at(u)
+        assert got.shape == u.shape + (curve.ndim,)
+        assert same_bytes(got, ref_point_at(curve, u))
+        assert same_bytes(got, one_by_one(curve.point_at, u, (curve.ndim,)))
+
+    @given(st.sampled_from(LOOKUP_CASES), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_bad_queries_in_a_batch_are_domain_errors(self, case, data):
+        curve, table = case
+        (lo, hi), (Jlo, Jhi) = table.domain, table.J_range
+        u = with_bad_query(data.draw, data.draw(query_batches(table.us)), lo, hi)
+        with pytest.raises(DomainError, match=re.escape(f"parameter outside [{lo}, {hi}]")):
+            J_at(table, u)
+        with pytest.raises(DomainError, match=re.escape(f"parameter outside [{lo}, {hi}]")):
+            curve.point_at(u)
+        J = with_bad_query(data.draw, data.draw(query_batches(table.Js)), Jlo, Jhi)
+        with pytest.raises(DomainError, match=re.escape(f"staircase value outside [{Jlo}, {Jhi}]")):
+            u_at(table, J)
+
+    def test_flat_stretch_maps_to_its_left_end(self):
+        _, table = LOOKUP_CASES[2]
+        J_flat = float(J_at(table, 0.5))
+        assert J_at(table, 0.7) == J_flat
+        got = u_at(table, np.array([J_flat, J_flat, table.Js[-1], table.Js[0], J_flat]))
+        assert got.tolist() == [0.5, 0.5, 1.0, 0.0, 0.5]
+
+    def test_sorted_batches_are_looked_up_without_a_copy(self):
+        grid = np.linspace(0.0, 1.0, 4097)
+        assert fractal_curve._in_query_order(lambda q: q, grid) is grid
+        stepped = np.repeat(grid[:5], 2).reshape(2, 5)  # non-decreasing when ravelled
+        assert fractal_curve._in_query_order(lambda q: q, stepped) is stepped
+        shuffled = grid[::-1].copy()
+        got = fractal_curve._in_query_order(lambda q: q, shuffled)
+        assert got is not shuffled and same_bytes(got, shuffled)
+
+    def test_empty_batches_keep_their_shape(self):
+        curve, table = LOOKUP_CASES[0]
+        for shape in [(0,), (0, 3), (2, 0)]:
+            empty = np.empty(shape)
+            assert J_at(table, empty).shape == shape
+            assert u_at(table, empty).shape == shape
+            assert curve.point_at(empty).shape == shape + (2,)
+
+    def test_koch10_lookups_keep_their_bits(self):
+        # digests of J_at, u_at(J_at) and u_at on a seeded batch, recorded
+        # while lookups still searched the table in the batch's own order
+        table = build_staircase(generate_koch(10), KOCH_DIM, p0=0.3)
+        rng = np.random.default_rng(20231014)
+        us = rng.uniform(0.0, 1.0, 4096)
+        Js = rng.uniform(*table.J_range, 4096)
+        J = J_at(table, us)
+        digests = [
+            hashlib.sha256(a.tobytes()).hexdigest() for a in (J, u_at(table, J), u_at(table, Js))
+        ]
+        assert digests == [
+            "f4f30387ab7f0e9506328b59821d889d1e4b6bb14834dea49f3a06c1667bcb64",
+            "fcd2a315bc3d03126dcfb822c85eae4c1ecb1bd9dfeb50b9aabd512b38dd61dd",
+            "4e482aef8bddcf05d7683bd1aa0c3fbb9f7e7d7e0fb098fe9b4806426f21b514",
+        ]
+
+
+# ---------------------------------------------------------------------------
+# the refine endpoint check
+
+
+def midpoints(w):
+    """The vertices of a one-segment polyline after one midpoint subdivision."""
+    return np.vstack([w[0], 0.5 * (w[0] + w[-1]), w[-1]])
+
+
+def moving_refiner(end, k, value):
+    """Midpoint subdivision of a one-segment curve over [0, 1] that puts
+    ``value`` in column k of the end vertex."""
+
+    def refine(curve):
+        points = midpoints(curve.points)
+        points[end, k] = value
+        return FractalCurve(np.array([0.0, 0.5, 1.0]), points, refine, 1)
+
+    return refine
+
+
+def endpoint_boundary(b, sign):
+    """The coordinate farthest from b, on the side ``sign``, with
+    |a - b| <= 1e-8 + 1e-5 * |b|, and the next float beyond it."""
+    tol = 1e-8 + 1e-5 * abs(b)
+    beyond = math.copysign(math.inf, sign)
+    a = b + sign * tol
+    while abs(a - b) > tol:
+        a = math.nextafter(a, b)
+    while abs(math.nextafter(a, beyond) - b) <= tol:
+        a = math.nextafter(a, beyond)
+    return a, math.nextafter(a, beyond)
+
+
+def refine_verdict(start, end_point, end, k, value):
+    refiner = moving_refiner(end, k, value)
+    curve = FractalCurve(np.array([0.0, 1.0]), np.array([start, end_point]), refiner)
+    try:
+        curve.refine()
+    except ValidationError as exc:
+        assert str(exc) == "refinement moved an endpoint image"
+        return False
+    return True
+
+
+ENDPOINTS = {
+    1: ([0.0], [-2.5]),
+    2: ([-3.7, 0.0], [1.25, -0.6]),
+    3: ([1e3, -1e-3, 0.0], [-7.0, 0.3, -1e6]),
+}
+
+
+class TestRefineEndpointCheck:
+    @pytest.mark.parametrize("columns", [1, 2, 3])
+    @pytest.mark.parametrize("end", [0, -1], ids=["start", "end"])
+    def test_boundary_move_is_accepted_and_the_next_float_refused(self, columns, end):
+        start, end_point = ENDPOINTS[columns]
+        old = np.array([start, end_point])
+        for k in range(columns):
+            b = float(old[end, k])
+            for sign in (1.0, -1.0):
+                inside, outside = endpoint_boundary(b, sign)
+                for value, accepted in ((inside, True), (outside, False)):
+                    moved = old[end].copy()
+                    moved[k] = value
+                    assert bool(np.allclose(moved, old[end])) == accepted
+                    assert refine_verdict(start, end_point, end, k, value) == accepted
+
+    def test_a_move_from_zero_is_measured_exactly(self):
+        # at b = 0 the tolerance is 1e-8 itself, and a = 1e-8 moves by exactly that
+        assert endpoint_boundary(0.0, 1.0) == (1e-8, math.nextafter(1e-8, math.inf))
+        assert endpoint_boundary(0.0, -1.0) == (-1e-8, math.nextafter(-1e-8, -math.inf))
+
+    @given(
+        st.floats(min_value=-1e12, max_value=1e12),
+        st.sampled_from([1.0, -1.0]),
+        st.sampled_from([0, -1]),
+        st.booleans(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_verdicts_match_allclose(self, b, sign, end, inside):
+        start, end_point = [0.5, b], [b, -0.5]
+        old = np.array([start, end_point])
+        k = 1 if end == 0 else 0  # the column holding b
+        value = endpoint_boundary(b, sign)[0 if inside else 1]
+        moved = old[end].copy()
+        moved[k] = value
+        want = bool(np.allclose(moved, old[end]))
+        assert refine_verdict(start, end_point, end, k, value) == want
+
+    def test_a_refiner_that_changes_the_columns_is_refused(self):
+        def widen(curve):
+            points = np.column_stack([midpoints(curve.points), np.zeros(3)])
+            return FractalCurve(np.array([0.0, 0.5, 1.0]), points, None, 1)
+
+        curve = FractalCurve(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), widen)
+        with pytest.raises(ValidationError, match="^refinement moved an endpoint image$"):
+            curve.refine()
