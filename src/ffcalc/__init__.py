@@ -45,11 +45,10 @@ from .fuzzy_core import (
     hukuhara_diff,
     make_crisp,
     make_triangular,
-    r_cut,
     scale,
     validate,
 )
-from .fractal_calc import CurveFunction, FIntegralResult, f_derivative, f_integral
+from .fractal_calc import FIntegralResult, f_derivative, f_integral
 from .fuzzy_fractal_calc import (
     FuzzyCurveFunction,
     crisp_embedding,
@@ -70,8 +69,6 @@ from .ffde import (
     ode_residual_max,
     solution_from_csv,
     solution_to_csv,
-    solve_case1,
-    solve_case2,
     solve_crisp_in_J,
     solve_first_order,
     solve_second_order_bvp,

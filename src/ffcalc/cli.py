@@ -36,7 +36,7 @@ from .ffde import (
     solve_second_order_bvp,
     verify_against_closed_form,
 )
-from .fuzzy_core import _check_tol
+from .fuzzy_core import DEFAULT_R_LEVELS, _check_tol
 from .problems import (
     BUILTIN_NAMES,
     example1_case1_band,
@@ -171,7 +171,7 @@ def _kappa_levels(spec: dict, problem) -> int:
     """The number of kappa levels of a second-order run: the spec's
     ``r_points`` with problem_from_json's default, which has checked the
     field's type, kept within the grid cap."""
-    r_points = spec.get("r_points", 101)
+    r_points = spec.get("r_points", DEFAULT_R_LEVELS)
     if r_points < 2:
         raise ValidationError("r_points must be >= 2")
     _check_grid_size("(steps + 1) x r_points", (problem.steps + 1) * r_points)
@@ -184,7 +184,7 @@ def _cmd_solve(args) -> int:
     if isinstance(problem, SecondOrderFuzzyBvp):
         r_points = _kappa_levels(spec, problem)
         sol2 = solve_second_order_bvp(problem)
-        sol = sol2.to_solution(np.linspace(0.0, 1.0, r_points))
+        sol = sol2.to_solution(r_points)
         solution_to_csv(sol, args.out)
         print(
             f"second-order BVP: crisp boundaries ({sol2.crisp[0]:.12g}, {sol2.crisp[-1]:.12g}), "
@@ -281,10 +281,11 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="ffcalc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_curve_flags(p, default_level):
+    def add_curve_flags(p, default_level, alpha=False):
         p.add_argument("--curve", choices=("koch", "segment"), default="koch")
         p.add_argument("--level", type=int, default=default_level)
-        p.add_argument("--alpha", type=float, default=1.0)
+        if alpha:  # only the subcommands that build a staircase read it
+            p.add_argument("--alpha", type=float, default=1.0)
 
     p = sub.add_parser("curve", help="generate a curve and export its vertices")
     add_curve_flags(p, 4)
@@ -296,16 +297,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("staircase", help="tabulate the staircase function as CSV")
-    add_curve_flags(p, 6)
+    add_curve_flags(p, 6, alpha=True)
     p.add_argument("--out", default="staircase.csv")
 
     p = sub.add_parser("integrate", help="integrate a named function of J over the curve")
-    add_curve_flags(p, 8)
+    add_curve_flags(p, 8, alpha=True)
     p.add_argument("--fn", choices=sorted(_FUNCTIONS), default="J")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("differentiate", help="differentiate a named function of J")
-    add_curve_flags(p, 8)
+    add_curve_flags(p, 8, alpha=True)
     p.add_argument("--fn", choices=sorted(_FUNCTIONS), default="J")
     p.add_argument("--at", type=float, default=0.5)
 

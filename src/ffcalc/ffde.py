@@ -28,19 +28,24 @@ from .errors import (
     ValidationError,
 )
 from .fractal_curve import J_at, StaircaseTable
-from .fuzzy_core import FuzzyNumber, TriangularFuzzy, _check_tol, _rejected_rows
+from .fuzzy_core import (
+    DEFAULT_R_LEVELS,
+    FuzzyNumber,
+    TriangularFuzzy,
+    _check_level_grid,
+    _check_tol,
+    _rejected_rows,
+    default_r_grid,
+)
 
 __all__ = [
     "CrispTrajectory",
     "solve_crisp_in_J",
-    "ParametricRhs",
     "LinearRhs",
     "FuncRhs",
     "FirstOrderFfdeProblem",
     "MAX_GRID_CELLS",
     "FuzzySolution",
-    "solve_case1",
-    "solve_case2",
     "solve_first_order",
     "SecondOrderFuzzyBvp",
     "SecondOrderSolution",
@@ -299,23 +304,7 @@ def _rk4_linear(a: float, c_lo, c_up, flip: bool, x0, j_span, steps: int) -> Cri
 # first-order problems
 
 
-class ParametricRhs:
-    """Parametric right-hand side (f_lower, f_upper) of a first-order problem.
-
-    Both sides receive (J, lower_band, upper_band, levels) with the band
-    arrays aligned to the level grid, and return arrays of the same shape.
-    Exposing both bands to both sides is what lets case II couple the
-    endpoint equations.
-    """
-
-    def lower(self, J, lo, up, rs):
-        raise NotImplementedError
-
-    def upper(self, J, lo, up, rs):
-        raise NotImplementedError
-
-
-class LinearRhs(ParametricRhs):
+class LinearRhs:
     """Right-hand side a*x + c for a real coefficient and fuzzy constant c."""
 
     def __init__(self, a: float, c: FuzzyNumber):
@@ -331,18 +320,19 @@ class LinearRhs(ParametricRhs):
         return (self.a * up if self.a >= 0.0 else self.a * lo) + chi
 
 
-class FuncRhs(ParametricRhs):
-    """Right-hand side built from two explicit endpoint callables."""
+class FuncRhs:
+    """Parametric right-hand side (f_lower, f_upper) of a first-order problem,
+    built from two endpoint callables.
+
+    Both sides receive (J, lower_band, upper_band, levels) with the band
+    arrays aligned to the level grid, and return arrays of the same shape.
+    Exposing both bands to both sides is what lets case II couple the
+    endpoint equations.
+    """
 
     def __init__(self, lower_fn: Callable, upper_fn: Callable):
-        self._lower = lower_fn
-        self._upper = upper_fn
-
-    def lower(self, J, lo, up, rs):
-        return self._lower(J, lo, up, rs)
-
-    def upper(self, J, lo, up, rs):
-        return self._upper(J, lo, up, rs)
+        self.lower = lower_fn
+        self.upper = upper_fn
 
 
 # Largest solution grid a problem may ask for, checked before anything is
@@ -369,11 +359,11 @@ class FirstOrderFfdeProblem:
     """
 
     table: StaircaseTable
-    rhs: ParametricRhs
+    rhs: LinearRhs | FuncRhs
     x0: FuzzyNumber
     span: tuple[float, float]
     case: str
-    r_points: int = 101
+    r_points: int = DEFAULT_R_LEVELS
     j_steps: int = 256
     u_points: int | None = None
 
@@ -464,7 +454,14 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
     return solve_crisp_in_J(system, np.concatenate([lo0, up0]), (J0, J1), problem.j_steps)
 
 
-def _solve_first_order(problem: FirstOrderFfdeProblem, method: str) -> FuzzySolution:
+def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySolution:
+    """Solve under the problem's declared case.
+
+    Case I integrates the endpoint equations as given. Case II drives the
+    lower endpoint by the upper equation and vice versa; its bands can stop
+    being fuzzy numbers at finite J, so the solution carries per-row
+    validity flags and a validity horizon.
+    """
     if method not in ("full", "cuts"):
         raise ValidationError(f"method must be 'full' or 'cuts', got {method!r}")
     swap = problem.case == "II"
@@ -499,7 +496,7 @@ def _solve_first_order(problem: FirstOrderFfdeProblem, method: str) -> FuzzySolu
             "no valid fuzzy slice beyond the initial point; the requested case does not "
             "apply on this span",
             RuntimeWarning,
-            stacklevel=3,
+            stacklevel=2,
         )
     return FuzzySolution(
         us=us,
@@ -510,28 +507,6 @@ def _solve_first_order(problem: FirstOrderFfdeProblem, method: str) -> FuzzySolu
         validity=validity,
         case=problem.case,
     )
-
-
-def solve_case1(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySolution:
-    """Solve a case-I problem: endpoint equations integrated as given."""
-    if problem.case != "I":
-        raise ValidationError("solve_case1 requires a problem declared with case 'I'")
-    return _solve_first_order(problem, method)
-
-
-def solve_case2(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySolution:
-    """Solve a case-II problem: lower endpoint driven by the upper equation
-    and vice versa. The returned solution carries per-row validity flags and
-    a validity horizon, since case-II bands can stop being fuzzy numbers at
-    finite J."""
-    if problem.case != "II":
-        raise ValidationError("solve_case2 requires a problem declared with case 'II'")
-    return _solve_first_order(problem, method)
-
-
-def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySolution:
-    """Solve with the convention matching the problem's declared case."""
-    return _solve_first_order(problem, method)
 
 
 # ---------------------------------------------------------------------------
@@ -636,10 +611,10 @@ def solution_from_csv(source, case: str = "unknown") -> FuzzySolution:
     # u, J and 0/1 flag (NaN fails every comparison, so it is refused too)
     if not (blocks[:, :, 2] == blocks[0, :, 2]).all():
         raise ValidationError("solution CSV u-blocks do not share one r column")
-    rs = data[:n_r, 2]
-    # the rule SecondOrderSolution.to_solution applies to kappas
-    if not ((np.diff(rs) > 0.0).all() and rs[0] >= 0.0 and rs[-1] <= 1.0):
-        raise ValidationError("solution CSV r column must be strictly increasing within [0, 1]")
+    try:  # FuzzyNumber's rule for a level grid, which r_slice needs
+        _check_level_grid(data[:n_r, 2])
+    except ValidationError as exc:
+        raise ValidationError(f"solution CSV r column: {exc}") from None
     if not np.isin(data[:, 5], (0.0, 1.0)).all():
         raise ValidationError("solution CSV 'valid' column must hold 0 or 1")
     if not (blocks[:, :, [0, 1, 5]] == blocks[:, :1, [0, 1, 5]]).all():
@@ -754,13 +729,10 @@ class SecondOrderSolution:
         w = 1.0 - kappa
         return self.crisp + w * self.un_lower, self.crisp + w * self.un_upper
 
-    def to_solution(self, kappas=None) -> FuzzySolution:
-        """Band table over the kappa grid, in the FuzzySolution layout."""
-        kappas = np.linspace(0.0, 1.0, 101) if kappas is None else np.asarray(kappas, float)
-        if kappas.ndim != 1 or not (np.diff(kappas) > 0.0).all():  # also false for NaN
-            raise ValidationError("kappas must be strictly increasing")
-        if not ((kappas >= 0.0) & (kappas <= 1.0)).all():
-            raise DomainError("kappas outside [0, 1]")
+    def to_solution(self, r_points: int = DEFAULT_R_LEVELS) -> FuzzySolution:
+        """Band table over ``r_points`` evenly spaced kappa levels from 0 to
+        1, in the FuzzySolution layout."""
+        kappas = default_r_grid(r_points)
         w = (1.0 - kappas)[None, :]
         lower = self.crisp[:, None] + w * self.un_lower[:, None]
         upper = self.crisp[:, None] + w * self.un_upper[:, None]

@@ -9,35 +9,13 @@ increasing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
 from .errors import DegenerateDenominatorError, DomainError, IntegrityError, ValidationError
 from .fractal_curve import FractalCurve, J_at, StaircaseTable, _vertex_knots
 
-__all__ = ["CurveFunction", "FIntegralResult", "f_derivative", "f_integral"]
-
-
-@dataclass(frozen=True)
-class CurveFunction:
-    """Real-valued function of the curve parameter u.
-
-    The evaluator must accept numpy arrays (every integrand used here is a
-    numpy expression of u and J_at).
-    """
-
-    evaluator: Callable
-    domain: tuple[float, float]
-
-    def __call__(self, u):
-        return self.evaluator(u)
-
-
-def as_curve_function(f, domain) -> CurveFunction:
-    if isinstance(f, CurveFunction):
-        return f
-    return CurveFunction(f, (float(domain[0]), float(domain[1])))
+__all__ = ["FIntegralResult", "f_derivative", "f_integral"]
 
 
 @dataclass(frozen=True)
@@ -75,7 +53,6 @@ def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> 
     the staircase to be strictly increasing across [u - h, u + h].
     """
     lo, hi = table.domain
-    func = as_curve_function(f, table.domain)
     if h is None:
         h = _default_step(table, u)
     if not h > 0.0:  # NaN too
@@ -85,7 +62,7 @@ def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> 
     den = J_at(table, u + h) - J_at(table, u - h)
     if den == 0.0:
         raise DegenerateDenominatorError(f"staircase is flat across [{u - h}, {u + h}]")
-    return (float(func(u + h)) - float(func(u - h))) / den
+    return (float(f(u + h)) - float(f(u - h))) / den
 
 
 def _cells(curve: FractalCurve, table: StaircaseTable, a: float | None, b: float | None):
@@ -115,14 +92,14 @@ def f_integral(
     The value uses midpoint samples; the attached bracket uses per-cell
     min/max over the endpoint and midpoint samples, mirroring lower and
     upper sums. Summation is numpy's pairwise reduction, so the result is
-    independent of any evaluation-order choice.
+    independent of any evaluation-order choice. ``f`` is any real function
+    of u that accepts numpy arrays: it is called once per array of samples.
     """
     knots, dJ = _cells(curve, table, a, b)
-    func = as_curve_function(f, table.domain)
     mids = 0.5 * (knots[:-1] + knots[1:])
-    fm = np.asarray(func(mids), dtype=float)
-    fl = np.asarray(func(knots[:-1]), dtype=float)
-    fr = np.asarray(func(knots[1:]), dtype=float)
+    fm = np.asarray(f(mids), dtype=float)
+    fl = np.asarray(f(knots[:-1]), dtype=float)
+    fr = np.asarray(f(knots[1:]), dtype=float)
     value = float(np.sum(fm * dJ))
     lower = float(np.sum(np.minimum(np.minimum(fl, fr), fm) * dJ))
     upper = float(np.sum(np.maximum(np.maximum(fl, fr), fm) * dJ))

@@ -26,7 +26,6 @@ __all__ = [
     "FuzzyNumber",
     "make_triangular",
     "make_crisp",
-    "r_cut",
     "add",
     "scale",
     "hausdorff_distance",
@@ -106,11 +105,16 @@ def _endpoint_table(rs, lowers, uppers):
             raise ValidationError(f"{name} must be a finite 1-d array")
     if not (rs.size == lowers.size == uppers.size):
         raise ValidationError("rs, lowers and uppers must have equal length")
+    _check_level_grid(rs)
+    return rs, lowers, uppers
+
+
+def _check_level_grid(rs: np.ndarray) -> None:
+    """The rule every level grid obeys: strictly increasing from 0 to 1."""
     if rs.size < 2 or np.any(np.diff(rs) <= 0.0):
         raise ValidationError("rs must be strictly increasing with >= 2 levels")
     if rs[0] != 0.0 or rs[-1] != 1.0:
         raise ValidationError("the r-grid must include the levels 0 and 1")
-    return rs, lowers, uppers
 
 
 # The r-grid of every number built without one of its own. It is a view of a
@@ -247,11 +251,6 @@ def make_crisp(x: float, rs: np.ndarray | None = None) -> FuzzyNumber:
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def r_cut(A: FuzzyNumber, r: float) -> Interval:
-    """Level cut of A at membership level r."""
-    return A.r_cut(r)
 
 
 def _same_grid(rs: np.ndarray, other: np.ndarray) -> bool:

@@ -17,7 +17,7 @@ from .errors import (
     HukuharaNonexistenceError,
     ValidationError,
 )
-from .fractal_calc import _cells, _default_step, as_curve_function
+from .fractal_calc import _cells, _default_step
 from .fractal_curve import FractalCurve, J_at, StaircaseTable
 from .fuzzy_core import (
     _DEFAULT_RS,
@@ -108,21 +108,23 @@ def _values(f, us: np.ndarray) -> np.ndarray:
 
 
 def crisp_embedding(f, domain) -> FuzzyCurveFunction:
-    """Lift a real-valued function to a zero-width fuzzy function.
+    """Lift a real-valued function to a zero-width fuzzy function on ``domain``.
 
-    ``f`` must accept numpy arrays, as for every :class:`CurveFunction`.
+    ``f`` must accept numpy arrays: :meth:`FuzzyCurveFunction.bands` calls
+    it once on all its points.
     """
-    func = as_curve_function(f, domain)
 
     def rows(us):
-        x = _values(func, us)
+        x = _values(f, us)
         finite = np.isfinite(x)
         if not finite.all():
             make_crisp(float(x[np.argmin(finite)]))  # rejects the first such point
         lowers = np.repeat(x[:, None], _DEFAULT_RS.size, axis=1)
         return lowers, lowers.copy()
 
-    return _ArrayField(lambda u: make_crisp(float(func(u))), func.domain, rows)
+    return _ArrayField(
+        lambda u: make_crisp(float(f(u))), (float(domain[0]), float(domain[1])), rows
+    )
 
 
 def triangular_field(f1, f2, f3, domain) -> FuzzyCurveFunction:

@@ -16,7 +16,7 @@ from ._textio import spec_fields, spec_integer, spec_kind, spec_number
 from .errors import ValidationError
 from .ffde import FirstOrderFfdeProblem, LinearRhs, SecondOrderFuzzyBvp
 from .fractal_curve import StaircaseTable, build_staircase, curve_from_json, generate_polyline
-from .fuzzy_core import TriangularFuzzy, fuzzy_from_json, make_triangular
+from .fuzzy_core import DEFAULT_R_LEVELS, TriangularFuzzy, fuzzy_from_json, make_triangular
 
 __all__ = [
     "unit_segment_table",
@@ -44,7 +44,7 @@ def unit_segment_table() -> StaircaseTable:
 
 def example1_problem(
     case: str = "I",
-    r_points: int = 101,
+    r_points: int = DEFAULT_R_LEVELS,
     j_steps: int = 256,
     u_points: int | None = None,
     table: StaircaseTable | None = None,
@@ -129,7 +129,7 @@ def problem_from_json(spec: dict):
     else:
         spec_fields(spec, "linear problem spec", ("rhs", "curve", "x0"), _LINEAR_FIELDS)
 
-    r_points = spec_integer(spec.get("r_points", 101), "r_points")
+    r_points = spec_integer(spec.get("r_points", DEFAULT_R_LEVELS), "r_points")
     j_steps = spec_integer(spec.get("j_steps", 256), "j_steps")
     case = spec.get("case", "I")
 

@@ -34,8 +34,7 @@ from ffcalc import (
     make_triangular,
     ode_residual_max,
     scale,
-    solve_case1,
-    solve_case2,
+    solve_first_order,
     solve_second_order_bvp,
     validate,
 )
@@ -51,7 +50,7 @@ def test_criterion_1_example1_case1_closed_form():
     """Case-I solve (256 J-steps, 101 r-levels) within 1e-6 of the closed
     form over J in [0, 1], in at most 1 second."""
     t0 = time.perf_counter()
-    sol = solve_case1(example1_problem("I", r_points=101, j_steps=256))
+    sol = solve_first_order(example1_problem("I", r_points=101, j_steps=256))
     elapsed = time.perf_counter() - t0
     J, r = sol.Js[:, None], sol.rs[None, :]
     lo = np.exp(J) * (2 * r - 1) - r + 1
@@ -65,7 +64,7 @@ def test_criterion_1_example1_case1_closed_form():
 def test_criterion_2_example1_case2_closed_form_and_horizon():
     """Case-II solve within 1e-6 on the valid region; validity horizon at
     ln 2 within one J-grid cell."""
-    sol = solve_case2(example1_problem("II", r_points=101, j_steps=256))
+    sol = solve_first_order(example1_problem("II", r_points=101, j_steps=256))
     J, r = sol.Js[:, None], sol.rs[None, :]
     lo = np.exp(J) - r + (2 * r - 2) * np.exp(-J) + 1
     up = r + np.exp(J) - (2 * r - 2) * np.exp(-J) - 1
@@ -201,7 +200,7 @@ def test_criterion_7_convergence_order():
     error by at least 12x."""
     errs = {}
     for steps in (128, 256):
-        sol = solve_case1(example1_problem("I", j_steps=steps, u_points=129))
+        sol = solve_first_order(example1_problem("I", j_steps=steps, u_points=129))
         J, r = sol.Js[:, None], sol.rs[None, :]
         lo = np.exp(J) * (2 * r - 1) - r + 1
         up = r - np.exp(J) * (2 * r - 3) - 1
@@ -240,7 +239,7 @@ def test_criterion_9_example1_on_koch_staircase(case, level):
     case II below its horizon, and the case-II horizon must lie within one
     J cell of J = ln 2, which is inside the span."""
     table = build_staircase(generate_koch(level), KOCH_DIM)
-    sol = (solve_case1 if case == "I" else solve_case2)(example1_problem(case, table=table))
+    sol = solve_first_order(example1_problem(case, table=table))
     assert sol.Js[-1] == pytest.approx(table.Js[-1])  # < 1: sub-unit total mass
     J, r = sol.Js[:, None], sol.rs[None, :]
     lo, up = (example1_case1_band if case == "I" else example1_case2_band)(J, r)

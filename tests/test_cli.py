@@ -197,6 +197,14 @@ class TestExitStatus:
     def test_usage_error_maps_to_one(self, capsys):
         assert main(["solve", "--builtin", "example9"]) == 1
 
+    @pytest.mark.parametrize("command", ["dim", "curve"])
+    def test_alpha_refused_where_unread(self, capsys, command):
+        # only the subcommands that build a staircase take --alpha
+        assert main([command, "--level", "4", "--alpha", "1.5"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: unrecognized arguments: --alpha 1.5\n"
+
     def test_numeric_failure_maps_to_two(self, tmp_path, capsys):
         # a custom problem whose staircase cannot be built: non-refinable
         # curve asked for dimension estimation

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import warnings
 
 import numpy as np
@@ -34,8 +35,6 @@ from ffcalc import (
     problem_from_json,
     solution_from_csv,
     solution_to_csv,
-    solve_case1,
-    solve_case2,
     solve_crisp_in_J,
     solve_first_order,
     solve_second_order_bvp,
@@ -180,7 +179,7 @@ class TestHermiteDenseOutput:
 class TestCase1:
     def test_initial_band_is_exact(self):
         problem = example1_problem("I")
-        sol = solve_case1(problem)
+        sol = solve_first_order(problem)
         lo0, up0 = problem.x0.cuts_at(sol.rs)
         assert np.array_equal(sol.lower[0], lo0)  # copied, not integrated
         assert np.array_equal(sol.upper[0], up0)
@@ -188,13 +187,13 @@ class TestCase1:
         assert np.allclose(sol.upper[0], 2.0 - sol.rs, atol=1e-15)
 
     def test_matches_closed_form(self):
-        sol = solve_case1(example1_problem("I"))
+        sol = solve_first_order(example1_problem("I"))
         lo, up = band_case1(sol.Js[:, None], sol.rs[None, :])
         assert float(np.max(np.abs(sol.lower - lo))) < 1e-6
         assert float(np.max(np.abs(sol.upper - up))) < 1e-6
 
     def test_width_grows_and_stays_valid(self):
-        sol = solve_case1(example1_problem("I"))
+        sol = solve_first_order(example1_problem("I"))
         widths = sol.upper - sol.lower
         assert np.all(widths >= -1e-12)
         assert np.all(np.diff(widths, axis=0) >= -1e-9)  # non-decreasing in J
@@ -202,14 +201,14 @@ class TestCase1:
         assert sol.validity_horizon == sol.us[-1]
 
     def test_r1_slice_is_crisp_exponential(self):
-        sol = solve_case1(example1_problem("I"))
+        sol = solve_first_order(example1_problem("I"))
         assert np.allclose(sol.lower[:, -1], np.exp(sol.Js), atol=1e-6)
         assert np.allclose(sol.upper[:, -1], np.exp(sol.Js), atol=1e-6)
 
     def test_cut_assembly_agrees_with_full_grid(self):
         problem = example1_problem("I")
-        full = solve_case1(problem, method="full")
-        cuts = solve_case1(problem, method="cuts")
+        full = solve_first_order(problem, method="full")
+        cuts = solve_first_order(problem, method="cuts")
         assert np.allclose(full.lower, cuts.lower, atol=1e-12)
         assert np.allclose(full.upper, cuts.upper, atol=1e-12)
 
@@ -230,7 +229,7 @@ class TestCase1:
             r_points=3,
             j_steps=16,
         )
-        sol = solve_case1(problem)
+        sol = solve_first_order(problem)
         assert int(np.count_nonzero(sol.validity)) == 9
         assert sol.validity_horizon == 0.5
         for i, valid in enumerate(sol.validity):
@@ -242,21 +241,17 @@ class TestCase1:
                 with pytest.raises(ValidationError):
                     FuzzyNumber(sol.rs, sol.lower[i], sol.upper[i])
 
-    def test_case_declaration_enforced(self):
-        with pytest.raises(ValidationError):
-            solve_case1(example1_problem("II"))
-
 
 class TestCase2:
     def test_matches_closed_form_on_valid_region(self):
-        sol = solve_case2(example1_problem("II"))
+        sol = solve_first_order(example1_problem("II"))
         lo, up = band_case2(sol.Js[:, None], sol.rs[None, :])
         err = np.maximum(np.abs(sol.lower - lo), np.abs(sol.upper - up))[sol.validity]
         assert float(np.max(err)) < 1e-6
 
     def test_initial_band_matches_condition(self):
         problem = example1_problem("II")
-        sol = solve_case2(problem)
+        sol = solve_first_order(problem)
         lo0, up0 = problem.x0.cuts_at(sol.rs)
         assert np.array_equal(sol.lower[0], lo0)
         assert np.array_equal(sol.upper[0], up0)
@@ -264,31 +259,31 @@ class TestCase2:
         assert np.allclose(sol.upper[0], 2.0 - sol.rs, atol=1e-15)
 
     def test_validity_horizon_at_ln2(self):
-        sol = solve_case2(example1_problem("II"))
+        sol = solve_first_order(example1_problem("II"))
         cell = sol.us[1] - sol.us[0]
         assert abs(sol.validity_horizon - EXAMPLE1_CASE2_HORIZON_J) <= cell
         # flags actually flip: valid before, invalid after
         assert not np.all(sol.validity)
 
     def test_width_formula(self):
-        sol = solve_case2(example1_problem("II"))
+        sol = solve_first_order(example1_problem("II"))
         expected = (2.0 * sol.rs[None, :] - 2.0) * (1.0 - 2.0 * np.exp(-sol.Js[:, None]))
         widths = sol.upper - sol.lower
         assert np.allclose(widths, expected, atol=1e-6)
 
     def test_r1_slice_is_crisp_exponential(self):
-        sol = solve_case2(example1_problem("II"))
+        sol = solve_first_order(example1_problem("II"))
         assert np.allclose(sol.lower[:, -1], np.exp(sol.Js), atol=1e-6)
 
     def test_cut_assembly_agrees_with_full_grid(self):
         problem = example1_problem("II")
-        full = solve_case2(problem, method="full")
-        cuts = solve_case2(problem, method="cuts")
+        full = solve_first_order(problem, method="full")
+        cuts = solve_first_order(problem, method="cuts")
         assert np.allclose(full.lower, cuts.lower, atol=1e-12)
         assert np.allclose(full.upper, cuts.upper, atol=1e-12)
 
     def test_invalid_slice_cannot_be_extracted(self):
-        sol = solve_case2(example1_problem("II"))
+        sol = solve_first_order(example1_problem("II"))
         bad = int(np.flatnonzero(~sol.validity)[0])
         with pytest.raises(ValidationError):
             sol.r_slice(bad)
@@ -308,12 +303,11 @@ class TestCase2:
             j_steps=64,
         )
         with pytest.warns(RuntimeWarning):
-            sol = solve_case2(problem)
+            sol = solve_first_order(problem)
         assert not np.any(sol.validity[1:])
         assert sol.validity_horizon == sol.us[0]
 
-    @pytest.mark.parametrize("solve", [solve_first_order, solve_case2])
-    def test_no_valid_slice_warning_points_at_the_caller(self, solve):
+    def test_no_valid_slice_warning_points_at_the_caller(self):
         problem = FirstOrderFfdeProblem(
             table=unit_segment_table(),
             rhs=LinearRhs(1.0, make_triangular(-1.0, 0.0, 1.0)),
@@ -323,7 +317,7 @@ class TestCase2:
             j_steps=16,
         )
         with pytest.warns(RuntimeWarning, match="no valid fuzzy slice") as record:
-            solve(problem)
+            solve_first_order(problem)
         assert [w.filename for w in record] == [__file__]
 
 
@@ -335,7 +329,7 @@ class TestOnFractalSupport:
 
         table = build_staircase(generate_koch(6), math.log(4.0) / math.log(3.0), p0=0.0)
         problem = example1_problem("I", r_points=41, j_steps=256, table=table)
-        sol = solve_case1(problem)
+        sol = solve_first_order(problem)
         assert sol.Js[-1] == pytest.approx(table.Js[-1])  # < 1: sub-unit total mass
         lo, up = band_case1(sol.Js[:, None], sol.rs[None, :])
         assert float(np.max(np.abs(sol.lower - lo))) < 1e-6
@@ -348,7 +342,7 @@ class TestOnFractalSupport:
         # horizon is crossed inside the span; it must sit at J = ln 2
         table = build_staircase(generate_koch(6), math.log(4.0) / math.log(3.0), p0=0.0)
         problem = example1_problem("II", r_points=41, j_steps=256, table=table)
-        sol = solve_case2(problem)
+        sol = solve_first_order(problem)
         horizon_J = J_at(table, sol.validity_horizon)
         j_cell = float(np.max(np.diff(sol.Js)))
         assert abs(horizon_J - math.log(2.0)) <= j_cell
@@ -358,7 +352,7 @@ class TestConvergence:
     def test_fourth_order_in_j_steps(self):
         errs = {}
         for steps in (128, 256):
-            sol = solve_case1(example1_problem("I", j_steps=steps, u_points=129))
+            sol = solve_first_order(example1_problem("I", j_steps=steps, u_points=129))
             lo, up = band_case1(sol.Js[:, None], sol.rs[None, :])
             errs[steps] = float(np.max(np.maximum(np.abs(sol.lower - lo), np.abs(sol.upper - up))))
         assert errs[128] / errs[256] >= 12.0
@@ -379,7 +373,7 @@ class TestGeneralRhs:
             r_points=11,
             j_steps=128,
         )
-        sol = solve_case1(problem)
+        sol = solve_first_order(problem)
         assert np.allclose(sol.lower[-1], math.e, atol=1e-7)
         assert np.allclose(sol.upper[-1], math.e, atol=1e-7)
 
@@ -395,7 +389,7 @@ class TestGeneralRhs:
             r_points=21,
             j_steps=128,
         )
-        sol = solve_case1(problem)
+        sol = solve_first_order(problem)
         # closed form: x_lo = -w e^J, x_up = w e^J with w = 1 - r
         w = 1.0 - sol.rs[None, :]
         assert np.allclose(sol.lower, -w * np.exp(sol.Js[:, None]), atol=1e-6)
@@ -611,12 +605,12 @@ class TestGoldenCutsBytes:
 
 class TestVerificationHarness:
     def test_solver_passes_against_own_closed_form(self):
-        sol = solve_case1(example1_problem("I"))
+        sol = solve_first_order(example1_problem("I"))
         report = verify_against_closed_form(sol, example1_case1_band, tol=1e-6)
         assert report.passed and report.max_error < 1e-6
 
     def test_perturbed_formula_calibrates_harness(self):
-        sol = solve_case1(example1_problem("I"))
+        sol = solve_first_order(example1_problem("I"))
 
         def shifted(J, r):
             lo, up = example1_case1_band(J, r)
@@ -626,7 +620,7 @@ class TestVerificationHarness:
         assert report.max_error == pytest.approx(0.1, abs=1e-6)
 
     def test_restrict_to_valid_flag(self):
-        sol = solve_case2(example1_problem("II"))
+        sol = solve_first_order(example1_problem("II"))
         full = verify_against_closed_form(sol, example1_case2_band, tol=1e-6)
         valid_only = verify_against_closed_form(
             sol, example1_case2_band, tol=1e-6, restrict_to_valid=True
@@ -639,7 +633,7 @@ class TestVerificationHarness:
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
     def test_tolerance_must_be_finite_and_non_negative(self, tol):
-        sol = solve_case1(example1_problem("I", r_points=3, j_steps=16))
+        sol = solve_first_order(example1_problem("I", r_points=3, j_steps=16))
         with pytest.raises(ValidationError, match="tol must be a finite non-negative number"):
             verify_against_closed_form(sol, example1_case1_band, tol=tol)
 
@@ -712,15 +706,14 @@ class TestSecondOrder:
         assert np.allclose(q[:, 0], [1.0, 0.0], atol=1e-10)
         assert np.allclose(q[:, 2], [0.0, 1.0], atol=1e-10)
 
-    def test_to_solution_rejects_nan_kappas(self, solution):
-        with pytest.raises(ValidationError):
-            solution.to_solution([0.0, math.nan, 1.0])
-        with pytest.raises(DomainError):
-            solution.to_solution([math.nan])
+    def test_to_solution_needs_two_levels(self, solution):
+        with pytest.raises(ValidationError, match="needs at least the levels 0 and 1"):
+            solution.to_solution(1)
 
     def test_to_solution_layout(self, solution):
-        sol = solution.to_solution(np.linspace(0.0, 1.0, 5))
+        sol = solution.to_solution(5)
         assert sol.rs.size == 5
+        assert np.array_equal(sol.rs, np.linspace(0.0, 1.0, 5))
         assert np.all(sol.validity)
         assert np.allclose(sol.lower[:, -1], solution.crisp)
 
@@ -890,7 +883,7 @@ class TestShootingKernel:
 
 class TestSolutionCsv:
     def test_round_trip_preserves_error_report(self):
-        sol = solve_case2(example1_problem("II", r_points=21, j_steps=64))
+        sol = solve_first_order(example1_problem("II", r_points=21, j_steps=64))
         buf = io.StringIO()
         solution_to_csv(sol, buf)
         buf.seek(0)
@@ -904,7 +897,7 @@ class TestSolutionCsv:
         assert np.array_equal(reloaded.validity, sol.validity)
 
     def test_header_and_shape(self):
-        sol = solve_case1(example1_problem("I", r_points=3, j_steps=16, u_points=4))
+        sol = solve_first_order(example1_problem("I", r_points=3, j_steps=16, u_points=4))
         buf = io.StringIO()
         solution_to_csv(sol, buf)
         lines = buf.getvalue().strip().splitlines()
@@ -977,15 +970,21 @@ class TestSolutionCsv:
             solution_from_csv(io.StringIO(body))
 
     @pytest.mark.parametrize(
-        "levels",
-        [("0", "0", "0.5"), ("0", "1.5"), ("-0.5", "0.5"), ("1.25",), ("0.5", "0.5")],
+        "levels, rule",
+        [
+            (("0", "0", "0.5"), "rs must be strictly increasing with >= 2 levels"),
+            (("0", "1.5"), "the r-grid must include the levels 0 and 1"),
+            (("-0.5", "0.5"), "the r-grid must include the levels 0 and 1"),
+            (("1.25",), "rs must be strictly increasing with >= 2 levels"),
+            (("0.5", "0.5"), "rs must be strictly increasing with >= 2 levels"),
+        ],
         ids=["repeated", "above_one", "below_zero", "alone_above_one", "all_equal"],
     )
-    def test_r_column_must_increase_within_unit_interval(self, levels):
+    def test_r_column_must_increase_within_unit_interval(self, levels, rule):
         # two u-blocks that share the r column, all rows flagged valid
         rows = [f"{u},{u},{r},1,2,1" for u in (0, 1) for r in levels]
         body = "u,J,r,lower,upper,valid\n" + "\n".join(rows) + "\n"
-        message = r"^solution CSV r column must be strictly increasing within \[0, 1\]$"
+        message = "^solution CSV r column: " + re.escape(rule) + "$"
         with pytest.raises(ValidationError, match=message):
             solution_from_csv(io.StringIO(body))
 
@@ -996,19 +995,59 @@ class TestSolutionCsv:
         with pytest.raises(ValidationError, match="do not share one r column"):
             solution_from_csv(io.StringIO("u,J,r,lower,upper,valid\n" + "\n".join(rows) + "\n"))
 
-    @pytest.mark.parametrize("levels", [("0.25", "0.75"), ("0", "1"), ("0.1", "0.2", "0.9")])
-    def test_r_column_need_not_hold_both_ends(self, levels):
+    @pytest.mark.parametrize("levels", [("0.25", "0.75"), ("0.1", "0.2", "0.9")])
+    def test_r_column_must_hold_both_ends(self, levels):
+        # FuzzyNumber, and so r_slice, needs the levels 0 and 1
         rows = [f"{u},{u},{r},1,2,1" for u in (0, 1) for r in levels]
+        message = r"^solution CSV r column: the r-grid must include the levels 0 and 1$"
+        with pytest.raises(ValidationError, match=message):
+            solution_from_csv(io.StringIO("u,J,r,lower,upper,valid\n" + "\n".join(rows) + "\n"))
+
+    def test_r_column_of_both_ends_loads(self):
+        rows = [f"{u},{u},{r},1,2,1" for u in (0, 1) for r in ("0", "1")]
         sol = solution_from_csv(io.StringIO("u,J,r,lower,upper,valid\n" + "\n".join(rows) + "\n"))
-        # loads, as to_solution accepts such kappas; FuzzyNumber (and so
-        # r_slice) still needs the levels 0 and 1
-        assert sol.rs.tolist() == [float(r) for r in levels]
+        assert sol.rs.tolist() == [0.0, 1.0]
+        assert sol.r_slice(1).core.lo == 1.0
 
     @pytest.mark.parametrize("flag", ["7", "nan", "-1", "0.5"])
     def test_valid_column_must_be_zero_or_one(self, flag):
         body = f"u,J,r,lower,upper,valid\n0,0,0,1,2,{flag}\n0,0,1,1,2,{flag}\n"
         with pytest.raises(ValidationError, match="must hold 0 or 1"):
             solution_from_csv(io.StringIO(body))
+
+
+# every FuzzySolution the library makes, on small grids
+_PRODUCERS = {
+    **{
+        f"case{case}_{method}": (
+            lambda case=case, method=method: solve_first_order(
+                example1_problem(case, r_points=11, j_steps=64), method=method
+            )
+        )
+        for case in ("I", "II")
+        for method in ("full", "cuts")
+    },
+    **{
+        f"to_solution_{n}": (lambda n=n: solve_second_order_bvp(example2_bvp(steps=64)).to_solution(n))
+        for n in (2, 5)
+    },
+}
+
+
+class TestRSliceInvariant:
+    @pytest.mark.parametrize("reload", [False, True], ids=["direct", "csv"])
+    @pytest.mark.parametrize("producer", sorted(_PRODUCERS))
+    def test_every_valid_row_slices(self, producer, reload):
+        sol = _PRODUCERS[producer]()
+        if reload:
+            buf = io.StringIO()
+            solution_to_csv(sol, buf)
+            buf.seek(0)
+            sol = solution_from_csv(buf, case=sol.case)
+        valid = np.flatnonzero(sol.validity)
+        assert valid.size > 1
+        for i in valid:
+            assert isinstance(sol.r_slice(i), FuzzyNumber)
 
 
 class TestProblemJson:
@@ -1035,7 +1074,7 @@ class TestProblemJson:
             "j_steps": 64,
         }
         problem = problem_from_json(json.loads(json.dumps(spec)))
-        sol = solve_case1(problem)
+        sol = solve_first_order(problem)
         lo, up = band_case1(sol.Js[:, None], sol.rs[None, :])
         assert float(np.max(np.abs(sol.lower - lo))) < 1e-5
 

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from ffcalc import (
-    CurveFunction,
     DegenerateDenominatorError,
     DomainError,
     J_at,
@@ -136,11 +135,3 @@ class TestIntegral:
             f_integral(lambda u: u, curve, table, 0.5, 0.25)
         with pytest.raises(DomainError):
             f_integral(lambda u: u, curve, table, -0.5, 0.5)
-
-
-class TestCurveFunction:
-    def test_wrapper_delegates(self, segment_table_12):
-        _, table = segment_table_12
-        cf = CurveFunction(lambda u: 2.0 * np.asarray(u, dtype=float), (0.0, 1.0))
-        assert cf(0.25) == 0.5
-        assert f_derivative(cf, table, 0.5) == pytest.approx(2.0, abs=1e-9)

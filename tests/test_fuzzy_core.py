@@ -19,7 +19,6 @@ from ffcalc import (
     hukuhara_diff,
     make_crisp,
     make_triangular,
-    r_cut,
     scale,
     validate,
 )
@@ -36,17 +35,17 @@ def triangular_numbers(draw):
 class TestConstruction:
     def test_triangular_peak_cut(self):
         A = make_triangular(2.0, 3.0, 4.0)
-        cut = r_cut(A, 1.0)
+        cut = A.r_cut(1.0)
         assert cut.lo == 3.0 and cut.hi == 3.0
 
     def test_crisp_zero(self):
         Z = make_triangular(0.0, 0.0, 0.0)
         assert Z.is_crisp
         for r in (0.0, 0.3, 1.0):
-            assert r_cut(Z, r) == Interval(0.0, 0.0)
+            assert Z.r_cut(r) == Interval(0.0, 0.0)
 
     def test_half_cut_interpolates(self):
-        cut = r_cut(make_triangular(0.0, 1.0, 2.0), 0.5)
+        cut = make_triangular(0.0, 1.0, 2.0).r_cut(0.5)
         assert cut.lo == pytest.approx(0.5) and cut.hi == pytest.approx(1.5)
 
     def test_ordering_enforced(self):
@@ -92,25 +91,25 @@ class TestCuts:
     def test_crisp_cut_any_level(self):
         A = make_crisp(5.0)
         for r in (0.0, 0.17, 1.0):
-            assert r_cut(A, r) == Interval(5.0, 5.0)
+            assert A.r_cut(r) == Interval(5.0, 5.0)
 
     def test_band_family_r_zero(self):
         # endpoints r and 2 - r give support [0, 2]
         A = make_triangular(0.0, 1.0, 2.0)
-        assert r_cut(A, 0.0) == Interval(0.0, 2.0)
+        assert A.r_cut(0.0) == Interval(0.0, 2.0)
 
     def test_centered_family_collapses_at_one(self):
         # endpoints r - 1 and 1 - r collapse to {0}
         C = make_triangular(-1.0, 0.0, 1.0)
-        cut = r_cut(C, 1.0)
+        cut = C.r_cut(1.0)
         assert cut.lo == 0.0 and cut.hi == 0.0
 
     def test_out_of_range_level(self):
         A = make_crisp(0.0)
         with pytest.raises(DomainError):
-            r_cut(A, 1.5)
+            A.r_cut(1.5)
         with pytest.raises(DomainError):
-            r_cut(A, -0.1)
+            A.r_cut(-0.1)
 
     @pytest.mark.parametrize("rs", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
     def test_nan_level_is_a_domain_error(self, rs):
@@ -285,7 +284,7 @@ class TestValidate:
 class TestJson:
     def test_triangular_spec(self):
         A = fuzzy_from_json({"kind": "triangular", "a": 2, "b": 3, "c": 4})
-        assert r_cut(A, 1.0).lo == 3.0
+        assert A.r_cut(1.0).lo == 3.0
 
     def test_table_round_trip(self):
         A = make_triangular(0.0, 1.0, 2.0, rs=np.linspace(0, 1, 5))

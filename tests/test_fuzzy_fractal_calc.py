@@ -91,6 +91,13 @@ class TestContinuityProbe:
         with pytest.raises(ValidationError):
             ff_continuity_probe(f, 0.5, [0.01, 0.02])
 
+    def test_crisp_embedding_keeps_its_domain(self):
+        f = crisp_embedding(lambda u: 2.0 * np.asarray(u, dtype=float), (0, 3))
+        assert f.domain == (0.0, 3.0)
+        assert f(2.5).core.lo == 5.0
+        probe = ff_continuity_probe(f, 3.0, [0.5])  # 3 is inside the domain
+        assert np.isnan(probe.right[0]) and probe.left[0] == 1.0
+
     @pytest.mark.parametrize("deltas", [[np.nan], [0.1, np.nan]], ids=["single", "array"])
     def test_nan_delta_rejected(self, segment6, deltas):
         _, table = segment6
