@@ -23,15 +23,16 @@ def format_columns(*columns) -> str:
     return format_table(",".join(["%.17g"] * table.shape[1]) + "\n", table)
 
 
-def write_csv(target, header: str, body: str) -> None:
+def write_csv(target, header: str, body) -> None:
     """Write a header line and a formatted body to a path or a writable
-    text buffer."""
-    payload = header + "\n" + body
-    if hasattr(target, "write"):
-        target.write(payload)
-    else:
+    text buffer. The body is a string or an iterable of strings, written
+    in turn, so a long body need never be held whole."""
+    if not hasattr(target, "write"):
         with open(target, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+            return write_csv(fh, header, body)
+    target.write(header + "\n")
+    for chunk in (body,) if isinstance(body, str) else body:
+        target.write(chunk)
 
 
 def spec_fields(spec: dict, what: str, required, optional=()) -> None:

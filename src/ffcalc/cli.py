@@ -29,7 +29,7 @@ from .fractal_curve import (
 )
 from .ffde import (
     SecondOrderFuzzyBvp,
-    _check_grid_size,
+    _check_kappa_grid,
     ode_residual_max,
     solution_to_csv,
     solve_first_order,
@@ -170,11 +170,12 @@ def _cmd_differentiate(args) -> int:
 def _kappa_levels(spec: dict, problem) -> int:
     """The number of kappa levels of a second-order run: the spec's
     ``r_points`` with problem_from_json's default, which has checked the
-    field's type, kept within the grid cap."""
+    field's type. It is held to to_solution's grid cap before the solve, so
+    an oversized table is refused without first solving for it."""
     r_points = spec.get("r_points", DEFAULT_R_LEVELS)
     if r_points < 2:
         raise ValidationError("r_points must be >= 2")
-    _check_grid_size("(steps + 1) x r_points", (problem.steps + 1) * r_points)
+    _check_kappa_grid(problem.steps + 1, r_points)
     return r_points
 
 

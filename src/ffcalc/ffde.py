@@ -27,11 +27,12 @@ from .errors import (
     DomainError,
     ValidationError,
 )
-from .fractal_curve import J_at, StaircaseTable
+from .fractal_curve import J_at, StaircaseTable, _in_query_order
 from .fuzzy_core import (
     DEFAULT_R_LEVELS,
     FuzzyNumber,
     TriangularFuzzy,
+    _block_rows,
     _check_level_grid,
     _check_tol,
     _rejected_rows,
@@ -71,35 +72,65 @@ class _CubicHermite:
     so results agree with it bit for bit; the basis-function form differs in
     the last ulp. The last node is reached through the last interval's cubic
     and so is reproduced to rounding, not exactly.
+
+    No coefficient table is built up front. A call takes its queries in
+    ascending order, a block of ``_block_rows`` queries at a time, and forms
+    the coefficients of only the intervals that block reaches, from slices
+    of ``x``, ``y`` and ``m``; every temporary stays block-sized, and each
+    value is computed by the same operations as from a full table.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
-        dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
-        slope = np.diff(y, axis=0) / dx
-        t = (m[:-1] + m[1:] - 2 * slope) / dx
-        self._x = x
-        self._c = (t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])
+        self._x, self._y, self._m = x, y, m
 
     def __call__(self, xq) -> np.ndarray:
         xq = np.asarray(xq, dtype=float)
         x = self._x
         if not ((xq >= x[0]) & (xq <= x[-1])).all():  # also false for NaN
             raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
+        return _in_query_order(self._ascending, xq)
+
+    def _ascending(self, xq: np.ndarray) -> np.ndarray:
+        """Values at queries that are non-decreasing once ravelled."""
+        x, y, m = self._x, self._y, self._m
         flat = xq.ravel()
-        i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
-        s = (flat - x[i]).reshape((-1,) + (1,) * (self._c[0].ndim - 1))
-        # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's order of operations;
-        # indexing with the array i gathers copies, so terms are formed in place
-        c0, c1, c2, c3 = (c[i] for c in self._c)
-        c2 *= s
-        c2 += c3
-        s2 = s * s
-        c1 *= s2
-        c2 += c1
-        s2 *= s
-        c0 *= s2
-        c2 += c0
-        return c2.reshape(xq.shape + c2.shape[1:])
+        # the interval closed on the left that holds each query; x[-1] falls
+        # in the last one, so interior nodes alone decide
+        i = np.searchsorted(x[1:-1], flat, side="right")
+        out = np.empty(flat.shape + y.shape[1:])
+        col = (-1,) + (1,) * (y.ndim - 1)
+        step = _block_rows(math.prod(y.shape[1:]))
+        for a in range(0, flat.size, step):
+            ib = i[a : a + step]
+            lo, hi = int(ib[0]), int(ib[-1]) + 1  # intervals lo..hi-1, nodes lo..hi
+            dx = (x[lo + 1 : hi + 1] - x[lo:hi]).reshape(col)
+            m0 = m[lo:hi]
+            slope = y[lo + 1 : hi + 1] - y[lo:hi]
+            slope /= dx
+            t = m0 + m[lo + 1 : hi + 1]
+            t -= 2 * slope
+            t /= dx
+            # c1 = (slope - m0) / dx - t, c0 = t / dx
+            slope -= m0
+            slope /= dx
+            slope -= t
+            t /= dx
+            k = ib - lo
+            s = (flat[a : a + step] - x[ib]).reshape(col)
+            # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's order of operations;
+            # indexing with an array gathers copies, so terms are formed in place
+            c2 = m0[k]
+            c2 *= s
+            c2 += y[ib]
+            s2 = s * s
+            c1 = slope[k]
+            c1 *= s2
+            c2 += c1
+            s2 *= s
+            c0 = t[k]
+            c0 *= s2
+            np.add(c2, c0, out=out[a : a + step])
+        return out.reshape(xq.shape + y.shape[1:])
 
 
 @dataclass(frozen=True)
@@ -349,6 +380,11 @@ def _check_grid_size(what: str, cells) -> None:
         )
 
 
+def _check_kappa_grid(nodes: int, r_points) -> None:
+    """The cap on the kappa table of a BVP solved on ``nodes`` grid nodes."""
+    _check_grid_size("(steps + 1) x r_points", nodes * r_points)
+
+
 @dataclass(frozen=True)
 class FirstOrderFfdeProblem:
     """First-order fuzzy initial-value problem in parametric form.
@@ -472,14 +508,15 @@ def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> F
     Jus = J_at(problem.table, us)
 
     if method == "full":
-        traj = _integrate_bands(problem, rs, swap)
-        vals = traj.at(Jus)
+        # neither the trajectory nor the dense table outlives the split into
+        # bands, so both are freed before the validity pass
+        vals = _integrate_bands(problem, rs, swap).at(Jus)
         lower = vals[:, : rs.size].copy()
         upper = vals[:, rs.size :].copy()
+        del vals
     else:
         cut_rs = np.array([0.0, 1.0])
-        traj = _integrate_bands(problem, cut_rs, swap)
-        vals = traj.at(Jus)
+        vals = _integrate_bands(problem, cut_rs, swap).at(Jus)
         lo_c, up_c = vals[:, :2], vals[:, 2:]
         w1 = rs[None, :]
         w0 = 1.0 - w1
@@ -568,17 +605,28 @@ def verify_against_closed_form(
 
 def solution_to_csv(sol: FuzzySolution, target) -> None:
     """Write ``u,J,r,lower,upper,valid`` rows, row-major over u then r,
-    at full double precision."""
+    at full double precision.
+
+    The body is formatted and written a block of ``_block_rows`` u-rows at a
+    time, so no table of the whole body's cells is ever built."""
     n_u, n_r = sol.lower.shape
-    # one block of n_r lines per u; u, J and the flag are formatted once per
-    # block and r once per level
-    cells = np.empty((n_u, n_r, 4), dtype=object)
-    cells[..., 0] = np.array(format_columns(sol.us, sol.Js).splitlines(), dtype=object)[:, None]
-    cells[..., 1] = sol.lower
-    cells[..., 2] = sol.upper
-    cells[..., 3] = sol.validity.astype(int)[:, None]
-    block = "".join(f"%s,{r},%.17g,%.17g,%d\n" for r in format_columns(sol.rs).splitlines())
-    write_csv(target, "u,J,r,lower,upper,valid", format_table(block, cells.reshape(n_u, -1)))
+    # n_r lines per u; u, J and the flag are formatted once per u, r once per level
+    lines = "".join(f"%s,{r},%.17g,%.17g,%d\n" for r in format_columns(sol.rs).splitlines())
+    step = _block_rows(n_r)
+    blocks = (_csv_block(sol, slice(a, a + step), lines) for a in range(0, n_u, step))
+    write_csv(target, "u,J,r,lower,upper,valid", blocks)
+
+
+def _csv_block(sol: FuzzySolution, rows: slice, lines: str) -> str:
+    """The CSV lines of the u-rows ``rows``, through the per-u format ``lines``."""
+    lower = sol.lower[rows]
+    cells = np.empty(lower.shape + (4,), dtype=object)
+    uj = format_columns(sol.us[rows], sol.Js[rows]).splitlines()
+    cells[..., 0] = np.array(uj, dtype=object)[:, None]
+    cells[..., 1] = lower
+    cells[..., 2] = sol.upper[rows]
+    cells[..., 3] = sol.validity[rows].astype(int)[:, None]
+    return format_table(lines, cells.reshape(lower.shape[0], -1))
 
 
 def solution_from_csv(source, case: str = "unknown") -> FuzzySolution:
@@ -731,7 +779,9 @@ class SecondOrderSolution:
 
     def to_solution(self, r_points: int = DEFAULT_R_LEVELS) -> FuzzySolution:
         """Band table over ``r_points`` evenly spaced kappa levels from 0 to
-        1, in the FuzzySolution layout."""
+        1, in the FuzzySolution layout. Its size is checked against
+        ``MAX_GRID_CELLS`` before anything is allocated."""
+        _check_kappa_grid(self.js.size, r_points)
         kappas = default_r_grid(r_points)
         w = (1.0 - kappas)[None, :]
         lower = self.crisp[:, None] + w * self.un_lower[:, None]

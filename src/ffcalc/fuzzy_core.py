@@ -360,15 +360,35 @@ def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float):
     )
 
 
+# Values per block of a blocked pass over a band table: 2**16 float64s, so
+# each of the block's temporaries is 512 KB and a block stays in L2.
+_BLOCK_VALUES = 2**16
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows of an (n, n_cols) table per block of a blocked pass (at least one)."""
+    return max(1, _BLOCK_VALUES // max(1, n_cols))
+
+
 def _rejected_rows(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     """Which rows of band tables of shape (n, n_r) the FuzzyNumber constructor
     would reject: rows with a non-finite entry, and rows whose shape defects
-    exceed _SHAPE_TOL times the row's own scale max(1, row abs-max)."""
-    scale = np.maximum(np.abs(lowers).max(axis=1), np.abs(uppers).max(axis=1))
-    np.maximum(scale, 1.0, out=scale)  # NaN stays NaN
-    with np.errstate(invalid="ignore"):  # inf - inf, in rows rejected as non-finite anyway
-        bad_lo, bad_up, bad_w = _band_defects(lowers, uppers, _SHAPE_TOL * scale[:, None])
-    return ~np.isfinite(scale) | bad_lo.any(axis=1) | bad_up.any(axis=1) | bad_w.any(axis=1)
+    exceed _SHAPE_TOL times the row's own scale max(1, row abs-max).
+
+    Each row is judged on its own, so the table is judged a block of rows at
+    a time and no temporary grows with the row count."""
+    rejected = np.empty(lowers.shape[0], dtype=bool)
+    step = _block_rows(lowers.shape[1])
+    for a in range(0, lowers.shape[0], step):
+        lo, up = lowers[a : a + step], uppers[a : a + step]
+        scale = np.maximum(np.abs(lo).max(axis=1), np.abs(up).max(axis=1))
+        np.maximum(scale, 1.0, out=scale)  # NaN stays NaN
+        with np.errstate(invalid="ignore"):  # inf - inf, in rows rejected as non-finite anyway
+            bad_lo, bad_up, bad_w = _band_defects(lo, up, _SHAPE_TOL * scale[:, None])
+        rejected[a : a + step] = (
+            ~np.isfinite(scale) | bad_lo.any(axis=1) | bad_up.any(axis=1) | bad_w.any(axis=1)
+        )
+    return rejected
 
 
 def _violations(rs, lowers, uppers, defects) -> list[Violation]:

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -710,6 +711,14 @@ class TestSecondOrder:
         with pytest.raises(ValidationError, match="needs at least the levels 0 and 1"):
             solution.to_solution(1)
 
+    def test_to_solution_checks_the_grid_cap_first(self, solution):
+        over = MAX_GRID_CELLS // solution.js.size + 1  # one level past the cap
+        message = f"grid too large: (steps + 1) x r_points = {solution.js.size * over:.4g} cells"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            solution.to_solution(over)
+        with pytest.raises(ValidationError, match="grid too large"):
+            solution.to_solution(MAX_GRID_CELLS)
+
     def test_to_solution_layout(self, solution):
         sol = solution.to_solution(5)
         assert sol.rs.size == 5
@@ -1032,6 +1041,35 @@ _PRODUCERS = {
         for n in (2, 5)
     },
 }
+
+
+class TestPeakMemory:
+    """Peaks traced by tracemalloc for the largest solve in the tests, a
+    4096-step, 101-level segment problem, and for writing it out. The dense
+    output, the validity flags and the CSV body are formed a block of rows
+    at a time, so no full-size temporary sits beside the result."""
+
+    @staticmethod
+    def _peak(fn):
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_solve_peaks_below_five_results(self):
+        problem = example1_problem("I", r_points=101, j_steps=4096)
+        solve_first_order(example1_problem("I", r_points=5, j_steps=16))  # first-call caches
+        sol, peak = self._peak(lambda: solve_first_order(problem))
+        assert peak < 5 * (sol.lower.nbytes + sol.upper.nbytes)
+
+    def test_csv_write_peaks_below_40_mb(self, tmp_path):
+        sol = solve_first_order(example1_problem("I", r_points=101, j_steps=4096))
+        _, peak = self._peak(lambda: solution_to_csv(sol, tmp_path / "big.csv"))
+        assert peak < 40e6
+        with open(tmp_path / "big.csv", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + 4097 * 101
 
 
 class TestRSliceInvariant:

@@ -8,11 +8,14 @@ library must give the same reports, flags, messages, exceptions and bits on
 every input.
 """
 
+import contextlib
 import hashlib
+import io
 import itertools
 import math
 import re
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,14 +42,16 @@ from ffcalc import (
     mass_function,
     build_staircase,
     crisp_embedding,
+    example1_problem,
     ff_riemann_integral,
     gamma_dimension,
     scale,
+    solve_first_order,
     triangular_field,
     u_at,
     validate,
 )
-from ffcalc import fractal_calc, fractal_curve, fuzzy_core
+from ffcalc import ffde, fractal_calc, fractal_curve, fuzzy_core
 from ffcalc.fuzzy_core import (
     DEFAULT_R_LEVELS,
     _DEFAULT_RS,
@@ -1602,3 +1607,192 @@ class TestRefineEndpointCheck:
         curve = FractalCurve(np.array([0.0, 1.0]), np.array([[0.0], [1.0]]), widen)
         with pytest.raises(ValidationError, match="^refinement moved an endpoint image$"):
             curve.refine()
+
+
+# ---------------------------------------------------------------------------
+# blocked dense output, validity flags and CSV body
+
+
+class ref_CubicHermite:
+    """``ffde._CubicHermite`` as it was when it built its whole coefficient
+    table up front and gathered from it in the batch's own order."""
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
+        dx = np.diff(x).reshape((-1,) + (1,) * (y.ndim - 1))
+        slope = np.diff(y, axis=0) / dx
+        t = (m[:-1] + m[1:] - 2 * slope) / dx
+        self._x = x
+        self._c = (t / dx, (slope - m[:-1]) / dx - t, m[:-1], y[:-1])
+
+    def __call__(self, xq) -> np.ndarray:
+        xq = np.asarray(xq, dtype=float)
+        x = self._x
+        if not ((xq >= x[0]) & (xq <= x[-1])).all():  # also false for NaN
+            raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
+        flat = xq.ravel()
+        i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
+        s = (flat - x[i]).reshape((-1,) + (1,) * (self._c[0].ndim - 1))
+        c0, c1, c2, c3 = (c[i] for c in self._c)
+        c2 *= s
+        c2 += c3
+        s2 = s * s
+        c1 *= s2
+        c2 += c1
+        s2 *= s
+        c0 *= s2
+        c2 += c0
+        return c2.reshape(xq.shape + c2.shape[1:])
+
+
+def ref_rejected_rows(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """``fuzzy_core._rejected_rows`` as it was, one pass over the whole table."""
+    scale = np.maximum(np.abs(lowers).max(axis=1), np.abs(uppers).max(axis=1))
+    np.maximum(scale, 1.0, out=scale)  # NaN stays NaN
+    with np.errstate(invalid="ignore"):
+        bad_lo, bad_up, bad_w = _band_defects(lowers, uppers, _SHAPE_TOL * scale[:, None])
+    return ~np.isfinite(scale) | bad_lo.any(axis=1) | bad_up.any(axis=1) | bad_w.any(axis=1)
+
+
+def ref_solution_to_csv(sol, target) -> None:
+    """``ffde.solution_to_csv`` as it was, one cell table for the whole body."""
+    n_u, n_r = sol.lower.shape
+    cells = np.empty((n_u, n_r, 4), dtype=object)
+    cells[..., 0] = np.array(
+        ffde.format_columns(sol.us, sol.Js).splitlines(), dtype=object
+    )[:, None]
+    cells[..., 1] = sol.lower
+    cells[..., 2] = sol.upper
+    cells[..., 3] = sol.validity.astype(int)[:, None]
+    block = "".join(f"%s,{r},%.17g,%.17g,%d\n" for r in ffde.format_columns(sol.rs).splitlines())
+    ffde.write_csv(target, "u,J,r,lower,upper,valid", ffde.format_table(block, cells.reshape(n_u, -1)))
+
+
+# None keeps the library's block size; the others force many blocks, down
+# to one row (one query, one u-row) per block
+BLOCK_ROWS = st.sampled_from([None, 1, 2, 3, 5])
+
+
+@contextlib.contextmanager
+def block_rows(rows):
+    """Every blocked pass with ``rows`` rows per block (None: unchanged)."""
+    if rows is None:
+        yield
+        return
+    with mock.patch.object(fuzzy_core, "_block_rows", lambda n_cols: rows), mock.patch.object(
+        ffde, "_block_rows", lambda n_cols: rows
+    ):
+        yield
+
+
+@st.composite
+def hermite_tables(draw):
+    """Nodes, values and slopes of a piecewise cubic: 1-d values (as the
+    BVP's ``crisp_at`` has), 4 columns or 202 (101 levels, two bands), with
+    NaN or infinite values in a few rows, some of them at a block edge."""
+    n = draw(st.integers(2, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = np.cumsum(rng.uniform(1e-3, 2.0, n)) + draw(st.sampled_from([-3.0, 0.0, 1e3]))
+    trailing = draw(st.sampled_from([(), (4,), (202,)]))
+    y = rng.normal(size=(n,) + trailing) * draw(st.sampled_from([1.0, 1e-8, 1e150]))
+    m = rng.normal(size=(n,) + trailing)
+    for _ in range(draw(st.integers(0, 2))):
+        row = draw(st.sampled_from([0, 1, 2, 3, n // 2, n - 2, n - 1]))
+        (y if draw(st.booleans()) else m)[min(row, n - 1)] = draw(NON_FINITE)
+    return x, y, m
+
+
+def dense_outcome(dense, q):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in non-finite rows
+        try:
+            got = dense(q)
+        except DomainError as exc:
+            return (DomainError, str(exc))
+    return ("array", array_key(got))
+
+
+@st.composite
+def block_tables(draw):
+    """Band tables of 1-12 rows on 1, 4 or 101 levels, with defects at the
+    tolerance of each row's scale and NaN/inf rows at or next to block edges."""
+    n_r = draw(st.sampled_from([1, 4, DEFAULT_R_LEVELS]))
+    rows = [draw(default_grid_rows(n_r)) for _ in range(draw(st.integers(1, 12)))]
+    lower = np.array([r[0] for r in rows])
+    upper = np.array([r[1] for r in rows])
+    for k, (lo, up, magnitude) in enumerate(rows):
+        if n_r > 1:
+            place_defects(draw, lower[k], upper[k], _SHAPE_TOL * ref_scale_of(lo, up), magnitude)
+    for _ in range(draw(st.integers(0, 3))):
+        row = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 6]))
+        if row < len(rows):
+            (lower if draw(st.booleans()) else upper)[row, draw(st.integers(0, n_r - 1))] = draw(
+                NON_FINITE
+            )
+    return lower, upper
+
+
+class TestBlockedPasses:
+    @given(hermite_tables(), BLOCK_ROWS, st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_dense_output_is_bit_equal(self, table, rows, data):
+        x, y, m = table
+        q = data.draw(query_batches(x))
+        with block_rows(rows):
+            got = dense_outcome(lambda q: ffde._CubicHermite(x, y, m)(q), q)
+        assert got == dense_outcome(lambda q: ref_CubicHermite(x, y, m)(q), q)
+        assert got[0] == "array"
+
+    @given(hermite_tables(), BLOCK_ROWS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_bad_queries_are_domain_errors(self, table, rows, data):
+        x, y, m = table
+        q = with_bad_query(data.draw, data.draw(query_batches(x)), float(x[0]), float(x[-1]))
+        if data.draw(st.booleans()):  # the bad query alone, 0-d
+            q = q[~((q >= x[0]) & (q <= x[-1]))].reshape(())
+        with block_rows(rows):
+            got = dense_outcome(lambda q: ffde._CubicHermite(x, y, m)(q), q)
+        assert got == dense_outcome(lambda q: ref_CubicHermite(x, y, m)(q), q)
+        assert got[0] is DomainError
+
+    def test_every_query_block_of_a_solver_grid(self):
+        traj = ffde.solve_crisp_in_J(lambda J, y: -y + np.sin(3 * J), [1.0, -2.0, 0.5], (0, 2), 64)
+        q = np.concatenate([traj.js, np.linspace(0.0, 2.0, 301)])
+        want = ref_CubicHermite(traj.js, traj.states, traj.slopes)(q)
+        for rows in (1, 2, 7, 64, 65, None):
+            with block_rows(rows):
+                assert same_bytes(traj.at(q), want)
+                assert same_bytes(traj.at(np.sort(q)), want[np.argsort(q, kind="stable")])
+
+    @given(block_tables(), BLOCK_ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_validity_flags_are_the_same(self, table, rows):
+        lowers, uppers = table
+        with block_rows(rows), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _rejected_rows(lowers, uppers)
+        assert same_bytes(got, ref_rejected_rows(lowers, uppers))
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 16, None])
+    @pytest.mark.parametrize("u_points", [2, 17])
+    def test_csv_bytes_are_the_same(self, rows, u_points):
+        problem = example1_problem("II", r_points=7, j_steps=16, u_points=u_points)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the second of 2 rows is past the horizon
+            sol = solve_first_order(problem)
+        want = io.StringIO()
+        ref_solution_to_csv(sol, want)
+        got = io.StringIO()
+        with block_rows(rows):
+            ffde.solution_to_csv(sol, got)
+        assert got.getvalue() == want.getvalue()
+
+    def test_solves_are_the_same_in_tiny_blocks(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # case II past its horizon
+            for case, method in itertools.product(["I", "II"], ["full", "cuts"]):
+                problem = example1_problem(case, r_points=11, j_steps=32)
+                want = solve_first_order(problem, method)
+                with block_rows(3):
+                    got = solve_first_order(problem, method)
+                for name in ("us", "Js", "rs", "lower", "upper", "validity"):
+                    assert same_bytes(getattr(got, name), getattr(want, name))
