@@ -58,13 +58,19 @@ def spec_kind(spec, what: str, kinds: dict) -> tuple[str, dict]:
     return kind, spec
 
 
+# values that float() converts but that are not JSON numbers
+_NOT_NUMBERS = (bool, np.bool_, str)
+
+
 def spec_number(value, name: str) -> float:
-    """Convert a JSON spec field to float, raising ValidationError instead
-    of the bare conversion error."""
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValidationError(f"'{name}' must be a number, got {value!r}") from None
+    """A JSON spec field that must be a number, as a float: never a bool or
+    a string, however numeric, just as :func:`spec_integer` refuses them."""
+    if not isinstance(value, _NOT_NUMBERS):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise ValidationError(f"'{name}' must be a number, got {value!r}")
 
 
 def is_integer(value) -> bool:
@@ -81,9 +87,14 @@ def spec_integer(value, name: str) -> int:
 
 
 def spec_array(value, name: str) -> np.ndarray:
-    """Convert a JSON spec field to a float array, raising ValidationError
-    for non-numeric or ragged data."""
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ValidationError(f"'{name}' must be an array of numbers") from None
+    """A JSON spec field that must be an array of numbers or of rows of
+    numbers, as a float array. A bool or string entry is refused like
+    ragged or non-numeric data, though numpy would convert it."""
+    rows = value if isinstance(value, (list, tuple)) else [value]
+    leaves = [x for row in rows for x in (row if isinstance(row, (list, tuple)) else [row])]
+    if not any(isinstance(x, _NOT_NUMBERS) for x in leaves):
+        try:
+            return np.asarray(value, dtype=float)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"'{name}' must be an array of numbers")

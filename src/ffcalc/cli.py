@@ -68,6 +68,21 @@ def _base_curve(name: str, level: int):
     raise ValidationError(f"unknown curve {name!r}")
 
 
+def _curve_and_table(args):
+    """The subcommand's curve and its staircase, anchored at the curve's start."""
+    curve = _base_curve(args.curve, args.level)
+    return curve, build_staircase(curve, alpha=args.alpha)
+
+
+def _write_record(path, record: dict) -> None:
+    """Write ``record`` as a JSON line to ``path``, if given. Commands call it
+    before printing, so a failed write prints nothing but the error."""
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh)
+            fh.write("\n")
+
+
 _FUNCTIONS = {
     "one": lambda table: (lambda u: np.ones_like(np.asarray(u, dtype=float))),
     "J": lambda table: (lambda u: J_at(table, u)),
@@ -116,51 +131,42 @@ def _cmd_dim(args) -> int:
     # gamma_dimension refines the level-0 curve itself, past the generators' caps
     _check_level(args.level, args.curve, _MAX_LEVELS[args.curve])
     est = gamma_dimension(base, tol=args.tol, max_level=args.level)
+    _write_record(args.out, {"curve": args.curve, "max_level": args.level, "estimate": est})
     print(f"gamma-dimension estimate: {est:.6g} (curve={args.curve}, levels<={args.level})")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump({"curve": args.curve, "max_level": args.level, "estimate": est}, fh)
-            fh.write("\n")
     return 0
 
 
 def _cmd_staircase(args) -> int:
-    curve = _base_curve(args.curve, args.level)
-    table = build_staircase(curve, alpha=args.alpha, p0=curve.a0)
+    _, table = _curve_and_table(args)
     staircase_to_csv(table, args.out)
     print(f"staircase: {table.us.size} rows, J range [{table.Js[0]:.12g}, {table.Js[-1]:.12g}] -> {args.out}")
     return 0
 
 
 def _cmd_integrate(args) -> int:
-    curve = _base_curve(args.curve, args.level)
-    table = build_staircase(curve, alpha=args.alpha, p0=curve.a0)
+    curve, table = _curve_and_table(args)
     f = _FUNCTIONS[args.fn](table)
     result = f_integral(f, curve, table)
+    _write_record(
+        args.out,
+        {
+            "fn": args.fn,
+            "value": result.value,
+            "lower_sum": result.lower_sum,
+            "upper_sum": result.upper_sum,
+            "converged": result.converged,
+        },
+    )
     print(
         f"integral of {args.fn} over the whole curve: {result.value:.12g} "
         f"(bracket [{result.lower_sum:.12g}, {result.upper_sum:.12g}], "
         f"converged={result.converged})"
     )
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(
-                {
-                    "fn": args.fn,
-                    "value": result.value,
-                    "lower_sum": result.lower_sum,
-                    "upper_sum": result.upper_sum,
-                    "converged": result.converged,
-                },
-                fh,
-            )
-            fh.write("\n")
     return 0
 
 
 def _cmd_differentiate(args) -> int:
-    curve = _base_curve(args.curve, args.level)
-    table = build_staircase(curve, alpha=args.alpha, p0=curve.a0)
+    _, table = _curve_and_table(args)
     f = _FUNCTIONS[args.fn](table)
     value = f_derivative(f, table, args.at)
     print(f"derivative of {args.fn} at u={args.at:.12g}: {value:.12g}")
@@ -268,13 +274,10 @@ def _cmd_verify(args) -> int:
         ok, report = _verify_example2(problem, args.tol)
     else:
         ok, report = _verify_example1(problem, args.tol)
+    _write_record(args.out, report)
     for key, val in report.items():
         print(f"{key}: {val}")
     print("VERIFY PASS" if ok else "VERIFY FAIL")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            json.dump(report, fh)
-            fh.write("\n")
     return 0 if ok else 3
 
 

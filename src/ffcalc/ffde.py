@@ -63,9 +63,15 @@ __all__ = [
 # crisp integration in the J coordinate
 
 
-class _CubicHermite:
+def _check_span(x: np.ndarray, xq: np.ndarray) -> None:
+    """The rule for a dense-output query: J inside the integrated span."""
+    if not ((xq >= x[0]) & (xq <= x[-1])).all():  # also false for NaN
+        raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
+
+
+def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq) -> np.ndarray:
     """Piecewise cubic through nodes ``x`` with values ``y`` and slopes ``m``
-    (both along axis 0), evaluated inside [x[0], x[-1]].
+    (both along axis 0), evaluated at ``xq`` inside [x[0], x[-1]].
 
     Coefficients and evaluation repeat scipy's CubicHermiteSpline operation
     for operation (power sum in s = x - x_i, intervals closed on the left),
@@ -79,20 +85,11 @@ class _CubicHermite:
     of ``x``, ``y`` and ``m``; every temporary stays block-sized, and each
     value is computed by the same operations as from a full table.
     """
+    xq = np.asarray(xq, dtype=float)
+    _check_span(x, xq)
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, m: np.ndarray):
-        self._x, self._y, self._m = x, y, m
-
-    def __call__(self, xq) -> np.ndarray:
-        xq = np.asarray(xq, dtype=float)
-        x = self._x
-        if not ((xq >= x[0]) & (xq <= x[-1])).all():  # also false for NaN
-            raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
-        return _in_query_order(self._ascending, xq)
-
-    def _ascending(self, xq: np.ndarray) -> np.ndarray:
+    def ascending(xq: np.ndarray) -> np.ndarray:
         """Values at queries that are non-decreasing once ravelled."""
-        x, y, m = self._x, self._y, self._m
         flat = xq.ravel()
         # the interval closed on the left that holds each query; x[-1] falls
         # in the last one, so interior nodes alone decide
@@ -132,6 +129,8 @@ class _CubicHermite:
             np.add(c2, c0, out=out[a : a + step])
         return out.reshape(xq.shape + y.shape[1:])
 
+    return _in_query_order(ascending, xq)
+
 
 @dataclass(frozen=True)
 class CrispTrajectory:
@@ -141,12 +140,9 @@ class CrispTrajectory:
     states: np.ndarray  # (n_nodes, dim)
     slopes: np.ndarray  # rhs values at the nodes
 
-    def __post_init__(self):
-        object.__setattr__(self, "_dense", _CubicHermite(self.js, self.states, self.slopes))
-
     def at(self, j):
         """Dense evaluation at J values inside the integration span."""
-        return self._dense(j)
+        return _hermite(self.js, self.states, self.slopes, j)
 
     @property
     def final(self) -> np.ndarray:
@@ -501,7 +497,7 @@ def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> F
     if method not in ("full", "cuts"):
         raise ValidationError(f"method must be 'full' or 'cuts', got {method!r}")
     swap = problem.case == "II"
-    rs = np.linspace(0.0, 1.0, problem.r_points)
+    rs = default_r_grid(problem.r_points)
     u0, u1 = problem.span
     n_u = problem.u_points if problem.u_points is not None else problem.j_steps + 1
     us = np.linspace(u0, u1, n_u)
@@ -753,22 +749,15 @@ class SecondOrderSolution:
     boundary_matrix: np.ndarray
     problem: SecondOrderFuzzyBvp
 
-    def __post_init__(self):
-        object.__setattr__(self, "_dense", _CubicHermite(self.js, self.crisp, self.crisp_slope))
-        x1, x2 = _fundamental_pair(self.problem.p, self.problem.q)
-        object.__setattr__(self, "_x1", x1)
-        object.__setattr__(self, "_x2", x2)
-
     def crisp_at(self, j):
-        return self._dense(j)
+        return _hermite(self.js, self.crisp, self.crisp_slope, j)
 
     def q_at(self, j):
         """Interpolation weights (q1, q2) of the boundary uncertainty at J
         inside the integrated span."""
-        js, jq = self.js, np.asarray(j, dtype=float)
-        if not ((jq >= js[0]) & (jq <= js[-1])).all():  # also false for NaN
-            raise DomainError(f"J outside the integrated span [{js[0]}, {js[-1]}]")
-        p_row = np.array([self._x1(j), self._x2(j)], dtype=float)
+        _check_span(self.js, np.asarray(j, dtype=float))
+        x1, x2 = _fundamental_pair(self.problem.p, self.problem.q)
+        p_row = np.array([x1(j), x2(j)], dtype=float)
         return np.linalg.solve(self.boundary_matrix.T, p_row)
 
     def kappa_band(self, kappa: float) -> tuple[np.ndarray, np.ndarray]:

@@ -41,9 +41,27 @@ class FIntegralResult:
         return self.value
 
 
-def _default_step(table: StaircaseTable, u: float) -> float:
-    idx = int(np.clip(np.searchsorted(table.us, u, side="right") - 1, 0, table.us.size - 2))
-    return float(table.us[idx + 1] - table.us[idx])
+def _step(table: StaircaseTable, u: float, h: float | None) -> float:
+    """A difference stencil's step at u: ``h``, by default one vertex spacing
+    at the working level; it must be positive."""
+    if h is None:
+        idx = int(np.clip(np.searchsorted(table.us, u, side="right") - 1, 0, table.us.size - 2))
+        h = float(table.us[idx + 1] - table.us[idx])
+    if not h > 0.0:  # NaN too
+        raise ValidationError("step h must be positive")
+    return h
+
+
+def _increment(table: StaircaseTable, u0: float, u1: float, stencil: str) -> float:
+    """J(u1) - J(u0), the denominator of a difference quotient over the
+    ``stencil`` [u0, u1], which must lie in the domain and not be flat."""
+    lo, hi = table.domain
+    if u0 < lo or u1 > hi:
+        raise DomainError(f"{stencil} [{u0}, {u1}] leaves the domain [{lo}, {hi}]")
+    dJ = J_at(table, u1) - J_at(table, u0)
+    if dJ == 0.0:
+        raise DegenerateDenominatorError(f"staircase is flat across [{u0}, {u1}]")
+    return dJ
 
 
 def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> float:
@@ -52,16 +70,8 @@ def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> 
     ``h`` defaults to one vertex spacing at the working level. Requires
     the staircase to be strictly increasing across [u - h, u + h].
     """
-    lo, hi = table.domain
-    if h is None:
-        h = _default_step(table, u)
-    if not h > 0.0:  # NaN too
-        raise ValidationError("step h must be positive")
-    if u - h < lo or u + h > hi:
-        raise DomainError(f"stencil [{u - h}, {u + h}] leaves the domain [{lo}, {hi}]")
-    den = J_at(table, u + h) - J_at(table, u - h)
-    if den == 0.0:
-        raise DegenerateDenominatorError(f"staircase is flat across [{u - h}, {u + h}]")
+    h = _step(table, u, h)
+    den = _increment(table, u - h, u + h, "stencil")
     return (float(f(u + h)) - float(f(u - h))) / den
 
 

@@ -136,10 +136,18 @@ class FractalCurve:
         return new
 
     def refined_to(self, level: int) -> "FractalCurve":
-        cur = self
-        while cur.level < level:
-            cur = cur.refine()
+        for cur in _refinements(self, level):
+            pass
         return cur
+
+
+def _refinements(curve: FractalCurve, level: int):
+    """The curve and then each refinement of it up to ``level``, one at a
+    time, so only the current level is held."""
+    yield curve
+    while curve.level < level:
+        curve = curve.refine()
+        yield curve
 
 
 @dataclass(frozen=True)
@@ -299,16 +307,17 @@ def _check_level(level, curve: str, cap: int) -> int:
     return int(level)
 
 
+def _generate(ends, refiner: Refiner, level, name: str, cap: int) -> FractalCurve:
+    """The one-segment curve over [0, 1] between the points ``ends``, refined
+    to ``level``, which is checked against ``cap`` before anything is built."""
+    level = _check_level(level, name, cap)
+    base = FractalCurve(np.array([0.0, 1.0]), np.array(ends, dtype=float), refiner=refiner)
+    return base.refined_to(level)
+
+
 def generate_koch(level: int) -> FractalCurve:
     """Standard von Koch polyline over [0, 1] with 4**level segments."""
-    level = _check_level(level, "koch", KOCH_MAX_LEVEL)
-    base = FractalCurve(
-        np.array([0.0, 1.0]),
-        np.array([[0.0, 0.0], [1.0, 0.0]]),
-        refiner=_koch_refiner,
-        level=0,
-    )
-    return base.refined_to(level)
+    return _generate([[0.0, 0.0], [1.0, 0.0]], _koch_refiner, level, "koch", KOCH_MAX_LEVEL)
 
 
 def _midpoint_refiner(curve: FractalCurve) -> FractalCurve:
@@ -331,14 +340,9 @@ def generate_segment(start=(0.0, 0.0), end=(1.0, 0.0), level: int = 0) -> Fracta
     segment usable wherever a smooth refinable reference curve is needed
     (dimension estimates in particular).
     """
-    level = _check_level(level, "segment", SEGMENT_MAX_LEVEL)
-    base = FractalCurve(
-        np.array([0.0, 1.0]),
-        np.array([list(start), list(end)], dtype=float),
-        refiner=_midpoint_refiner,
-        level=0,
+    return _generate(
+        [list(start), list(end)], _midpoint_refiner, level, "segment", SEGMENT_MAX_LEVEL
     )
-    return base.refined_to(level)
 
 
 # ---------------------------------------------------------------------------
@@ -398,17 +402,11 @@ def mass_function(
     target = curve.level if max_level is None else int(max_level)
     if target < curve.level:
         raise ValidationError("max_level below the curve's current level")
-    if target > curve.level and curve.refiner is None:
-        raise CapabilityError("refinement requested but the curve is not refinable")
 
     levels: list[tuple[int, float]] = []
-    cur = curve
-    while True:
+    for cur in _refinements(curve, target):
         mass = np.sum(_sub_polyline_lengths(cur, a, b) ** alpha) / math.gamma(alpha + 1.0)
         levels.append((cur.level, float(mass)))
-        if cur.level >= target:
-            break
-        cur = cur.refine()
     return MassEstimate(alpha=float(alpha), value=levels[-1][1], levels=levels)
 
 
@@ -442,8 +440,6 @@ def gamma_dimension(
     ``fit_levels`` refinement levels. A non-positive slope already at
     alpha = 1 means the curve is rectifiable and 1.0 is returned.
     """
-    if curve.refiner is None:
-        raise CapabilityError("gamma dimension needs a refinable curve")
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise ValidationError("tol must be a finite positive number")
     if not (is_integer(max_level) and is_integer(fit_levels)):
@@ -456,15 +452,11 @@ def gamma_dimension(
 
     keep_from = max_level - fit_levels + 1
     bins: list[tuple[np.ndarray, np.ndarray]] = []
-    cur = curve
-    while True:
+    for cur in _refinements(curve, max_level):
         if cur.level >= keep_from:
             # self-similar curves have few distinct lengths (Koch-10: 984
             # among 4**10), so bin them once instead of once per alpha
             bins.append(np.unique(_sub_polyline_lengths(cur, a, b), return_counts=True))
-        if cur.level >= max_level:
-            break
-        cur = cur.refine()
 
     lo, hi = 1.0, float(curve.ndim)
     slope_lo = _log_sum_slope(bins, lo)

@@ -90,7 +90,7 @@ class TriangularFuzzy:
     def r_cut(self, r: float) -> Interval:
         if not 0.0 <= r <= 1.0:
             raise DomainError(f"membership level {r} outside [0, 1]")
-        return Interval(self.a + (self.b - self.a) * r, self.c - (self.c - self.b) * r)
+        return Interval(*_triangular_cuts(self.a, self.b, self.c, r))
 
     def to_fuzzy(self, rs: np.ndarray | None = None) -> "FuzzyNumber":
         return make_triangular(self.a, self.b, self.c, rs=rs)
@@ -238,8 +238,13 @@ def make_triangular(a: float, b: float, c: float, rs: np.ndarray | None = None) 
     if not (a <= b <= c):
         raise ValidationError(f"triangular feet/peak out of order: ({a}, {b}, {c})")
     rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
+    return FuzzyNumber(rs, *_triangular_cuts(a, b, c, rs))
+
+
+def _triangular_cuts(a, b, c, rs):
+    """Cuts [a (1 - r) + b r, c (1 - r) + b r] at the levels rs, broadcast over a, b, c."""
     foot, peak = 1.0 - rs, b * rs
-    return FuzzyNumber(rs, a * foot + peak, c * foot + peak)
+    return a * foot + peak, c * foot + peak
 
 
 def make_crisp(x: float, rs: np.ndarray | None = None) -> FuzzyNumber:

@@ -12,18 +12,18 @@ import numpy as np
 
 from .errors import (
     CaseInapplicableError,
-    DegenerateDenominatorError,
     DomainError,
     HukuharaNonexistenceError,
     ValidationError,
 )
-from .fractal_calc import _cells, _default_step
-from .fractal_curve import FractalCurve, J_at, StaircaseTable
+from .fractal_calc import _cells, _increment, _step
+from .fractal_curve import FractalCurve, StaircaseTable
 from .fuzzy_core import (
     _DEFAULT_RS,
     FuzzyNumber,
     _rejected_rows,
     _same_grid,
+    _triangular_cuts,
     hausdorff_distance,
     hukuhara_diff,
     make_crisp,
@@ -135,17 +135,12 @@ def triangular_field(f1, f2, f3, domain) -> FuzzyCurveFunction:
     """
     from .fuzzy_core import make_triangular
 
-    rs = _DEFAULT_RS
-    foot = 1.0 - rs
-
     def rows(us):
         a, b, c = _values(f1, us), _values(f2, us), _values(f3, us)
-        # make_triangular's operations, one row per point; an infinite value
-        # makes NaN entries (inf * 0, inf - inf), and such rows are rejected below
+        # make_triangular's cuts, one row per point; an infinite value makes
+        # NaN entries (inf * 0, inf - inf), and such rows are rejected below
         with np.errstate(invalid="ignore"):
-            peak = b[:, None] * rs
-            lowers = a[:, None] * foot + peak
-            uppers = c[:, None] * foot + peak
+            lowers, uppers = _triangular_cuts(a[:, None], b[:, None], c[:, None], _DEFAULT_RS)
         bad = ~((a <= b) & (b <= c)) | _rejected_rows(lowers, uppers)
         if bad.any():
             i = int(np.argmax(bad))
@@ -230,16 +225,8 @@ def fractal_hukuhara_derivative(
     """
     if case not in ("I", "II"):
         raise ValidationError(f"case must be 'I' or 'II', got {case!r}")
-    lo, hi = table.domain
-    if h is None:
-        h = _default_step(table, u0)
-    if not h > 0.0:  # NaN too
-        raise ValidationError("step h must be positive")
-    if u0 < lo or u0 + h > hi:
-        raise DomainError(f"forward stencil [{u0}, {u0 + h}] leaves the domain [{lo}, {hi}]")
-    dJ = J_at(table, u0 + h) - J_at(table, u0)
-    if dJ == 0.0:
-        raise DegenerateDenominatorError(f"staircase is flat across [{u0}, {u0 + h}]")
+    h = _step(table, u0, h)
+    dJ = _increment(table, u0, u0 + h, "forward stencil")
     f0 = f(u0)
     f1 = f(u0 + h)
     try:

@@ -148,7 +148,7 @@ def problem_from_json(spec: dict):
     if not (isinstance(span, (list, tuple)) and len(span) == 2):
         raise ValidationError("'span' must be a pair [u0, u1]")
     return FirstOrderFfdeProblem(
-        table=build_staircase(curve, alpha=alpha, p0=curve.a0),
+        table=build_staircase(curve, alpha=alpha),
         rhs=rhs,
         x0=x0,
         span=(spec_number(span[0], "span"), spec_number(span[1], "span")),

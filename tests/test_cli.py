@@ -257,9 +257,19 @@ class TestExitStatus:
             {"x0": {"kind": "table", "rs": [0, 1], "lowers": ["lo", 1], "uppers": [2, 1]}},
             {"x0": {"kind": "table", "rs": [0, [1]], "lowers": [0, 1], "uppers": [2, 1]}},
             {"curve": {"kind": "polyline", "params": [0, "end"], "points": [[0, 0], [1, 0]]}},
+            # float() and numpy convert these, but JSON strings and bools are not numbers
+            {"alpha": "1.5"},
+            {"alpha": True},
+            {"rhs": {"kind": "linear", "a": "1", "c": _TRI}},
+            {"x0": {"kind": "triangular", "a": 0, "b": True, "c": 2}},
+            {"span": ["0", 1]},
+            {"x0": {"kind": "table", "rs": [0, 1], "lowers": ["0", "1"], "uppers": [2, 1]}},
+            {"curve": {"kind": "polyline", "params": [0, 1], "points": [[0, 0], ["1", 0]]}},
         ],
         ids=["r_points", "j_steps", "alpha", "span", "rhs_a", "triangular_a", "triangular_b",
-             "table_lowers", "table_ragged", "polyline_params"],
+             "table_lowers", "table_ragged", "polyline_params", "alpha_str", "alpha_bool",
+             "rhs_a_str", "triangular_b_bool", "span_str", "table_lowers_str",
+             "polyline_points_str"],
     )
     def test_non_numeric_spec_field(self, tmp_path, capsys, patch):
         path = tmp_path / "spec.json"
@@ -516,6 +526,23 @@ class TestExitStatus:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert message in proc.stderr
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["dim", "--curve", "segment", "--level", "4"],
+            ["integrate", "--level", "4"],
+            ["verify", "--builtin", "example1"],
+        ],
+        ids=["dim", "integrate", "verify"],
+    )
+    def test_unwritable_out_prints_nothing_subprocess(self, tmp_path, cli_env, args):
+        # the record is written before the result is printed
+        proc = run_cli([*args, "--out", "no/such/dir.json"], env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "No such file or directory" in proc.stderr
+
     def test_example2_kappa_levels_overflow_subprocess(self, tmp_path, cli_env):
         args = ["solve", "--builtin", "example2", "--r-points", str(10**29)]
         proc = run_cli(args, env=cli_env, cwd=tmp_path)
@@ -709,6 +736,30 @@ class TestGoldenBytes:
             "4752c057e972f74c3d2f9dac7f143443c7e6120dbc455e159a39ad6134ca6623",
             "c093877fb13f564443149b4c907db35b4ad9dce82ab03ea14f64a6eebc145dcf",
         ),
+        # recorded before the stencil, the refinement walk and the --out
+        # writers each became one function
+        "integrate_expJ_koch6": (
+            ["integrate", "--fn", "expJ", "--level", "6"],
+            "a26f424dadb516c10d5c19380d2f6595913571bdb16200bf67cc4a4fbdabe344",
+            "87f3fa777bc9472311919dec296f057c42e5847681067a3eba2a6cb29840df81",
+        ),
+        "verify_example1_II": (
+            ["verify", "--builtin", "example1", "--case", "II"],
+            "eea5ab99273eeaa49088da8be5beb8df8b287482dfb31cfa0fef9b3d355cafc9",
+            "1c94ec36364c468eb731d72a008bf6f9e9a7f7d46dcfdcea7236294e4f02056f",
+        ),
+        "verify_example2": (
+            ["verify", "--builtin", "example2"],
+            "c4c3c59b31e8a669b6053c79b2d495f7c7dc31690dfa63c91c8952f2a2fae1ab",
+            "3872b37df1d10a3e0645ff50f71ee8e0f7063f37b717c41200120a93da341045",
+        ),
+    }
+
+    STDOUT_CASES = {
+        "differentiate_J2_koch8": (
+            ["differentiate", "--fn", "J2", "--level", "8"],
+            "9f9710edbf6970f123cd00d7eae53459c2f309a7e36a9ff1da5e8bd6548e9ab5",
+        ),
     }
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -725,6 +776,12 @@ class TestGoldenBytes:
         assert main([*args, "--out", str(out)]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == stdout_digest
         assert hashlib.sha256(out.read_bytes()).hexdigest() == json_digest
+
+    @pytest.mark.parametrize("name", sorted(STDOUT_CASES))
+    def test_stdout_hash(self, capsys, name):
+        args, digest = self.STDOUT_CASES[name]
+        assert main(args) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_cli_does_not_import_scipy(tmp_path, cli_env):

@@ -68,6 +68,14 @@ class TestConstruction:
         assert t.r_cut(0.25) == Interval(0.25, 3.25)
         assert t.to_fuzzy().r_cut(0.25) == Interval(0.25, 3.25)
 
+    @given(st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3), st.floats(0.0, 1.0))
+    def test_triangular_type_cuts_are_make_triangulars(self, feet, r):
+        # a + (b - a) r missed the core by an ulp, so r_cut(1) could raise
+        a, b, c = sorted(feet)
+        t = TriangularFuzzy(a, b, c)
+        assert t.r_cut(1.0) == Interval(b, b)
+        assert t.r_cut(r) == make_triangular(a, b, c, rs=np.unique([0.0, r, 1.0])).r_cut(r)
+
     def test_default_grid_needs_two_levels(self):
         with pytest.raises(ValidationError):
             default_r_grid(1)

@@ -1738,7 +1738,7 @@ class TestBlockedPasses:
         x, y, m = table
         q = data.draw(query_batches(x))
         with block_rows(rows):
-            got = dense_outcome(lambda q: ffde._CubicHermite(x, y, m)(q), q)
+            got = dense_outcome(lambda q: ffde._hermite(x, y, m, q), q)
         assert got == dense_outcome(lambda q: ref_CubicHermite(x, y, m)(q), q)
         assert got[0] == "array"
 
@@ -1750,7 +1750,7 @@ class TestBlockedPasses:
         if data.draw(st.booleans()):  # the bad query alone, 0-d
             q = q[~((q >= x[0]) & (q <= x[-1]))].reshape(())
         with block_rows(rows):
-            got = dense_outcome(lambda q: ffde._CubicHermite(x, y, m)(q), q)
+            got = dense_outcome(lambda q: ffde._hermite(x, y, m, q), q)
         assert got == dense_outcome(lambda q: ref_CubicHermite(x, y, m)(q), q)
         assert got[0] is DomainError
 
