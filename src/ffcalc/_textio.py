@@ -3,6 +3,8 @@ fields of JSON specs."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import ValidationError
@@ -63,13 +65,18 @@ _NOT_NUMBERS = (bool, np.bool_, str)
 
 
 def spec_number(value, name: str) -> float:
-    """A JSON spec field that must be a number, as a float: never a bool or
-    a string, however numeric, just as :func:`spec_integer` refuses them."""
+    """A JSON spec field that must be a finite number, as a float: never a
+    bool or a string, however numeric, just as :func:`spec_integer` refuses
+    them, and never the NaN or Infinity that Python's json reads."""
     if not isinstance(value, _NOT_NUMBERS):
         try:
-            return float(value)
+            number = float(value)
         except (TypeError, ValueError, OverflowError):
             pass
+        else:
+            if math.isfinite(number):
+                return number
+            raise ValidationError(f"'{name}' must be a finite number, got {value!r}")
     raise ValidationError(f"'{name}' must be a number, got {value!r}")
 
 

@@ -29,14 +29,13 @@ from .fractal_curve import (
 )
 from .ffde import (
     SecondOrderFuzzyBvp,
-    _check_kappa_grid,
     ode_residual_max,
     solution_to_csv,
     solve_first_order,
     solve_second_order_bvp,
     verify_against_closed_form,
 )
-from .fuzzy_core import DEFAULT_R_LEVELS, _check_tol
+from .fuzzy_core import _check_tol
 from .problems import (
     BUILTIN_NAMES,
     example1_case1_band,
@@ -173,25 +172,11 @@ def _cmd_differentiate(args) -> int:
     return 0
 
 
-def _kappa_levels(spec: dict, problem) -> int:
-    """The number of kappa levels of a second-order run: the spec's
-    ``r_points`` with problem_from_json's default, which has checked the
-    field's type. It is held to to_solution's grid cap before the solve, so
-    an oversized table is refused without first solving for it."""
-    r_points = spec.get("r_points", DEFAULT_R_LEVELS)
-    if r_points < 2:
-        raise ValidationError("r_points must be >= 2")
-    _check_kappa_grid(problem.steps + 1, r_points)
-    return r_points
-
-
 def _cmd_solve(args) -> int:
-    spec = _run_spec(args)
-    problem = problem_from_json(spec)
+    problem = problem_from_json(_run_spec(args))
     if isinstance(problem, SecondOrderFuzzyBvp):
-        r_points = _kappa_levels(spec, problem)
         sol2 = solve_second_order_bvp(problem)
-        sol = sol2.to_solution(r_points)
+        sol = sol2.to_solution()
         solution_to_csv(sol, args.out)
         print(
             f"second-order BVP: crisp boundaries ({sol2.crisp[0]:.12g}, {sol2.crisp[-1]:.12g}), "
@@ -266,11 +251,8 @@ def _cmd_verify(args) -> int:
     if args.builtin is None:
         raise ValidationError("provide --builtin example1 or --builtin example2")
     _check_tol(args.tol)  # before the solve, for both builtins
-    spec = _run_spec(args)
-    problem = problem_from_json(spec)
+    problem = problem_from_json(_run_spec(args))
     if isinstance(problem, SecondOrderFuzzyBvp):
-        # the report uses fixed kappas; the run's level count is still checked as solve checks it
-        _kappa_levels(spec, problem)
         ok, report = _verify_example2(problem, args.tol)
     else:
         ok, report = _verify_example1(problem, args.tol)

@@ -7,8 +7,8 @@ afterwards. First-order problems are split into parametric endpoint systems,
 one pair per membership level: case I keeps (lower, upper) aligned with the
 right-hand side, case II drives each endpoint by the opposite side's
 equation. The level grid is integrated directly by default; the linear
-0-cut/1-cut assembly is available as a fast path and agrees whenever the
-right-hand side is linear with level-linear data.
+0-cut/1-cut assembly is available as a fast path for a linear right-hand
+side with level-linear data, where it agrees, and refuses any other problem.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .errors import (
 )
 from .fractal_curve import J_at, StaircaseTable, _in_query_order
 from .fuzzy_core import (
+    _SHAPE_TOL,
     DEFAULT_R_LEVELS,
     FuzzyNumber,
     TriangularFuzzy,
@@ -36,6 +37,7 @@ from .fuzzy_core import (
     _check_level_grid,
     _check_tol,
     _rejected_rows,
+    _scale_of,
     default_r_grid,
 )
 
@@ -364,8 +366,8 @@ class FuncRhs:
 
 # Largest solution grid a problem may ask for, checked before anything is
 # allocated: j_steps x r_points (and u_points x r_points) for a first-order
-# problem, steps for the BVP. The largest grid in the tests and the
-# benchmark, 4096 x 101, is about a tenth of it.
+# problem, (steps + 1) x r_points for the BVP's kappa table. The largest
+# grid in the tests and the benchmark, 4096 x 101, is about a tenth of it.
 MAX_GRID_CELLS = 2**22
 
 
@@ -374,11 +376,6 @@ def _check_grid_size(what: str, cells) -> None:
         raise ValidationError(
             f"grid too large: {what} = {cells:.4g} cells, the cap is {MAX_GRID_CELLS}"
         )
-
-
-def _check_kappa_grid(nodes: int, r_points) -> None:
-    """The cap on the kappa table of a BVP solved on ``nodes`` grid nodes."""
-    _check_grid_size("(steps + 1) x r_points", nodes * r_points)
 
 
 @dataclass(frozen=True)
@@ -486,16 +483,37 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
     return solve_crisp_in_J(system, np.concatenate([lo0, up0]), (J0, J1), problem.j_steps)
 
 
+def _level_linear(x: FuzzyNumber) -> bool:
+    """Whether each endpoint row of x is the linear interpolation of its
+    0-cut and 1-cut, within the constructor's tolerance."""
+    band = np.stack([x.lowers, x.uppers])
+    line = (1.0 - x.rs) * band[:, :1] + x.rs * band[:, -1:]
+    return bool(np.all(np.abs(band - line) <= _SHAPE_TOL * _scale_of(band)))
+
+
+def _cuts_exact(problem: FirstOrderFfdeProblem) -> bool:
+    """Whether the 0/1-cut assembly solves the problem: the band system is
+    linear (an exact LinearRhs; a subclass may override lower/upper) and its
+    data is level-linear, so every level is the interpolation of the two."""
+    rhs = problem.rhs
+    return type(rhs) is LinearRhs and _level_linear(problem.x0) and _level_linear(rhs.c)
+
+
 def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> FuzzySolution:
     """Solve under the problem's declared case.
 
     Case I integrates the endpoint equations as given. Case II drives the
     lower endpoint by the upper equation and vice versa; its bands can stop
     being fuzzy numbers at finite J, so the solution carries per-row
-    validity flags and a validity horizon.
+    validity flags and a validity horizon. ``method="cuts"`` integrates only
+    the 0- and 1-cuts and interpolates the levels between them, which is
+    exact only for a LinearRhs with level-linear ``x0`` and ``c``; any
+    other problem is refused.
     """
     if method not in ("full", "cuts"):
         raise ValidationError(f"method must be 'full' or 'cuts', got {method!r}")
+    if method == "cuts" and not _cuts_exact(problem):
+        raise ValidationError("method 'cuts' needs a LinearRhs with level-linear x0 and c; use 'full'")
     swap = problem.case == "II"
     rs = default_r_grid(problem.r_points)
     u0, u1 = problem.span
@@ -692,6 +710,9 @@ class SecondOrderFuzzyBvp:
     point-by-point evaluation; a bare ``J**2`` does not (numpy squares an
     array but calls libm ``pow`` on a scalar, 1 ulp apart on ~0.1% of
     values), so its solution moves within rounding only.
+
+    ``r_points`` kappa levels make the table of
+    :meth:`SecondOrderSolution.to_solution`, held to ``MAX_GRID_CELLS`` here.
     """
 
     p: float
@@ -701,6 +722,7 @@ class SecondOrderFuzzyBvp:
     boundary_end: TriangularFuzzy
     j_span: tuple[float, float] = (0.0, 1.0)
     steps: int = 512
+    r_points: int = DEFAULT_R_LEVELS
 
     def __post_init__(self):
         j0, j1 = float(self.j_span[0]), float(self.j_span[1])
@@ -708,7 +730,9 @@ class SecondOrderFuzzyBvp:
             raise ValidationError(f"j_span must be increasing, got [{j0}, {j1}]")
         if self.steps < 16:
             raise ValidationError("steps must be >= 16")
-        _check_grid_size("steps", self.steps)
+        if self.r_points < 2:
+            raise ValidationError("r_points must be >= 2")
+        _check_grid_size("(steps + 1) x r_points", (self.steps + 1) * self.r_points)
         object.__setattr__(self, "j_span", (j0, j1))
 
 
@@ -766,12 +790,11 @@ class SecondOrderSolution:
         w = 1.0 - kappa
         return self.crisp + w * self.un_lower, self.crisp + w * self.un_upper
 
-    def to_solution(self, r_points: int = DEFAULT_R_LEVELS) -> FuzzySolution:
-        """Band table over ``r_points`` evenly spaced kappa levels from 0 to
-        1, in the FuzzySolution layout. Its size is checked against
-        ``MAX_GRID_CELLS`` before anything is allocated."""
-        _check_kappa_grid(self.js.size, r_points)
-        kappas = default_r_grid(r_points)
+    def to_solution(self) -> FuzzySolution:
+        """Band table over the problem's ``r_points`` evenly spaced kappa
+        levels from 0 to 1, in the FuzzySolution layout, with rows flagged
+        valid by the same rule as a first-order solve."""
+        kappas = default_r_grid(self.problem.r_points)
         w = (1.0 - kappas)[None, :]
         lower = self.crisp[:, None] + w * self.un_lower[:, None]
         upper = self.crisp[:, None] + w * self.un_upper[:, None]
@@ -781,7 +804,7 @@ class SecondOrderSolution:
             rs=kappas,
             lower=lower,
             upper=upper,
-            validity=np.ones(self.js.size, dtype=bool),
+            validity=~_rejected_rows(lower, upper),
             case="kappa",
         )
 

@@ -76,9 +76,9 @@ def example1_case2_band(J, r):
     return e - r + t + 1.0, r + e - t - 1.0
 
 
-def example2_bvp(steps: int = 512) -> SecondOrderFuzzyBvp:
+def example2_bvp(steps: int = 512, r_points: int = DEFAULT_R_LEVELS) -> SecondOrderFuzzyBvp:
     """x'' - 4 x' + 4 x = 1 - 2 J^2 with boundary bands (2,3,4) at J=0 and
-    (1, 2, 2.5) at J=1."""
+    (1, 2, 2.5) at J=1, reported on ``r_points`` kappa levels."""
     return SecondOrderFuzzyBvp(
         p=-4.0,
         q=4.0,
@@ -87,6 +87,7 @@ def example2_bvp(steps: int = 512) -> SecondOrderFuzzyBvp:
         boundary_end=TriangularFuzzy(1.0, 2.0, 2.5),
         j_span=(0.0, 1.0),
         steps=steps,
+        r_points=r_points,
     )
 
 
@@ -138,7 +139,7 @@ def problem_from_json(spec: dict):
             return example1_problem(case=case, r_points=r_points, j_steps=j_steps)
         if "case" in spec:
             raise ValidationError("builtin 'example2' is second order and takes no 'case'")
-        return example2_bvp(steps=j_steps)
+        return example2_bvp(steps=j_steps, r_points=r_points)
 
     rhs = LinearRhs(spec_number(rhs_spec["a"], "a"), fuzzy_from_json(rhs_spec["c"]))
     curve = curve_from_json(spec["curve"])

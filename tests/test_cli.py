@@ -287,6 +287,25 @@ class TestExitStatus:
         assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    # Python's json writes and reads NaN, Infinity and -Infinity, which are
+    # not JSON numbers; the -Infinity foot used to warn from numpy first
+    @pytest.mark.parametrize(
+        "patch, shown",
+        [
+            ({"rhs": {"kind": "linear", "a": math.nan, "c": _TRI}}, "nan"),
+            ({"rhs": {"kind": "linear", "a": math.inf, "c": _TRI}}, "inf"),
+            ({"x0": {"kind": "triangular", "a": -math.inf, "b": 1, "c": 2}}, "-inf"),
+        ],
+        ids=["linear_a_nan", "linear_a_inf", "triangular_a_minus_inf"],
+    )
+    def test_non_finite_spec_number_subprocess(self, tmp_path, cli_env, patch, shown):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({**_LINEAR_SPEC, **patch}))
+        proc = run_cli(["solve", "--spec", str(path)], env=cli_env, cwd=tmp_path)
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == f"error: 'a' must be a finite number, got {shown}\n"
+        assert not (tmp_path / "solution.csv").exists()
+
     def test_dim_tol_nan_subprocess(self, tmp_path, cli_env):
         args = ["dim", "--curve", "koch", "--level", "6", "--tol", "nan"]
         proc = run_cli(args, env=cli_env, cwd=tmp_path)

@@ -1,6 +1,7 @@
 """Package surface: every module's ``__all__`` names something that exists,
-the package exports nothing a module does not list in its ``__all__``, and
-no module imports a name it does not use."""
+the package exports nothing a module does not list in its ``__all__``, no
+module imports a name it does not use, and every private module-level name
+is used somewhere in the package."""
 
 import ast
 import importlib
@@ -45,3 +46,42 @@ def test_every_import_is_used(module):
             imported.update(alias.asname or alias.name for alias in node.names)
     used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
     assert sorted(imported - used - set(getattr(module, "__all__", ()))) == []
+
+
+def _private_definitions(tree) -> dict:
+    """The module-level private names a module defines (functions, classes
+    and assignment targets), each with the statements that define it."""
+    defined = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                defined.setdefault(name, []).append(node)
+    return defined
+
+
+def test_every_private_name_is_used():
+    # a use is a bare name or an attribute (module._name) anywhere in the
+    # package outside the statements that define the name; an import alone
+    # is not one, and test_every_import_is_used refuses unused imports
+    trees = [ast.parse(p.read_text(encoding="utf-8")) for p in Path(ffcalc.__file__).parent.glob("*.py")]
+    uses = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, set()).add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, set()).add(id(node))
+    unused = []
+    for tree in trees:
+        for name, statements in _private_definitions(tree).items():
+            own = {id(n) for s in statements for n in ast.walk(s)}
+            if not uses.get(name, set()) - own:
+                unused.append(name)
+    assert sorted(unused) == []

@@ -213,6 +213,48 @@ class TestCase1:
         assert np.allclose(full.lower, cuts.lower, atol=1e-12)
         assert np.allclose(full.upper, cuts.upper, atol=1e-12)
 
+    @staticmethod
+    def _with(rhs=None, x0=None):
+        problem = example1_problem("I", r_points=11, j_steps=32)
+        return FirstOrderFfdeProblem(
+            table=problem.table,
+            rhs=problem.rhs if rhs is None else rhs,
+            x0=problem.x0 if x0 is None else x0,
+            span=problem.span,
+            case="I",
+            r_points=11,
+            j_steps=32,
+        )
+
+    class _Subclass(LinearRhs):
+        pass
+
+    # the cut assembly interpolates between the 0- and 1-cuts, which is the
+    # solution only for a linear system with level-linear data; on each of
+    # these it would return a band that differs from the full grid's
+    @pytest.mark.parametrize(
+        "rhs, x0",
+        [
+            (None, FuzzyNumber(np.linspace(0, 1, 11), np.linspace(0, 1, 11) ** 2, 2 - np.linspace(0, 1, 11) ** 2)),
+            (LinearRhs(1.0, FuzzyNumber([0.0, 0.5, 1.0], [-1.0, -0.2, 0.0], [1.0, 0.2, 0.0])), None),
+            (FuncRhs(lambda J, lo, up, rs: 0.1 * lo * lo, lambda J, lo, up, rs: 0.1 * up * up), None),
+            (_Subclass(1.0, make_triangular(-1.0, 0.0, 1.0)), None),
+        ],
+        ids=["x0_quadratic", "c_kinked", "func_rhs", "linear_subclass"],
+    )
+    def test_cut_assembly_refuses_what_it_would_solve_wrongly(self, rhs, x0):
+        problem = self._with(rhs, x0)
+        with pytest.raises(ValidationError, match="method 'cuts' needs a LinearRhs with level-linear x0 and c; use 'full'"):
+            solve_first_order(problem, method="cuts")
+        solve_first_order(problem)  # the full grid solves it
+
+    def test_cut_assembly_accepts_level_linear_tables(self):
+        # a table on a grid of its own whose middle level is off the line by
+        # rounding-sized 1e-12, within the constructor's tolerance
+        x0 = FuzzyNumber([0.0, 0.3, 1.0], [0.0, 0.3 + 1e-12, 1.0], [2.0, 1.7, 1.0])
+        sol = solve_first_order(self._with(x0=x0), method="cuts")
+        assert sol.validity.all()
+
     def test_valid_rows_are_the_sliceable_rows(self):
         # the width defect 5e-8 at r = 1 is within the constructor's tolerance
         # at |x| ~ 100 and past it once the band has shifted down to |x| ~ 1
@@ -707,24 +749,42 @@ class TestSecondOrder:
         assert np.allclose(q[:, 0], [1.0, 0.0], atol=1e-10)
         assert np.allclose(q[:, 2], [0.0, 1.0], atol=1e-10)
 
-    def test_to_solution_needs_two_levels(self, solution):
-        with pytest.raises(ValidationError, match="needs at least the levels 0 and 1"):
-            solution.to_solution(1)
+    def test_to_solution_needs_two_levels(self):
+        with pytest.raises(ValidationError, match="r_points must be >= 2"):
+            example2_bvp(r_points=1)
 
     def test_to_solution_checks_the_grid_cap_first(self, solution):
         over = MAX_GRID_CELLS // solution.js.size + 1  # one level past the cap
         message = f"grid too large: (steps + 1) x r_points = {solution.js.size * over:.4g} cells"
         with pytest.raises(ValidationError, match=re.escape(message)):
-            solution.to_solution(over)
+            example2_bvp(r_points=over)
         with pytest.raises(ValidationError, match="grid too large"):
-            solution.to_solution(MAX_GRID_CELLS)
+            example2_bvp(r_points=MAX_GRID_CELLS)
 
-    def test_to_solution_layout(self, solution):
-        sol = solution.to_solution(5)
+    def test_to_solution_layout(self):
+        solution = solve_second_order_bvp(example2_bvp(r_points=5))
+        sol = solution.to_solution()
         assert sol.rs.size == 5
         assert np.array_equal(sol.rs, np.linspace(0.0, 1.0, 5))
         assert np.all(sol.validity)
         assert np.allclose(sol.lower[:, -1], solution.crisp)
+
+    def test_to_solution_flags_non_finite_rows(self):
+        bvp = example2_bvp(steps=64)
+        infinite = ffde.SecondOrderFuzzyBvp(
+            **{**vars(bvp), "boundary_end": TriangularFuzzy(1.0, 2.0, math.inf)}
+        )
+        with np.errstate(invalid="ignore"):  # 0 * inf where a weight vanishes
+            sol = solve_second_order_bvp(infinite).to_solution()
+        finite = np.isfinite(sol.lower).all(axis=1) & np.isfinite(sol.upper).all(axis=1)
+        assert not finite.all()
+        assert np.array_equal(sol.validity, finite)
+        for i in range(sol.us.size):
+            if sol.validity[i]:
+                sol.r_slice(i)
+            else:
+                with pytest.raises(ValidationError):
+                    sol.r_slice(i)
 
     def test_complex_and_distinct_roots_paths(self):
         # distinct real roots: x'' - x = 0 -> e^J, e^-J
@@ -1037,7 +1097,9 @@ _PRODUCERS = {
         for method in ("full", "cuts")
     },
     **{
-        f"to_solution_{n}": (lambda n=n: solve_second_order_bvp(example2_bvp(steps=64)).to_solution(n))
+        f"to_solution_{n}": (
+            lambda n=n: solve_second_order_bvp(example2_bvp(steps=64, r_points=n)).to_solution()
+        )
         for n in (2, 5)
     },
 }
@@ -1100,6 +1162,33 @@ class TestProblemJson:
         bvp = problem_from_json({"rhs": {"kind": "builtin", "name": "example2"}})
         assert bvp.boundary_start == TriangularFuzzy(2.0, 3.0, 4.0)
 
+    _LINEAR = {
+        "curve": {"kind": "polyline", "params": [0, 1], "points": [[0, 0], [1, 0]]},
+        "rhs": {"kind": "linear", "a": 1.0, "c": {"kind": "triangular", "a": -1, "b": 0, "c": 1}},
+        "x0": {"kind": "triangular", "a": 0, "b": 1, "c": 2},
+    }
+    _EXAMPLE1 = {"rhs": {"kind": "builtin", "name": "example1"}}
+    _EXAMPLE2 = {"rhs": {"kind": "builtin", "name": "example2"}}
+    _GIVEN = {"case": "II", "r_points": 7, "j_steps": 32}
+
+    # the BVP's step count is its j_steps, and it takes no case
+    @pytest.mark.parametrize(
+        "spec, fields",
+        [
+            (_EXAMPLE1, {"case": "I", "r_points": 101, "j_steps": 256}),
+            ({**_EXAMPLE1, **_GIVEN}, _GIVEN),
+            (_LINEAR, {"case": "I", "r_points": 101, "j_steps": 256}),
+            ({**_LINEAR, **_GIVEN}, _GIVEN),
+            (_EXAMPLE2, {"r_points": 101, "steps": 256}),
+            ({**_EXAMPLE2, "r_points": 7, "j_steps": 32}, {"r_points": 7, "steps": 32}),
+        ],
+        ids=["example1_defaults", "example1_given", "linear_defaults", "linear_given",
+             "example2_defaults", "example2_given"],
+    )
+    def test_run_fields_reach_the_problem(self, spec, fields):
+        problem = problem_from_json(spec)
+        assert {name: getattr(problem, name) for name in fields} == fields
+
     def test_custom_linear_problem(self):
         spec = {
             "curve": {"kind": "polyline", "params": [0, 1], "points": [[0, 0], [1, 0]]},
@@ -1154,9 +1243,12 @@ class TestProblemValidation:
         assert problem.j_steps * problem.r_points <= MAX_GRID_CELLS
 
     def test_bvp_steps_just_over_cap_rejected(self):
-        with pytest.raises(ValidationError, match="grid too large"):
-            example2_bvp(steps=MAX_GRID_CELLS + 1)
-        assert example2_bvp(steps=MAX_GRID_CELLS).steps == MAX_GRID_CELLS
+        # the kappa table has steps + 1 rows of 101 levels
+        largest = MAX_GRID_CELLS // 101 - 1
+        assert largest == 41_526
+        with pytest.raises(ValidationError, match=re.escape("(steps + 1) x r_points")):
+            example2_bvp(steps=largest + 1)
+        assert example2_bvp(steps=largest).steps == largest
 
     @staticmethod
     def _example1_on(span, case, steps):
