@@ -93,6 +93,14 @@ def spec_integer(value, name: str) -> int:
     return int(value)
 
 
+def count(value, name: str, least: int) -> int:
+    """The one rule for a grid count: an integer, as an int, of at least ``least``."""
+    value = spec_integer(value, name)
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}")
+    return value
+
+
 def spec_array(value, name: str) -> np.ndarray:
     """A JSON spec field that must be an array of numbers or of rows of
     numbers, as a float array. A bool or string entry is refused like

@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._textio import format_columns, format_table, write_csv
+from ._textio import count, format_columns, format_table, write_csv
 from .errors import (
     ConditioningError,
     DivergenceError,
@@ -151,14 +151,13 @@ class CrispTrajectory:
         return self.states[-1]
 
 
-def _uniform_grid(j_span, steps: int) -> tuple[np.ndarray, float]:
-    """Nodes and step of a uniform RK4 grid over an increasing finite span."""
+def _uniform_grid(j_span, steps: int, name: str) -> tuple[np.ndarray, float]:
+    """Nodes and step of a uniform RK4 grid over an increasing finite span;
+    ``steps`` is a count of at least 16, called ``name`` in errors."""
+    steps = count(steps, name, 16)
     j0, j1 = float(j_span[0]), float(j_span[1])
     if not (np.isfinite(j0) and np.isfinite(j1)) or j1 <= j0:
         raise ValidationError(f"integration span must be increasing, got [{j0}, {j1}]")
-    steps = int(steps)
-    if steps < 16:
-        raise ValidationError("at least 16 steps are required")
     js = np.linspace(j0, j1, steps + 1)
     if not np.all(js[1:] > js[:-1]):
         raise ValidationError(
@@ -189,8 +188,7 @@ def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
     ``rhs`` receives and returns numpy arrays; scalars are promoted to
     1-vectors. A non-finite state aborts with the last valid J attached.
     """
-    js, h = _uniform_grid(j_span, steps)
-    steps = js.size - 1
+    js, h = _uniform_grid(j_span, steps, "steps")
     y = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
     if y.ndim != 1:
         raise ValidationError("initial state must be a scalar or 1-d array")
@@ -312,7 +310,7 @@ def _rk4_linear(a: float, c_lo, c_up, flip: bool, x0, j_span, steps: int) -> Cri
     cross between 10 and 12 levels whatever the step count, since both are
     linear in it.
     """
-    js, h = _uniform_grid(j_span, steps)
+    js, h = _uniform_grid(j_span, steps, "j_steps")
     c = np.array([c_lo, c_up], dtype=float)
     states = np.empty((js.size,) + c.shape)
     slopes = np.empty_like(states)
@@ -403,15 +401,17 @@ class FirstOrderFfdeProblem:
         u0, u1 = float(self.span[0]), float(self.span[1])
         if not (lo <= u0 < u1 <= hi):
             raise DomainError(f"span [{u0}, {u1}] outside the table domain [{lo}, {hi}]")
-        if self.r_points < 2:
-            raise ValidationError("r_points must be >= 2")
-        if self.j_steps < 16:
-            raise ValidationError("j_steps must be >= 16")
-        if self.u_points is not None and self.u_points < 2:
-            raise ValidationError("u_points must be >= 2")
+        # each count before its cap, and the J grid's nodes only once capped
+        count(self.r_points, "r_points", 2)
+        count(self.j_steps, "j_steps", 16)
         _check_grid_size("j_steps x r_points", self.j_steps * self.r_points)
         if self.u_points is not None:
+            count(self.u_points, "u_points", 2)
             _check_grid_size("u_points x r_points", self.u_points * self.r_points)
+        J0, J1 = J_at(self.table, u0), J_at(self.table, u1)
+        if J1 <= J0:
+            raise ValidationError("staircase does not advance over the span (flat J)")
+        _uniform_grid((J0, J1), self.j_steps, "j_steps")
         object.__setattr__(self, "span", (u0, u1))
 
 
@@ -458,8 +458,6 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
     lo0, up0 = problem.x0.cuts_at(rs)
     J0 = J_at(problem.table, problem.span[0])
     J1 = J_at(problem.table, problem.span[1])
-    if J1 <= J0:
-        raise ValidationError("staircase does not advance over the span (flat J)")
     # exact type: a subclass may override lower/upper. LinearRhs multiplies
     # the opposite band when a < 0; case II swaps the two equations, which
     # trades the constants and flips the band once more
@@ -725,15 +723,11 @@ class SecondOrderFuzzyBvp:
     r_points: int = DEFAULT_R_LEVELS
 
     def __post_init__(self):
-        j0, j1 = float(self.j_span[0]), float(self.j_span[1])
-        if not (np.isfinite(j0) and np.isfinite(j1)) or j1 <= j0:
-            raise ValidationError(f"j_span must be increasing, got [{j0}, {j1}]")
-        if self.steps < 16:
-            raise ValidationError("steps must be >= 16")
-        if self.r_points < 2:
-            raise ValidationError("r_points must be >= 2")
+        count(self.r_points, "r_points", 2)
+        count(self.steps, "steps", 16)
         _check_grid_size("(steps + 1) x r_points", (self.steps + 1) * self.r_points)
-        object.__setattr__(self, "j_span", (j0, j1))
+        _uniform_grid(self.j_span, self.steps, "steps")
+        object.__setattr__(self, "j_span", (float(self.j_span[0]), float(self.j_span[1])))
 
 
 def _fundamental_pair(p: float, q: float):
@@ -796,8 +790,9 @@ class SecondOrderSolution:
         valid by the same rule as a first-order solve."""
         kappas = default_r_grid(self.problem.r_points)
         w = (1.0 - kappas)[None, :]
-        lower = self.crisp[:, None] + w * self.un_lower[:, None]
-        upper = self.crisp[:, None] + w * self.un_upper[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):  # 0 * inf in rows rejected below
+            lower = self.crisp[:, None] + w * self.un_lower[:, None]
+            upper = self.crisp[:, None] + w * self.un_upper[:, None]
         return FuzzySolution(
             us=self.js.copy(),
             Js=self.js.copy(),
@@ -877,7 +872,7 @@ def solve_second_order_bvp(problem: SecondOrderFuzzyBvp) -> SecondOrderSolution:
     peak0 = problem.boundary_start.b
     peak1 = problem.boundary_end.b
 
-    js, h = _uniform_grid((j0, j1), problem.steps)
+    js, h = _uniform_grid((j0, j1), problem.steps, "steps")
     nodes = np.concatenate((js[:-1], js[:-1] + 0.5 * h, js[:-1] + h))
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected explicitly
         g = np.asarray(problem.forcing(nodes))
@@ -904,8 +899,10 @@ def solve_second_order_bvp(problem: SecondOrderFuzzyBvp) -> SecondOrderSolution:
     b1 = problem.boundary_end
     lo0, hi0 = b0.a - b0.b, b0.c - b0.b  # boundary bands centered on their peaks
     lo1, hi1 = b1.a - b1.b, b1.c - b1.b
-    un_lower = np.minimum(q1 * lo0, q1 * hi0) + np.minimum(q2 * lo1, q2 * hi1)
-    un_upper = np.maximum(q1 * lo0, q1 * hi0) + np.maximum(q2 * lo1, q2 * hi1)
+    # a wide finite band can overflow here; to_solution flags such rows invalid
+    with np.errstate(over="ignore", invalid="ignore"):
+        un_lower = np.minimum(q1 * lo0, q1 * hi0) + np.minimum(q2 * lo1, q2 * hi1)
+        un_upper = np.maximum(q1 * lo0, q1 * hi0) + np.maximum(q2 * lo1, q2 * hi1)
 
     return SecondOrderSolution(
         js=js,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._textio import spec_array, spec_kind, spec_number
+from ._textio import count, spec_array, spec_kind, spec_number
 from .errors import DomainError, HukuharaNonexistenceError, ValidationError
 
 __all__ = [
@@ -45,9 +45,7 @@ _SHAPE_TOL = 1e-9
 
 
 def default_r_grid(n_levels: int = DEFAULT_R_LEVELS) -> np.ndarray:
-    if n_levels < 2:
-        raise ValidationError("an r-grid needs at least the levels 0 and 1")
-    return np.linspace(0.0, 1.0, n_levels)
+    return np.linspace(0.0, 1.0, count(n_levels, "n_levels", 2))
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,8 @@ class TriangularFuzzy:
     c: float
 
     def __post_init__(self):
+        if not (np.isfinite(self.a) and np.isfinite(self.b) and np.isfinite(self.c)):
+            raise ValidationError(f"triangular feet/peak must be finite: ({self.a}, {self.b}, {self.c})")
         if not (self.a <= self.b <= self.c):
             raise ValidationError(f"triangular feet/peak out of order: ({self.a}, {self.b}, {self.c})")
 

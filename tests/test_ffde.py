@@ -24,6 +24,7 @@ from ffcalc import (
     MAX_GRID_CELLS,
     TriangularFuzzy,
     ValidationError,
+    default_r_grid,
     EXAMPLE1_CASE2_HORIZON_J,
     example1_case1_band,
     example1_case2_band,
@@ -389,6 +390,34 @@ class TestOnFractalSupport:
         horizon_J = J_at(table, sol.validity_horizon)
         j_cell = float(np.max(np.diff(sol.Js)))
         assert abs(horizon_J - math.log(2.0)) <= j_cell
+
+
+class TestNonLinearStaircase:
+    # a straight segment whose first half in u carries a fifth of its length:
+    # J = 0.4 u up to u = 0.5 and 0.2 + 1.6 (u - 0.5) after it, so the
+    # u -> J map is not linear and only a correct one meets the closed forms
+    @staticmethod
+    def _solve(case):
+        from ffcalc import build_staircase, generate_polyline
+
+        uneven = generate_polyline([0.0, 0.5, 1.0], [(0.0, 0.0), (0.2, 0.0), (1.0, 0.0)])
+        table = build_staircase(uneven, alpha=1.0, p0=0.0)
+        return solve_first_order(example1_problem(case, j_steps=256, table=table))
+
+    @pytest.mark.parametrize("case, band, tol", [("I", band_case1, 2.5e-11), ("II", band_case2, 5e-12)])
+    def test_closed_form_through_the_map(self, case, band, tol):
+        sol = self._solve(case)
+        us = sol.us
+        assert np.array_equal(sol.Js, np.where(us <= 0.5, 0.4 * us, 0.2 + 1.6 * (us - 0.5)))
+        lo, up = band(sol.Js[:, None], sol.rs[None, :])
+        ok = sol.validity
+        assert float(np.max(np.abs(sol.lower[ok] - lo[ok]))) <= tol
+        assert float(np.max(np.abs(sol.upper[ok] - up[ok]))) <= tol
+
+    def test_case2_horizon_is_the_last_node_below_the_mapped_ln2(self):
+        sol = self._solve("II")
+        u_star = 0.5 + (math.log(2.0) - 0.2) / 1.6  # J^-1(ln 2) = 0.8082
+        assert sol.validity_horizon == sol.us[sol.us <= u_star][-1] == 206 / 256
 
 
 class TestConvergence:
@@ -770,12 +799,15 @@ class TestSecondOrder:
         assert np.allclose(sol.lower[:, -1], solution.crisp)
 
     def test_to_solution_flags_non_finite_rows(self):
+        # a finite foot near the float limit overflows the envelope; the
+        # overflow is flagged in the rows, never printed as a numpy warning
         bvp = example2_bvp(steps=64)
-        infinite = ffde.SecondOrderFuzzyBvp(
-            **{**vars(bvp), "boundary_end": TriangularFuzzy(1.0, 2.0, math.inf)}
+        huge = ffde.SecondOrderFuzzyBvp(
+            **{**vars(bvp), "boundary_start": TriangularFuzzy(2.0, 3.0, 1.7e308)}
         )
-        with np.errstate(invalid="ignore"):  # 0 * inf where a weight vanishes
-            sol = solve_second_order_bvp(infinite).to_solution()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_second_order_bvp(huge).to_solution()
         finite = np.isfinite(sol.lower).all(axis=1) & np.isfinite(sol.upper).all(axis=1)
         assert not finite.all()
         assert np.array_equal(sol.validity, finite)
@@ -1250,6 +1282,46 @@ class TestProblemValidation:
             example2_bvp(steps=largest + 1)
         assert example2_bvp(steps=largest).steps == largest
 
+    @pytest.mark.parametrize("value", [16.0, 16.5, True, np.float64(32.0)])
+    @pytest.mark.parametrize(
+        "name, build",
+        [
+            ("r_points", lambda v: example1_problem("I", r_points=v)),
+            ("j_steps", lambda v: example1_problem("I", j_steps=v)),
+            ("u_points", lambda v: example1_problem("I", u_points=v)),
+            ("steps", lambda v: example2_bvp(steps=v)),
+            ("r_points", lambda v: example2_bvp(r_points=v)),
+            ("steps", lambda v: solve_crisp_in_J(lambda J, y: y, 1.0, (0.0, 1.0), v)),
+            ("n_levels", default_r_grid),
+        ],
+        ids=["r_points", "j_steps", "u_points", "bvp_steps", "bvp_r_points", "crisp_steps", "r_grid"],
+    )
+    def test_counts_must_be_integers(self, name, build, value):
+        # a float count was truncated (16.7 BVP steps solved as 16) or failed
+        # deep in numpy; every one is now refused before any solve
+        with pytest.raises(ValidationError, match=re.escape(f"'{name}' must be an integer, got {value!r}")):
+            build(value)
+
+    def test_integer_counts_of_numpy_type_accepted(self):
+        problem = example1_problem("I", r_points=np.int64(5), j_steps=np.int32(16), u_points=np.int16(9))
+        assert solve_first_order(problem).lower.shape == (9, 5)
+        assert solve_second_order_bvp(example2_bvp(steps=np.int64(16))).js.size == 17
+
+    def test_flat_staircase_span_refused_when_built(self):
+        from ffcalc import build_staircase, generate_polyline
+
+        # the first half of the parameter range has no length, so J stays 0
+        flat = generate_polyline([0.0, 0.5, 1.0], [(0.0, 0.0), (0.0, 0.0), (1.0, 0.0)])
+        problem = example1_problem("I")
+        with pytest.raises(ValidationError, match=re.escape("does not advance over the span (flat J)")):
+            FirstOrderFfdeProblem(
+                table=build_staircase(flat, alpha=1.0, p0=0.0),
+                rhs=problem.rhs,
+                x0=problem.x0,
+                span=(0.0, 0.5),
+                case="I",
+            )
+
     @staticmethod
     def _example1_on(span, case, steps):
         problem = example1_problem(case)
@@ -1274,9 +1346,9 @@ class TestProblemValidation:
     @pytest.mark.parametrize("case", ["I", "II"])
     @pytest.mark.parametrize("method", ["full", "cuts"])
     def test_span_too_narrow_for_step_count(self, case, method, span, steps):
-        problem = self._example1_on(span, case, steps)
+        # refused when the problem is built, before any solve
         with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
-            ffde.solve_first_order(problem, method=method)
+            ffde.solve_first_order(self._example1_on(span, case, steps), method=method)
 
     @pytest.mark.parametrize("case", ["I", "II"])
     @pytest.mark.parametrize("method", ["full", "cuts"])
@@ -1292,17 +1364,24 @@ class TestProblemValidation:
         with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
             solve_crisp_in_J(lambda J, y: y, 1.0, span, steps)
         bvp = example2_bvp(steps=steps)
-        narrow = ffde.SecondOrderFuzzyBvp(
-            p=bvp.p,
-            q=bvp.q,
-            forcing=bvp.forcing,
-            boundary_start=bvp.boundary_start,
-            boundary_end=bvp.boundary_end,
-            j_span=span,
-            steps=steps,
-        )
         with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
+            narrow = ffde.SecondOrderFuzzyBvp(
+                p=bvp.p,
+                q=bvp.q,
+                forcing=bvp.forcing,
+                boundary_start=bvp.boundary_start,
+                boundary_end=bvp.boundary_end,
+                j_span=span,
+                steps=steps,
+            )
             solve_second_order_bvp(narrow)
+
+    @pytest.mark.parametrize("span, steps", NARROW, ids=NARROW_IDS)
+    def test_narrow_span_refused_when_built(self, span, steps):
+        with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
+            self._example1_on(span, "I", steps)
+        with pytest.raises(ValidationError, match=f"too narrow for {steps} steps"):
+            ffde.SecondOrderFuzzyBvp(**{**vars(example2_bvp(steps=steps)), "j_span": span})
 
     def test_narrowest_resolvable_span_accepted(self):
         # 16 steps over 16 ulps: every node distinct

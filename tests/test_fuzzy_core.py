@@ -1,5 +1,7 @@
 """Fuzzy-number arithmetic, metric, Hukuhara difference and diagnostics."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +55,12 @@ class TestConstruction:
             make_triangular(1.0, 0.0, 2.0)
         with pytest.raises(ValidationError):
             TriangularFuzzy(3.0, 2.0, 1.0)
+
+    @pytest.mark.parametrize("feet", [(1.0, 2.0, math.inf), (-math.inf, 0.0, 1.0), (0.0, math.nan, 1.0)])
+    def test_triangular_feet_must_be_finite(self, feet):
+        # as Interval and FuzzyNumber: an infinite foot never reaches a solver
+        with pytest.raises(ValidationError, match="must be finite"):
+            TriangularFuzzy(*feet)
 
     def test_grid_must_span_01(self):
         with pytest.raises(ValidationError):
