@@ -101,6 +101,12 @@ def count(value, name: str, least: int) -> int:
     return value
 
 
+def _check_tol(tol, name: str = "tol") -> None:
+    """The one rule for a tolerance: finite and non-negative (NaN is neither)."""
+    if not (np.isfinite(tol) and tol >= 0.0):
+        raise ValidationError(f"{name} must be a finite non-negative number, got {tol!r}")
+
+
 def spec_array(value, name: str) -> np.ndarray:
     """A JSON spec field that must be an array of numbers or of rows of
     numbers, as a float array. A bool or string entry is refused like

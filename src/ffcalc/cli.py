@@ -13,20 +13,10 @@ import sys
 
 import numpy as np
 
-from ._textio import format_columns, write_csv
+from ._textio import _check_tol, format_columns, write_csv
 from .errors import FFCalcError, NumericError, ValidationError
 from .fractal_calc import f_derivative, f_integral
-from .fractal_curve import (
-    KOCH_MAX_LEVEL,
-    SEGMENT_MAX_LEVEL,
-    J_at,
-    _check_level,
-    build_staircase,
-    gamma_dimension,
-    generate_koch,
-    generate_segment,
-    staircase_to_csv,
-)
+from .fractal_curve import J_at, build_staircase, curve_from_json, gamma_dimension, staircase_to_csv
 from .ffde import (
     SecondOrderFuzzyBvp,
     ode_residual_max,
@@ -35,7 +25,6 @@ from .ffde import (
     solve_second_order_bvp,
     verify_against_closed_form,
 )
-from .fuzzy_core import _check_tol
 from .problems import (
     BUILTIN_NAMES,
     example1_case1_band,
@@ -56,20 +45,14 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-_MAX_LEVELS = {"koch": KOCH_MAX_LEVEL, "segment": SEGMENT_MAX_LEVEL}
-
-
-def _base_curve(name: str, level: int):
-    if name == "koch":
-        return generate_koch(level)
-    if name == "segment":
-        return generate_segment(level=level)
-    raise ValidationError(f"unknown curve {name!r}")
+def _curve(args, level):
+    """The --curve curve at ``level``, checked against its cap before it is built."""
+    return curve_from_json({"kind": args.curve, "level": level})
 
 
 def _curve_and_table(args):
     """The subcommand's curve and its staircase, anchored at the curve's start."""
-    curve = _base_curve(args.curve, args.level)
+    curve = _curve(args, args.level)
     return curve, build_staircase(curve, alpha=args.alpha)
 
 
@@ -115,7 +98,7 @@ def _run_spec(args) -> dict:
 
 
 def _cmd_curve(args) -> int:
-    curve = _base_curve(args.curve, args.level)
+    curve = _curve(args, args.level)
     if curve.ndim <= 3:
         names = ["x", "y", "z"][: curve.ndim]
     else:
@@ -126,10 +109,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    base = _base_curve(args.curve, 0)
-    # gamma_dimension refines the level-0 curve itself, past the generators' caps
-    _check_level(args.level, args.curve, _MAX_LEVELS[args.curve])
-    est = gamma_dimension(base, tol=args.tol, max_level=args.level)
+    # gamma_dimension refines the level-0 curve itself, and refuses an over-cap --level first
+    est = gamma_dimension(_curve(args, 0), tol=args.tol, max_level=args.level)
     _write_record(args.out, {"curve": args.curve, "max_level": args.level, "estimate": est})
     print(f"gamma-dimension estimate: {est:.6g} (curve={args.curve}, levels<={args.level})")
     return 0

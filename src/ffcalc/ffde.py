@@ -20,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._textio import count, format_columns, format_table, write_csv
+from ._textio import _check_tol, count, format_columns, format_table, write_csv
 from .errors import (
     ConditioningError,
     DivergenceError,
@@ -35,7 +35,6 @@ from .fuzzy_core import (
     TriangularFuzzy,
     _block_rows,
     _check_level_grid,
-    _check_tol,
     _rejected_rows,
     _scale_of,
     default_r_grid,

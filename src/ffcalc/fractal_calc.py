@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._textio import _check_tol
 from .errors import DegenerateDenominatorError, DomainError, IntegrityError, ValidationError
 from .fractal_curve import FractalCurve, J_at, StaircaseTable, _vertex_knots
 
@@ -104,7 +105,9 @@ def f_integral(
     upper sums. Summation is numpy's pairwise reduction, so the result is
     independent of any evaluation-order choice. ``f`` is any real function
     of u that accepts numpy arrays: it is called once per array of samples.
+    ``bracket_tol`` must be finite and non-negative.
     """
+    _check_tol(bracket_tol, "bracket_tol")
     knots, dJ = _cells(curve, table, a, b)
     mids = 0.5 * (knots[:-1] + knots[1:])
     fm = np.asarray(f(mids), dtype=float)

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._textio import format_columns, is_integer, spec_array, spec_kind, write_csv
+from ._textio import count, format_columns, is_integer, spec_array, spec_kind, write_csv
 from .errors import (
     CapabilityError,
     DomainError,
@@ -87,8 +87,7 @@ class FractalCurve:
             )
         if np.any(params[1:] <= params[:-1]):
             raise ValidationError("params must be strictly increasing")
-        if self.level < 0:
-            raise ValidationError("level must be non-negative")
+        object.__setattr__(self, "level", count(self.level, "level", 0))
         object.__setattr__(self, "params", params)
         object.__setattr__(self, "points", points)
 
@@ -122,9 +121,11 @@ class FractalCurve:
         )
 
     def refine(self) -> "FractalCurve":
-        """One refinement step; raises if the curve has no refinement rule."""
+        """One refinement step; raises if the curve has no refinement rule or
+        is at its refiner's level cap."""
         if self.refiner is None:
             raise CapabilityError("curve is not refinable (no refinement rule)")
+        _target_level(self, self.level + 1)
         new = self.refiner(self)
         if new.params.size <= self.params.size:
             raise ValidationError("refinement did not increase the vertex count")
@@ -143,7 +144,9 @@ class FractalCurve:
 
 def _refinements(curve: FractalCurve, level: int):
     """The curve and then each refinement of it up to ``level``, one at a
-    time, so only the current level is held."""
+    time, so only the current level is held; ``level`` is checked before
+    the first refinement."""
+    level = _target_level(curve, level)
     yield curve
     while curve.level < level:
         curve = curve.refine()
@@ -299,25 +302,16 @@ def _koch_refiner(curve: FractalCurve) -> FractalCurve:
     )
 
 
-def _check_level(level, curve: str, cap: int) -> int:
-    """``level`` as an int, if it is an integer in [0, cap]; built-in curves
-    are capped so that refinement cannot run the machine out of memory."""
-    if not is_integer(level) or not (0 <= level <= cap):
-        raise ValidationError(f"{curve} level must be an integer in [0, {cap}]")
-    return int(level)
-
-
-def _generate(ends, refiner: Refiner, level, name: str, cap: int) -> FractalCurve:
+def _generate(ends, refiner: Refiner, level) -> FractalCurve:
     """The one-segment curve over [0, 1] between the points ``ends``, refined
-    to ``level``, which is checked against ``cap`` before anything is built."""
-    level = _check_level(level, name, cap)
+    to ``level``."""
     base = FractalCurve(np.array([0.0, 1.0]), np.array(ends, dtype=float), refiner=refiner)
     return base.refined_to(level)
 
 
 def generate_koch(level: int) -> FractalCurve:
     """Standard von Koch polyline over [0, 1] with 4**level segments."""
-    return _generate([[0.0, 0.0], [1.0, 0.0]], _koch_refiner, level, "koch", KOCH_MAX_LEVEL)
+    return _generate([[0.0, 0.0], [1.0, 0.0]], _koch_refiner, level)
 
 
 def _midpoint_refiner(curve: FractalCurve) -> FractalCurve:
@@ -340,9 +334,30 @@ def generate_segment(start=(0.0, 0.0), end=(1.0, 0.0), level: int = 0) -> Fracta
     segment usable wherever a smooth refinable reference curve is needed
     (dimension estimates in particular).
     """
-    return _generate(
-        [list(start), list(end)], _midpoint_refiner, level, "segment", SEGMENT_MAX_LEVEL
-    )
+    return _generate([list(start), list(end)], _midpoint_refiner, level)
+
+
+# the built-in refiners' names and level caps, so that refinement cannot run
+# the machine out of memory; read only by _target_level
+_LEVEL_CAPS = {
+    _koch_refiner: ("koch", KOCH_MAX_LEVEL),
+    _midpoint_refiner: ("segment", SEGMENT_MAX_LEVEL),
+}
+
+
+def _target_level(curve: FractalCurve, level) -> int:
+    """``level`` as an int, if ``curve`` may be refined to it: an integer in
+    [0, cap] for a built-in refiner, any count otherwise, and never below
+    the curve's own level."""
+    # by identity: a refiner need not be hashable
+    name, cap = next((v for k, v in _LEVEL_CAPS.items() if k is curve.refiner), ("", None))
+    if cap is None:
+        level = count(level, "level", 0)
+    elif not (is_integer(level) and 0 <= level <= cap):
+        raise ValidationError(f"{name} level must be an integer in [0, {cap}]")
+    if level < curve.level:
+        raise ValidationError(f"level {level} is below the curve's level {curve.level}")
+    return int(level)
 
 
 # ---------------------------------------------------------------------------
@@ -397,14 +412,8 @@ def mass_function(
     """
     _check_order(alpha, curve.ndim)
     a, b = _sub_interval(curve, a, b)
-    if max_level is not None and not is_integer(max_level):
-        raise ValidationError("max_level must be an integer")
-    target = curve.level if max_level is None else int(max_level)
-    if target < curve.level:
-        raise ValidationError("max_level below the curve's current level")
-
     levels: list[tuple[int, float]] = []
-    for cur in _refinements(curve, target):
+    for cur in _refinements(curve, curve.level if max_level is None else max_level):
         mass = np.sum(_sub_polyline_lengths(cur, a, b) ** alpha) / math.gamma(alpha + 1.0)
         levels.append((cur.level, float(mass)))
     return MassEstimate(alpha=float(alpha), value=levels[-1][1], levels=levels)
@@ -442,10 +451,8 @@ def gamma_dimension(
     """
     if not 0.0 < tol < math.inf:  # also false for NaN
         raise ValidationError("tol must be a finite positive number")
-    if not (is_integer(max_level) and is_integer(fit_levels)):
-        raise ValidationError("max_level and fit_levels must be integers")
-    if fit_levels < 2:
-        raise ValidationError("fit_levels must be >= 2")
+    fit_levels = count(fit_levels, "fit_levels", 2)
+    max_level = _target_level(curve, max_level)
     if max_level < curve.level + fit_levels - 1:
         raise ValidationError("max_level leaves too few levels for the slope fit")
     a, b = _sub_interval(curve, a, b)
@@ -558,16 +565,19 @@ def staircase_to_csv(table: StaircaseTable, target) -> None:
     write_csv(target, "u,J", format_columns(table.us, table.Js))
 
 
-_CURVE_KINDS = {"koch": ("level",), "polyline": ("params", "points")}
+_CURVE_KINDS = {"koch": ("level",), "segment": ("level",), "polyline": ("params", "points")}
 
 
 def curve_from_json(spec: dict) -> FractalCurve:
     """Build a curve from a JSON object, never a string: ``{"kind": "koch",
-    "level": k}`` or ``{"kind": "polyline", "params": [...], "points":
-    [[...], ...]}``, with each field shown and no other."""
+    "level": k}``, ``{"kind": "segment", "level": k}`` (the unit segment of
+    :func:`generate_segment`) or ``{"kind": "polyline", "params": [...],
+    "points": [[...], ...]}``, with each field shown and no other."""
     kind, spec = spec_kind(spec, "curve", _CURVE_KINDS)
     if kind == "koch":
         return generate_koch(spec["level"])
+    if kind == "segment":
+        return generate_segment(level=spec["level"])
     return generate_polyline(
         spec_array(spec["params"], "params"), spec_array(spec["points"], "points")
     )

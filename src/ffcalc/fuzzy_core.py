@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._textio import count, spec_array, spec_kind, spec_number
+from ._textio import _check_tol, count, spec_array, spec_kind, spec_number
 from .errors import DomainError, HukuharaNonexistenceError, ValidationError
 
 __all__ = [
@@ -413,12 +413,6 @@ def _violations(rs, lowers, uppers, defects) -> list[Violation]:
         found.append(Violation("lower_le_upper", int(i), float(rs[i]), gap))
     found.sort(key=lambda v: (v.index, v.condition))
     return found
-
-
-def _check_tol(tol) -> None:
-    """The one rule for a tolerance: finite and non-negative (NaN is neither)."""
-    if not (np.isfinite(tol) and tol >= 0.0):
-        raise ValidationError(f"tol must be a finite non-negative number, got {tol!r}")
 
 
 def validate(number_or_rs, lowers=None, uppers=None, tol: float = 0.0) -> ValidationReport:

@@ -10,6 +10,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._textio import _check_tol
 from .errors import (
     CaseInapplicableError,
     DomainError,
@@ -186,7 +187,9 @@ class ContinuityProbe:
 
 
 def ff_continuity_probe(f: FuzzyCurveFunction, u0: float, deltas, tol: float = 1e-6) -> ContinuityProbe:
-    """Probe fuzzy continuity of f at u0 along a decreasing delta family."""
+    """Probe fuzzy continuity of f at u0 along a decreasing delta family;
+    ``tol`` must be finite and non-negative."""
+    _check_tol(tol)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0 or not (deltas > 0.0).all():  # also false for NaN
         raise ValidationError("deltas must be a non-empty array of positive values")

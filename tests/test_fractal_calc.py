@@ -96,6 +96,14 @@ class TestIntegral:
         res = f_integral(lambda u: np.exp(J_at(table, u)), curve, table)
         assert res.lower_sum <= res.value <= res.upper_sum
 
+    @pytest.mark.parametrize("bracket_tol", [math.nan, math.inf, -1.0])
+    def test_bracket_tol_must_be_finite_and_non_negative(self, bracket_tol):
+        curve = generate_segment(level=2)
+        table = build_staircase(curve, 1.0)
+        message = f"^bracket_tol must be a finite non-negative number, got {bracket_tol!r}$"
+        with pytest.raises(ValidationError, match=message):
+            f_integral(lambda u: J_at(table, u), curve, table, bracket_tol=bracket_tol)
+
     def test_wide_bracket_flagged_on_coarse_curve(self):
         curve = generate_segment(level=2)
         table = build_staircase(curve, 1.0, 0.0)

@@ -1,8 +1,10 @@
 """Curve generation, mass sums, dimension estimation and the staircase table."""
 
+import dataclasses
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -28,7 +30,8 @@ from ffcalc import (
     staircase_to_csv,
     u_at,
 )
-from ffcalc.fractal_curve import SEGMENT_MAX_LEVEL
+from ffcalc import fractal_curve
+from ffcalc.fractal_curve import SEGMENT_MAX_LEVEL, _koch_refiner, _midpoint_refiner
 
 KOCH_DIM = math.log(4.0) / math.log(3.0)
 
@@ -100,6 +103,91 @@ class TestGenerators:
         assert polyline_length(c.points) == pytest.approx(1.0, abs=1e-15)
 
 
+class TestLevelGate:
+    """Every refinement path checks its target level before it refines."""
+
+    CAPPED = [
+        (lambda: generate_koch(0), r"^koch level must be an integer in \[0, 12\]$", 13),
+        (lambda: generate_segment(), r"^segment level must be an integer in \[0, 24\]$", 25),
+    ]
+
+    @pytest.mark.parametrize("make, message, level", CAPPED, ids=["koch", "segment"])
+    def test_over_cap_refused_before_refining(self, monkeypatch, make, message, level):
+        # a missing check would refine until memory runs out; fail at once instead
+        curve = make()
+        monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
+        with pytest.raises(ValidationError, match=message):
+            gamma_dimension(curve, max_level=level)
+        with pytest.raises(ValidationError, match=message):
+            mass_function(curve, 1.0, max_level=level)
+        with pytest.raises(ValidationError, match=message):
+            curve.refined_to(level)
+
+    @pytest.mark.parametrize("level", [2.5, 3.0, "3", True, -1])
+    def test_refined_to_needs_an_integer(self, monkeypatch, level):
+        curve = generate_koch(0)
+        monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
+        with pytest.raises(ValidationError, match=r"^koch level must be an integer in \[0, 12\]$"):
+            curve.refined_to(level)
+
+    def test_refined_to_below_the_curve_level(self, monkeypatch):
+        curve = generate_koch(3)
+        monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
+        with pytest.raises(ValidationError, match="^level 1 is below the curve's level 3$"):
+            curve.refined_to(1)
+        with pytest.raises(ValidationError, match="^level 2 is below the curve's level 3$"):
+            mass_function(curve, 1.0, max_level=2)
+        assert curve.refined_to(3) is curve
+
+    @pytest.mark.parametrize(
+        "refiner, level, message",
+        [
+            (_koch_refiner, 12, r"^koch level must be an integer in \[0, 12\]$"),
+            (_midpoint_refiner, 24, r"^segment level must be an integer in \[0, 24\]$"),
+        ],
+        ids=["koch", "segment"],
+    )
+    def test_refine_at_the_cap(self, refiner, level, message):
+        # two vertices, so even an unchecked refinement costs nothing
+        curve = FractalCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], refiner=refiner, level=level)
+        with pytest.raises(ValidationError, match=message):
+            curve.refine()
+        below = FractalCurve(curve.params, curve.points, refiner=refiner, level=level - 1)
+        assert below.refine().level == level
+
+    def test_other_refiners_take_any_count(self):
+        @dataclasses.dataclass
+        class Halving:  # compares by value, so it and its bound methods are unhashable
+            def step(self, curve):
+                return _midpoint_refiner(curve)
+
+        curve = FractalCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], refiner=Halving().step)
+        assert curve.refined_to(np.int64(3)).level == 3
+        with pytest.raises(ValidationError, match="^'level' must be an integer, got 2.5$"):
+            curve.refined_to(2.5)
+        with pytest.raises(ValidationError, match="^level must be >= 0$"):
+            curve.refined_to(-1)
+
+    @pytest.mark.parametrize("level", [2.5, True, -1, "2"])
+    def test_curve_level_is_a_count(self, level):
+        with pytest.raises(ValidationError):
+            FractalCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], refiner=_koch_refiner, level=level)
+
+    def test_curve_level_stored_as_int(self):
+        curve = FractalCurve([0.0, 1.0], [[0.0, 0.0], [1.0, 0.0]], level=np.int64(2))
+        assert type(curve.level) is int and curve.level == 2
+
+    def test_every_builtin_refiner_is_capped(self):
+        # a new built-in refiner must get a cap before it can ship
+        refiners = [
+            obj for name, obj in vars(fractal_curve).items()
+            if name.endswith("_refiner") and callable(obj)
+        ]
+        assert refiners
+        for refiner in refiners:
+            assert any(refiner is key for key in fractal_curve._LEVEL_CAPS), refiner.__name__
+
+
 class TestMassFunction:
     def test_unit_segment_alpha1_is_length(self):
         c = generate_polyline([0.0, 1.0], [(0.0, 0.0), (1.0, 0.0)])
@@ -156,7 +244,7 @@ class TestMassFunction:
 
     @pytest.mark.parametrize("max_level", [3.7, 3.0, "3", True])
     def test_max_level_must_be_an_integer(self, max_level):
-        with pytest.raises(ValidationError, match="^max_level must be an integer$"):
+        with pytest.raises(ValidationError, match=r"^koch level must be an integer in \[0, 12\]$"):
             mass_function(generate_koch(0), 1.0, max_level=max_level)
         est = mass_function(generate_koch(0), 1.0, max_level=np.int64(3))
         assert est.levels == mass_function(generate_koch(0), 1.0, max_level=3).levels
@@ -186,7 +274,12 @@ class TestGammaDimension:
     )
     def test_levels_must_be_integers(self, monkeypatch, max_level, fit_levels):
         monkeypatch.setattr(FractalCurve, "refine", _no_refinement)
-        with pytest.raises(ValidationError, match="^max_level and fit_levels must be integers$"):
+        # fit_levels is checked first, then max_level against the curve's cap
+        if type(fit_levels) is int:
+            message = r"^koch level must be an integer in \[0, 12\]$"
+        else:
+            message = re.escape(f"'fit_levels' must be an integer, got {fit_levels!r}")
+        with pytest.raises(ValidationError, match=message):
             gamma_dimension(generate_koch(0), max_level=max_level, fit_levels=fit_levels)
 
     def test_levels_accept_numpy_integers(self):
@@ -398,6 +491,18 @@ class TestTypesAndIO:
     def test_curve_json_level_must_be_an_integer(self, level):
         with pytest.raises(ValidationError, match=r"^koch level must be an integer"):
             curve_from_json({"kind": "koch", "level": level})
+
+    def test_curve_json_segment(self):
+        built = curve_from_json({"kind": "segment", "level": 3})
+        ref = generate_segment(level=3)
+        assert np.array_equal(built.params, ref.params)
+        assert np.array_equal(built.points, ref.points)
+        assert (built.level, built.refiner) == (ref.level, ref.refiner)
+        message = r"^segment level must be an integer in \[0, 24\]$"
+        with pytest.raises(ValidationError, match=message):
+            curve_from_json({"kind": "segment", "level": 25})
+        with pytest.raises(ValidationError, match="^segment curve spec needs field 'level'$"):
+            curve_from_json({"kind": "segment"})
 
     def test_curve_point_interpolation(self):
         c = generate_polyline([0.0, 1.0], [(0.0, 0.0), (2.0, 2.0)])

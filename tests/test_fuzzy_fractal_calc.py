@@ -98,6 +98,14 @@ class TestContinuityProbe:
         probe = ff_continuity_probe(f, 3.0, [0.5])  # 3 is inside the domain
         assert np.isnan(probe.right[0]) and probe.left[0] == 1.0
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
+    def test_tol_must_be_finite_and_non_negative(self, segment6, tol):
+        _, table = segment6
+        f = crisp_embedding(lambda u: J_at(table, u), (0.0, 1.0))
+        message = f"^tol must be a finite non-negative number, got {tol!r}$"
+        with pytest.raises(ValidationError, match=message):
+            ff_continuity_probe(f, 0.5, [0.1, 0.01], tol=tol)
+
     @pytest.mark.parametrize("deltas", [[np.nan], [0.1, np.nan]], ids=["single", "array"])
     def test_nan_delta_rejected(self, segment6, deltas):
         _, table = segment6
