@@ -34,9 +34,12 @@ from .fractal_curve import (
     u_at,
 )
 from .fuzzy_core import (
+    DEFAULT_R_LEVELS,
     FuzzyNumber,
     Interval,
     TriangularFuzzy,
+    ValidationReport,
+    Violation,
     add,
     default_r_grid,
     fuzzy_from_json,
@@ -50,6 +53,7 @@ from .fuzzy_core import (
 )
 from .fractal_calc import FIntegralResult, f_derivative, f_integral
 from .fuzzy_fractal_calc import (
+    ContinuityProbe,
     FuzzyCurveFunction,
     crisp_embedding,
     ff_continuity_probe,
@@ -58,6 +62,7 @@ from .fuzzy_fractal_calc import (
     triangular_field,
 )
 from .ffde import (
+    CrispTrajectory,
     FirstOrderFfdeProblem,
     FuncRhs,
     FuzzySolution,
@@ -75,6 +80,7 @@ from .ffde import (
     verify_against_closed_form,
 )
 from .problems import (
+    BUILTIN_NAMES,
     EXAMPLE1_CASE2_HORIZON_J,
     example1_case1_band,
     example1_case2_band,

@@ -1,5 +1,7 @@
-"""Plain-text I/O shared by the modules: full-precision CSV rows and typed
-fields of JSON specs."""
+"""The input rules and plain-text I/O shared by the modules: the one rule
+each for a point in a domain, a sub-interval of one, a named option, a
+count, a tolerance and a user function's per-point values; full-precision
+CSV rows; and typed fields of JSON specs."""
 
 from __future__ import annotations
 
@@ -7,7 +9,7 @@ import math
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DomainError, ValidationError
 
 
 def format_table(row_format: str, table) -> str:
@@ -105,6 +107,51 @@ def _check_tol(tol, name: str = "tol") -> None:
     """The one rule for a tolerance: finite and non-negative (NaN is neither)."""
     if not (np.isfinite(tol) and tol >= 0.0):
         raise ValidationError(f"{name} must be a finite non-negative number, got {tol!r}")
+
+
+def inside(values, lo, hi, what: str) -> None:
+    """The one rule for a point in a domain: every entry of ``values``, a
+    scalar or an array, lies in the closed interval [lo, hi], which NaN never
+    does. Otherwise a :class:`DomainError` reads ``<what> outside [lo, hi]``."""
+    if isinstance(values, float):  # a plain float, without numpy's per-call cost
+        ok = lo <= values <= hi
+    else:
+        values = np.asarray(values, dtype=float)
+        ok = ((values >= lo) & (values <= hi)).all()
+    if not ok:
+        raise DomainError(f"{what} outside [{lo}, {hi}]")
+
+
+def sub_interval(a, b, lo, hi, what: str) -> tuple[float, float]:
+    """The one rule for a sub-interval [a, b] of the domain [lo, hi]: a
+    ``None`` end is that end of the domain, and lo <= a < b <= hi must hold
+    (never with NaN). Returns both ends as floats."""
+    a = lo if a is None else float(a)
+    b = hi if b is None else float(b)
+    if not (lo <= a <= hi and lo <= b <= hi):
+        raise DomainError(f"{what} [{a}, {b}] leaves the domain [{lo}, {hi}]")
+    if not a < b:
+        raise DomainError(f"{what} [{a}, {b}] does not increase")
+    return a, b
+
+
+def one_of(value, name: str, choices: tuple) -> None:
+    """The one rule for a named option: ``value`` is one of ``choices``."""
+    if value not in choices:
+        raise ValidationError(f"{name} must be {' or '.join(map(repr, choices))}, got {value!r}")
+
+
+def per_point(values, points: np.ndarray, what: str) -> np.ndarray:
+    """The one rule for what a user function ``what`` returned when called
+    once on an array of points: real numbers, one per point or a scalar for
+    all of them. Returns them as floats of the points' shape, read-only."""
+    values = np.asarray(values)
+    if values.dtype.kind not in "biuf" or values.shape not in ((), points.shape):
+        raise ValidationError(
+            f"{what} must map an array of points to real numbers, one value per point or "
+            f"a scalar; got {values.dtype} of shape {values.shape} for {points.size} points"
+        )
+    return np.broadcast_to(values.astype(float, copy=False), points.shape)
 
 
 def spec_array(value, name: str) -> np.ndarray:

@@ -26,6 +26,7 @@ from .ffde import (
     verify_against_closed_form,
 )
 from .problems import (
+    _RUN_FIELDS,
     BUILTIN_NAMES,
     example1_case1_band,
     example1_case2_band,
@@ -87,7 +88,7 @@ def _run_spec(args) -> dict:
         spec = {"rhs": {"kind": "builtin", "name": args.builtin}}
     else:
         raise ValidationError("provide either --builtin or --spec")
-    for name in ("case", "r_points", "j_steps"):
+    for name in _RUN_FIELDS:
         value = getattr(args, name)
         if value is not None:
             if name in spec:

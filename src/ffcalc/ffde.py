@@ -20,13 +20,18 @@ from typing import Callable
 
 import numpy as np
 
-from ._textio import _check_tol, count, format_columns, format_table, write_csv
-from .errors import (
-    ConditioningError,
-    DivergenceError,
-    DomainError,
-    ValidationError,
+from ._textio import (
+    _check_tol,
+    count,
+    format_columns,
+    format_table,
+    inside,
+    one_of,
+    per_point,
+    sub_interval,
+    write_csv,
 )
+from .errors import ConditioningError, DivergenceError, ValidationError
 from .fractal_curve import J_at, StaircaseTable, _in_query_order
 from .fuzzy_core import (
     _SHAPE_TOL,
@@ -64,12 +69,6 @@ __all__ = [
 # crisp integration in the J coordinate
 
 
-def _check_span(x: np.ndarray, xq: np.ndarray) -> None:
-    """The rule for a dense-output query: J inside the integrated span."""
-    if not ((xq >= x[0]) & (xq <= x[-1])).all():  # also false for NaN
-        raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
-
-
 def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq) -> np.ndarray:
     """Piecewise cubic through nodes ``x`` with values ``y`` and slopes ``m``
     (both along axis 0), evaluated at ``xq`` inside [x[0], x[-1]].
@@ -87,7 +86,7 @@ def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq) -> np.ndarray:
     value is computed by the same operations as from a full table.
     """
     xq = np.asarray(xq, dtype=float)
-    _check_span(x, xq)
+    inside(xq, x[0], x[-1], "J")
 
     def ascending(xq: np.ndarray) -> np.ndarray:
         """Values at queries that are non-decreasing once ravelled."""
@@ -394,12 +393,8 @@ class FirstOrderFfdeProblem:
     u_points: int | None = None
 
     def __post_init__(self):
-        if self.case not in ("I", "II"):
-            raise ValidationError(f"case must be 'I' or 'II', got {self.case!r}")
-        lo, hi = self.table.domain
-        u0, u1 = float(self.span[0]), float(self.span[1])
-        if not (lo <= u0 < u1 <= hi):
-            raise DomainError(f"span [{u0}, {u1}] outside the table domain [{lo}, {hi}]")
+        one_of(self.case, "case", ("I", "II"))
+        u0, u1 = sub_interval(self.span[0], self.span[1], *self.table.domain, "span")
         # each count before its cap, and the J grid's nodes only once capped
         count(self.r_points, "r_points", 2)
         count(self.j_steps, "j_steps", 16)
@@ -507,8 +502,7 @@ def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> F
     exact only for a LinearRhs with level-linear ``x0`` and ``c``; any
     other problem is refused.
     """
-    if method not in ("full", "cuts"):
-        raise ValidationError(f"method must be 'full' or 'cuts', got {method!r}")
+    one_of(method, "method", ("full", "cuts"))
     if method == "cuts" and not _cuts_exact(problem):
         raise ValidationError("method 'cuts' needs a LinearRhs with level-linear x0 and c; use 'full'")
     swap = problem.case == "II"
@@ -772,14 +766,13 @@ class SecondOrderSolution:
     def q_at(self, j):
         """Interpolation weights (q1, q2) of the boundary uncertainty at J
         inside the integrated span."""
-        _check_span(self.js, np.asarray(j, dtype=float))
+        inside(j, self.js[0], self.js[-1], "J")
         x1, x2 = _fundamental_pair(self.problem.p, self.problem.q)
         p_row = np.array([x1(j), x2(j)], dtype=float)
         return np.linalg.solve(self.boundary_matrix.T, p_row)
 
     def kappa_band(self, kappa: float) -> tuple[np.ndarray, np.ndarray]:
-        if not 0.0 <= kappa <= 1.0:
-            raise DomainError(f"kappa={kappa} outside [0, 1]")
+        inside(kappa, 0, 1, f"kappa={kappa}")
         w = 1.0 - kappa
         return self.crisp + w * self.un_lower, self.crisp + w * self.un_upper
 
@@ -874,10 +867,7 @@ def solve_second_order_bvp(problem: SecondOrderFuzzyBvp) -> SecondOrderSolution:
     js, h = _uniform_grid((j0, j1), problem.steps, "steps")
     nodes = np.concatenate((js[:-1], js[:-1] + 0.5 * h, js[:-1] + h))
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected explicitly
-        g = np.asarray(problem.forcing(nodes))
-    if g.dtype.kind not in "biuf" or g.ndim > 1 or g.size not in (1, nodes.size):
-        raise ValidationError("forcing must map an array of J values to one real value per point")
-    g = np.broadcast_to(g.astype(float, copy=False), nodes.shape).reshape(3, -1)
+        g = per_point(problem.forcing(nodes), nodes, "forcing").reshape(3, -1)
     x, v, y, w = _rk4_shoot(p, q, g, peak0, js, h)
     den = float(y[-1])
     if abs(den) <= 1e-12 * max(1.0, abs(peak1), abs(float(x[-1]))):
@@ -933,5 +923,5 @@ def ode_residual_max(js: np.ndarray, xs: np.ndarray, p: float, q: float, forcing
     d2 = (-xs[4:] + 16.0 * xs[3:-1] - 30.0 * xs[2:-2] + 16.0 * xs[1:-3] - xs[:-4]) / (
         12.0 * h * h
     )
-    res = d2 + p * d1 + q * xs[2:-2] - np.asarray(forcing(js[2:-2]), dtype=float)
+    res = d2 + p * d1 + q * xs[2:-2] - per_point(forcing(js[2:-2]), js[2:-2], "forcing")
     return float(np.max(np.abs(res)))

@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import _check_tol
-from .errors import DegenerateDenominatorError, DomainError, IntegrityError, ValidationError
+from ._textio import _check_tol, per_point, sub_interval
+from .errors import DegenerateDenominatorError, IntegrityError, ValidationError
 from .fractal_curve import FractalCurve, J_at, StaircaseTable, _vertex_knots
 
 __all__ = ["FIntegralResult", "f_derivative", "f_integral"]
@@ -56,9 +56,7 @@ def _step(table: StaircaseTable, u: float, h: float | None) -> float:
 def _increment(table: StaircaseTable, u0: float, u1: float, stencil: str) -> float:
     """J(u1) - J(u0), the denominator of a difference quotient over the
     ``stencil`` [u0, u1], which must lie in the domain and not be flat."""
-    lo, hi = table.domain
-    if u0 < lo or u1 > hi:
-        raise DomainError(f"{stencil} [{u0}, {u1}] leaves the domain [{lo}, {hi}]")
+    sub_interval(u0, u1, *table.domain, stencil)
     dJ = J_at(table, u1) - J_at(table, u0)
     if dJ == 0.0:
         raise DegenerateDenominatorError(f"staircase is flat across [{u0}, {u1}]")
@@ -78,11 +76,8 @@ def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> 
 
 def _cells(curve: FractalCurve, table: StaircaseTable, a: float | None, b: float | None):
     """Knots of the vertex subdivision of [a, b] (default: the table domain) and each cell's dJ."""
-    lo, hi = table.domain
-    a = lo if a is None else float(a)
-    b = hi if b is None else float(b)
-    if not (lo <= a < b <= hi) or not (curve.a0 <= a and b <= curve.b0):
-        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of the domain")
+    a, b = sub_interval(a, b, *table.domain, "interval")
+    sub_interval(a, b, curve.a0, curve.b0, "interval")
     knots = _vertex_knots(table.us, a, b)
     dJ = np.diff(np.interp(knots, table.us, table.Js))
     if np.any(dJ < 0.0):
@@ -104,15 +99,14 @@ def f_integral(
     min/max over the endpoint and midpoint samples, mirroring lower and
     upper sums. Summation is numpy's pairwise reduction, so the result is
     independent of any evaluation-order choice. ``f`` is any real function
-    of u that accepts numpy arrays: it is called once per array of samples.
+    of u that accepts numpy arrays: it is called once per array of samples
+    and returns one value per sample, or a scalar for all of them.
     ``bracket_tol`` must be finite and non-negative.
     """
     _check_tol(bracket_tol, "bracket_tol")
     knots, dJ = _cells(curve, table, a, b)
     mids = 0.5 * (knots[:-1] + knots[1:])
-    fm = np.asarray(f(mids), dtype=float)
-    fl = np.asarray(f(knots[:-1]), dtype=float)
-    fr = np.asarray(f(knots[1:]), dtype=float)
+    fm, fl, fr = (per_point(f(x), x, "f") for x in (mids, knots[:-1], knots[1:]))
     value = float(np.sum(fm * dJ))
     lower = float(np.sum(np.minimum(np.minimum(fl, fr), fm) * dJ))
     upper = float(np.sum(np.maximum(np.maximum(fl, fr), fm) * dJ))

@@ -16,10 +16,18 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._textio import count, format_columns, is_integer, spec_array, spec_kind, write_csv
+from ._textio import (
+    count,
+    format_columns,
+    inside,
+    is_integer,
+    spec_array,
+    spec_kind,
+    sub_interval,
+    write_csv,
+)
 from .errors import (
     CapabilityError,
-    DomainError,
     EstimationError,
     OrderError,
     ValidationError,
@@ -112,12 +120,10 @@ class FractalCurve:
 
     def point_at(self, u):
         """w(u), linearly interpolated between vertices."""
-        u_arr = np.asarray(u, dtype=float)
-        if not ((u_arr >= self.a0) & (u_arr <= self.b0)).all():  # also false for NaN
-            raise DomainError(f"parameter outside [{self.a0}, {self.b0}]")
+        inside(u, self.a0, self.b0, "parameter")
         return _in_query_order(
             lambda q: np.stack([np.interp(q, self.params, col) for col in self.points.T], axis=-1),
-            u_arr,
+            np.asarray(u, dtype=float),
         )
 
     def refine(self) -> "FractalCurve":
@@ -194,8 +200,7 @@ class StaircaseTable:
             raise ValidationError("us must be strictly increasing")
         if np.any(Js[1:] < Js[:-1]):
             raise ValidationError("Js must be non-decreasing")
-        if not (us[0] <= self.p0 <= us[-1]):
-            raise ValidationError("anchor p0 outside the tabulated range")
+        inside(self.p0, us[0], us[-1], f"anchor {self.p0}")
         anchor = float(np.interp(self.p0, us, Js))
         # Js is non-decreasing, so its largest magnitude sits at an end
         scale = max(1.0, abs(float(Js[0])), abs(float(Js[-1])))
@@ -379,14 +384,6 @@ def _vertex_knots(t: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.concatenate([[a], t[_inner_vertices(t, a, b)], [b]])
 
 
-def _sub_interval(curve: FractalCurve, a: float | None, b: float | None) -> tuple[float, float]:
-    a = curve.a0 if a is None else float(a)
-    b = curve.b0 if b is None else float(b)
-    if not (curve.a0 <= a < b <= curve.b0):
-        raise DomainError(f"[{a}, {b}] is not a valid sub-interval of [{curve.a0}, {curve.b0}]")
-    return a, b
-
-
 def _sub_polyline_lengths(curve: FractalCurve, a: float, b: float) -> np.ndarray:
     """Segment lengths from w(a) to w(b) through the curve's own vertices in between."""
     if a == curve.a0 and b == curve.b0:  # w(a0), w(b0) interpolate to the end vertices exactly
@@ -411,7 +408,7 @@ def mass_function(
     value is the sum at the deepest level.
     """
     _check_order(alpha, curve.ndim)
-    a, b = _sub_interval(curve, a, b)
+    a, b = sub_interval(a, b, curve.a0, curve.b0, "interval")
     levels: list[tuple[int, float]] = []
     for cur in _refinements(curve, curve.level if max_level is None else max_level):
         mass = np.sum(_sub_polyline_lengths(cur, a, b) ** alpha) / math.gamma(alpha + 1.0)
@@ -455,7 +452,7 @@ def gamma_dimension(
     max_level = _target_level(curve, max_level)
     if max_level < curve.level + fit_levels - 1:
         raise ValidationError("max_level leaves too few levels for the slope fit")
-    a, b = _sub_interval(curve, a, b)
+    a, b = sub_interval(a, b, curve.a0, curve.b0, "interval")
 
     keep_from = max_level - fit_levels + 1
     bins: list[tuple[np.ndarray, np.ndarray]] = []
@@ -497,8 +494,7 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
     """
     _check_order(alpha, curve.ndim)
     p0 = curve.a0 if p0 is None else float(p0)
-    if not (curve.a0 <= p0 <= curve.b0):
-        raise DomainError(f"anchor {p0} outside [{curve.a0}, {curve.b0}]")
+    inside(p0, curve.a0, curve.b0, f"anchor {p0}")
     masses = curve.segment_lengths()
     masses **= alpha
     masses /= math.gamma(alpha + 1.0)
@@ -511,10 +507,8 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
 
 def J_at(table: StaircaseTable, u):
     """Staircase value at u (piecewise-linear between tabulated vertices)."""
+    inside(u, *table.domain, "parameter")
     u_arr = np.asarray(u, dtype=float)
-    lo, hi = table.domain
-    if not ((u_arr >= lo) & (u_arr <= hi)).all():  # also false for NaN
-        raise DomainError(f"parameter outside [{lo}, {hi}]")
     out = _in_query_order(lambda q: np.interp(q, table.us, table.Js), u_arr)
     return float(out) if np.isscalar(u) or u_arr.ndim == 0 else out
 
@@ -537,10 +531,8 @@ def u_at(table: StaircaseTable, J):
     On flat segments (zero-mass stretches) the preimage is an interval;
     the leftmost point is returned.
     """
+    inside(J, *table.J_range, "staircase value")
     J_arr = np.asarray(J, dtype=float)
-    Jlo, Jhi = table.J_range
-    if not ((J_arr >= Jlo) & (J_arr <= Jhi)).all():  # also false for NaN
-        raise DomainError(f"staircase value outside [{Jlo}, {Jhi}]")
     out = _in_query_order(lambda q: _preimages(table, q), J_arr)
     return float(out) if np.isscalar(J) or J_arr.ndim == 0 else out
 

@@ -15,8 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._textio import _check_tol, count, spec_array, spec_kind, spec_number
-from .errors import DomainError, HukuharaNonexistenceError, ValidationError
+from ._textio import _check_tol, count, inside, spec_array, spec_kind, spec_number
+from .errors import HukuharaNonexistenceError, ValidationError
 
 __all__ = [
     "DEFAULT_R_LEVELS",
@@ -88,8 +88,7 @@ class TriangularFuzzy:
             raise ValidationError(f"triangular feet/peak out of order: ({self.a}, {self.b}, {self.c})")
 
     def r_cut(self, r: float) -> Interval:
-        if not 0.0 <= r <= 1.0:
-            raise DomainError(f"membership level {r} outside [0, 1]")
+        inside(r, 0, 1, f"membership level {r}")
         return Interval(*_triangular_cuts(self.a, self.b, self.c, r))
 
     def to_fuzzy(self, rs: np.ndarray | None = None) -> "FuzzyNumber":
@@ -172,8 +171,9 @@ class FuzzyNumber:
         return bool(np.all(self.lowers == self.uppers))
 
     def r_cut(self, r: float) -> Interval:
-        if not np.isscalar(r) or not 0.0 <= r <= 1.0:
-            raise DomainError(f"membership level {r} outside [0, 1]")
+        inside(r, 0, 1, f"membership level {r}")
+        if not np.isscalar(r):
+            raise ValidationError(f"membership level must be a scalar, got {r!r}")
         lo = float(np.interp(r, self.rs, self.lowers))
         hi = float(np.interp(r, self.rs, self.uppers))
         if hi < lo:
@@ -184,8 +184,7 @@ class FuzzyNumber:
     def cuts_at(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper endpoints interpolated at the given levels."""
         rs = np.asarray(rs, dtype=float)
-        if not ((rs >= 0.0) & (rs <= 1.0)).all():  # also false for NaN
-            raise DomainError("membership levels outside [0, 1]")
+        inside(rs, 0, 1, "membership levels")
         return np.interp(rs, self.rs, self.lowers), np.interp(rs, self.rs, self.uppers)
 
     def resample(self, rs: np.ndarray) -> "FuzzyNumber":

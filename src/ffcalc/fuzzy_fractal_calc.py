@@ -10,13 +10,8 @@ from typing import Callable
 
 import numpy as np
 
-from ._textio import _check_tol
-from .errors import (
-    CaseInapplicableError,
-    DomainError,
-    HukuharaNonexistenceError,
-    ValidationError,
-)
+from ._textio import _check_tol, inside, one_of, per_point
+from .errors import CaseInapplicableError, HukuharaNonexistenceError, ValidationError
 from .fractal_calc import _cells, _increment, _step
 from .fractal_curve import FractalCurve, StaircaseTable
 from .fuzzy_core import (
@@ -95,19 +90,6 @@ class _ArrayField(FuzzyCurveFunction):
         return _DEFAULT_RS, lowers, uppers
 
 
-def _values(f, us: np.ndarray) -> np.ndarray:
-    """f called once on the array us: one value per point, or a scalar for all."""
-    values = np.asarray(f(us), dtype=float)
-    if values.shape == us.shape:
-        return values
-    if values.ndim == 0:
-        return np.full(us.shape, values)
-    raise ValidationError(
-        f"field function returned shape {values.shape} for {us.size} points; "
-        "it must return one value per point or a scalar"
-    )
-
-
 def crisp_embedding(f, domain) -> FuzzyCurveFunction:
     """Lift a real-valued function to a zero-width fuzzy function on ``domain``.
 
@@ -116,7 +98,7 @@ def crisp_embedding(f, domain) -> FuzzyCurveFunction:
     """
 
     def rows(us):
-        x = _values(f, us)
+        x = per_point(f(us), us, "f")
         finite = np.isfinite(x)
         if not finite.all():
             make_crisp(float(x[np.argmin(finite)]))  # rejects the first such point
@@ -137,7 +119,7 @@ def triangular_field(f1, f2, f3, domain) -> FuzzyCurveFunction:
     from .fuzzy_core import make_triangular
 
     def rows(us):
-        a, b, c = _values(f1, us), _values(f2, us), _values(f3, us)
+        a, b, c = per_point(f1(us), us, "f1"), per_point(f2(us), us, "f2"), per_point(f3(us), us, "f3")
         # make_triangular's cuts, one row per point; an infinite value makes
         # NaN entries (inf * 0, inf - inf), and such rows are rejected below
         with np.errstate(invalid="ignore"):
@@ -196,8 +178,7 @@ def ff_continuity_probe(f: FuzzyCurveFunction, u0: float, deltas, tol: float = 1
     if np.any(np.diff(deltas) >= 0.0):
         raise ValidationError("deltas must be strictly decreasing")
     lo, hi = f.domain
-    if not lo <= u0 <= hi:
-        raise DomainError(f"u0={u0} outside the domain [{lo}, {hi}]")
+    inside(u0, lo, hi, f"u0={u0}")
     center = f(u0)
     left = np.full(deltas.shape, np.nan)
     right = np.full(deltas.shape, np.nan)
@@ -226,8 +207,7 @@ def fractal_hukuhara_derivative(
     Inapplicability of the requested case raises
     :class:`CaseInapplicableError` naming the smallest failing level.
     """
-    if case not in ("I", "II"):
-        raise ValidationError(f"case must be 'I' or 'II', got {case!r}")
+    one_of(case, "case", ("I", "II"))
     h = _step(table, u0, h)
     dJ = _increment(table, u0, u0 + h, "forward stencil")
     f0 = f(u0)
@@ -262,8 +242,7 @@ def ff_riemann_integral(
     :meth:`FuzzyCurveFunction.bands`, and the sum is one weighted reduction
     over that table.
     """
-    if rule not in ("left", "midpoint"):
-        raise ValidationError(f"rule must be 'left' or 'midpoint', got {rule!r}")
+    one_of(rule, "rule", ("left", "midpoint"))
     knots, dJ = _cells(curve, table, a, b)
     nodes = knots[:-1] if rule == "left" else 0.5 * (knots[:-1] + knots[1:])
 

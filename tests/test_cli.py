@@ -349,7 +349,7 @@ class TestExitStatus:
     def test_differentiate_at_nan_subprocess(self, tmp_path, cli_env):
         proc = run_cli(["differentiate", "--level", "4", "--at", "nan"], env=cli_env, cwd=tmp_path)
         assert proc.returncode == 1 and proc.stdout == ""
-        assert proc.stderr == "error: parameter outside [0.0, 1.0]\n"
+        assert proc.stderr == "error: stencil [nan, nan] leaves the domain [0.0, 1.0]\n"
 
     @pytest.mark.parametrize(
         "args",

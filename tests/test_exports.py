@@ -1,7 +1,7 @@
 """Package surface: every module's ``__all__`` names something that exists,
-the package exports nothing a module does not list in its ``__all__``, no
-module imports a name it does not use, and every private module-level name
-is used somewhere in the package."""
+the package exports exactly the names the modules list in their
+``__all__``, no module imports a name it does not use and every private
+module-level name is used somewhere in the package."""
 
 import ast
 import importlib
@@ -25,13 +25,14 @@ def test_all_names_resolve(module):
     assert missing == []
 
 
-def test_package_exports_only_listed_names():
+def test_package_exports_exactly_the_listed_names():
     exported = {
         name
         for name, value in vars(ffcalc).items()
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
-    assert exported - _PUBLIC == set()
+    assert sorted(exported - _PUBLIC) == []
+    assert sorted(_PUBLIC - exported) == []
 
 
 @pytest.mark.parametrize("module", _MODULES, ids=lambda m: m.__name__)
@@ -85,3 +86,4 @@ def test_every_private_name_is_used():
             if not uses.get(name, set()) - own:
                 unused.append(name)
     assert sorted(unused) == []
+

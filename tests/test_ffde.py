@@ -971,6 +971,7 @@ class TestShootingKernel:
         "result",
         [
             lambda J: np.zeros(3),
+            lambda J: np.zeros(1),
             lambda J: np.zeros((np.size(J), 1)),
             lambda J: "one",
             lambda J: None,

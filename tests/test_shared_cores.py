@@ -52,6 +52,7 @@ from ffcalc import (
     validate,
 )
 from ffcalc import ffde, fractal_calc, fractal_curve, fuzzy_core
+from ffcalc._textio import sub_interval
 from ffcalc.fuzzy_core import (
     DEFAULT_R_LEVELS,
     _DEFAULT_RS,
@@ -932,7 +933,7 @@ def ref_gamma_dimension(curve, a, b, tol, max_level, fit_levels, slope):
     """gamma_dimension over every segment's length; the argument checks are
     left out and each slope is taken through ``slope``, which wraps
     ref_log_sum_slope."""
-    a, b = fractal_curve._sub_interval(curve, a, b)
+    a, b = sub_interval(a, b, curve.a0, curve.b0, "interval")
 
     keep_from = max_level - fit_levels + 1
     length_arrays = []
@@ -1628,7 +1629,7 @@ class ref_CubicHermite:
         xq = np.asarray(xq, dtype=float)
         x = self._x
         if not ((xq >= x[0]) & (xq <= x[-1])).all():  # also false for NaN
-            raise DomainError(f"J outside the integrated span [{x[0]}, {x[-1]}]")
+            raise DomainError(f"J outside [{x[0]}, {x[-1]}]")
         flat = xq.ravel()
         i = np.clip(np.searchsorted(x, flat, side="right") - 1, 0, x.size - 2)
         s = (flat - x[i]).reshape((-1,) + (1,) * (self._c[0].ndim - 1))
