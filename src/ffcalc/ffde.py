@@ -394,7 +394,11 @@ class FirstOrderFfdeProblem:
 
     def __post_init__(self):
         one_of(self.case, "case", ("I", "II"))
-        u0, u1 = sub_interval(self.span[0], self.span[1], *self.table.domain, "span")
+        try:
+            u0, u1 = self.span
+        except (TypeError, ValueError):  # not iterable, or not two entries
+            raise ValidationError(f"span must be a pair (u0, u1), got {self.span!r}") from None
+        u0, u1 = sub_interval(u0, u1, *self.table.domain, "span")
         # each count before its cap, and the J grid's nodes only once capped
         count(self.r_points, "r_points", 2)
         count(self.j_steps, "j_steps", 16)

@@ -32,6 +32,7 @@ from .errors import (
     OrderError,
     ValidationError,
 )
+from .fuzzy_core import _block_rows
 
 __all__ = [
     "FractalCurve",
@@ -289,22 +290,38 @@ _KOCH_ROT = np.array(
 
 
 def _koch_refiner(curve: FractalCurve) -> FractalCurve:
-    p = curve.points[:-1]
-    q = curve.points[1:]
-    d = q - p
-    a = p + d / 3.0
-    c = p + 2.0 * d / 3.0
-    b = a + (d / 3.0) @ _KOCH_ROT.T
-    m = p.shape[0]
+    """Replace each segment p -> q by the four of the Koch generator.
+
+    The new points are filled in a block of ``_block_rows`` segments at a
+    time, so each temporary is one block, not one per segment of the curve,
+    and each rotation is a small matmul. Every point is formed by the same
+    operations as in one whole-curve pass, so the bits are the same: a
+    last block of one row is joined to the one before it, since numpy
+    multiplies a lone row with a vector kernel that rounds unlike the matrix
+    kernel. The params come first, so that their temporaries are freed
+    before the point array is allocated.
+    """
+    params = _refine_params(curve.params, 4)
+    w = curve.points
+    m = w.shape[0] - 1
     out = np.empty((4 * m + 1, 2))
-    out[0:-1:4] = p
-    out[1::4] = a
-    out[2::4] = b
-    out[3::4] = c
-    out[-1] = curve.points[-1]
-    return FractalCurve(
-        _refine_params(curve.params, 4), out, refiner=_koch_refiner, level=curve.level + 1
-    )
+    step = _block_rows(2)
+    i = 0
+    while i < m:
+        j = m if m - i <= step + 1 else i + step
+        p = w[i:j]
+        d = w[i + 1 : j + 1] - p
+        a = p + d / 3.0
+        c = p + 2.0 * d / 3.0
+        b = a + (d / 3.0) @ _KOCH_ROT.T
+        block = out[4 * i : 4 * j]
+        block[0::4] = p
+        block[1::4] = a
+        block[2::4] = b
+        block[3::4] = c
+        i = j
+    out[-1] = w[-1]
+    return FractalCurve(params, out, refiner=_koch_refiner, level=curve.level + 1)
 
 
 def _generate(ends, refiner: Refiner, level) -> FractalCurve:
@@ -384,13 +401,18 @@ def _vertex_knots(t: np.ndarray, a: float, b: float) -> np.ndarray:
     return np.concatenate([[a], t[_inner_vertices(t, a, b)], [b]])
 
 
+def _sub_polyline_points(curve: FractalCurve, a: float, b: float) -> np.ndarray:
+    """Vertices from w(a) to w(b): the curve's own vertices in between and
+    the two ends."""
+    if a == curve.a0 and b == curve.b0:  # w(a0), w(b0) interpolate to the end vertices exactly
+        return curve.points
+    ends = curve.point_at([a, b])
+    return np.concatenate([ends[:1], curve.points[_inner_vertices(curve.params, a, b)], ends[1:]])
+
+
 def _sub_polyline_lengths(curve: FractalCurve, a: float, b: float) -> np.ndarray:
     """Segment lengths from w(a) to w(b) through the curve's own vertices in between."""
-    if a == curve.a0 and b == curve.b0:  # w(a0), w(b0) interpolate to the end vertices exactly
-        return _polyline_lengths(curve.points)
-    ends = curve.point_at([a, b])
-    pts = np.concatenate([ends[:1], curve.points[_inner_vertices(curve.params, a, b)], ends[1:]])
-    return _polyline_lengths(pts)
+    return _polyline_lengths(_sub_polyline_points(curve, a, b))
 
 
 def mass_function(
@@ -414,6 +436,28 @@ def mass_function(
         mass = np.sum(_sub_polyline_lengths(cur, a, b) ** alpha) / math.gamma(alpha + 1.0)
         levels.append((cur.level, float(mass)))
     return MassEstimate(alpha=float(alpha), value=levels[-1][1], levels=levels)
+
+
+def _length_bins(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(_polyline_lengths(points), return_counts=True)``, binned a
+    block of ``_block_rows`` segments at a time.
+
+    Each block's distinct lengths and counts are merged exactly: a stable
+    sort of all blocks' values, then one sum of counts per run of equal
+    values. The result has the same bytes as the one-shot ``np.unique``,
+    but no temporary holds a length per segment of the whole curve.
+    """
+    step = _block_rows(points.shape[1])
+    blocks = [
+        np.unique(_polyline_lengths(points[i : i + step + 1]), return_counts=True)
+        for i in range(0, points.shape[0] - 1, step)
+    ]
+    values = np.concatenate([v for v, _ in blocks])
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    counts = np.concatenate([c for _, c in blocks])[order]
+    starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
+    return values[starts], np.add.reduceat(counts, starts)
 
 
 def _log_sum_slope(bins: list[tuple[np.ndarray, np.ndarray]], alpha: float) -> float:
@@ -460,7 +504,7 @@ def gamma_dimension(
         if cur.level >= keep_from:
             # self-similar curves have few distinct lengths (Koch-10: 984
             # among 4**10), so bin them once instead of once per alpha
-            bins.append(np.unique(_sub_polyline_lengths(cur, a, b), return_counts=True))
+            bins.append(_length_bins(_sub_polyline_points(cur, a, b)))
 
     lo, hi = 1.0, float(curve.ndim)
     slope_lo = _log_sum_slope(bins, lo)

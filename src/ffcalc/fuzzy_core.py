@@ -88,11 +88,18 @@ class TriangularFuzzy:
             raise ValidationError(f"triangular feet/peak out of order: ({self.a}, {self.b}, {self.c})")
 
     def r_cut(self, r: float) -> Interval:
-        inside(r, 0, 1, f"membership level {r}")
+        _check_cut_level(r)
         return Interval(*_triangular_cuts(self.a, self.b, self.c, r))
 
     def to_fuzzy(self, rs: np.ndarray | None = None) -> "FuzzyNumber":
         return make_triangular(self.a, self.b, self.c, rs=rs)
+
+
+def _check_cut_level(r) -> None:
+    """The one rule for the level of an r-cut: a scalar in [0, 1]."""
+    inside(r, 0, 1, f"membership level {r}")
+    if not np.isscalar(r):
+        raise ValidationError(f"membership level must be a scalar, got {r!r}")
 
 
 def _endpoint_table(rs, lowers, uppers):
@@ -171,9 +178,7 @@ class FuzzyNumber:
         return bool(np.all(self.lowers == self.uppers))
 
     def r_cut(self, r: float) -> Interval:
-        inside(r, 0, 1, f"membership level {r}")
-        if not np.isscalar(r):
-            raise ValidationError(f"membership level must be a scalar, got {r!r}")
+        _check_cut_level(r)
         lo = float(np.interp(r, self.rs, self.lowers))
         hi = float(np.interp(r, self.rs, self.uppers))
         if hi < lo:

@@ -1259,6 +1259,20 @@ class TestProblemValidation:
             )
 
     @pytest.mark.parametrize(
+        "span", [(0.0, 1.0, 7.0), (0.5,), (), 0.5, [0.0, 0.5, 1.0], np.array([0.0, 0.5, 1.0])]
+    )
+    def test_span_must_be_a_pair(self, span):
+        p = example1_problem("I", j_steps=16)
+        message = f"span must be a pair (u0, u1), got {span!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FirstOrderFfdeProblem(p.table, p.rhs, p.x0, span, "I")
+
+    @pytest.mark.parametrize("span", [[0.0, 1.0], np.array([0.0, 1.0]), (None, None)])
+    def test_a_pair_of_any_kind_is_a_span(self, span):
+        p = example1_problem("I", j_steps=16)
+        assert FirstOrderFfdeProblem(p.table, p.rhs, p.x0, span, "I").span == (0.0, 1.0)
+
+    @pytest.mark.parametrize(
         "r_points, j_steps, u_points",
         [
             (101, MAX_GRID_CELLS // 101 + 1, None),

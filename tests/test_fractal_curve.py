@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,24 @@ class TestGammaDimension:
         tent = generate_polyline([0.0, 0.5, 1.0], [(0, 0), (0.5, 0.5), (1, 0)])
         with pytest.raises(CapabilityError):
             gamma_dimension(tent)
+
+
+class TestPeakMemory:
+    """Peak traced by tracemalloc for a Koch dimension estimate to level 10.
+    Refinement and length binning run a block of segments at a time, so the
+    peak is the level-9 curve, the level-10 curve and block-sized
+    temporaries (~36 MB), not six whole-curve temporaries and a sort of
+    every length (~59 MB)."""
+
+    def test_koch_dimension_peaks_below_45_mb(self):
+        gamma_dimension(generate_koch(0), max_level=5)  # first-call caches
+        tracemalloc.start()
+        try:
+            gamma_dimension(generate_koch(0), max_level=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 45e6
 
 
 class TestStaircase:

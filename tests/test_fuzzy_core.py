@@ -1,6 +1,7 @@
 """Fuzzy-number arithmetic, metric, Hukuhara difference and diagnostics."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -126,6 +127,17 @@ class TestCuts:
             A.r_cut(1.5)
         with pytest.raises(DomainError):
             A.r_cut(-0.1)
+
+    @pytest.mark.parametrize(
+        "number",
+        [TriangularFuzzy(0, 1, 2), make_triangular(0.0, 1.0, 2.0)],
+        ids=["triangular", "fuzzy_number"],
+    )
+    @pytest.mark.parametrize("r", [np.array([0.2, 0.5]), [0.5], np.array(0.5)])
+    def test_an_array_level_is_refused_alike(self, number, r):
+        message = f"membership level must be a scalar, got {r!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            number.r_cut(r)
 
     @pytest.mark.parametrize("rs", [np.nan, [0.5, np.nan]], ids=["scalar", "array"])
     def test_nan_level_is_a_domain_error(self, rs):

@@ -1,6 +1,8 @@
 """The shared band-shape check, vertex-knot path, curve-geometry kernels, the
-shared default r-grid, the binned dimension estimate and the band-valued
-fuzzy fields against the implementations they replaced.
+shared default r-grid, the binned dimension estimate, the band-valued
+fuzzy fields and the blocked passes (dense output, validity flags, CSV
+body, Koch refinement, length binning) against the implementations they
+replaced.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -241,6 +243,14 @@ def ref_sub_polyline_lengths(curve, a, b):
     pts = curve.point_at(knots)
     d = np.diff(pts, axis=0)
     return np.sqrt(np.sum(d * d, axis=1))
+
+
+def ref_sub_polyline_points(curve, a, b):
+    """The vertices ref_sub_polyline_lengths measures."""
+    t = curve.params
+    i0 = int(np.searchsorted(t, a, side="right"))
+    i1 = int(np.searchsorted(t, b, side="left"))
+    return curve.point_at(np.concatenate([[a], t[i0:i1], [b]]))
 
 
 def ref_segment_lengths(points):
@@ -545,8 +555,15 @@ class TestVertexKnots:
     def test_gamma_dimension_matches_reference(self, monkeypatch, interval):
         base = generate_koch(0)
         got = gamma_dimension(base, *interval, max_level=7)
-        monkeypatch.setattr(fractal_curve, "_sub_polyline_lengths", ref_sub_polyline_lengths)
+        levels = []
+
+        def reference(curve, a, b):
+            levels.append(curve.level)
+            return ref_sub_polyline_points(curve, a, b)
+
+        monkeypatch.setattr(fractal_curve, "_sub_polyline_points", reference)
         assert got == gamma_dimension(base, *interval, max_level=7)
+        assert levels == [4, 5, 6, 7]  # the fitted levels all went through the reference
 
     @given(sub_intervals(KOCH5.params))
     @settings(max_examples=100, deadline=None)
@@ -995,12 +1012,17 @@ def same_bisection(curve, interval, tol, max_level, fit_levels):
     steps, slopes within 1e-12 and the same bits or message, and return the
     outcome."""
     args = (curve, *interval, tol, max_level, fit_levels)
-    got_trace, want_trace = [], []
+    got_trace, want_trace, entered = [], [], []
+    real = fractal_curve._log_sum_slope
+
+    def slope(bins, alpha):
+        entered.append(alpha)  # before the call, which may raise
+        return real(bins, alpha)
+
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(
-            fractal_curve, "_log_sum_slope", recording(fractal_curve._log_sum_slope, got_trace)
-        )
+        mp.setattr(fractal_curve, "_log_sum_slope", recording(slope, got_trace))
         got = estimate_outcome(gamma_dimension, *args)
+    assert entered, "gamma_dimension never took a slope through the recording"
     want = estimate_outcome(ref_gamma_dimension, *args, recording(ref_log_sum_slope, want_trace))
     assert decisions(got_trace) == decisions(want_trace)
     assert all(abs(g - w) <= 1e-12 for (_, g), (_, w) in zip(got_trace, want_trace))
@@ -1675,14 +1697,21 @@ BLOCK_ROWS = st.sampled_from([None, 1, 2, 3, 5])
 
 @contextlib.contextmanager
 def block_rows(rows):
-    """Every blocked pass with ``rows`` rows per block (None: unchanged)."""
-    if rows is None:
-        yield
-        return
-    with mock.patch.object(fuzzy_core, "_block_rows", lambda n_cols: rows), mock.patch.object(
-        ffde, "_block_rows", lambda n_cols: rows
-    ):
-        yield
+    """Every blocked pass with ``rows`` rows per block (None: unchanged).
+
+    Yields a list that gets the column count of each pass that asked for
+    its block size, so a test can tell that its pass ran blocked at all."""
+    real = fuzzy_core._block_rows
+    calls = []
+
+    def sized(n_cols):
+        calls.append(n_cols)
+        return real(n_cols) if rows is None else rows
+
+    with mock.patch.object(fuzzy_core, "_block_rows", sized), mock.patch.object(
+        ffde, "_block_rows", sized
+    ), mock.patch.object(fractal_curve, "_block_rows", sized):
+        yield calls
 
 
 @st.composite
@@ -1738,10 +1767,10 @@ class TestBlockedPasses:
     def test_dense_output_is_bit_equal(self, table, rows, data):
         x, y, m = table
         q = data.draw(query_batches(x))
-        with block_rows(rows):
+        with block_rows(rows) as calls:
             got = dense_outcome(lambda q: ffde._hermite(x, y, m, q), q)
         assert got == dense_outcome(lambda q: ref_CubicHermite(x, y, m)(q), q)
-        assert got[0] == "array"
+        assert got[0] == "array" and calls
 
     @given(hermite_tables(), BLOCK_ROWS, st.data())
     @settings(max_examples=200, deadline=None)
@@ -1760,18 +1789,20 @@ class TestBlockedPasses:
         q = np.concatenate([traj.js, np.linspace(0.0, 2.0, 301)])
         want = ref_CubicHermite(traj.js, traj.states, traj.slopes)(q)
         for rows in (1, 2, 7, 64, 65, None):
-            with block_rows(rows):
+            with block_rows(rows) as calls:
                 assert same_bytes(traj.at(q), want)
                 assert same_bytes(traj.at(np.sort(q)), want[np.argsort(q, kind="stable")])
+            assert len(calls) == 2
 
     @given(block_tables(), BLOCK_ROWS)
     @settings(max_examples=200, deadline=None)
     def test_validity_flags_are_the_same(self, table, rows):
         lowers, uppers = table
-        with block_rows(rows), warnings.catch_warnings():
+        with block_rows(rows) as calls, warnings.catch_warnings():
             warnings.simplefilter("error")
             got = _rejected_rows(lowers, uppers)
         assert same_bytes(got, ref_rejected_rows(lowers, uppers))
+        assert calls == [lowers.shape[1]]
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 16, None])
     @pytest.mark.parametrize("u_points", [2, 17])
@@ -1783,9 +1814,10 @@ class TestBlockedPasses:
         want = io.StringIO()
         ref_solution_to_csv(sol, want)
         got = io.StringIO()
-        with block_rows(rows):
+        with block_rows(rows) as calls:
             ffde.solution_to_csv(sol, got)
         assert got.getvalue() == want.getvalue()
+        assert calls == [sol.rs.size]
 
     def test_solves_are_the_same_in_tiny_blocks(self):
         with warnings.catch_warnings():
@@ -1793,7 +1825,152 @@ class TestBlockedPasses:
             for case, method in itertools.product(["I", "II"], ["full", "cuts"]):
                 problem = example1_problem(case, r_points=11, j_steps=32)
                 want = solve_first_order(problem, method)
-                with block_rows(3):
+                with block_rows(3) as calls:
                     got = solve_first_order(problem, method)
+                assert calls
                 for name in ("us", "Js", "rs", "lower", "upper", "validity"):
                     assert same_bytes(getattr(got, name), getattr(want, name))
+
+
+# ---------------------------------------------------------------------------
+# blocked Koch refinement and length binning
+
+
+def ref_koch_refiner(curve):
+    """_koch_refiner as one whole-curve pass; it refines with itself."""
+    p = curve.points[:-1]
+    q = curve.points[1:]
+    d = q - p
+    a = p + d / 3.0
+    c = p + 2.0 * d / 3.0
+    b = a + (d / 3.0) @ fractal_curve._KOCH_ROT.T
+    m = p.shape[0]
+    out = np.empty((4 * m + 1, 2))
+    out[0:-1:4] = p
+    out[1::4] = a
+    out[2::4] = b
+    out[3::4] = c
+    out[-1] = curve.points[-1]
+    return FractalCurve(
+        fractal_curve._refine_params(curve.params, 4),
+        out,
+        refiner=ref_koch_refiner,
+        level=curve.level + 1,
+    )
+
+
+def ref_length_bins(points):
+    """Distinct lengths and counts of all segments, in one np.unique."""
+    return np.unique(ref_segment_lengths(points), return_counts=True)
+
+
+def same_refinements(curve, level):
+    """Refine ``curve`` (with _koch_refiner) and a copy with the one-pass
+    reference side by side up to ``level``; every level's params and points
+    must have the same bytes."""
+    ref = FractalCurve(curve.params, curve.points, refiner=ref_koch_refiner, level=curve.level)
+    for got in fractal_curve._refinements(curve, level):
+        assert got.level == ref.level
+        assert same_bytes(got.params, ref.params) and same_bytes(got.points, ref.points)
+        if got.level < level:
+            ref = ref.refine()
+
+
+def same_bins(points):
+    got = fractal_curve._length_bins(points)
+    want = ref_length_bins(points)
+    assert len(got) == 2 and got[1].dtype == np.int64
+    assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+# three unequal segments: 3 * 4**7 segments at level 7 are one and a half blocks
+THREE = FractalCurve(
+    np.array([0.0, 0.2, 0.7, 1.0]),
+    np.array([[0.0, 0.0], [0.3, 0.4], [0.8, -0.2], [1.0, 0.0]]),
+    refiner=fractal_curve._koch_refiner,
+)
+STEP = fuzzy_core._block_rows(2)
+
+
+@st.composite
+def lattice_polylines(draw):
+    """Points on a small integer grid, so equal lengths recur in every block."""
+    m = draw(st.integers(2, 60))
+    side = draw(st.integers(1, 4))
+    return np.array(draw(st.lists(st.tuples(*[st.integers(0, side)] * 2), min_size=m, max_size=m)), float)
+
+
+class TestBlockedKoch:
+    def test_standard_koch_is_bit_equal_through_level_10(self):
+        same_refinements(generate_koch(0), 10)
+
+    def test_a_partial_last_block_is_bit_equal(self):
+        assert THREE.refined_to(7).n_segments == STEP + STEP // 2
+        with block_rows(None) as calls:
+            same_refinements(THREE, 8)
+        assert calls  # the refiner took its block size from the shared rule
+
+    @pytest.mark.parametrize("segments", [1, 2, 3, STEP - 1, STEP, STEP + 1, STEP + 2, 2 * STEP + 1])
+    def test_a_lone_last_row_is_bit_equal(self, segments):
+        # a single row is multiplied by a vector kernel; the refiner never
+        # leaves one in a block of its own unless it is the whole curve
+        rng = np.random.default_rng(segments)
+        points = np.cumsum(rng.standard_normal((segments + 1, 2)), axis=0)
+        params = np.arange(segments + 1.0)
+        same_refinements(FractalCurve(params, points, refiner=fractal_curve._koch_refiner), 1)
+
+    def test_lone_rows_are_bit_equal_in_small_blocks(self):
+        # three segments in blocks of two would leave a lone last row; about
+        # half of all rows round differently through the vector kernel, so
+        # one of 64 curves all but surely shows a lone row that slipped through
+        rng = np.random.default_rng(0)
+        with block_rows(2) as calls:
+            for _ in range(64):
+                points = np.cumsum(rng.standard_normal((4, 2)), axis=0)
+                curve = FractalCurve(np.arange(4.0), points, refiner=fractal_curve._koch_refiner)
+                same_refinements(curve, 2)
+        assert calls == [2] * 128
+
+    # blocks of two rows or more: numpy multiplies a lone row by a vector
+    # kernel, which rounds unlike the matrix kernel of a whole-curve pass
+    @given(polylines(columns=st.just(2)), st.integers(1, 3), st.sampled_from([None, 2, 3, 5]))
+    @settings(max_examples=150, deadline=None)
+    def test_polylines_are_bit_equal_in_any_blocks(self, polyline, levels, rows):
+        params, points = polyline
+        curve = FractalCurve(params, points, refiner=fractal_curve._koch_refiner)
+        with block_rows(rows) as calls:
+            same_refinements(curve, levels)
+        assert calls
+
+
+class TestBlockedBins:
+    @pytest.mark.parametrize("level", range(7, 11))
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321)])
+    def test_koch(self, level, interval):
+        same_bins(fractal_curve._sub_polyline_points(generate_koch(level), *interval))
+
+    @pytest.mark.parametrize(
+        "curve, level", [(UNEQUAL, 8), (UNEQUAL, 11), (JITTERED, 14), (JITTERED, 16)]
+    )
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (1 / 3, 0.9), (0.5, 1.0)])
+    def test_unequal_and_distinct_lengths(self, curve, level, interval):
+        same_bins(fractal_curve._sub_polyline_points(curve.refined_to(level), *interval))
+
+    @pytest.mark.parametrize("source", ["koch", "jittered"])
+    @pytest.mark.parametrize("extra", [-1, 0, 1, STEP - 1, STEP, STEP + 1])
+    def test_one_block_and_one_more_length(self, source, extra):
+        points = (generate_koch(9) if source == "koch" else JITTERED.refined_to(17)).points
+        same_bins(points[: STEP + 1 + extra])  # STEP + extra lengths
+
+    @given(lattice_polylines(), BLOCK_ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_small_blocks_merge_exactly(self, points, rows):
+        with block_rows(rows) as calls:
+            same_bins(points)
+        assert calls == [2]
+
+    def test_gamma_dimension_bins_in_blocks(self):
+        with block_rows(None) as calls:
+            gamma_dimension(generate_koch(0), max_level=8)
+        # the level-1 to level-8 refinements, then the four fitted levels' bins
+        assert calls == [2] * 12
