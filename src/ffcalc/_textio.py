@@ -6,6 +6,7 @@ CSV rows; and typed fields of JSON specs."""
 from __future__ import annotations
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -112,11 +113,18 @@ def _check_tol(tol, name: str = "tol") -> None:
 def inside(values, lo, hi, what: str) -> None:
     """The one rule for a point in a domain: every entry of ``values``, a
     scalar or an array, lies in the closed interval [lo, hi], which NaN never
-    does. Otherwise a :class:`DomainError` reads ``<what> outside [lo, hi]``."""
+    does. Otherwise a :class:`DomainError` reads ``<what> outside [lo, hi]``;
+    values that are not numbers are a :class:`ValidationError` naming
+    ``<what>``."""
     if isinstance(values, float):  # a plain float, without numpy's per-call cost
         ok = lo <= values <= hi
     else:
-        values = np.asarray(values, dtype=float)
+        try:
+            values = np.asarray(values, dtype=float)
+        except (TypeError, ValueError):
+            raise ValidationError(
+                f"{what} must be a number or an array of numbers, got {reprlib.repr(values)}"
+            ) from None
         ok = ((values >= lo) & (values <= hi)).all()
     if not ok:
         raise DomainError(f"{what} outside [{lo}, {hi}]")

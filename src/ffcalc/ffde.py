@@ -85,8 +85,8 @@ def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq) -> np.ndarray:
     of ``x``, ``y`` and ``m``; every temporary stays block-sized, and each
     value is computed by the same operations as from a full table.
     """
-    xq = np.asarray(xq, dtype=float)
     inside(xq, x[0], x[-1], "J")
+    xq = np.asarray(xq, dtype=float)
 
     def ascending(xq: np.ndarray) -> np.ndarray:
         """Values at queries that are non-decreasing once ravelled."""
@@ -150,10 +150,15 @@ class CrispTrajectory:
 
 
 def _uniform_grid(j_span, steps: int, name: str) -> tuple[np.ndarray, float]:
-    """Nodes and step of a uniform RK4 grid over an increasing finite span;
-    ``steps`` is a count of at least 16, called ``name`` in errors."""
+    """Nodes and step of a uniform RK4 grid over an increasing finite span,
+    a pair (j0, j1); ``steps`` is a count of at least 16, called ``name`` in
+    errors."""
     steps = count(steps, name, 16)
-    j0, j1 = float(j_span[0]), float(j_span[1])
+    try:
+        j0, j1 = j_span
+    except (TypeError, ValueError):  # not iterable, or not two entries
+        raise ValidationError(f"j_span must be a pair (j0, j1), got {j_span!r}") from None
+    j0, j1 = float(j0), float(j1)
     if not (np.isfinite(j0) and np.isfinite(j1)) or j1 <= j0:
         raise ValidationError(f"integration span must be increasing, got [{j0}, {j1}]")
     js = np.linspace(j0, j1, steps + 1)

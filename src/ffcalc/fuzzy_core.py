@@ -6,6 +6,11 @@ non-decreasing in r, upper endpoints non-increasing, and lower <= upper;
 the r = 1 cut is the (nonempty) core. All arithmetic acts endpoint-wise
 on the cuts, with operands on different grids resampled onto the union
 grid first.
+
+In path form the shape rule reads: the lowers followed by the uppers in
+reverse order never decrease. A table whose path never decreases and has
+finite ends is accepted as it stands; any other table is measured for
+defects, and those up to rounding scale are still accepted.
 """
 
 from __future__ import annotations
@@ -151,16 +156,19 @@ class FuzzyNumber:
 
     def __post_init__(self):
         rs, lowers, uppers = self.rs, self.lowers, self.uppers
-        scale = _scale_of(lowers, uppers) if _default_grid_rows(rs, lowers, uppers) else math.inf
-        if scale == math.inf:  # a grid of its own, input to convert, or a non-finite entry
+        if not _default_grid_rows(rs, lowers, uppers):  # a grid of its own, or input to convert
             rs, lowers, uppers = _endpoint_table(rs, lowers, uppers)
+        if not _exactly_ordered(lowers, uppers):
             scale = _scale_of(lowers, uppers)
-        bad_lo, bad_up, bad_w = _band_defects(lowers, uppers, _SHAPE_TOL * scale)
-        if bad_lo.any() or bad_up.any() or bad_w.any():
-            v = _violations(rs, lowers, uppers, (bad_lo, bad_up, bad_w))[0]
-            raise ValidationError(
-                f"not a valid fuzzy number: {v.condition} violated at r={v.r} by {v.magnitude:g}"
-            )
+            if scale == math.inf:  # an entry on the shared grid is not finite
+                _endpoint_table(rs, lowers, uppers)  # raises
+            bad_lo, bad_up, bad_w = _band_defects(lowers, uppers, _SHAPE_TOL * scale)
+            if bad_lo.any() or bad_up.any() or bad_w.any():
+                v = _violations(rs, lowers, uppers, (bad_lo, bad_up, bad_w))[0]
+                raise ValidationError(
+                    f"not a valid fuzzy number: {v.condition} violated at r={v.r} "
+                    f"by {v.magnitude:g}"
+                )
         object.__setattr__(self, "rs", rs)
         object.__setattr__(self, "lowers", lowers)
         object.__setattr__(self, "uppers", uppers)
@@ -188,8 +196,8 @@ class FuzzyNumber:
 
     def cuts_at(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper endpoints interpolated at the given levels."""
-        rs = np.asarray(rs, dtype=float)
         inside(rs, 0, 1, "membership levels")
+        rs = np.asarray(rs, dtype=float)
         return np.interp(rs, self.rs, self.lowers), np.interp(rs, self.rs, self.uppers)
 
     def resample(self, rs: np.ndarray) -> "FuzzyNumber":
@@ -305,10 +313,12 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     A difference that overflows raises :class:`ValidationError` first.
     """
     rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
-    scale = _scale_of(alo, ahi, blo, bhi)
     with np.errstate(over="ignore"):  # overflow is reported below
         clo = alo - blo
         chi = ahi - bhi
+    if _exactly_ordered(clo, chi):  # finite, so nothing overflowed, and free of defects
+        return FuzzyNumber(rs, clo, chi)
+    scale = _scale_of(alo, ahi, blo, bhi)
     # |A - B| <= 2 * scale, so only operands this large (or not finite) can overflow
     if not 2.0 * scale < math.inf:
         overflow = ~(np.isfinite(clo) & np.isfinite(chi))
@@ -354,6 +364,23 @@ class ValidationReport:
         return {v.condition for v in self.violations}
 
 
+def _exactly_ordered(lowers: np.ndarray, uppers: np.ndarray):
+    """Whether band arrays of shape (n_r,) or (n, n_r) are, row by row, finite
+    and free of shape defects at any tolerance: the lowers followed by the
+    reversed uppers never decrease, and both ends of that path are finite.
+
+    Monotone rows and lower <= upper at r = 1 give lower <= upper at every
+    level; between two finite ends every entry is finite, and NaN fails every
+    comparison. Nothing is subtracted, so inf and NaN raise no warning. A row
+    this refuses may still be within tolerance; callers then measure its
+    defects with :func:`_band_defects`.
+    """
+    path = np.concatenate((lowers, uppers[..., ::-1]), axis=-1)
+    ends = path.T  # ends[0] and ends[-1]: each row's first and last entry
+    ordered = (path[..., :-1] <= path[..., 1:]).all(axis=-1)
+    return ordered & (-math.inf < ends[0]) & (ends[-1] < math.inf)
+
+
 def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float):
     """Where band arrays of shape (..., n_r) break the level-cut conditions by more than tol.
 
@@ -385,16 +412,23 @@ def _rejected_rows(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     exceed _SHAPE_TOL times the row's own scale max(1, row abs-max).
 
     Each row is judged on its own, so the table is judged a block of rows at
-    a time and no temporary grows with the row count."""
-    rejected = np.empty(lowers.shape[0], dtype=bool)
+    a time and no temporary grows with the row count. An exactly ordered row
+    is valid as it stands; in each block only the run of rows from the first
+    to the last one the path test refuses is measured for defects (a case-II
+    solver table's invalid rows are one run, past its horizon)."""
+    rejected = np.zeros(lowers.shape[0], dtype=bool)
     step = _block_rows(lowers.shape[1])
     for a in range(0, lowers.shape[0], step):
-        lo, up = lowers[a : a + step], uppers[a : a + step]
+        refused = np.flatnonzero(~_exactly_ordered(lowers[a : a + step], uppers[a : a + step]))
+        if not refused.size:
+            continue
+        rows = slice(a + refused[0], a + refused[-1] + 1)
+        lo, up = lowers[rows], uppers[rows]
         scale = np.maximum(np.abs(lo).max(axis=1), np.abs(up).max(axis=1))
         np.maximum(scale, 1.0, out=scale)  # NaN stays NaN
         with np.errstate(invalid="ignore"):  # inf - inf, in rows rejected as non-finite anyway
             bad_lo, bad_up, bad_w = _band_defects(lo, up, _SHAPE_TOL * scale[:, None])
-        rejected[a : a + step] = (
+        rejected[rows] = (
             ~np.isfinite(scale) | bad_lo.any(axis=1) | bad_up.any(axis=1) | bad_w.any(axis=1)
         )
     return rejected

@@ -1267,6 +1267,22 @@ class TestProblemValidation:
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             FirstOrderFfdeProblem(p.table, p.rhs, p.x0, span, "I")
 
+    @pytest.mark.parametrize(
+        "j_span", [(0.0, 1.0, 7.0), (0.0, 1.0, 9.0), (0.5,), (), 0.5, np.array([0.0, 0.5, 1.0])]
+    )
+    def test_j_span_must_be_a_pair(self, j_span):
+        message = f"j_span must be a pair (j0, j1), got {j_span!r}"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            ffde.SecondOrderFuzzyBvp(**{**vars(example2_bvp(steps=16)), "j_span": j_span})
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            solve_crisp_in_J(lambda J, y: y, 1.0, j_span, 16)
+
+    @pytest.mark.parametrize("j_span", [[0.0, 1.0], np.array([0.0, 1.0])])
+    def test_a_pair_of_any_kind_is_a_j_span(self, j_span):
+        bvp = ffde.SecondOrderFuzzyBvp(**{**vars(example2_bvp(steps=16)), "j_span": j_span})
+        assert bvp.j_span == (0.0, 1.0)
+        assert solve_crisp_in_J(lambda J, y: y, 1.0, j_span, 16).js[-1] == 1.0
+
     @pytest.mark.parametrize("span", [[0.0, 1.0], np.array([0.0, 1.0]), (None, None)])
     def test_a_pair_of_any_kind_is_a_span(self, span):
         p = example1_problem("I", j_steps=16)

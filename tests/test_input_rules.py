@@ -105,6 +105,15 @@ SPANS = {
 
 OUTSIDE = ["nan", "inf", "-inf", "below", "above"]
 
+# entries that compute with their point before the rule sees it: a stencil
+# u -+ H, build_staircase's float(p0), or anchored_table's own comparison
+COMPUTED_FIRST = {
+    "build_staircase_anchor",
+    "StaircaseTable_anchor",
+    "f_derivative_u",
+    "fractal_hukuhara_derivative_u",
+}
+
 
 def outside(where: str, lo: float, hi: float) -> float:
     """NaN, an infinity, or the nearest float below lo or above hi."""
@@ -135,6 +144,23 @@ class TestPointRule:
         call, lo, hi, _ = POINTS[name]
         with pytest.raises(DomainError):
             call(np.array([0.5 * (lo + hi), outside(where, lo, hi)]))
+
+    @pytest.mark.parametrize("name", [name for name in POINTS if name not in COMPUTED_FIRST])
+    def test_a_point_that_is_not_a_number_is_a_validation_error(self, name):
+        call, lo, hi, takes_array = POINTS[name]
+        points = ["a", object()] + ([[0.5 * (lo + hi), "a"]] if takes_array else [])
+        for point in points:
+            with pytest.raises(ValidationError, match="must be a number or an array of numbers"):
+                call(point)
+
+    @pytest.mark.parametrize(
+        "name, what",
+        [("J_at", "parameter"), ("u_at", "staircase value"), ("cuts_at", "membership levels")],
+    )
+    def test_the_message_names_the_point(self, name, what):
+        message = f"{what} must be a number or an array of numbers, got 'a'"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            POINTS[name][0]("a")
 
     def test_a_stencil_with_a_nan_point_gets_the_stencil_message(self):
         for u in (float("nan"), 1.4):
