@@ -1,7 +1,11 @@
 """The input rules and plain-text I/O shared by the modules: the one rule
 each for a point in a domain, a sub-interval of one, a named option, a
 count, a tolerance and a user function's per-point values; full-precision
-CSV rows; and typed fields of JSON specs."""
+CSV rows; typed fields of JSON specs and the names and run fields of the
+built-in problems; and the block size of blocked passes over tables.
+
+It imports no other ffcalc module but ``errors``, so every layer can use it
+without loading the layers above."""
 
 from __future__ import annotations
 
@@ -11,6 +15,21 @@ import reprlib
 import numpy as np
 
 from .errors import DomainError, ValidationError
+
+
+# Values per block of a blocked pass over a table: 2**16 float64s, so each
+# of the block's temporaries is 512 KB and a block stays in L2.
+_BLOCK_VALUES = 2**16
+
+
+def _block_rows(n_cols: int) -> int:
+    """Rows of an (n, n_cols) table per block of a blocked pass (at least one)."""
+    return max(1, _BLOCK_VALUES // max(1, n_cols))
+
+
+BUILTIN_NAMES = ("example1", "example2")
+# the fields every problem spec may set; a builtin fixes everything else
+_RUN_FIELDS = ("case", "r_points", "j_steps")
 
 
 def format_table(row_format: str, table) -> str:
@@ -119,15 +138,34 @@ def inside(values, lo, hi, what: str) -> None:
     if isinstance(values, float):  # a plain float, without numpy's per-call cost
         ok = lo <= values <= hi
     else:
-        try:
-            values = np.asarray(values, dtype=float)
-        except (TypeError, ValueError):
-            raise ValidationError(
-                f"{what} must be a number or an array of numbers, got {reprlib.repr(values)}"
-            ) from None
+        values = _numbers(values, what)
         ok = ((values >= lo) & (values <= hi)).all()
     if not ok:
         raise DomainError(f"{what} outside [{lo}, {hi}]")
+
+
+def _numbers(values, what: str) -> np.ndarray:
+    """``values`` as a float array, or the domain rule's :class:`ValidationError`
+    naming ``what`` when they are not numbers."""
+    try:
+        return np.asarray(values, dtype=float)
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"{what} must be a number or an array of numbers, got {reprlib.repr(values)}"
+        ) from None
+
+
+def point(value, what: str) -> float:
+    """A single point as a float, for an entry that computes with it (a
+    stencil's ends, an anchor) before :func:`inside` or :func:`sub_interval`
+    checks its range: what is not a number is refused here, as
+    :func:`inside` refuses it, and an array is refused as not one point."""
+    if isinstance(value, float):
+        return value
+    values = _numbers(value, what)
+    if values.ndim:
+        raise ValidationError(f"{what} must be one number, got an array of shape {values.shape}")
+    return float(values)
 
 
 def sub_interval(a, b, lo, hi, what: str) -> tuple[float, float]:

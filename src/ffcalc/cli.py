@@ -13,26 +13,13 @@ import sys
 
 import numpy as np
 
-from ._textio import _check_tol, format_columns, write_csv
+from ._textio import _RUN_FIELDS, BUILTIN_NAMES, _check_tol, format_columns, write_csv
 from .errors import FFCalcError, NumericError, ValidationError
-from .fractal_calc import f_derivative, f_integral
 from .fractal_curve import J_at, build_staircase, curve_from_json, gamma_dimension, staircase_to_csv
-from .ffde import (
-    SecondOrderFuzzyBvp,
-    ode_residual_max,
-    solution_to_csv,
-    solve_first_order,
-    solve_second_order_bvp,
-    verify_against_closed_form,
-)
-from .problems import (
-    _RUN_FIELDS,
-    BUILTIN_NAMES,
-    example1_case1_band,
-    example1_case2_band,
-    example2_crisp_closed_form,
-    problem_from_json,
-)
+
+# The calculus, solver and problem modules are imported by the commands that
+# use them, each from its own module, so that `ffcalc dim` or `ffcalc
+# staircase` loads no layer above the curves.
 
 
 class _UsageError(ValidationError):
@@ -125,6 +112,8 @@ def _cmd_staircase(args) -> int:
 
 
 def _cmd_integrate(args) -> int:
+    from .fractal_calc import f_integral
+
     curve, table = _curve_and_table(args)
     f = _FUNCTIONS[args.fn](table)
     result = f_integral(f, curve, table)
@@ -147,6 +136,8 @@ def _cmd_integrate(args) -> int:
 
 
 def _cmd_differentiate(args) -> int:
+    from .fractal_calc import f_derivative
+
     _, table = _curve_and_table(args)
     f = _FUNCTIONS[args.fn](table)
     value = f_derivative(f, table, args.at)
@@ -155,6 +146,14 @@ def _cmd_differentiate(args) -> int:
 
 
 def _cmd_solve(args) -> int:
+    from .ffde import (
+        SecondOrderFuzzyBvp,
+        solution_to_csv,
+        solve_first_order,
+        solve_second_order_bvp,
+    )
+    from .problems import problem_from_json
+
     problem = problem_from_json(_run_spec(args))
     if isinstance(problem, SecondOrderFuzzyBvp):
         sol2 = solve_second_order_bvp(problem)
@@ -177,6 +176,9 @@ def _cmd_solve(args) -> int:
 
 
 def _verify_example1(problem, tol: float) -> tuple[bool, dict]:
+    from .ffde import solve_first_order, verify_against_closed_form
+    from .problems import example1_case1_band, example1_case2_band
+
     case = problem.case
     sol = solve_first_order(problem)
     band = example1_case1_band if case == "I" else example1_case2_band
@@ -190,6 +192,9 @@ def _verify_example1(problem, tol: float) -> tuple[bool, dict]:
 
 
 def _verify_example2(problem, tol: float) -> tuple[bool, dict]:
+    from .ffde import ode_residual_max, solve_second_order_bvp
+    from .problems import example2_crisp_closed_form
+
     sol2 = solve_second_order_bvp(problem)
     crisp_err = float(np.max(np.abs(sol2.crisp - example2_crisp_closed_form(sol2.js))))
     boundary_err = max(abs(sol2.crisp[0] - 3.0), abs(sol2.crisp[-1] - 2.0))
@@ -228,6 +233,9 @@ def _verify_example2(problem, tol: float) -> tuple[bool, dict]:
 
 
 def _cmd_verify(args) -> int:
+    from .ffde import SecondOrderFuzzyBvp
+    from .problems import problem_from_json
+
     if args.spec:
         raise ValidationError("verify needs a builtin with a known closed form (--builtin)")
     if args.builtin is None:

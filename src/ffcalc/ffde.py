@@ -21,6 +21,7 @@ from typing import Callable
 import numpy as np
 
 from ._textio import (
+    _block_rows,
     _check_tol,
     count,
     format_columns,
@@ -38,7 +39,6 @@ from .fuzzy_core import (
     DEFAULT_R_LEVELS,
     FuzzyNumber,
     TriangularFuzzy,
-    _block_rows,
     _check_level_grid,
     _rejected_rows,
     _scale_of,

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._textio import _check_tol, per_point, sub_interval
+from ._textio import _check_tol, per_point, point, sub_interval
 from .errors import DegenerateDenominatorError, IntegrityError, ValidationError
 from .fractal_curve import FractalCurve, J_at, StaircaseTable, _vertex_knots
 
@@ -69,6 +69,7 @@ def f_derivative(f, table: StaircaseTable, u: float, h: float | None = None) -> 
     ``h`` defaults to one vertex spacing at the working level. Requires
     the staircase to be strictly increasing across [u - h, u + h].
     """
+    u = point(u, "parameter")
     h = _step(table, u, h)
     den = _increment(table, u - h, u + h, "stencil")
     return (float(f(u + h)) - float(f(u - h))) / den

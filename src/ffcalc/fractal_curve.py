@@ -17,10 +17,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._textio import (
+    _block_rows,
     count,
     format_columns,
     inside,
     is_integer,
+    point,
     spec_array,
     spec_kind,
     sub_interval,
@@ -32,7 +34,6 @@ from .errors import (
     OrderError,
     ValidationError,
 )
-from .fuzzy_core import _block_rows
 
 __all__ = [
     "FractalCurve",
@@ -537,7 +538,7 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
     level; J_at/u_at interpolate linearly in between.
     """
     _check_order(alpha, curve.ndim)
-    p0 = curve.a0 if p0 is None else float(p0)
+    p0 = curve.a0 if p0 is None else point(p0, "anchor")
     inside(p0, curve.a0, curve.b0, f"anchor {p0}")
     masses = curve.segment_lengths()
     masses **= alpha

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._textio import _check_tol, count, inside, spec_array, spec_kind, spec_number
+from ._textio import _block_rows, _check_tol, count, inside, spec_array, spec_kind, spec_number
 from .errors import HukuharaNonexistenceError, ValidationError
 
 __all__ = [
@@ -394,16 +394,6 @@ def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float):
         uppers[..., 1:] - uppers[..., :-1] > tol,
         lowers - uppers > tol,
     )
-
-
-# Values per block of a blocked pass over a band table: 2**16 float64s, so
-# each of the block's temporaries is 512 KB and a block stays in L2.
-_BLOCK_VALUES = 2**16
-
-
-def _block_rows(n_cols: int) -> int:
-    """Rows of an (n, n_cols) table per block of a blocked pass (at least one)."""
-    return max(1, _BLOCK_VALUES // max(1, n_cols))
 
 
 def _rejected_rows(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:

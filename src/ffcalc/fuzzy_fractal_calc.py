@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from ._textio import _check_tol, inside, one_of, per_point
+from ._textio import _check_tol, inside, one_of, per_point, point
 from .errors import CaseInapplicableError, HukuharaNonexistenceError, ValidationError
 from .fractal_calc import _cells, _increment, _step
 from .fractal_curve import FractalCurve, StaircaseTable
@@ -208,6 +208,7 @@ def fractal_hukuhara_derivative(
     :class:`CaseInapplicableError` naming the smallest failing level.
     """
     one_of(case, "case", ("I", "II"))
+    u0 = point(u0, "parameter")
     h = _step(table, u0, h)
     dJ = _increment(table, u0, u0 + h, "forward stencil")
     f0 = f(u0)

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from ._textio import spec_fields, spec_integer, spec_kind, spec_number
+from ._textio import _RUN_FIELDS, BUILTIN_NAMES, spec_fields, spec_integer, spec_kind, spec_number
 from .errors import ValidationError
 from .ffde import FirstOrderFfdeProblem, LinearRhs, SecondOrderFuzzyBvp
 from .fractal_curve import StaircaseTable, build_staircase, curve_from_json, generate_polyline
@@ -29,8 +29,6 @@ __all__ = [
     "BUILTIN_NAMES",
     "problem_from_json",
 ]
-
-BUILTIN_NAMES = ("example1", "example2")
 
 # J where the case-II band of example 1 stops being a fuzzy number
 EXAMPLE1_CASE2_HORIZON_J = math.log(2.0)
@@ -102,8 +100,6 @@ def example2_crisp_closed_form(J):
 
 
 _RHS_KINDS = {"builtin": ("name",), "linear": ("a", "c")}
-# the fields every problem spec may set; a builtin fixes everything else
-_RUN_FIELDS = ("case", "r_points", "j_steps")
 _LINEAR_FIELDS = ("alpha", "span", *_RUN_FIELDS)
 
 

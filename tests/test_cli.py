@@ -318,8 +318,9 @@ class TestExitStatus:
         def no_solve(*args, **kwargs):
             raise AssertionError("solve reached")
 
-        monkeypatch.setattr("ffcalc.cli.solve_first_order", no_solve)
-        monkeypatch.setattr("ffcalc.cli.solve_second_order_bvp", no_solve)
+        # the verify command imports the solvers from ffde when it runs
+        monkeypatch.setattr("ffcalc.ffde.solve_first_order", no_solve)
+        monkeypatch.setattr("ffcalc.ffde.solve_second_order_bvp", no_solve)
         assert main(["verify", "--builtin", builtin, f"--tol={tol}"]) == 1
         out, err = capsys.readouterr()
         assert out == ""
@@ -801,6 +802,28 @@ class TestGoldenBytes:
         args, digest = self.STDOUT_CASES[name]
         assert main(args) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+class TestSurface:
+    """Every --help text and a set of usage errors, exactly as recorded in
+    cli_surface.json: text, stream and exit status. argparse words them,
+    so the record holds only under the Python version that made it."""
+
+    RECORD = json.loads((Path(__file__).parent / "cli_surface.json").read_text(encoding="utf-8"))
+
+    @pytest.mark.parametrize(
+        "case", RECORD["cases"], ids=lambda case: " ".join(case["argv"]) or "no_arguments"
+    )
+    def test_as_recorded(self, monkeypatch, capsys, case):
+        if "%d.%d" % sys.version_info[:2] != self.RECORD["python"]:
+            pytest.skip(f"recorded under Python {self.RECORD['python']}")
+        monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help at the terminal width
+        try:
+            status = main(case["argv"])
+        except SystemExit as exc:  # --help prints and exits
+            status = exc.code
+        out, err = capsys.readouterr()
+        assert (status, out, err) == (case["exit"], case["stdout"], case["stderr"])
 
 
 def test_cli_does_not_import_scipy(tmp_path, cli_env):

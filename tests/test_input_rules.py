@@ -57,8 +57,9 @@ BVP = solve_second_order_bvp(example2_bvp(64))
 
 def anchored_table(p0):
     """TABLE's vertices anchored at p0, or at LO when p0 is outside the
-    domain, so that the anchor's range check is the one that fails."""
-    at = p0 if LO <= p0 <= HI else LO
+    domain or not a number, so that the table's own check of its anchor is
+    the one that fails."""
+    at = p0 if isinstance(p0, float) and LO <= p0 <= HI else LO
     return StaircaseTable(1.0, p0, TABLE.us, TABLE.Js - np.interp(at, TABLE.us, TABLE.Js))
 
 
@@ -105,16 +106,6 @@ SPANS = {
 
 OUTSIDE = ["nan", "inf", "-inf", "below", "above"]
 
-# entries that compute with their point before the rule sees it: a stencil
-# u -+ H, build_staircase's float(p0), or anchored_table's own comparison
-COMPUTED_FIRST = {
-    "build_staircase_anchor",
-    "StaircaseTable_anchor",
-    "f_derivative_u",
-    "fractal_hukuhara_derivative_u",
-}
-
-
 def outside(where: str, lo: float, hi: float) -> float:
     """NaN, an infinity, or the nearest float below lo or above hi."""
     if where == "below":
@@ -145,7 +136,7 @@ class TestPointRule:
         with pytest.raises(DomainError):
             call(np.array([0.5 * (lo + hi), outside(where, lo, hi)]))
 
-    @pytest.mark.parametrize("name", [name for name in POINTS if name not in COMPUTED_FIRST])
+    @pytest.mark.parametrize("name", POINTS)
     def test_a_point_that_is_not_a_number_is_a_validation_error(self, name):
         call, lo, hi, takes_array = POINTS[name]
         points = ["a", object()] + ([[0.5 * (lo + hi), "a"]] if takes_array else [])
@@ -155,12 +146,33 @@ class TestPointRule:
 
     @pytest.mark.parametrize(
         "name, what",
-        [("J_at", "parameter"), ("u_at", "staircase value"), ("cuts_at", "membership levels")],
+        [
+            ("J_at", "parameter"),
+            ("u_at", "staircase value"),
+            ("cuts_at", "membership levels"),
+            ("build_staircase_anchor", "anchor"),
+            ("f_derivative_u", "parameter"),
+            ("fractal_hukuhara_derivative_u", "parameter"),
+        ],
     )
     def test_the_message_names_the_point(self, name, what):
         message = f"{what} must be a number or an array of numbers, got 'a'"
         with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
             POINTS[name][0]("a")
+
+    @pytest.mark.parametrize(
+        "name, what",
+        [
+            ("build_staircase_anchor", "anchor"),
+            ("f_derivative_u", "parameter"),
+            ("fractal_hukuhara_derivative_u", "parameter"),
+        ],
+    )
+    def test_an_entry_of_one_point_refuses_an_array(self, name, what):
+        call, lo, hi, _ = POINTS[name]
+        message = f"{what} must be one number, got an array of shape (2,)"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call(np.array([lo, hi]))
 
     def test_a_stencil_with_a_nan_point_gets_the_stencil_message(self):
         for u in (float("nan"), 1.4):
