@@ -14,6 +14,7 @@ side with level-linear data, where it agrees, and refuses any other problem.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Callable
@@ -83,10 +84,13 @@ def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq) -> np.ndarray:
     ascending order, a block of ``_block_rows`` queries at a time, and forms
     the coefficients of only the intervals that block reaches, from slices
     of ``x``, ``y`` and ``m``; every temporary stays block-sized, and each
-    value is computed by the same operations as from a full table.
+    value is computed by the same operations as from a full table. Queries
+    that are exactly the nodes go to :func:`_at_nodes`.
     """
     inside(xq, x[0], x[-1], "J")
     xq = np.asarray(xq, dtype=float)
+    if xq.shape == x.shape and np.array_equal(xq, x):
+        return _at_nodes(x, y, m)
 
     def ascending(xq: np.ndarray) -> np.ndarray:
         """Values at queries that are non-decreasing once ravelled."""
@@ -95,41 +99,89 @@ def _hermite(x: np.ndarray, y: np.ndarray, m: np.ndarray, xq) -> np.ndarray:
         # in the last one, so interior nodes alone decide
         i = np.searchsorted(x[1:-1], flat, side="right")
         out = np.empty(flat.shape + y.shape[1:])
-        col = (-1,) + (1,) * (y.ndim - 1)
         step = _block_rows(math.prod(y.shape[1:]))
         for a in range(0, flat.size, step):
-            ib = i[a : a + step]
-            lo, hi = int(ib[0]), int(ib[-1]) + 1  # intervals lo..hi-1, nodes lo..hi
-            dx = (x[lo + 1 : hi + 1] - x[lo:hi]).reshape(col)
-            m0 = m[lo:hi]
-            slope = y[lo + 1 : hi + 1] - y[lo:hi]
-            slope /= dx
-            t = m0 + m[lo + 1 : hi + 1]
-            t -= 2 * slope
-            t /= dx
-            # c1 = (slope - m0) / dx - t, c0 = t / dx
-            slope -= m0
-            slope /= dx
-            slope -= t
-            t /= dx
-            k = ib - lo
-            s = (flat[a : a + step] - x[ib]).reshape(col)
-            # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's order of operations;
-            # indexing with an array gathers copies, so terms are formed in place
-            c2 = m0[k]
-            c2 *= s
-            c2 += y[ib]
-            s2 = s * s
-            c1 = slope[k]
-            c1 *= s2
-            c2 += c1
-            s2 *= s
-            c0 = t[k]
-            c0 *= s2
-            np.add(c2, c0, out=out[a : a + step])
+            _cubic(x, y, m, flat[a : a + step], i[a : a + step], out[a : a + step])
         return out.reshape(xq.shape + y.shape[1:])
 
     return _in_query_order(ascending, xq)
+
+
+def _cubic(x: np.ndarray, y: np.ndarray, m: np.ndarray, q: np.ndarray, i: np.ndarray, out) -> None:
+    """Write into ``out`` the cubic at ascending queries ``q``, query k in
+    interval i[k], forming the coefficients of intervals i[0]..i[-1] only."""
+    col = (-1,) + (1,) * (y.ndim - 1)
+    lo, hi = int(i[0]), int(i[-1]) + 1  # intervals lo..hi-1, nodes lo..hi
+    dx = (x[lo + 1 : hi + 1] - x[lo:hi]).reshape(col)
+    m0 = m[lo:hi]
+    slope = y[lo + 1 : hi + 1] - y[lo:hi]
+    slope /= dx
+    t = m0 + m[lo + 1 : hi + 1]
+    t -= 2 * slope
+    t /= dx
+    # c1 = (slope - m0) / dx - t, c0 = t / dx
+    slope -= m0
+    slope /= dx
+    slope -= t
+    t /= dx
+    k = i - lo
+    s = (q - x[i]).reshape(col)
+    # ((c3 + c2 s) + c1 s^2) + c0 s^3, scipy's order of operations;
+    # indexing with an array gathers copies, so terms are formed in place
+    c2 = m0[k]
+    c2 *= s
+    c2 += y[i]
+    s2 = s * s
+    c1 = slope[k]
+    c1 *= s2
+    c2 += c1
+    s2 *= s
+    c0 = t[k]
+    c0 *= s2
+    np.add(c2, c0, out=out)
+
+
+def _at_nodes(x: np.ndarray, y: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``_hermite(x, y, m, x)``: the cubic at its own nodes, with the same bits.
+
+    At node i the cubic of interval i has s = 0, so it adds m0*0, then
+    c1*0, then c0*0 to y[i]. With finite coefficients each product is a
+    signed zero, and adding a signed zero leaves y[i]'s bits unchanged
+    unless y[i] is -0.0. So a block of interior nodes takes its rows of
+    ``y`` as they are when :func:`_finite_coefficients` proves its
+    intervals' coefficients finite and no value in it is -0.0. Every other
+    block goes through the cubic, and so does the last node, which the
+    last interval's cubic reaches at s = x[-1] - x[-2].
+    """
+    out = np.empty(y.shape)
+    last = x.size - 1
+    step = _block_rows(math.prod(y.shape[1:]))
+    for a in range(0, last, step):
+        b = min(a + step, last)
+        rows = y[a:b]
+        if _finite_coefficients(x[a : b + 1], y[a : b + 1], m[a : b + 1]) and not (
+            np.signbit(rows[rows == 0.0]).any()
+        ):
+            out[a:b] = rows
+        else:
+            _cubic(x, y, m, x[a:b], np.arange(a, b), out[a:b])
+    _cubic(x, y, m, x[last:], np.array([last - 1]), out[last:])
+    return out
+
+
+def _finite_coefficients(x: np.ndarray, y: np.ndarray, m: np.ndarray) -> bool:
+    """Whether every coefficient of the cubics on nodes ``x`` is finite, by
+    a bound on magnitudes; a NaN anywhere fails it.
+
+    With Y = max|y|, M = max|m|, h the smallest step and g = max(1, 1/h),
+    each coefficient and each intermediate of forming it is at most
+    8 (Y + M) g^3 before rounding, so a bound of twice that below the
+    largest double leaves room for the roundings on the way.
+    """
+    y_max = max(float(y.max()), -float(y.min()))
+    m_max = max(float(m.max()), -float(m.min()))
+    g = max(1.0, 1.0 / float((x[1:] - x[:-1]).min()))
+    return 16.0 * (y_max + m_max) * g * g * g <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -216,18 +268,25 @@ def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
 
 # Widest band, in levels, integrated in Python floats by _rk4_linear. The
 # float kernel's time grows with the level count and the in-place kernel's
-# per-step ufunc dispatch does not; the two cross between 10 and 12 levels,
-# so 8 stays on the float kernel's side with a margin.
+# per-step ufunc dispatch does not. Over 4096 steps (best of 21, widths 2-16)
+# the two cross between 9 and 10 levels, for swapped and unswapped bands
+# alike, so 8 stays on the float kernel's side.
 _FLOAT_LEVELS = 8
 
 
 def _linear_steps_inplace(a, c: np.ndarray, flip: bool, h: float, states, slopes) -> None:
     """Fill states[1:] and slopes of the band system from states[0] with
     19 ufunc calls per step, whatever the band width. Every stage is written
-    in place into preallocated (2, n) buffers: k1 straight into the slope
-    table, the new state straight into the state table."""
+    in place into preallocated 1-d buffers: k1 straight into the slope
+    table, the new state straight into the state table.
+
+    With ``flip`` set, each row and ``c`` are in path order (see
+    :func:`_path_order`), where P is the reversal of the row: a 1-d view
+    with a negative stride, which numpy runs on its strided fast path, not
+    row by row as it does a 2-d view with a negative row stride."""
     yt, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
-    # P applied as a view; 0-d arrays are the cheapest scalars to pass to a ufunc
+    # P applied as a view; 0-d arrays are the cheapest scalars to pass to a ufunc.
+    # Each row of p_states is the 1-d reversal of a state row.
     p_states, p_yt = (states[:, ::-1], yt[::-1]) if flip else (states, yt)
     a, two, half, h, sixth = (np.array(v) for v in (a, 2.0, 0.5 * h, h, h / 6.0))
     mul, add = np.multiply, np.add
@@ -308,26 +367,56 @@ def _rk4_linear(a: float, c_lo, c_up, flip: bool, x0, j_span, steps: int) -> Cri
     fill the tables with the same bits: a band of at most ``_FLOAT_LEVELS``
     levels (the 0/1-cut path among them) runs :func:`_linear_steps_floats`,
     a wider one :func:`_linear_steps_inplace`. Over 4096 steps (best of 21,
-    2 vCPUs, Python 3.11, numpy 2.4) the float kernel takes 7.6 ms for 2
-    levels and 26 ms for 8 against 35 ms in place at either width; the two
-    cross between 10 and 12 levels whatever the step count, since both are
-    linear in it.
+    2 vCPUs, Python 3.11, numpy 2.4) the float kernel takes 7 ms for 2
+    levels and 27 ms for 8 against 32 ms in place at either width, bands
+    swapped or not; the two cross between 9 and 10 levels whatever the step
+    count, since both are linear in it.
+
+    The in-place kernel takes swapped bands in path order: ``c`` and the
+    initial row are put in it before the kernel runs, and the state and
+    slope tables are put back in band order before they are returned.
     """
     js, h = _uniform_grid(j_span, steps, "j_steps")
     c = np.array([c_lo, c_up], dtype=float)
-    states = np.empty((js.size,) + c.shape)
+    n = c.shape[1]
+    # rows of (lower, upper) bands, each band by rising level
+    states = np.empty((js.size, 2 * n))
     slopes = np.empty_like(states)
-    states[0] = x0
-    fill = _linear_steps_floats if c.shape[1] <= _FLOAT_LEVELS else _linear_steps_inplace
+    states[0].reshape(2, n)[...] = x0
+    path = flip and n > _FLOAT_LEVELS  # the in-place kernel swaps bands in path order
+    if path:
+        _path_order(c.reshape(1, -1), n)
+        _path_order(states[:1], n)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
-        fill(a, c, flip, h, states, slopes)
+        if n <= _FLOAT_LEVELS:
+            _linear_steps_floats(a, c, flip, h, states.reshape(-1, 2, n), slopes.reshape(-1, 2, n))
+        else:
+            _linear_steps_inplace(a, c.reshape(-1), flip, h, states, slopes)
     # a non-finite entry stays non-finite in this recurrence, so the first
     # non-finite row is where a per-step check would have stopped
-    finite = np.isfinite(states[1:]).all(axis=(1, 2))
+    finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         _raise_divergence(js, int(np.argmin(finite)))
-    dim = 2 * c.shape[1]
-    return CrispTrajectory(js=js, states=states.reshape(-1, dim), slopes=slopes.reshape(-1, dim))
+    if path:
+        _path_order(states, n)
+        _path_order(slopes, n)
+    return CrispTrajectory(js=js, states=states, slopes=slopes)
+
+
+def _path_order(rows: np.ndarray, n: int) -> None:
+    """Reverse the upper band of each row of a (k, 2n) table in place, a
+    block of ``_block_rows`` rows at a time.
+
+    This takes a row from band order (lowers, then uppers, each by rising
+    level) to path order (the lowers by rising level, then the uppers by
+    falling level: the walk round the band that
+    ``fuzzy_core._exactly_ordered`` takes) and back. In path order, the
+    swap P of the lower and upper bands is the reversal of the row.
+    """
+    step = _block_rows(n)
+    for a in range(0, rows.shape[0], step):
+        up = rows[a : a + step, n:]
+        up[...] = up[:, ::-1]  # numpy copies an overlapping operand first
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ffcalc import (
     DivergenceError,
@@ -162,6 +162,21 @@ class TestHermiteDenseOutput:
         sol2 = solve_second_order_bvp(example2_bvp(steps=64))
         with pytest.raises(DomainError):
             sol2.crisp_at(query(sol2.js))
+
+    @given(u0=st.floats(0.0, 1.0), u1=st.floats(0.0, 1.0), n=st.integers(17, 4097))
+    @example(u0=0.0, u1=1.0, n=4097)
+    @settings(max_examples=200, deadline=None)
+    def test_unit_segment_queries_are_the_rk4_nodes(self, u0, u1, n):
+        # the condition the node copy rests on: on the unit segment at order
+        # 1, the J values of solve_first_order's u-grid are its RK4 grid
+        u0, u1 = sorted((u0, u1))
+        table = unit_segment_table()
+        try:
+            js, _ = ffde._uniform_grid((ffde.J_at(table, u0), ffde.J_at(table, u1)), n - 1, "j_steps")
+        except ValidationError:  # a span too narrow for n - 1 steps
+            assume(False)
+        got = ffde.J_at(table, np.linspace(u0, u1, n))
+        assert got.dtype == js.dtype and got.tobytes() == js.tobytes()
 
     @pytest.mark.parametrize("case", ["I", "II"])
     @pytest.mark.parametrize("steps", [256, 4096])
@@ -544,6 +559,14 @@ class TestLinearKernel:
              r_points=_FLOAT_LEVELS, j_steps=32)
     @example(a=2.0, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.1, u1=0.9, case="I",
              r_points=_FLOAT_LEVELS + 1, j_steps=32)
+    # the benchmark's 101 levels: a < 0 in case I and a > 0 in case II swap
+    # the bands (path order), a < 0 in case II does not
+    @example(a=-1.5, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.0, u1=1.0, case="I",
+             r_points=101, j_steps=64)
+    @example(a=1.5, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.0, u1=1.0, case="II",
+             r_points=101, j_steps=64)
+    @example(a=-1.5, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.0, u1=1.0, case="II",
+             r_points=101, j_steps=64)
     def test_bit_identical_to_generic_loop(self, a, c, x0, u0, u1, case, r_points, j_steps):
         problem = _linear_problem(a, c, x0, (u0, u1), case, r_points, j_steps)
         rs = np.linspace(0.0, 1.0, r_points)
@@ -606,6 +629,22 @@ class TestSolverPaths:
         problem = example1_problem(case, r_points=r_points, j_steps=64)
         sol = ffde.solve_first_order(problem, method=method)
         assert sol.lower.shape == (65, r_points)
+
+    @pytest.mark.parametrize("method", ["full", "cuts"])
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_unit_segment_dense_output_copies_its_nodes(self, monkeypatch, case, method):
+        # the u-grid's J values are the RK4 nodes, so the dense output copies
+        # every node but the last, which goes through the last cubic
+        sizes = []
+        cubic = ffde._cubic
+
+        def counted(x, y, m, q, i, out):
+            sizes.append(q.size)
+            cubic(x, y, m, q, i, out)
+
+        monkeypatch.setattr(ffde, "_cubic", counted)
+        ffde.solve_first_order(example1_problem(case, r_points=101, j_steps=256), method=method)
+        assert sizes == [1]
 
     def test_func_rhs_reaches_generic_loop(self, no_generic_loop):
         problem = FirstOrderFfdeProblem(

@@ -1815,17 +1815,54 @@ def block_rows(rows):
 def hermite_tables(draw):
     """Nodes, values and slopes of a piecewise cubic: 1-d values (as the
     BVP's ``crisp_at`` has), 4 columns or 202 (101 levels, two bands), with
-    NaN or infinite values in a few rows, some of them at a block edge."""
+    NaN or infinite values or slopes in a few rows or entries, some of them
+    at a block edge, and +0.0 or -0.0 values with slopes of either sign.
+
+    Steps down to 1e-3 and values or slopes up to 1e300 put some tables on
+    either side of the bound under which the dense output copies its node
+    values: some with finite coefficients the bound cannot prove finite,
+    some whose coefficients overflow."""
     n = draw(st.integers(2, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x = np.cumsum(rng.uniform(1e-3, 2.0, n)) + draw(st.sampled_from([-3.0, 0.0, 1e3]))
+    steps = draw(st.sampled_from([(1e-3, 2.0), (1e-3, 2e-3)]))
+    x = np.cumsum(rng.uniform(*steps, n)) + draw(st.sampled_from([-3.0, 0.0, 1e3]))
     trailing = draw(st.sampled_from([(), (4,), (202,)]))
-    y = rng.normal(size=(n,) + trailing) * draw(st.sampled_from([1.0, 1e-8, 1e150]))
-    m = rng.normal(size=(n,) + trailing)
+    shape = (n,) + trailing
+    edge = st.floats(296.0, 300.0).map(lambda e: 10.0**e)
+    y = rng.normal(size=shape) * draw(st.one_of(st.sampled_from([1.0, 1e-8, 1e150]), edge))
+    m = rng.normal(size=shape) * draw(st.one_of(st.just(1.0), edge))
+    rows = st.sampled_from([0, 1, 2, 3, n // 2, n - 2, n - 1]).map(lambda row: min(row, n - 1))
+
+    def spot():
+        """A whole row, or one entry of it."""
+        row = draw(rows)
+        if not trailing or draw(st.booleans()):
+            return row
+        return row, draw(st.integers(0, trailing[0] - 1))
+
     for _ in range(draw(st.integers(0, 2))):
-        row = draw(st.sampled_from([0, 1, 2, 3, n // 2, n - 2, n - 1]))
-        (y if draw(st.booleans()) else m)[min(row, n - 1)] = draw(NON_FINITE)
+        (y if draw(st.booleans()) else m)[spot()] = draw(NON_FINITE)
+    for _ in range(draw(st.integers(0, 3))):
+        at = spot()
+        y[at] = draw(st.sampled_from([0.0, -0.0]))
+        m[at] = draw(st.sampled_from([1.0, -1.0, 0.0, -0.0]))
     return x, y, m
+
+
+def dense_pair(x, y, m, q):
+    """The dense output and the reference cubic at ``q``."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in non-finite rows
+        return ffde._hermite(x, y, m, q), ref_CubicHermite(x, y, m)(q)
+
+
+def same_dense(got, want) -> bool:
+    """Same type and bytes, NaN entries compared as NaN alone: which sign a
+    NaN takes where two NaNs meet depends on where numpy's loop puts the
+    element."""
+    nan = np.isnan(want)
+    same_nan = same_bytes(np.isnan(got), nan)
+    return type(got) is type(want) and same_nan and same_bytes(got[~nan], want[~nan])
 
 
 def dense_outcome(dense, q):
@@ -1883,17 +1920,58 @@ class TestBlockedPasses:
     @example(case=NAN_SIGN_CASE, rows=None)
     @settings(max_examples=400, deadline=None)
     def test_dense_output_is_bit_equal(self, case, rows):
-        # which sign a NaN takes where two NaNs meet depends on where numpy's
-        # loop puts the element, so NaN entries are compared as NaN alone
         (x, y, m), q = case
-        with block_rows(rows) as calls, warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # inf - inf in non-finite rows
-            got = ffde._hermite(x, y, m, q)
-            want = ref_CubicHermite(x, y, m)(q)
-        assert calls and type(got) is type(want)
-        nan = np.isnan(want)
-        assert same_bytes(np.isnan(got), nan)
-        assert same_bytes(got[~nan], want[~nan])
+        with block_rows(rows) as calls:
+            got, want = dense_pair(x, y, m, q)
+        assert calls
+        assert same_dense(got, want)
+
+    @given(hermite_tables(), BLOCK_ROWS)
+    @settings(max_examples=400, deadline=None)
+    def test_dense_output_at_the_nodes_is_bit_equal(self, table, rows):
+        # queries that are the nodes take the node copy where its guards allow
+        x, y, m = table
+        with block_rows(rows) as calls:
+            got, want = dense_pair(x, y, m, x.copy())
+        assert calls
+        assert same_dense(got, want)
+
+    def test_nodes_of_a_plain_table_are_copied(self):
+        # every interior node is copied; only the last goes through a cubic
+        rng = np.random.default_rng(7)
+        x = np.linspace(0.0, 1.0, 4097)
+        y, m = rng.normal(size=(2,) + x.shape + (202,))
+        with mock.patch.object(ffde, "_cubic", wraps=ffde._cubic) as cubic:
+            got = ffde._hermite(x, y, m, x.copy())
+        assert [c.args[3].tolist() for c in cubic.call_args_list] == [[1.0]]
+        assert same_bytes(got, ref_CubicHermite(x, y, m)(x))
+
+    @pytest.mark.parametrize(
+        "step, exponent",
+        [(1e-3, e) for e in np.linspace(297.0, 300.0, 25)]
+        + [(1.0, e) for e in np.linspace(306.5, 308.2, 25)],
+    )
+    def test_nodes_at_the_edge_of_the_bound(self, step, exponent):
+        # values of alternating sign: the largest coefficient is c0 = 4|y|/h^3
+        # for h = 1e-3 and c1 = 6|y| for h = 1, so a bound looser by a factor
+        # of 4 would copy nodes whose cubic overflows
+        x = np.arange(9) * step
+        y = 10.0**exponent * np.array([1.0, -1.0] * 4 + [1.0])
+        got, want = dense_pair(x, y, np.zeros(9), x.copy())
+        assert same_dense(got, want)
+
+    @pytest.mark.parametrize("value", [-0.0, np.nan])
+    def test_one_guarded_entry_sends_only_its_block_through_the_cubic(self, value):
+        x = np.linspace(0.0, 1.0, 65)
+        y, m = np.random.default_rng(3).normal(size=(2, 65, 4))
+        y[16, 1] = value
+        with block_rows(8), mock.patch.object(ffde, "_cubic", wraps=ffde._cubic) as cubic:
+            got, want = dense_pair(x, y, m, x.copy())
+        # the first and last node of each call; a NaN also fails the bound of
+        # the block before, whose last interval ends at it
+        ends = [(c.args[3][0] * 64, c.args[3][-1] * 64) for c in cubic.call_args_list]
+        assert ends == ([] if value == 0.0 else [(8.0, 15.0)]) + [(16.0, 23.0), (64.0, 64.0)]
+        assert same_dense(got, want)
 
     @given(hermite_tables(), BLOCK_ROWS, st.data())
     @settings(max_examples=200, deadline=None)
