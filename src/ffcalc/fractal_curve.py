@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -58,6 +58,8 @@ SEGMENT_MAX_LEVEL = 2 * KOCH_MAX_LEVEL  # 2**24 segments, as many as Koch-12
 
 Refiner = Callable[["FractalCurve"], "FractalCurve"]
 
+_POINTS_RULE = "points must be a finite (m, n) array with n >= 1"
+
 
 def _float_array(x, name: str, ndim: int) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
@@ -88,7 +90,7 @@ class FractalCurve:
         if points.ndim == 1:
             points = points[:, None]
         if points.ndim != 2 or points.shape[1] == 0 or not np.all(np.isfinite(points)):
-            raise ValidationError("points must be a finite (m, n) array with n >= 1")
+            raise ValidationError(_POINTS_RULE)
         if params.size < 2:
             raise ValidationError("a curve needs at least 2 vertices")
         if points.shape[0] != params.size:
@@ -285,43 +287,56 @@ def _refine_params(params: np.ndarray, splits: int) -> np.ndarray:
     return np.append(cells.ravel(), params[-1])
 
 
+def _blocks(m: int, step: int):
+    """Bounds (i, j) of the blocks of ``step`` rows that cover rows 0..m-1.
+
+    A last block of one row is joined to the one before it: numpy multiplies
+    a lone row with a vector kernel that rounds unlike the matrix kernel, so
+    only the whole curve may be a block of one row.
+    """
+    i = 0
+    while i < m:
+        j = m if m - i <= step + 1 else i + step
+        yield i, j
+        i = j
+
+
 _KOCH_ROT = np.array(
     [[0.5, -math.sqrt(3.0) / 2.0], [math.sqrt(3.0) / 2.0, 0.5]]
 )  # +60 degrees
+
+
+def _koch_block(w: np.ndarray, i: int, j: int, out: np.ndarray) -> None:
+    """Write the Koch refinement of the segments i..j-1 of the vertices w to
+    ``out``: its 4 * (j - i) + 1 vertices, from w[i] to w[j]. Each rotation
+    is one small matmul over the block."""
+    p = w[i:j]
+    d = w[i + 1 : j + 1] - p
+    a = p + d / 3.0
+    c = p + 2.0 * d / 3.0
+    b = a + (d / 3.0) @ _KOCH_ROT.T
+    out[0::4] = w[i : j + 1]
+    out[1::4] = a
+    out[2::4] = b
+    out[3::4] = c
 
 
 def _koch_refiner(curve: FractalCurve) -> FractalCurve:
     """Replace each segment p -> q by the four of the Koch generator.
 
     The new points are filled in a block of ``_block_rows`` segments at a
-    time, so each temporary is one block, not one per segment of the curve,
-    and each rotation is a small matmul. Every point is formed by the same
-    operations as in one whole-curve pass, so the bits are the same: a
-    last block of one row is joined to the one before it, since numpy
-    multiplies a lone row with a vector kernel that rounds unlike the matrix
-    kernel. The params come first, so that their temporaries are freed
-    before the point array is allocated.
+    time, so each temporary is one block, not one per segment of the curve.
+    Every point is formed by the same operations as in one whole-curve pass,
+    so the bits are the same in any blocks that :func:`_blocks` makes. The
+    params come first, so that their temporaries are freed before the point
+    array is allocated.
     """
     params = _refine_params(curve.params, 4)
     w = curve.points
     m = w.shape[0] - 1
     out = np.empty((4 * m + 1, 2))
-    step = _block_rows(2)
-    i = 0
-    while i < m:
-        j = m if m - i <= step + 1 else i + step
-        p = w[i:j]
-        d = w[i + 1 : j + 1] - p
-        a = p + d / 3.0
-        c = p + 2.0 * d / 3.0
-        b = a + (d / 3.0) @ _KOCH_ROT.T
-        block = out[4 * i : 4 * j]
-        block[0::4] = p
-        block[1::4] = a
-        block[2::4] = b
-        block[3::4] = c
-        i = j
-    out[-1] = w[-1]
+    for i, j in _blocks(m, _block_rows(2)):
+        _koch_block(w, i, j, out[4 * i : 4 * j + 1])
     return FractalCurve(params, out, refiner=_koch_refiner, level=curve.level + 1)
 
 
@@ -337,15 +352,25 @@ def generate_koch(level: int) -> FractalCurve:
     return _generate([[0.0, 0.0], [1.0, 0.0]], _koch_refiner, level)
 
 
-def _midpoint_refiner(curve: FractalCurve) -> FractalCurve:
-    t = curve.params
-    w = curve.points
+def _midpoint_params(t: np.ndarray) -> np.ndarray:
     nt = np.empty(2 * t.size - 1)
     nt[0::2] = t
     nt[1::2] = 0.5 * (t[:-1] + t[1:])
+    return nt
+
+
+def _midpoint_block(w: np.ndarray, i: int, j: int, out: np.ndarray) -> None:
+    """Write the segments i..j-1 of the vertices w, each split at its
+    midpoint, to ``out``: 2 * (j - i) + 1 vertices, from w[i] to w[j]."""
+    out[0::2] = w[i : j + 1]
+    out[1::2] = 0.5 * (w[i:j] + w[i + 1 : j + 1])
+
+
+def _midpoint_refiner(curve: FractalCurve) -> FractalCurve:
+    w = curve.points
+    nt = _midpoint_params(curve.params)
     nw = np.empty((2 * w.shape[0] - 1, w.shape[1]))
-    nw[0::2] = w
-    nw[1::2] = 0.5 * (w[:-1] + w[1:])
+    _midpoint_block(w, 0, w.shape[0] - 1, nw)
     return FractalCurve(nt, nw, refiner=_midpoint_refiner, level=curve.level + 1)
 
 
@@ -360,24 +385,39 @@ def generate_segment(start=(0.0, 0.0), end=(1.0, 0.0), level: int = 0) -> Fracta
     return _generate([list(start), list(end)], _midpoint_refiner, level)
 
 
-# the built-in refiners' names and level caps, so that refinement cannot run
-# the machine out of memory; read only by _target_level
+class _Builtin(NamedTuple):
+    """What the library knows of a built-in refiner: its name and level cap,
+    the pieces it splits each segment into, the refined params of given
+    params, and its block kernel ``block(w, i, j, out)``."""
+
+    name: str
+    cap: int
+    splits: int
+    params: Callable[[np.ndarray], np.ndarray]
+    block: Callable[[np.ndarray, int, int, np.ndarray], None]
+
+
+# the built-in refiners, looked up by identity (a refiner need not be
+# hashable); the caps keep refinement from running the machine out of memory
 _LEVEL_CAPS = {
-    _koch_refiner: ("koch", KOCH_MAX_LEVEL),
-    _midpoint_refiner: ("segment", SEGMENT_MAX_LEVEL),
+    _koch_refiner: _Builtin("koch", KOCH_MAX_LEVEL, 4, lambda t: _refine_params(t, 4), _koch_block),
+    _midpoint_refiner: _Builtin("segment", SEGMENT_MAX_LEVEL, 2, _midpoint_params, _midpoint_block),
 }
+
+
+def _builtin(curve: FractalCurve) -> _Builtin | None:
+    return next((v for k, v in _LEVEL_CAPS.items() if k is curve.refiner), None)
 
 
 def _target_level(curve: FractalCurve, level) -> int:
     """``level`` as an int, if ``curve`` may be refined to it: an integer in
     [0, cap] for a built-in refiner, any count otherwise, and never below
     the curve's own level."""
-    # by identity: a refiner need not be hashable
-    name, cap = next((v for k, v in _LEVEL_CAPS.items() if k is curve.refiner), ("", None))
-    if cap is None:
+    builtin = _builtin(curve)
+    if builtin is None:
         level = count(level, "level", 0)
-    elif not (is_integer(level) and 0 <= level <= cap):
-        raise ValidationError(f"{name} level must be an integer in [0, {cap}]")
+    elif not (is_integer(level) and 0 <= level <= builtin.cap):
+        raise ValidationError(f"{builtin.name} level must be an integer in [0, {builtin.cap}]")
     if level < curve.level:
         raise ValidationError(f"level {level} is below the curve's level {curve.level}")
     return int(level)
@@ -441,24 +481,104 @@ def mass_function(
 
 def _length_bins(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``np.unique(_polyline_lengths(points), return_counts=True)``, binned a
-    block of ``_block_rows`` segments at a time.
-
-    Each block's distinct lengths and counts are merged exactly: a stable
-    sort of all blocks' values, then one sum of counts per run of equal
-    values. The result has the same bytes as the one-shot ``np.unique``,
-    but no temporary holds a length per segment of the whole curve.
-    """
+    block of ``_block_rows`` segments at a time."""
     step = _block_rows(points.shape[1])
-    blocks = [
-        np.unique(_polyline_lengths(points[i : i + step + 1]), return_counts=True)
-        for i in range(0, points.shape[0] - 1, step)
-    ]
+    return _merged_bins(
+        [
+            np.unique(_polyline_lengths(points[i : i + step + 1]), return_counts=True)
+            for i in range(0, points.shape[0] - 1, step)
+        ]
+    )
+
+
+def _merged_bins(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct lengths and counts of all blocks, from each block's own.
+
+    The merge is exact: a stable sort of all blocks' values, then one sum of
+    counts per run of equal values. The result has the same bytes as one
+    ``np.unique`` of every length, but no temporary holds a length per
+    segment of the whole curve.
+    """
     values = np.concatenate([v for v, _ in blocks])
     order = np.argsort(values, kind="stable")
     values = values[order]
     counts = np.concatenate([c for _, c in blocks])[order]
     starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
     return values[starts], np.add.reduceat(counts, starts)
+
+
+def _refines_cleanly(t: np.ndarray) -> bool:
+    """Whether a built-in refinement of the params t is sure to be finite
+    and strictly increasing, so that the refined curve's constructor would
+    accept its params.
+
+    Every built-in refined param lies within a few roundings, each at most
+    one spacing ``u`` of the largest end, of an exact point a quarter or a
+    half of its segment from its neighbours. A shortest segment over 32 u
+    keeps every gap open, and an end below half the largest float keeps
+    every sum finite.
+    """
+    top = max(abs(float(t[0])), abs(float(t[-1])))
+    return math.isfinite(2.0 * top) and float(np.diff(t).min()) > 32.0 * float(np.spacing(top))
+
+
+def _point_on(u: float, tu: np.ndarray, rows: np.ndarray) -> list:
+    """w(u) by ``np.interp`` on the vertices ``rows`` at the params ``tu``."""
+    return [np.interp(u, tu, col) for col in rows[: tu.size].T]
+
+
+def _refined_bins(curve: FractalCurve, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
+    """``_length_bins(_sub_polyline_points(curve.refine(), a, b))``, without
+    holding the refined level when the curve has a built-in refiner.
+
+    The refined points are formed a block of parent segments at a time into
+    one reused buffer, checked as the refined curve's constructor checks
+    them, and the block's lengths inside [a, b] are binned. Of the refined
+    params, only those of the parent segments holding a and b are formed:
+    ``np.interp`` reads only the two vertices that bracket a query, so w(a)
+    and w(b) have the bits that :meth:`FractalCurve.point_at` gives on the
+    whole level. Another refiner, or params that :func:`_refines_cleanly`
+    cannot vouch for, take the whole level through :meth:`FractalCurve.refine`.
+    """
+    builtin = _builtin(curve)
+    t, w = curve.params, curve.points
+    if builtin is None or not _refines_cleanly(t):
+        return _length_bins(_sub_polyline_points(curve.refine(), a, b))
+    s, m = builtin.splits, curve.n_segments
+    # the refined segments first..last hold the sub-polyline; each of its
+    # ends that is not a vertex is listed as (the segment it lies on, its
+    # row in the sub-polyline, u, the parent segment that holds it and that
+    # segment's refined params)
+    if a == curve.a0 and b == curve.b0:  # w(a0), w(b0) are the end vertices
+        first, last, ends = 0, s * m - 1, ()
+    else:
+        pa = int(np.searchsorted(t, a, side="right")) - 1
+        pb = int(np.searchsorted(t, b, side="left")) - 1
+        ta, tb = builtin.params(t[pa : pa + 2]), builtin.params(t[pb : pb + 2])
+        first = s * pa + int(np.searchsorted(ta, a, side="right")) - 1
+        last = s * pb + int(np.searchsorted(tb, b, side="left")) - 1
+        ends = ((first, 0, a, pa, ta), (last, -1, b, pb, tb))
+
+    step = _block_rows(s * w.shape[1])
+    buf = np.empty((s * min(step + 1, m) + 1, w.shape[1]))  # the largest block
+    blocks = []
+    for i, j in _blocks(m, step):
+        block = buf[: s * (j - i) + 1]
+        builtin.block(w, i, j, block)
+        if not np.isfinite(block).all():
+            raise ValidationError(_POINTS_RULE)
+        lo, hi = max(first, s * i), min(last + 1, s * j)  # this block's share
+        if lo >= hi:
+            continue
+        pts = block[lo - s * i : hi - s * i + 1]
+        # every end on this block is formed before any is written: they may share rows
+        found = [
+            (row, _point_on(u, tu, block[s * (p - i) :])) for k, row, u, p, tu in ends if lo <= k < hi
+        ]
+        for row, point in found:
+            pts[row] = point
+        blocks.append(np.unique(_polyline_lengths(pts), return_counts=True))
+    return _merged_bins(blocks)
 
 
 def _log_sum_slope(bins: list[tuple[np.ndarray, np.ndarray]], alpha: float) -> float:
@@ -501,11 +621,13 @@ def gamma_dimension(
 
     keep_from = max_level - fit_levels + 1
     bins: list[tuple[np.ndarray, np.ndarray]] = []
-    for cur in _refinements(curve, max_level):
+    for cur in _refinements(curve, max_level - 1):
         if cur.level >= keep_from:
             # self-similar curves have few distinct lengths (Koch-10: 984
             # among 4**10), so bin them once instead of once per alpha
             bins.append(_length_bins(_sub_polyline_points(cur, a, b)))
+    # the deepest level is only binned, so it is binned as it is formed
+    bins.append(_refined_bins(cur, a, b))
 
     lo, hi = 1.0, float(curve.ndim)
     slope_lo = _log_sum_slope(bins, lo)
@@ -535,19 +657,34 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
 
     S(u) is the mass of the sub-curve between the anchor and u, signed
     negative below the anchor. Values are exact at vertices of the working
-    level; J_at/u_at interpolate linearly in between.
+    level; J_at/u_at interpolate linearly in between. The masses are formed
+    and summed a block of ``_block_rows`` segments at a time, straight into
+    the table.
     """
     _check_order(alpha, curve.ndim)
     p0 = curve.a0 if p0 is None else point(p0, "anchor")
     inside(p0, curve.a0, curve.b0, f"anchor {p0}")
-    masses = curve.segment_lengths()
-    masses **= alpha
-    masses /= math.gamma(alpha + 1.0)
-    Js = np.empty(curve.params.size)
+    gamma = math.gamma(alpha + 1.0)
+    w = curve.points
+    # us and Js are the rows of one allocation: a large table is then one
+    # block, which glibc's malloc maps on its own and, once it is freed,
+    # takes as its threshold for mapping, so the next table of that size
+    # reuses heap pages instead of faulting in fresh ones
+    us, Js = np.empty((2, curve.params.size))
+    us[:] = curve.params
     Js[0] = 0.0
-    np.cumsum(masses, out=Js[1:])
+    step = _block_rows(1)
+    for i in range(0, curve.n_segments, step):
+        j = min(i + step, curve.n_segments)
+        masses = _polyline_lengths(w[i : j + 1])
+        masses **= alpha
+        masses /= gamma
+        # carry the running sum: add.accumulate adds in sequence, so each
+        # value has the bits of one cumsum over every segment
+        masses[0] += Js[i]
+        np.cumsum(masses, out=Js[i + 1 : j + 1])
     Js -= np.interp(p0, curve.params, Js)
-    return StaircaseTable(alpha=float(alpha), p0=p0, us=curve.params.copy(), Js=Js)
+    return StaircaseTable(alpha=float(alpha), p0=p0, us=us, Js=Js)
 
 
 def J_at(table: StaircaseTable, u):
@@ -597,9 +734,13 @@ def euclidean_rise(curve: FractalCurve, u):
 def staircase_to_csv(table: StaircaseTable, target) -> None:
     """Write the table as ``u,J`` rows at full double precision.
 
-    ``target`` is a path or a writable text buffer.
+    ``target`` is a path or a writable text buffer. The rows are formatted
+    and written a block of ``_block_rows`` at a time, so the text of the
+    whole table is never held.
     """
-    write_csv(target, "u,J", format_columns(table.us, table.Js))
+    us, Js, step = table.us, table.Js, _block_rows(2)
+    blocks = (format_columns(us[i : i + step], Js[i : i + step]) for i in range(0, us.size, step))
+    write_csv(target, "u,J", blocks)
 
 
 _CURVE_KINDS = {"koch": ("level",), "segment": ("level",), "polyline": ("params", "points")}

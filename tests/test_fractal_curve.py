@@ -294,21 +294,44 @@ class TestGammaDimension:
 
 
 class TestPeakMemory:
-    """Peak traced by tracemalloc for a Koch dimension estimate to level 10.
-    Refinement and length binning run a block of segments at a time, so the
-    peak is the level-9 curve, the level-10 curve and block-sized
-    temporaries (~36 MB), not six whole-curve temporaries and a sort of
-    every length (~59 MB)."""
+    """Peaks traced by tracemalloc for the largest curve passes. Refinement
+    and length binning run a block of segments at a time, and the deepest
+    level of a dimension estimate is binned as it is formed, one block in a
+    reused buffer, so that level is never held: a Koch estimate to level 10
+    peaks at the level-9 curve and block-sized temporaries (~10.5 MB, not
+    ~36 MB with level 10 held), a segment estimate to level 20 at the levels
+    18 and 19 (~23 MB, not ~46 MB). The staircase masses are formed in
+    blocks straight into the table (~18.4 MB for Koch-10, not ~26 MB), and
+    its CSV is formatted and written in blocks (~6 MB, not ~145 MB)."""
 
-    def test_koch_dimension_peaks_below_45_mb(self):
-        gamma_dimension(generate_koch(0), max_level=5)  # first-call caches
+    @staticmethod
+    def _peak(fn) -> int:
         tracemalloc.start()
         try:
-            gamma_dimension(generate_koch(0), max_level=10)
-            peak = tracemalloc.get_traced_memory()[1]
+            fn()
+            return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 45e6
+
+    def test_koch_dimension_peaks_below_16_mb(self):
+        gamma_dimension(generate_koch(0), max_level=5)  # first-call caches
+        assert self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10)) < 16e6
+
+    def test_segment_dimension_peaks_below_30_mb(self):
+        gamma_dimension(generate_segment(), max_level=5)
+        assert self._peak(lambda: gamma_dimension(generate_segment(), max_level=20)) < 30e6
+
+    def test_koch_staircase_peaks_below_21_mb(self):
+        curve = generate_koch(10)
+        build_staircase(generate_koch(2), KOCH_DIM)
+        assert self._peak(lambda: build_staircase(curve, KOCH_DIM)) < 21e6
+
+    def test_koch_staircase_csv_peaks_below_10_mb(self, tmp_path):
+        table = build_staircase(generate_koch(10), KOCH_DIM)
+        staircase_to_csv(build_staircase(generate_koch(2), KOCH_DIM), io.StringIO())
+        assert self._peak(lambda: staircase_to_csv(table, tmp_path / "koch10.csv")) < 10e6
+        with open(tmp_path / "koch10.csv", encoding="utf-8") as fh:
+            assert sum(1 for _ in fh) == 1 + 4**10 + 1
 
 
 class TestStaircase:

@@ -1,8 +1,9 @@
 """The shared band-shape check, vertex-knot path, curve-geometry kernels, the
 shared default r-grid, the binned dimension estimate, the band-valued
 fuzzy fields and the blocked passes (dense output, validity flags, CSV
-body, Koch refinement, length binning) against the implementations they
-replaced.
+body, Koch refinement, length binning, the streamed deepest level of a
+dimension estimate, staircase masses and staircase CSV) against the
+implementations they replaced.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -653,12 +654,23 @@ class TestVertexKnots:
         base = generate_koch(0)
         got = gamma_dimension(base, *interval, max_level=7)
         levels = []
+        streamed = fractal_curve._refined_bins
 
         def reference(curve, a, b):
             levels.append(curve.level)
             return ref_sub_polyline_points(curve, a, b)
 
+        def checked(curve, a, b):
+            # the deepest level is binned as it is formed, never as vertices:
+            # its bins must be those of the reference vertices
+            levels.append(curve.level + 1)
+            bins = streamed(curve, a, b)
+            want = ref_length_bins(ref_sub_polyline_points(curve.refine(), a, b))
+            assert same_bytes(bins[0], want[0]) and same_bytes(bins[1], want[1])
+            return bins
+
         monkeypatch.setattr(fractal_curve, "_sub_polyline_points", reference)
+        monkeypatch.setattr(fractal_curve, "_refined_bins", checked)
         assert got == gamma_dimension(base, *interval, max_level=7)
         assert levels == [4, 5, 6, 7]  # the fitted levels all went through the reference
 
@@ -2173,5 +2185,192 @@ class TestBlockedBins:
     def test_gamma_dimension_bins_in_blocks(self):
         with block_rows(None) as calls:
             gamma_dimension(generate_koch(0), max_level=8)
-        # the level-1 to level-8 refinements, then the four fitted levels' bins
-        assert calls == [2] * 12
+        # the level-1 to level-7 refinements and the bins of fitted levels 5
+        # to 7 in blocks of 2-column rows; then level 8, formed and binned in
+        # blocks of parent segments, each of which gives 4 2-column rows
+        assert calls == [2] * 10 + [8]
+
+
+# ---------------------------------------------------------------------------
+# the streamed deepest level, the blocked staircase and its blocked CSV
+
+
+def bins_outcome(fn, *args):
+    """The bins a call returned, by bytes, or the ValidationError it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the refinement
+        try:
+            values, counts = fn(*args)
+        except ValidationError as exc:
+            return ("error", str(exc))
+    return ("bins", array_key(values), array_key(counts))
+
+
+def ref_refined_bins(curve, a, b):
+    """The bins of the level after ``curve``, from its whole vertex array."""
+    return ref_length_bins(ref_sub_polyline_points(curve.refine(), a, b))
+
+
+def same_streamed_bins(curve, interval, rows):
+    """Bin the level after a curve with a built-in refiner as it is formed,
+    in blocks of ``rows`` parent segments, and require the reference's bins
+    or error. The pass asks once for its block size, for blocks of (pieces
+    per segment x columns) values per parent segment, so it never took the
+    route through refine()."""
+    want = bins_outcome(ref_refined_bins, curve, *interval)
+    with block_rows(rows) as calls:
+        got = bins_outcome(fractal_curve._refined_bins, curve, *interval)
+    assert calls == [fractal_curve._builtin(curve).splits * curve.ndim]
+    assert got == want
+    return got
+
+
+def ref_staircase_to_csv(table, target):
+    """``staircase_to_csv`` as it was: the whole table in one format."""
+    fractal_curve.write_csv(target, "u,J", fractal_curve.format_columns(table.us, table.Js))
+
+
+# blocks of two parent segments or more: the Koch kernel multiplies a lone
+# row by a vector kernel (see TestBlockedKoch)
+STREAM_ROWS = st.sampled_from([None, 2, 3, 5])
+# THREE from 3 to 192 segments; segments from 1 to 64 pieces, in 2 and 3 columns
+STREAMED = [THREE.refined_to(k) for k in (0, 1, 3)] + SEGMENTS
+OVERFLOWING = {
+    # the fifth segment's difference overflows, in the last of three blocks of 2
+    "koch": FractalCurve(
+        np.arange(6.0),
+        np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]),
+        refiner=fractal_curve._koch_refiner,
+    ),
+    # the midpoint of the last segment overflows
+    "segment": FractalCurve(
+        np.arange(6.0),
+        np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 2.0], [2.0, 0.0, 0.0], [3.0, 1.0, 0.0],
+                  [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
+        refiner=fractal_curve._midpoint_refiner,
+    ),
+}
+
+
+@st.composite
+def close_params(draw):
+    """Increasing params a few spacings of their largest end apart: near 0,
+    near 1, near the smallest normals and near half the largest float."""
+    base = draw(st.sampled_from([0.0, 1.0, -1.0, 2.0**-1021, 1e300, -1e300, 8.98e307]))
+    unit = float(np.spacing(max(abs(base), 2.0**-1021)))
+    steps = draw(st.lists(st.integers(1, 80), min_size=1, max_size=6))
+    return base + unit * np.concatenate([[0.0], np.cumsum(steps)])
+
+
+class TestStreamedLevel:
+    @given(polylines(columns=st.just(2)), st.integers(0, 2), STREAM_ROWS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_koch_polylines_bin_as_the_reference(self, polyline, level, rows, data):
+        params, points = polyline
+        curve = FractalCurve(params, points, refiner=fractal_curve._koch_refiner).refined_to(level)
+        interval = data.draw(sub_intervals(curve.refine().params))
+        same_streamed_bins(curve, interval, rows)
+
+    @given(st.sampled_from(STREAMED), STREAM_ROWS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_koch_and_midpoint_curves_bin_as_the_reference(self, curve, rows, data):
+        interval = data.draw(sub_intervals(curve.refine().params))
+        same_streamed_bins(curve, interval, rows)
+
+    @pytest.mark.parametrize("level", [6, 7])
+    @pytest.mark.parametrize(
+        "interval", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321), (0.2, 0.7)]
+    )
+    def test_partial_last_blocks_bin_as_the_reference(self, level, interval):
+        # 3 * 4**6 and 3 * 4**7 parent segments: one and a half blocks, and six
+        same_streamed_bins(THREE.refined_to(level), interval, None)
+
+    @pytest.mark.parametrize("kind", sorted(OVERFLOWING))
+    @pytest.mark.parametrize("interval", [(0.0, 5.0), (0.5, 2.5), (4.2, 4.7)])
+    def test_an_overflowing_level_is_refused_as_by_refine(self, kind, interval):
+        # every block is checked, also those outside the interval
+        curve = OVERFLOWING[kind]
+        got = same_streamed_bins(curve, interval, 2)
+        assert got == ("error", "points must be a finite (m, n) array with n >= 1")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            with pytest.raises(ValidationError, match=re.escape(got[1])):
+                gamma_dimension(curve, *interval, max_level=1, fit_levels=2)
+
+    @pytest.mark.parametrize(
+        "curve, refines",
+        [(generate_koch(0), 5), (generate_segment(), 5), (UNEQUAL, 6), (JITTERED, 6)],
+        ids=["koch", "segment", "unequal", "jittered"],
+    )
+    def test_only_builtin_refiners_stream(self, curve, refines):
+        with mock.patch.object(
+            FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine
+        ) as refine:
+            gamma_dimension(curve, max_level=6, fit_levels=3)
+        assert refine.call_count == refines
+
+    @pytest.mark.parametrize("gap", [2.0**-49, 2.0**-45], ids=["refused", "accepted"])
+    def test_params_too_close_to_vouch_for_go_through_refine(self, gap):
+        # level 1 has a segment of gap / 4; quartered again, 2**-53 rounds
+        # onto 1.0 and refine() refuses the params, 2**-49 does not
+        curve = FractalCurve(
+            np.array([0.0, 1.0, 1.0 + gap]),
+            np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]),
+            refiner=fractal_curve._koch_refiner,
+        ).refine()
+        assert not fractal_curve._refines_cleanly(curve.params)
+        interval = (0.3, curve.b0)
+        want = bins_outcome(ref_refined_bins, curve, *interval)
+        with mock.patch.object(
+            FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine
+        ) as refine:
+            assert bins_outcome(fractal_curve._refined_bins, curve, *interval) == want
+        assert refine.call_count == 1
+        assert (want[0] == "error") == (gap == 2.0**-49)
+
+    @given(close_params())
+    @settings(max_examples=300, deadline=None)
+    def test_params_vouched_for_refine_cleanly(self, t):
+        if fractal_curve._refines_cleanly(t):
+            for builtin in fractal_curve._LEVEL_CAPS.values():
+                refined = builtin.params(t)
+                assert np.isfinite(refined).all() and (refined[1:] > refined[:-1]).all()
+
+    def test_the_vouching_rule_accepts_and_refuses_close_params(self):
+        unit = float(np.spacing(1.0))
+        assert fractal_curve._refines_cleanly(1.0 + unit * np.array([0.0, 33.0, 70.0]))
+        assert not fractal_curve._refines_cleanly(1.0 + unit * np.array([0.0, 32.0, 70.0]))
+        assert not fractal_curve._refines_cleanly(np.array([-1e308, 1e308]))
+
+    @given(polylines(), st.floats(min_value=0.0, max_value=1.0), BLOCK_ROWS)
+    @settings(max_examples=200, deadline=None)
+    def test_staircase_is_bit_equal_in_any_blocks(self, polyline, t, rows):
+        params, points = polyline
+        curve = fractal_curve.generate_polyline(params, points)
+        alpha = 1.0 + t * (curve.ndim - 1)
+        for p0 in anchors(params):
+            want = staircase_outcome(reference_table, curve, alpha, p0)
+            with block_rows(rows) as calls:
+                assert staircase_outcome(build_staircase, curve, alpha, p0) == want
+            assert calls == [1]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("curve", KOCHS[:6] + SEGMENTS[-2:], ids=lambda c: f"{c.ndim}d_level{c.level}")
+    def test_refined_staircases_are_bit_equal_in_small_blocks(self, curve, rows):
+        for p0 in anchors(curve.params):
+            us, Js = ref_build_staircase(curve, KOCH_DIM, p0)
+            with block_rows(rows):
+                got = build_staircase(curve, KOCH_DIM, p0)
+            assert same_bytes(got.us, us) and same_bytes(got.Js, Js)
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("level", [0, 1, 3])
+    def test_staircase_csv_bytes_are_the_same(self, rows, level):
+        table = build_staircase(generate_koch(level), KOCH_DIM, 0.5)
+        want = io.StringIO()
+        ref_staircase_to_csv(table, want)
+        got = io.StringIO()
+        with block_rows(rows) as calls:
+            fractal_curve.staircase_to_csv(table, got)
+        assert got.getvalue() == want.getvalue()
+        assert calls == [2]
