@@ -253,21 +253,28 @@ def _in_query_order(lookup: Callable[[np.ndarray], np.ndarray], q: np.ndarray) -
     return out.reshape(q.shape + found.shape[1:])
 
 
-def _polyline_lengths(points: np.ndarray) -> np.ndarray:
-    """Lengths |w_{i+1} - w_i| of the segments of an (m, n) vertex array.
+def _squared_distances(u: np.ndarray, v: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances |v_i - u_i|**2 between the rows of two (m, n)
+    arrays, into ``out`` if it is given.
 
     The squared differences are summed one coordinate column at a time,
     left to right, in place. For n < 8 that is the order numpy's row-wise
     ``np.sum(d * d, axis=1)`` uses, so the bits are the same, at a fraction
     of the cost of a reduction over a short axis.
     """
-    s = np.subtract(points[1:, 0], points[:-1, 0])
+    s = np.subtract(v[:, 0], u[:, 0], out=out)
     s *= s
     d = np.empty_like(s)
-    for k in range(1, points.shape[1]):
-        np.subtract(points[1:, k], points[:-1, k], out=d)
+    for k in range(1, u.shape[1]):
+        np.subtract(v[:, k], u[:, k], out=d)
         d *= d
         s += d
+    return s
+
+
+def _polyline_lengths(points: np.ndarray) -> np.ndarray:
+    """Lengths |w_{i+1} - w_i| of the segments of an (m, n) vertex array."""
+    s = _squared_distances(points[:-1], points[1:])
     return np.sqrt(s, out=s)
 
 
@@ -306,23 +313,44 @@ _KOCH_ROT = np.array(
 )  # +60 degrees
 
 
-def _koch_block(w: np.ndarray, i: int, j: int, out: np.ndarray) -> None:
-    """Write the Koch refinement of the segments i..j-1 of the vertices w to
-    ``out``: its 4 * (j - i) + 1 vertices, from w[i] to w[j]. Each rotation
-    is one small matmul over the block."""
-    p = w[i:j]
-    d = w[i + 1 : j + 1] - p
-    a = p + d / 3.0
-    c = p + 2.0 * d / 3.0
-    b = a + (d / 3.0) @ _KOCH_ROT.T
-    out[0::4] = w[i : j + 1]
-    out[1::4] = a
-    out[2::4] = b
-    out[3::4] = c
+def _koch_pieces(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """Write the inner vertices a, b, c of the Koch generator on each
+    segment p -> q to out[0], out[1] and out[2], with out[3] for scratch:
+    a and c at a third and two thirds of it, b the apex.
+
+    With d = q - p, each value has the operations of ``p + d / 3.0``,
+    ``a + (d / 3.0) @ R.T`` and ``p + 2.0 * d / 3.0``; the rotation is one
+    small matmul over all rows.
+    """
+    a, b, c, third = out
+    np.subtract(q, p, out=c)
+    np.divide(c, 3.0, out=third)
+    np.add(p, third, out=a)
+    np.matmul(third, _KOCH_ROT.T, out=b)
+    b += a
+    c *= 2.0
+    c /= 3.0
+    c += p
 
 
-def _koch_refiner(curve: FractalCurve) -> FractalCurve:
-    """Replace each segment p -> q by the four of the Koch generator.
+def _midpoint_pieces(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
+    """Write the midpoint ``0.5 * (p + q)`` of each segment p -> q to out[0]."""
+    np.add(p, q, out=out[0])
+    out[0] *= 0.5
+
+
+def _interleave(w: np.ndarray, inner: np.ndarray, out: np.ndarray) -> None:
+    """Write the vertices w with the inner vertices of each of their
+    segments between them to ``out``: w[i], inner[0][i], inner[1][i], ...,
+    w[i + 1]."""
+    s = len(inner) + 1
+    out[0::s] = w
+    for k, v in enumerate(inner, 1):
+        out[k::s] = v
+
+
+def _refined(curve: FractalCurve, refiner: Refiner) -> FractalCurve:
+    """The next level of a curve with the built-in ``refiner``.
 
     The new points are filled in a block of ``_block_rows`` segments at a
     time, so each temporary is one block, not one per segment of the curve.
@@ -331,13 +359,21 @@ def _koch_refiner(curve: FractalCurve) -> FractalCurve:
     params come first, so that their temporaries are freed before the point
     array is allocated.
     """
-    params = _refine_params(curve.params, 4)
-    w = curve.points
-    m = w.shape[0] - 1
-    out = np.empty((4 * m + 1, 2))
-    for i, j in _blocks(m, _block_rows(2)):
-        _koch_block(w, i, j, out[4 * i : 4 * j + 1])
-    return FractalCurve(params, out, refiner=_koch_refiner, level=curve.level + 1)
+    builtin = _LEVEL_CAPS[refiner]
+    s, w, m = builtin.splits, curve.points, curve.n_segments
+    params = builtin.params(curve.params)
+    out = np.empty((s * m + 1, w.shape[1]))
+    step = _block_rows(w.shape[1])
+    work = np.empty((s, min(step + 1, m), w.shape[1]))
+    for i, j in _blocks(m, step):
+        builtin.pieces(w[i:j], w[i + 1 : j + 1], work[:, : j - i])
+        _interleave(w[i : j + 1], work[: s - 1, : j - i], out[s * i : s * j + 1])
+    return FractalCurve(params, out, refiner=refiner, level=curve.level + 1)
+
+
+def _koch_refiner(curve: FractalCurve) -> FractalCurve:
+    """Replace each segment p -> q by the four of the Koch generator."""
+    return _refined(curve, _koch_refiner)
 
 
 def _generate(ends, refiner: Refiner, level) -> FractalCurve:
@@ -359,19 +395,9 @@ def _midpoint_params(t: np.ndarray) -> np.ndarray:
     return nt
 
 
-def _midpoint_block(w: np.ndarray, i: int, j: int, out: np.ndarray) -> None:
-    """Write the segments i..j-1 of the vertices w, each split at its
-    midpoint, to ``out``: 2 * (j - i) + 1 vertices, from w[i] to w[j]."""
-    out[0::2] = w[i : j + 1]
-    out[1::2] = 0.5 * (w[i:j] + w[i + 1 : j + 1])
-
-
 def _midpoint_refiner(curve: FractalCurve) -> FractalCurve:
-    w = curve.points
-    nt = _midpoint_params(curve.params)
-    nw = np.empty((2 * w.shape[0] - 1, w.shape[1]))
-    _midpoint_block(w, 0, w.shape[0] - 1, nw)
-    return FractalCurve(nt, nw, refiner=_midpoint_refiner, level=curve.level + 1)
+    """Split each segment at its midpoint."""
+    return _refined(curve, _midpoint_refiner)
 
 
 def generate_segment(start=(0.0, 0.0), end=(1.0, 0.0), level: int = 0) -> FractalCurve:
@@ -388,20 +414,26 @@ def generate_segment(start=(0.0, 0.0), end=(1.0, 0.0), level: int = 0) -> Fracta
 class _Builtin(NamedTuple):
     """What the library knows of a built-in refiner: its name and level cap,
     the pieces it splits each segment into, the refined params of given
-    params, and its block kernel ``block(w, i, j, out)``."""
+    params, and ``pieces(p, q, out)``, which writes the inner vertices of
+    each segment p -> q, in order along it, to out[0], out[1], ...; ``out``
+    holds ``splits`` arrays of p's shape, the last for scratch."""
 
     name: str
     cap: int
     splits: int
     params: Callable[[np.ndarray], np.ndarray]
-    block: Callable[[np.ndarray, int, int, np.ndarray], None]
+    pieces: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
 
 # the built-in refiners, looked up by identity (a refiner need not be
 # hashable); the caps keep refinement from running the machine out of memory
 _LEVEL_CAPS = {
-    _koch_refiner: _Builtin("koch", KOCH_MAX_LEVEL, 4, lambda t: _refine_params(t, 4), _koch_block),
-    _midpoint_refiner: _Builtin("segment", SEGMENT_MAX_LEVEL, 2, _midpoint_params, _midpoint_block),
+    _koch_refiner: _Builtin(
+        "koch", KOCH_MAX_LEVEL, 4, lambda t: _refine_params(t, 4), _koch_pieces
+    ),
+    _midpoint_refiner: _Builtin(
+        "segment", SEGMENT_MAX_LEVEL, 2, _midpoint_params, _midpoint_pieces
+    ),
 }
 
 
@@ -468,14 +500,33 @@ def mass_function(
     Sums |w(t_{i+1}) - w(t_i)|**alpha / Gamma(alpha + 1) over the natural
     vertex subdivision restricted to [a, b], refining the curve up to
     ``max_level`` and recording one partial sum per level. The returned
-    value is the sum at the deepest level.
+    value is the sum at the deepest level computed.
     """
     _check_order(alpha, curve.ndim)
     a, b = sub_interval(a, b, curve.a0, curve.b0, "interval")
+    top = _target_level(curve, curve.level if max_level is None else max_level)
+    gamma = math.gamma(alpha + 1.0)
+
+    def mass(lengths: np.ndarray) -> float:
+        lengths **= alpha
+        return float(np.sum(lengths) / gamma)
+
     levels: list[tuple[int, float]] = []
-    for cur in _refinements(curve, curve.level if max_level is None else max_level):
-        mass = np.sum(_sub_polyline_lengths(cur, a, b) ** alpha) / math.gamma(alpha + 1.0)
-        levels.append((cur.level, float(mass)))
+    for cur in _refinements(curve, max(top - 1, curve.level)):
+        levels.append((cur.level, mass(_sub_polyline_lengths(cur, a, b))))
+    if top > cur.level:
+        # the deepest level is only summed, so only its lengths are held: the
+        # walk writes them in order into one array, and np.sum adds them as
+        # it would add a whole level's
+        walk = _walk(cur, a, b, 1, top)
+        if walk is None:
+            lengths = _sub_polyline_lengths(cur.refine(), a, b)
+        else:
+            first, last, _ = walk.spans[-1]
+            lengths = np.empty(last - first + 1)
+            for _, lo, part in walk:
+                lengths[lo - first : lo - first + part.size] = part
+        levels.append((top, mass(lengths)))
     return MassEstimate(alpha=float(alpha), value=levels[-1][1], levels=levels)
 
 
@@ -507,78 +558,215 @@ def _merged_bins(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarra
     return values[starts], np.add.reduceat(counts, starts)
 
 
-def _refines_cleanly(t: np.ndarray) -> bool:
-    """Whether a built-in refinement of the params t is sure to be finite
-    and strictly increasing, so that the refined curve's constructor would
-    accept its params.
+def _refines_cleanly(t: np.ndarray, splits: int, levels: int) -> bool:
+    """Whether ``levels`` built-in refinements of the params t, each into
+    ``splits`` pieces per segment, are sure to be finite and strictly
+    increasing, so that each refined curve's constructor would accept its
+    params.
 
-    Every built-in refined param lies within a few roundings, each at most
-    one spacing ``u`` of the largest end, of an exact point a quarter or a
-    half of its segment from its neighbours. A shortest segment over 32 u
-    keeps every gap open, and an end below half the largest float keeps
-    every sum finite.
+    Every refined param lies within a few roundings, each at most one
+    spacing ``u`` of the largest end, of an exact point a quarter or a half
+    of its segment from its neighbours, and inside [t[0], t[-1]]; so one
+    level takes at most ~3.25 u off a gap that it splits. A shortest segment
+    over 32 s**(levels - 1) u keeps every gap over 32 u / s - 3.25 u s /
+    (s - 1) > 0 after the last level, and an end below half the largest
+    float keeps every sum finite.
     """
     top = max(abs(float(t[0])), abs(float(t[-1])))
-    return math.isfinite(2.0 * top) and float(np.diff(t).min()) > 32.0 * float(np.spacing(top))
+    margin = 32.0 * float(splits) ** (levels - 1) * float(np.spacing(top))
+    return math.isfinite(2.0 * top) and float(np.diff(t).min()) > margin
 
 
-def _point_on(u: float, tu: np.ndarray, rows: np.ndarray) -> list:
-    """w(u) by ``np.interp`` on the vertices ``rows`` at the params ``tu``."""
-    return [np.interp(u, tu, col) for col in rows[: tu.size].T]
+def _level_spans(builtin: _Builtin, t: np.ndarray, a: float, b: float, depth: int) -> list:
+    """The sub-polyline over [a, b] on the level of the params t and on each
+    of the ``depth`` levels below it, as (first, last, ends): the first and
+    last segment that hold it, and each of its ends as (u, the params of the
+    segment that holds it), or no ends if they are the level's end vertices.
 
-
-def _refined_bins(curve: FractalCurve, a: float, b: float) -> tuple[np.ndarray, np.ndarray]:
-    """``_length_bins(_sub_polyline_points(curve.refine(), a, b))``, without
-    holding the refined level when the curve has a built-in refiner.
-
-    The refined points are formed a block of parent segments at a time into
-    one reused buffer, checked as the refined curve's constructor checks
-    them, and the block's lengths inside [a, b] are binned. Of the refined
-    params, only those of the parent segments holding a and b are formed:
-    ``np.interp`` reads only the two vertices that bracket a query, so w(a)
-    and w(b) have the bits that :meth:`FractalCurve.point_at` gives on the
-    whole level. Another refiner, or params that :func:`_refines_cleanly`
-    cannot vouch for, take the whole level through :meth:`FractalCurve.refine`.
+    Each end's params on the next level are ``builtin.params`` of its two on
+    this one. That is elementwise, so they have the bits of the whole
+    level's params.
     """
-    builtin = _builtin(curve)
-    t, w = curve.params, curve.points
-    if builtin is None or not _refines_cleanly(t):
-        return _length_bins(_sub_polyline_points(curve.refine(), a, b))
-    s, m = builtin.splits, curve.n_segments
-    # the refined segments first..last hold the sub-polyline; each of its
-    # ends that is not a vertex is listed as (the segment it lies on, its
-    # row in the sub-polyline, u, the parent segment that holds it and that
-    # segment's refined params)
-    if a == curve.a0 and b == curve.b0:  # w(a0), w(b0) are the end vertices
-        first, last, ends = 0, s * m - 1, ()
-    else:
-        pa = int(np.searchsorted(t, a, side="right")) - 1
-        pb = int(np.searchsorted(t, b, side="left")) - 1
-        ta, tb = builtin.params(t[pa : pa + 2]), builtin.params(t[pb : pb + 2])
-        first = s * pa + int(np.searchsorted(ta, a, side="right")) - 1
-        last = s * pb + int(np.searchsorted(tb, b, side="left")) - 1
-        ends = ((first, 0, a, pa, ta), (last, -1, b, pb, tb))
+    s, m = builtin.splits, t.size - 1
+    if a == t[0] and b == t[-1]:  # w(a0), w(b0) are the end vertices
+        return [(0, m * s**d - 1, ()) for d in range(depth + 1)]
+    first = int(np.searchsorted(t, a, side="right")) - 1
+    last = int(np.searchsorted(t, b, side="left")) - 1
+    ta, tb = t[first : first + 2], t[last : last + 2]
+    spans = [(first, last, ((a, ta), (b, tb)))]
+    for _ in range(depth):
+        ta, tb = builtin.params(ta), builtin.params(tb)
+        ka = int(np.searchsorted(ta, a, side="right")) - 1
+        kb = int(np.searchsorted(tb, b, side="left")) - 1
+        first, last = s * first + ka, s * last + kb
+        ta, tb = ta[ka : ka + 2], tb[kb : kb + 2]
+        spans.append((first, last, ((a, ta), (b, tb))))
+    return spans
 
-    step = _block_rows(s * w.shape[1])
-    buf = np.empty((s * min(step + 1, m) + 1, w.shape[1]))  # the largest block
-    blocks = []
-    for i, j in _blocks(m, step):
-        block = buf[: s * (j - i) + 1]
-        builtin.block(w, i, j, block)
-        if not np.isfinite(block).all():
-            raise ValidationError(_POINTS_RULE)
-        lo, hi = max(first, s * i), min(last + 1, s * j)  # this block's share
-        if lo >= hi:
-            continue
-        pts = block[lo - s * i : hi - s * i + 1]
-        # every end on this block is formed before any is written: they may share rows
-        found = [
-            (row, _point_on(u, tu, block[s * (p - i) :])) for k, row, u, p, tu in ends if lo <= k < hi
+
+def _walk(base: FractalCurve, a: float, b: float, depth: int, binned_from: int):
+    """A :class:`_Walk` of the lengths of the sub-polyline over [a, b] on
+    each level from ``binned_from`` to ``base.level + depth``, with no level
+    below the base held whole: iterating it yields (level, first segment,
+    lengths in order), and its ``spans`` are those of :func:`_level_spans`.
+
+    The levels are walked depth first, one block of base segments at a
+    time, sized so that its deepest level is about ``_block_rows``
+    segments; where a block of two base segments would still grow past
+    that, its levels are split into blocks again on the way down. Each
+    block is refined level by level in small reused buffers, with the
+    refiner's own operations on blocks of two rows or more, so every point
+    has the bits of the whole level's (see :func:`_blocks`), and checked as
+    the refined curve's constructor checks its points. The deepest level is
+    never written as vertices: its lengths are measured between consecutive
+    pieces of its parent segments. A sub-interval's end w(u) is
+    ``np.interp`` on the two vertices of the segment that holds u:
+    ``np.interp`` reads only the pair that brackets a query, so w(u) has
+    the bits that :meth:`FractalCurve.point_at` gives on the whole level.
+    The lengths are views of reused buffers, valid until the next are
+    yielded.
+
+    Returns None for a refiner that is not built in, or for params that
+    :func:`_refines_cleanly` cannot vouch for on every walked level; the
+    caller then refines through :meth:`FractalCurve.refine`, which raises
+    what the walk could not check.
+    """
+    builtin = _builtin(base)
+    if builtin is None or not _refines_cleanly(base.params, builtin.splits, depth):
+        return None
+    spans = _level_spans(builtin, base.params, a, b, depth)
+    return _Walk(base, builtin, spans, binned_from)
+
+
+class _Walk:
+    """The walk that :func:`_walk` returns. Its buffers and the recursion
+    that fills them belong to the object, not to a closure that refers to
+    itself: such a cycle would keep the buffers until the cyclic garbage
+    collector next ran."""
+
+    def __init__(self, base: FractalCurve, builtin: _Builtin, spans: list, binned_from: int):
+        s, n, depth = builtin.splits, base.ndim, len(spans) - 1
+        self.base, self.builtin, self.spans = base, builtin, spans
+        self.binned_from = binned_from
+        # parent segments per block on each level, so that a block's deepest
+        # level is about _block_rows segments; two at least (see _blocks)
+        target = _block_rows(n)
+        self.steps = [max(2, target // s ** (depth - d)) for d in range(depth)]
+        # the most segments of a level that one block refines
+        rows_max, segs = [], base.n_segments
+        for step in self.steps:
+            rows_max.append(min(step + 1, segs))
+            segs = s * rows_max[-1]
+        # each level's buffers, reused by every block: the pieces and their
+        # scratch, the vertices that the next level refines, and a binned
+        # level's squared lengths of one piece and its lengths in order
+        self.pieces = [np.empty((s, r, n)) for r in rows_max]
+        self.vertices = [np.empty((s * r + 1, n)) for r in rows_max[:-1]]
+        sizes = [rows_max[0]] + [s * r for r in rows_max]  # a block's segments on each level
+        self.lengths = [
+            np.empty((2, k)) if base.level + d >= binned_from else None for d, k in enumerate(sizes)
         ]
-        for row, point in found:
-            pts[row] = point
-        blocks.append(np.unique(_polyline_lengths(pts), return_counts=True))
-    return _merged_bins(blocks)
+
+    def __iter__(self):
+        w = self.base.points
+        for i, j in _blocks(self.base.n_segments, self.steps[0]):
+            yield from self._visit(0, w[i : j + 1], (), i)
+
+    def _span_lengths(self, d: int, rows: np.ndarray, inner, offset: int):
+        """(lo, lengths) of the segments lo..hi-1 of a block that the
+        sub-polyline first..last of level d holds, or None if it holds none
+        of them. Each piece's squared lengths are summed in the first row of
+        the level's buffer, and their square roots go straight to their
+        places in segment order in the second.
+
+        The block's vertices are ``rows`` with the ``inner`` vertices of
+        each of their segments between them (see :func:`_interleave`); its
+        first segment is segment ``offset`` of its level. A sub-polyline's
+        end that is not a vertex replaces the vertex before it on its first
+        segment, or the one after it on its last.
+        """
+        first, last, ends = self.spans[d]
+        buf, s, n_rows = self.lengths[d], len(inner) + 1, rows.shape[0] - 1
+        lo, hi = max(first, offset), min(last + 1, offset + s * n_rows)
+        if lo >= hi:
+            return None
+        vs = [rows[:-1], *inner, rows[1:]]
+        lengths = buf[1, : s * n_rows]
+        for k in range(s):
+            squares = _squared_distances(vs[k], vs[k + 1], out=buf[0, :n_rows])
+            np.sqrt(squares, out=lengths[k::s])
+        lengths = lengths[lo - offset : hi - offset]
+        if ends:
+
+            def vertex(x: int) -> np.ndarray:
+                r, k = divmod(x - offset, s)
+                return rows[r] if k == 0 else inner[k - 1][r]
+
+            (a, ta), (b, tb) = ends
+            # both ends are formed before either length is: they may share a segment
+            moved = {}
+            if lo == first:
+                moved[lo] = _point_on(a, ta, vertex(lo), vertex(lo + 1))
+            if hi == last + 1:
+                moved[hi] = _point_on(b, tb, vertex(hi - 1), vertex(hi))
+            for x in {lo, hi - 1}:
+                if x in moved or x + 1 in moved:
+                    pair = np.array([moved.get(x, vertex(x)), moved.get(x + 1, vertex(x + 1))])
+                    lengths[x - lo] = _polyline_lengths(pair)[0]
+        return lo, lengths
+
+    def _visit(self, d: int, rows: np.ndarray, inner, offset: int):
+        """The level-d segments of a block, from ``rows`` with ``inner``
+        between them, the first of them segment ``offset`` of the level;
+        then the levels below, a block of them at a time."""
+        s, level = self.builtin.splits, self.base.level + d
+        if level >= self.binned_from:
+            found = self._span_lengths(d, rows, inner, offset)
+            if found is not None:
+                yield (level, *found)
+        if d == len(self.steps):
+            return
+        if d:
+            v = self.vertices[d - 1][: s * (rows.shape[0] - 1) + 1]
+            _interleave(rows, inner, v)
+        else:
+            v = rows
+        for i, j in _blocks(v.shape[0] - 1, self.steps[d]):
+            work = self.pieces[d][:, : j - i]
+            self.builtin.pieces(v[i:j], v[i + 1 : j + 1], work)
+            if not np.isfinite(work[: s - 1]).all():
+                raise ValidationError(_POINTS_RULE)
+            yield from self._visit(d + 1, v[i : j + 1], work[: s - 1], s * (offset + i))
+
+
+def _point_on(u: float, tu: np.ndarray, p: np.ndarray, q: np.ndarray) -> list:
+    """w(u) by ``np.interp`` on the vertices p, q at the params ``tu``."""
+    return [np.interp(u, tu, col) for col in np.array([p, q]).T]
+
+
+def _fitted_bins(curve: FractalCurve, a: float, b: float, keep_from: int, max_level: int) -> list:
+    """The distinct lengths and their counts of the sub-polyline over [a, b]
+    on each level from ``keep_from`` to ``max_level``.
+
+    Self-similar curves have few distinct lengths (Koch-10: 984 among
+    4**10), so each level is binned once instead of once per alpha. Only
+    the levels below ``keep_from`` are refined whole; the fitted levels are
+    walked (see :func:`_walk`), each block's lengths binned and each level's
+    bins merged once. A curve the walk cannot take refines and bins one
+    whole level at a time.
+    """
+    base = curve.refined_to(max(keep_from - 1, curve.level))
+    walk = _walk(base, a, b, max_level - base.level, keep_from)
+    if walk is None:
+        return [
+            _length_bins(_sub_polyline_points(cur, a, b))
+            for cur in _refinements(base, max_level)
+            if cur.level >= keep_from
+        ]
+    blocks: list[list] = [[] for _ in range(keep_from, max_level + 1)]
+    for level, _, lengths in walk:
+        blocks[level - keep_from].append(np.unique(lengths, return_counts=True))
+    return [_merged_bins(found) for found in blocks]
 
 
 def _log_sum_slope(bins: list[tuple[np.ndarray, np.ndarray]], alpha: float) -> float:
@@ -619,15 +807,7 @@ def gamma_dimension(
         raise ValidationError("max_level leaves too few levels for the slope fit")
     a, b = sub_interval(a, b, curve.a0, curve.b0, "interval")
 
-    keep_from = max_level - fit_levels + 1
-    bins: list[tuple[np.ndarray, np.ndarray]] = []
-    for cur in _refinements(curve, max_level - 1):
-        if cur.level >= keep_from:
-            # self-similar curves have few distinct lengths (Koch-10: 984
-            # among 4**10), so bin them once instead of once per alpha
-            bins.append(_length_bins(_sub_polyline_points(cur, a, b)))
-    # the deepest level is only binned, so it is binned as it is formed
-    bins.append(_refined_bins(cur, a, b))
+    bins = _fitted_bins(curve, a, b, max_level - fit_levels + 1, max_level)
 
     lo, hi = 1.0, float(curve.ndim)
     slope_lo = _log_sum_slope(bins, lo)

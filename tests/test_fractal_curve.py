@@ -4,7 +4,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -295,14 +298,16 @@ class TestGammaDimension:
 
 class TestPeakMemory:
     """Peaks traced by tracemalloc for the largest curve passes. Refinement
-    and length binning run a block of segments at a time, and the deepest
-    level of a dimension estimate is binned as it is formed, one block in a
-    reused buffer, so that level is never held: a Koch estimate to level 10
-    peaks at the level-9 curve and block-sized temporaries (~10.5 MB, not
-    ~36 MB with level 10 held), a segment estimate to level 20 at the levels
-    18 and 19 (~23 MB, not ~46 MB). The staircase masses are formed in
-    blocks straight into the table (~18.4 MB for Koch-10, not ~26 MB), and
-    its CSV is formatted and written in blocks (~6 MB, not ~145 MB)."""
+    and length binning run a block of segments at a time. A dimension
+    estimate refines whole only the levels above its fit and walks the
+    fitted levels depth first, a block of base segments at a time in small
+    reused buffers, so no fitted level is ever held: a Koch estimate to
+    level 10 peaks at ~2 MB (not ~10.5 MB with level 9 held, nor ~36 MB
+    with level 10), a segment estimate to level 20 at ~4 MB (not ~23 MB).
+    A mass sum holds its deepest level's lengths, not its points (~16 MB
+    for Koch-10, not ~42 MB). The staircase masses are formed in blocks
+    straight into the table (~18.4 MB for Koch-10, not ~26 MB), and its
+    CSV is formatted and written in blocks (~6 MB, not ~145 MB)."""
 
     @staticmethod
     def _peak(fn) -> int:
@@ -313,13 +318,24 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
 
-    def test_koch_dimension_peaks_below_16_mb(self):
+    def test_koch_dimension_peaks_below_4_mb(self):
         gamma_dimension(generate_koch(0), max_level=5)  # first-call caches
-        assert self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10)) < 16e6
+        assert self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10)) < 4e6
 
-    def test_segment_dimension_peaks_below_30_mb(self):
+    def test_segment_dimension_peaks_below_6_mb(self):
         gamma_dimension(generate_segment(), max_level=5)
-        assert self._peak(lambda: gamma_dimension(generate_segment(), max_level=20)) < 30e6
+        assert self._peak(lambda: gamma_dimension(generate_segment(), max_level=20)) < 6e6
+
+    def test_a_deep_fit_peaks_below_4_mb(self):
+        # eleven walked levels from the one-segment curve: blocks are split
+        # again on the way down, so the deepest level's blocks stay small
+        gamma_dimension(generate_koch(0), max_level=5)
+        peak = self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10, fit_levels=11))
+        assert peak < 4e6
+
+    def test_koch_mass_peaks_below_20_mb(self):
+        mass_function(generate_koch(0), KOCH_DIM, max_level=3)
+        assert self._peak(lambda: mass_function(generate_koch(0), KOCH_DIM, max_level=10)) < 20e6
 
     def test_koch_staircase_peaks_below_21_mb(self):
         curve = generate_koch(10)
@@ -332,6 +348,36 @@ class TestPeakMemory:
         assert self._peak(lambda: staircase_to_csv(table, tmp_path / "koch10.csv")) < 10e6
         with open(tmp_path / "koch10.csv", encoding="utf-8") as fh:
             assert sum(1 for _ in fh) == 1 + 4**10 + 1
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs Linux's VmHWM")
+    @pytest.mark.parametrize(
+        "curve, level, stdout",
+        [
+            ("koch", 12, "gamma-dimension estimate: 1.26172 (curve=koch, levels<=12)\n"),
+            ("segment", 24, "gamma-dimension estimate: 1 (curve=segment, levels<=24)\n"),
+        ],
+    )
+    def test_dim_at_the_level_caps_stays_below_120_mb(
+        self, tmp_path, cli_env, curve, level, stdout
+    ):
+        # the child reads its own peak resident set, VmHWM, which starts
+        # afresh at exec; getrusage would also count this test process's
+        # peak, which a child spawned by vfork inherits at exec
+        code = (
+            "import sys\n"
+            "from ffcalc.cli import main\n"
+            f"status = main(['dim', '--curve', '{curve}', '--level', '{level}'])\n"
+            "with open('/proc/self/status') as fh:\n"
+            "    peak = next(line.split()[1] for line in fh if line.startswith('VmHWM:'))\n"
+            "print(peak, file=sys.stderr)\n"
+            "sys.exit(status)\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=cli_env, cwd=tmp_path
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == stdout
+        assert int(proc.stderr) * 1024 < 120e6  # VmHWM is in kB
 
 
 class TestStaircase:

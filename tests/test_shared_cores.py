@@ -654,25 +654,21 @@ class TestVertexKnots:
         base = generate_koch(0)
         got = gamma_dimension(base, *interval, max_level=7)
         levels = []
-        streamed = fractal_curve._refined_bins
+        walked = fractal_curve._fitted_bins
 
-        def reference(curve, a, b):
-            levels.append(curve.level)
-            return ref_sub_polyline_points(curve, a, b)
+        def checked(curve, a, b, keep_from, max_level):
+            # the fitted levels are walked, never held as vertices: each
+            # level's bins must be those of its reference vertices
+            found = walked(curve, a, b, keep_from, max_level)
+            for level, bins in zip(range(keep_from, max_level + 1), found, strict=True):
+                levels.append(level)
+                want = ref_length_bins(ref_sub_polyline_points(curve.refined_to(level), a, b))
+                assert same_bytes(bins[0], want[0]) and same_bytes(bins[1], want[1])
+            return found
 
-        def checked(curve, a, b):
-            # the deepest level is binned as it is formed, never as vertices:
-            # its bins must be those of the reference vertices
-            levels.append(curve.level + 1)
-            bins = streamed(curve, a, b)
-            want = ref_length_bins(ref_sub_polyline_points(curve.refine(), a, b))
-            assert same_bytes(bins[0], want[0]) and same_bytes(bins[1], want[1])
-            return bins
-
-        monkeypatch.setattr(fractal_curve, "_sub_polyline_points", reference)
-        monkeypatch.setattr(fractal_curve, "_refined_bins", checked)
+        monkeypatch.setattr(fractal_curve, "_fitted_bins", checked)
         assert got == gamma_dimension(base, *interval, max_level=7)
-        assert levels == [4, 5, 6, 7]  # the fitted levels all went through the reference
+        assert levels == [4, 5, 6, 7]  # the fitted levels all matched the reference
 
     @given(sub_intervals(KOCH5.params))
     @settings(max_examples=100, deadline=None)
@@ -2185,42 +2181,52 @@ class TestBlockedBins:
     def test_gamma_dimension_bins_in_blocks(self):
         with block_rows(None) as calls:
             gamma_dimension(generate_koch(0), max_level=8)
-        # the level-1 to level-7 refinements and the bins of fitted levels 5
-        # to 7 in blocks of 2-column rows; then level 8, formed and binned in
-        # blocks of parent segments, each of which gives 4 2-column rows
-        assert calls == [2] * 10 + [8]
+        # the level-1 to level-4 refinements in blocks of 2-column rows; then
+        # the walk of fitted levels 5 to 8, in blocks of level-4 segments whose
+        # level-8 pieces are about one block of 2-column rows
+        assert calls == [2] * 5
 
 
 # ---------------------------------------------------------------------------
 # the streamed deepest level, the blocked staircase and its blocked CSV
 
 
-def bins_outcome(fn, *args):
-    """The bins a call returned, by bytes, or the ValidationError it raised."""
+def fitted_outcome(fn, *args):
+    """The bins of each level a call returned, by bytes, or the
+    ValidationError it raised."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the refinement
         try:
-            values, counts = fn(*args)
+            found = fn(*args)
         except ValidationError as exc:
             return ("error", str(exc))
-    return ("bins", array_key(values), array_key(counts))
+    return ("bins", [(array_key(values), array_key(counts)) for values, counts in found])
 
 
-def ref_refined_bins(curve, a, b):
-    """The bins of the level after ``curve``, from its whole vertex array."""
-    return ref_length_bins(ref_sub_polyline_points(curve.refine(), a, b))
+def ref_fitted_bins(curve, a, b, keep_from, max_level):
+    """The bins of each level keep_from..max_level, from its whole vertex array."""
+    return [
+        ref_length_bins(ref_sub_polyline_points(curve.refined_to(level), a, b))
+        for level in range(keep_from, max_level + 1)
+    ]
 
 
-def same_streamed_bins(curve, interval, rows):
-    """Bin the level after a curve with a built-in refiner as it is formed,
-    in blocks of ``rows`` parent segments, and require the reference's bins
-    or error. The pass asks once for its block size, for blocks of (pieces
-    per segment x columns) values per parent segment, so it never took the
-    route through refine()."""
-    want = bins_outcome(ref_refined_bins, curve, *interval)
-    with block_rows(rows) as calls:
-        got = bins_outcome(fractal_curve._refined_bins, curve, *interval)
-    assert calls == [fractal_curve._builtin(curve).splits * curve.ndim]
+def counting_refines():
+    return mock.patch.object(FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine)
+
+
+def same_fitted_bins(curve, interval, rows, keep_from, max_level):
+    """Walk the levels keep_from..max_level of a curve with a built-in
+    refiner, in blocks whose deepest level is about ``rows`` segments, and
+    require the reference's bins on every level, or its error. Only the
+    levels below keep_from are refined through refine(), and the walk asks
+    once for its block size, for rows of the curve's columns."""
+    want = fitted_outcome(ref_fitted_bins, curve, *interval, keep_from, max_level)
+    with block_rows(rows) as calls, counting_refines() as refine:
+        got = fitted_outcome(fractal_curve._fitted_bins, curve, *interval, keep_from, max_level)
+    assert refine.call_count == max(keep_from - 1 - curve.level, 0)
+    if refine.call_count == 0:
+        assert calls == [curve.ndim]
     assert got == want
     return got
 
@@ -2230,13 +2236,14 @@ def ref_staircase_to_csv(table, target):
     fractal_curve.write_csv(target, "u,J", fractal_curve.format_columns(table.us, table.Js))
 
 
-# blocks of two parent segments or more: the Koch kernel multiplies a lone
-# row by a vector kernel (see TestBlockedKoch)
-STREAM_ROWS = st.sampled_from([None, 2, 3, 5])
+# deepest-level block targets down to blocks of two base segments, the
+# fewest the walk takes: the Koch generator multiplies a lone row by a
+# vector kernel (see TestBlockedKoch)
+WALK_ROWS = st.sampled_from([None, 2, 64, 512])
 # THREE from 3 to 192 segments; segments from 1 to 64 pieces, in 2 and 3 columns
 STREAMED = [THREE.refined_to(k) for k in (0, 1, 3)] + SEGMENTS
 OVERFLOWING = {
-    # the fifth segment's difference overflows, in the last of three blocks of 2
+    # the fifth segment's difference overflows, in the last of two blocks
     "koch": FractalCurve(
         np.arange(6.0),
         np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0], [3.0, 0.0], [1e308, 0.0], [-1e308, 0.0]]),
@@ -2249,63 +2256,108 @@ OVERFLOWING = {
                   [1e308, 0.0, 0.0], [1e308, 0.0, 0.0]]),
         refiner=fractal_curve._midpoint_refiner,
     ),
+    # finite through level 1; the sum of a level-2 segment's ends overflows
+    "segment_deeper": FractalCurve(
+        np.arange(3.0),
+        np.array([[0.0, 0.0], [1.2e308, 0.0], [5e306, 0.0]]),
+        refiner=fractal_curve._midpoint_refiner,
+    ),
 }
 
 
 @st.composite
-def close_params(draw):
+def close_params(draw, splits=4, levels=1):
     """Increasing params a few spacings of their largest end apart: near 0,
-    near 1, near the smallest normals and near half the largest float."""
+    near 1, near the smallest normals and near half the largest float. The
+    steps reach a little past the margin that ``levels`` refinements into
+    ``splits`` pieces need."""
     base = draw(st.sampled_from([0.0, 1.0, -1.0, 2.0**-1021, 1e300, -1e300, 8.98e307]))
     unit = float(np.spacing(max(abs(base), 2.0**-1021)))
-    steps = draw(st.lists(st.integers(1, 80), min_size=1, max_size=6))
+    steps = draw(st.lists(st.integers(1, 80 * splits ** (levels - 1)), min_size=1, max_size=6))
     return base + unit * np.concatenate([[0.0], np.cumsum(steps)])
 
 
 class TestStreamedLevel:
-    @given(polylines(columns=st.just(2)), st.integers(0, 2), STREAM_ROWS, st.data())
+    @given(polylines(columns=st.just(2)), st.integers(0, 2), st.integers(2, 4), WALK_ROWS, st.data())
     @settings(max_examples=150, deadline=None)
-    def test_koch_polylines_bin_as_the_reference(self, polyline, level, rows, data):
+    def test_koch_polylines_bin_as_the_reference(self, polyline, level, fit, rows, data):
         params, points = polyline
         curve = FractalCurve(params, points, refiner=fractal_curve._koch_refiner).refined_to(level)
         interval = data.draw(sub_intervals(curve.refine().params))
-        same_streamed_bins(curve, interval, rows)
+        same_fitted_bins(curve, interval, rows, level + 1, level + fit)
 
-    @given(st.sampled_from(STREAMED), STREAM_ROWS, st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_koch_and_midpoint_curves_bin_as_the_reference(self, curve, rows, data):
+    @given(polylines(columns=st.integers(1, 3)), st.integers(0, 2), st.integers(2, 5), WALK_ROWS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_midpoint_polylines_bin_as_the_reference(self, polyline, level, fit, rows, data):
+        params, points = polyline
+        curve = FractalCurve(params, points, refiner=fractal_curve._midpoint_refiner).refined_to(level)
         interval = data.draw(sub_intervals(curve.refine().params))
-        same_streamed_bins(curve, interval, rows)
+        same_fitted_bins(curve, interval, rows, level + 1, level + fit)
 
-    @pytest.mark.parametrize("level", [6, 7])
+    @given(st.sampled_from(STREAMED), st.integers(2, 5), st.booleans(), WALK_ROWS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_koch_and_midpoint_curves_bin_as_the_reference(self, curve, fit, own, rows, data):
+        # own: the curve's own level is the first fitted level
+        keep_from = curve.level + (0 if own else 1)
+        max_level = min(keep_from + fit - 1, curve.level + 4)
+        interval = data.draw(sub_intervals(curve.refine().params))
+        same_fitted_bins(curve, interval, rows, keep_from, max_level)
+
+    @given(st.sampled_from(STREAMED), st.sampled_from([1.0, KOCH_DIM, 1.7]), WALK_ROWS, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_mass_levels_are_bit_equal_in_any_blocks(self, curve, alpha, rows, data):
+        # the deepest level's lengths are walked into one array, in order,
+        # so np.sum adds them as it adds the reference's
+        a, b = data.draw(sub_intervals(curve.refine().params))
+        want = [
+            (level, float(np.sum(ref_sub_polyline_lengths(curve.refined_to(level), a, b) ** alpha)
+                          / math.gamma(alpha + 1.0)))
+            for level in range(curve.level, curve.level + 3)
+        ]
+        with block_rows(rows) as calls, counting_refines() as refine:
+            got = mass_function(curve, alpha, a, b, max_level=curve.level + 2).levels
+        assert got == want
+        assert refine.call_count == 1 and calls == [curve.ndim] * 2
+
+    @pytest.mark.parametrize("fit", [2, 5])
     @pytest.mark.parametrize(
         "interval", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321), (0.2, 0.7)]
     )
-    def test_partial_last_blocks_bin_as_the_reference(self, level, interval):
-        # 3 * 4**6 and 3 * 4**7 parent segments: one and a half blocks, and six
-        same_streamed_bins(THREE.refined_to(level), interval, None)
+    def test_partial_last_blocks_bin_as_the_reference(self, fit, interval):
+        # 3 * 4**4 level-4 segments: one and a half blocks of 2**9 level-5
+        # segments, and many of 64; the deepest level has 3 * 4**8 segments
+        for rows in (None, 64, 2**9):
+            same_fitted_bins(THREE.refined_to(4), interval, rows, 9 - fit, 8)
 
+    @pytest.mark.parametrize("fit", [2, 3, 5])
+    @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321)])
+    def test_koch_fits_bin_as_the_reference(self, fit, interval):
+        # the base is refined whole through refine() up to keep_from - 1
+        same_fitted_bins(generate_koch(0), interval, 2**9, 8 - fit, 7)
+
+    @pytest.mark.parametrize("own", [False, True])
     @pytest.mark.parametrize("kind", sorted(OVERFLOWING))
-    @pytest.mark.parametrize("interval", [(0.0, 5.0), (0.5, 2.5), (4.2, 4.7)])
-    def test_an_overflowing_level_is_refused_as_by_refine(self, kind, interval):
-        # every block is checked, also those outside the interval
+    @pytest.mark.parametrize("share", [(0.0, 1.0), (0.1, 0.5), (0.84, 0.94), (0.04, 0.06)])
+    def test_an_overflowing_level_is_refused_as_by_refine(self, own, kind, share):
+        # every block on every level is checked, also those outside the interval
         curve = OVERFLOWING[kind]
-        got = same_streamed_bins(curve, interval, 2)
+        interval = (share[0] * curve.b0, share[1] * curve.b0)
+        got = same_fitted_bins(curve, interval, 2, 0 if own else 1, 2)
         assert got == ("error", "points must be a finite (m, n) array with n >= 1")
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
             with pytest.raises(ValidationError, match=re.escape(got[1])):
-                gamma_dimension(curve, *interval, max_level=1, fit_levels=2)
+                gamma_dimension(curve, *interval, max_level=2, fit_levels=3 if own else 2)
 
     @pytest.mark.parametrize(
         "curve, refines",
-        [(generate_koch(0), 5), (generate_segment(), 5), (UNEQUAL, 6), (JITTERED, 6)],
+        [(generate_koch(0), 3), (generate_segment(), 3), (UNEQUAL, 6), (JITTERED, 6)],
         ids=["koch", "segment", "unequal", "jittered"],
     )
     def test_only_builtin_refiners_stream(self, curve, refines):
-        with mock.patch.object(
-            FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine
-        ) as refine:
+        # a built-in refiner refines levels 1 to 3 whole and walks the
+        # fitted levels 4 to 6; the others refine every level
+        with counting_refines() as refine:
             gamma_dimension(curve, max_level=6, fit_levels=3)
         assert refine.call_count == refines
 
@@ -2318,29 +2370,53 @@ class TestStreamedLevel:
             np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 1.0]]),
             refiner=fractal_curve._koch_refiner,
         ).refine()
-        assert not fractal_curve._refines_cleanly(curve.params)
+        assert not fractal_curve._refines_cleanly(curve.params, 4, 1)
         interval = (0.3, curve.b0)
-        want = bins_outcome(ref_refined_bins, curve, *interval)
-        with mock.patch.object(
-            FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine
-        ) as refine:
-            assert bins_outcome(fractal_curve._refined_bins, curve, *interval) == want
+        want = fitted_outcome(ref_fitted_bins, curve, *interval, 2, 2)
+        with counting_refines() as refine:
+            assert fitted_outcome(fractal_curve._fitted_bins, curve, *interval, 2, 2) == want
         assert refine.call_count == 1
         assert (want[0] == "error") == (gap == 2.0**-49)
 
-    @given(close_params())
-    @settings(max_examples=300, deadline=None)
-    def test_params_vouched_for_refine_cleanly(self, t):
-        if fractal_curve._refines_cleanly(t):
-            for builtin in fractal_curve._LEVEL_CAPS.values():
-                refined = builtin.params(t)
-                assert np.isfinite(refined).all() and (refined[1:] > refined[:-1]).all()
+    @pytest.mark.parametrize("depth", [1, 2, 3])
+    def test_params_vouched_for_fewer_levels_go_through_refine(self, depth):
+        # the shortest segment is 40 spacings of the largest end: one
+        # quartering is vouched for, two or more are not, and then every
+        # level is refined whole, as the reference refines it
+        curve = FractalCurve(
+            np.array([0.0, 1.0, 1.0 + 40 * float(np.spacing(2.0)), 2.0]),
+            np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [2.0, 0.0]]),
+            refiner=fractal_curve._koch_refiner,
+        )
+        assert fractal_curve._refines_cleanly(curve.params, 4, depth) == (depth == 1)
+        interval = (0.3, 1.7)
+        want = fitted_outcome(ref_fitted_bins, curve, *interval, 1, depth)
+        with counting_refines() as refine:
+            assert fitted_outcome(fractal_curve._fitted_bins, curve, *interval, 1, depth) == want
+        assert refine.call_count == (0 if depth == 1 else depth)
 
-    def test_the_vouching_rule_accepts_and_refuses_close_params(self):
+    @pytest.mark.parametrize("levels", range(1, 6))
+    @pytest.mark.parametrize("kind", ["koch", "segment"])
+    @given(data=st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_params_vouched_for_refine_cleanly(self, kind, levels, data):
+        builtin = next(v for v in fractal_curve._LEVEL_CAPS.values() if v.name == kind)
+        t = data.draw(close_params(builtin.splits, levels))
+        if fractal_curve._refines_cleanly(t, builtin.splits, levels):
+            for _ in range(levels):
+                t = builtin.params(t)
+                assert np.isfinite(t).all() and (t[1:] > t[:-1]).all()
+
+    @pytest.mark.parametrize("levels", range(1, 6))
+    @pytest.mark.parametrize("splits", [2, 4])
+    def test_the_vouching_rule_accepts_and_refuses_close_params(self, splits, levels):
         unit = float(np.spacing(1.0))
-        assert fractal_curve._refines_cleanly(1.0 + unit * np.array([0.0, 33.0, 70.0]))
-        assert not fractal_curve._refines_cleanly(1.0 + unit * np.array([0.0, 32.0, 70.0]))
-        assert not fractal_curve._refines_cleanly(np.array([-1e308, 1e308]))
+        margin = 32 * splits ** (levels - 1)
+        ok = 1.0 + unit * np.array([0.0, margin + 1, 3 * margin])
+        close = 1.0 + unit * np.array([0.0, margin, 3 * margin])
+        assert fractal_curve._refines_cleanly(ok, splits, levels)
+        assert not fractal_curve._refines_cleanly(close, splits, levels)
+        assert not fractal_curve._refines_cleanly(np.array([-1e308, 1e308]), splits, levels)
 
     @given(polylines(), st.floats(min_value=0.0, max_value=1.0), BLOCK_ROWS)
     @settings(max_examples=200, deadline=None)
