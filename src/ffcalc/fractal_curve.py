@@ -483,11 +483,6 @@ def _sub_polyline_points(curve: FractalCurve, a: float, b: float) -> np.ndarray:
     return np.concatenate([ends[:1], curve.points[_inner_vertices(curve.params, a, b)], ends[1:]])
 
 
-def _sub_polyline_lengths(curve: FractalCurve, a: float, b: float) -> np.ndarray:
-    """Segment lengths from w(a) to w(b) through the curve's own vertices in between."""
-    return _polyline_lengths(_sub_polyline_points(curve, a, b))
-
-
 def mass_function(
     curve: FractalCurve,
     alpha: float,
@@ -506,40 +501,19 @@ def mass_function(
     a, b = sub_interval(a, b, curve.a0, curve.b0, "interval")
     top = _target_level(curve, curve.level if max_level is None else max_level)
     gamma = math.gamma(alpha + 1.0)
-
-    def mass(lengths: np.ndarray) -> float:
-        lengths **= alpha
-        return float(np.sum(lengths) / gamma)
-
+    # each level's blocks are written in order into one array, so np.sum adds
+    # them as it adds a whole level's; a level is summed once it is complete
     levels: list[tuple[int, float]] = []
-    for cur in _refinements(curve, max(top - 1, curve.level)):
-        levels.append((cur.level, mass(_sub_polyline_lengths(cur, a, b))))
-    if top > cur.level:
-        # the deepest level is only summed, so only its lengths are held: the
-        # walk writes them in order into one array, and np.sum adds them as
-        # it would add a whole level's
-        walk = _walk(cur, a, b, 1, top)
-        if walk is None:
-            lengths = _sub_polyline_lengths(cur.refine(), a, b)
-        else:
-            first, last, _ = walk.spans[-1]
-            lengths = np.empty(last - first + 1)
-            for _, lo, part in walk:
-                lengths[lo - first : lo - first + part.size] = part
-        levels.append((top, mass(lengths)))
+    held: dict[int, np.ndarray] = {}
+    for level, i, n, part in _level_lengths(curve, a, b, curve.level, top):
+        if i == 0:
+            held[level] = np.empty(n)
+        held[level][i : i + part.size] = part
+        if i + part.size == n:
+            lengths = held.pop(level)
+            lengths **= alpha
+            levels.append((level, float(np.sum(lengths) / gamma)))
     return MassEstimate(alpha=float(alpha), value=levels[-1][1], levels=levels)
-
-
-def _length_bins(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``np.unique(_polyline_lengths(points), return_counts=True)``, binned a
-    block of ``_block_rows`` segments at a time."""
-    step = _block_rows(points.shape[1])
-    return _merged_bins(
-        [
-            np.unique(_polyline_lengths(points[i : i + step + 1]), return_counts=True)
-            for i in range(0, points.shape[0] - 1, step)
-        ]
-    )
 
 
 def _merged_bins(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -604,143 +578,131 @@ def _level_spans(builtin: _Builtin, t: np.ndarray, a: float, b: float, depth: in
     return spans
 
 
-def _walk(base: FractalCurve, a: float, b: float, depth: int, binned_from: int):
-    """A :class:`_Walk` of the lengths of the sub-polyline over [a, b] on
-    each level from ``binned_from`` to ``base.level + depth``, with no level
-    below the base held whole: iterating it yields (level, first segment,
-    lengths in order), and its ``spans`` are those of :func:`_level_spans`.
+def _level_lengths(curve: FractalCurve, a: float, b: float, first: int, last: int):
+    """The segment lengths of the sub-polyline over [a, b] on each level
+    from ``first`` to ``last``, a block at a time, as (level, i, n,
+    lengths): the level's lengths i, i + 1, ... of its n, in order.
 
-    The levels are walked depth first, one block of base segments at a
-    time, sized so that its deepest level is about ``_block_rows``
-    segments; where a block of two base segments would still grow past
-    that, its levels are split into blocks again on the way down. Each
-    block is refined level by level in small reused buffers, with the
-    refiner's own operations on blocks of two rows or more, so every point
-    has the bits of the whole level's (see :func:`_blocks`), and checked as
-    the refined curve's constructor checks its points. The deepest level is
-    never written as vertices: its lengths are measured between consecutive
-    pieces of its parent segments. A sub-interval's end w(u) is
-    ``np.interp`` on the two vertices of the segment that holds u:
-    ``np.interp`` reads only the pair that brackets a query, so w(u) has
-    the bits that :meth:`FractalCurve.point_at` gives on the whole level.
-    The lengths are views of reused buffers, valid until the next are
-    yielded.
-
-    Returns None for a refiner that is not built in, or for params that
-    :func:`_refines_cleanly` cannot vouch for on every walked level; the
-    caller then refines through :meth:`FractalCurve.refine`, which raises
-    what the walk could not check.
+    The one rule for which levels are held: a built-in refiner refines the
+    curve whole through :meth:`FractalCurve.refine` while the next level has
+    at most ``_block_rows`` segments, and every deeper level is walked from
+    the last whole level (see :func:`_walk`). A user refiner refines every
+    level whole, and so do params that :func:`_refines_cleanly` cannot vouch
+    for on every walked level: ``refine()`` then raises what the walk could
+    not check. A whole level's lengths come ``_block_rows`` at a time, from
+    w(a), the curve's own vertices in between and w(b).
     """
-    builtin = _builtin(base)
-    if builtin is None or not _refines_cleanly(base.params, builtin.splits, depth):
-        return None
+    rows = _block_rows(curve.ndim)
+    builtin = _builtin(curve)
+    for cur in _refinements(curve, last):
+        if cur.level >= first:
+            points = _sub_polyline_points(cur, a, b)
+            n = points.shape[0] - 1
+            for i in range(0, n, rows):
+                yield cur.level, i, n, _polyline_lengths(points[i : i + rows + 1])
+        if builtin is not None and cur.level < last and builtin.splits * cur.n_segments > rows:
+            if _refines_cleanly(cur.params, builtin.splits, last - cur.level):
+                yield from _walk(cur, builtin, a, b, first, last, rows)
+                return
+            builtin = None  # every deeper level is refined whole
+
+
+def _walk(
+    base: FractalCurve, builtin: _Builtin, a: float, b: float, first: int, last: int, rows: int
+):
+    """The lengths that :func:`_level_lengths` yields on the levels below
+    ``base`` from ``first`` to ``last``, with none of those levels held.
+
+    The levels are walked depth first, one block of ``max(2, rows //
+    s**depth)`` base segments at a time (see :func:`_blocks`), so that a
+    block's deepest level is about ``rows`` segments. Each block is refined
+    level by level into buffers that every block reuses, with the refiner's
+    own operations on blocks of two rows or more, so every point has the
+    bits of the whole level's, and checked as the refined curve's
+    constructor checks its points. The deepest level is never written as
+    vertices: its lengths are measured between consecutive pieces of its
+    parent segments. The lengths are views of reused buffers, valid until
+    the next are yielded.
+    """
+    s, n_cols, depth = builtin.splits, base.ndim, last - base.level
     spans = _level_spans(builtin, base.params, a, b, depth)
-    return _Walk(base, builtin, spans, binned_from)
-
-
-class _Walk:
-    """The walk that :func:`_walk` returns. Its buffers and the recursion
-    that fills them belong to the object, not to a closure that refers to
-    itself: such a cycle would keep the buffers until the cyclic garbage
-    collector next ran."""
-
-    def __init__(self, base: FractalCurve, builtin: _Builtin, spans: list, binned_from: int):
-        s, n, depth = builtin.splits, base.ndim, len(spans) - 1
-        self.base, self.builtin, self.spans = base, builtin, spans
-        self.binned_from = binned_from
-        # parent segments per block on each level, so that a block's deepest
-        # level is about _block_rows segments; two at least (see _blocks)
-        target = _block_rows(n)
-        self.steps = [max(2, target // s ** (depth - d)) for d in range(depth)]
-        # the most segments of a level that one block refines
-        rows_max, segs = [], base.n_segments
-        for step in self.steps:
-            rows_max.append(min(step + 1, segs))
-            segs = s * rows_max[-1]
-        # each level's buffers, reused by every block: the pieces and their
-        # scratch, the vertices that the next level refines, and a binned
-        # level's squared lengths of one piece and its lengths in order
-        self.pieces = [np.empty((s, r, n)) for r in rows_max]
-        self.vertices = [np.empty((s * r + 1, n)) for r in rows_max[:-1]]
-        sizes = [rows_max[0]] + [s * r for r in rows_max]  # a block's segments on each level
-        self.lengths = [
-            np.empty((2, k)) if base.level + d >= binned_from else None for d, k in enumerate(sizes)
-        ]
-
-    def __iter__(self):
-        w = self.base.points
-        for i, j in _blocks(self.base.n_segments, self.steps[0]):
-            yield from self._visit(0, w[i : j + 1], (), i)
-
-    def _span_lengths(self, d: int, rows: np.ndarray, inner, offset: int):
-        """(lo, lengths) of the segments lo..hi-1 of a block that the
-        sub-polyline first..last of level d holds, or None if it holds none
-        of them. Each piece's squared lengths are summed in the first row of
-        the level's buffer, and their square roots go straight to their
-        places in segment order in the second.
-
-        The block's vertices are ``rows`` with the ``inner`` vertices of
-        each of their segments between them (see :func:`_interleave`); its
-        first segment is segment ``offset`` of its level. A sub-polyline's
-        end that is not a vertex replaces the vertex before it on its first
-        segment, or the one after it on its last.
-        """
-        first, last, ends = self.spans[d]
-        buf, s, n_rows = self.lengths[d], len(inner) + 1, rows.shape[0] - 1
-        lo, hi = max(first, offset), min(last + 1, offset + s * n_rows)
-        if lo >= hi:
-            return None
-        vs = [rows[:-1], *inner, rows[1:]]
-        lengths = buf[1, : s * n_rows]
-        for k in range(s):
-            squares = _squared_distances(vs[k], vs[k + 1], out=buf[0, :n_rows])
-            np.sqrt(squares, out=lengths[k::s])
-        lengths = lengths[lo - offset : hi - offset]
-        if ends:
-
-            def vertex(x: int) -> np.ndarray:
-                r, k = divmod(x - offset, s)
-                return rows[r] if k == 0 else inner[k - 1][r]
-
-            (a, ta), (b, tb) = ends
-            # both ends are formed before either length is: they may share a segment
-            moved = {}
-            if lo == first:
-                moved[lo] = _point_on(a, ta, vertex(lo), vertex(lo + 1))
-            if hi == last + 1:
-                moved[hi] = _point_on(b, tb, vertex(hi - 1), vertex(hi))
-            for x in {lo, hi - 1}:
-                if x in moved or x + 1 in moved:
-                    pair = np.array([moved.get(x, vertex(x)), moved.get(x + 1, vertex(x + 1))])
-                    lengths[x - lo] = _polyline_lengths(pair)[0]
-        return lo, lengths
-
-    def _visit(self, d: int, rows: np.ndarray, inner, offset: int):
-        """The level-d segments of a block, from ``rows`` with ``inner``
-        between them, the first of them segment ``offset`` of the level;
-        then the levels below, a block of them at a time."""
-        s, level = self.builtin.splits, self.base.level + d
-        if level >= self.binned_from:
-            found = self._span_lengths(d, rows, inner, offset)
-            if found is not None:
-                yield (level, *found)
-        if d == len(self.steps):
-            return
-        if d:
-            v = self.vertices[d - 1][: s * (rows.shape[0] - 1) + 1]
-            _interleave(rows, inner, v)
-        else:
-            v = rows
-        for i, j in _blocks(v.shape[0] - 1, self.steps[d]):
-            work = self.pieces[d][:, : j - i]
-            self.builtin.pieces(v[i:j], v[i + 1 : j + 1], work)
-            if not np.isfinite(work[: s - 1]).all():
+    step = max(2, rows // s**depth)
+    m = min(step + 1, base.n_segments)  # the most base segments of a block
+    # the buffers of each level d = 1..depth below the base, reused by every
+    # block: the pieces of its parent segments and their scratch; its
+    # vertices, if a level below refines them; and the squared lengths of
+    # one piece and its lengths in order
+    pieces = [np.empty((s, m * s**d, n_cols)) for d in range(depth)]
+    vertices = [np.empty((m * s**d + 1, n_cols)) for d in range(1, depth)]
+    lengths = [np.empty((2, m * s**d)) for d in range(1, depth + 1)]
+    for i, j in _blocks(base.n_segments, step):
+        v = base.points[i : j + 1]  # the block's vertices on the level above
+        for d in range(1, depth + 1):
+            k = v.shape[0] - 1
+            work = pieces[d - 1][:, :k]
+            builtin.pieces(v[:-1], v[1:], work)
+            inner = work[: s - 1]
+            if not np.isfinite(inner).all():
                 raise ValidationError(_POINTS_RULE)
-            yield from self._visit(d + 1, v[i : j + 1], work[: s - 1], s * (offset + i))
+            if base.level + d >= first:
+                found = _span_lengths(spans[d], lengths[d - 1], v, inner, s**d * i)
+                if found is not None:
+                    start, end, _ = spans[d]
+                    yield base.level + d, found[0] - start, end - start + 1, found[1]
+            if d < depth:
+                below = vertices[d - 1][: s * k + 1]
+                _interleave(v, inner, below)
+                v = below
+
+
+def _span_lengths(span: tuple, buf: np.ndarray, rows: np.ndarray, inner, offset: int):
+    """(lo, lengths) of the segments lo..hi-1 of a block that the
+    sub-polyline ``span`` of :func:`_level_spans` holds, or None if it holds
+    none of them. Each piece's squared lengths are summed in the first row
+    of ``buf``, and their square roots go straight to their places in
+    segment order in the second.
+
+    The block's vertices are ``rows`` with the ``inner`` vertices of each of
+    their segments between them (see :func:`_interleave`); its first
+    segment is segment ``offset`` of its level. A sub-polyline's end that is
+    not a vertex replaces the vertex before it on its first segment, or the
+    one after it on its last.
+    """
+    first, last, ends = span
+    s, n_rows = len(inner) + 1, rows.shape[0] - 1
+    lo, hi = max(first, offset), min(last + 1, offset + s * n_rows)
+    if lo >= hi:
+        return None
+    vs = [rows[:-1], *inner, rows[1:]]
+    lengths = buf[1, : s * n_rows]
+    for k in range(s):
+        squares = _squared_distances(vs[k], vs[k + 1], out=buf[0, :n_rows])
+        np.sqrt(squares, out=lengths[k::s])
+    lengths = lengths[lo - offset : hi - offset]
+    if ends:
+
+        def vertex(x: int) -> np.ndarray:
+            r, k = divmod(x - offset, s)
+            return rows[r] if k == 0 else inner[k - 1][r]
+
+        (a, ta), (b, tb) = ends
+        # both ends are formed before either length is: they may share a segment
+        moved = {}
+        if lo == first:
+            moved[lo] = _point_on(a, ta, vertex(lo), vertex(lo + 1))
+        if hi == last + 1:
+            moved[hi] = _point_on(b, tb, vertex(hi - 1), vertex(hi))
+        for x in {lo, hi - 1}:
+            if x in moved or x + 1 in moved:
+                pair = np.array([moved.get(x, vertex(x)), moved.get(x + 1, vertex(x + 1))])
+                lengths[x - lo] = _polyline_lengths(pair)[0]
+    return lo, lengths
 
 
 def _point_on(u: float, tu: np.ndarray, p: np.ndarray, q: np.ndarray) -> list:
-    """w(u) by ``np.interp`` on the vertices p, q at the params ``tu``."""
+    """w(u) by ``np.interp`` on the vertices p, q at the params ``tu``.
+    ``np.interp`` reads only the pair that brackets u, so w(u) has the bits
+    that :meth:`FractalCurve.point_at` gives on the whole level."""
     return [np.interp(u, tu, col) for col in np.array([p, q]).T]
 
 
@@ -749,22 +711,12 @@ def _fitted_bins(curve: FractalCurve, a: float, b: float, keep_from: int, max_le
     on each level from ``keep_from`` to ``max_level``.
 
     Self-similar curves have few distinct lengths (Koch-10: 984 among
-    4**10), so each level is binned once instead of once per alpha. Only
-    the levels below ``keep_from`` are refined whole; the fitted levels are
-    walked (see :func:`_walk`), each block's lengths binned and each level's
-    bins merged once. A curve the walk cannot take refines and bins one
-    whole level at a time.
+    4**10), so each level is binned once instead of once per alpha: each
+    block of :func:`_level_lengths` is binned, and each level's bins are
+    merged once.
     """
-    base = curve.refined_to(max(keep_from - 1, curve.level))
-    walk = _walk(base, a, b, max_level - base.level, keep_from)
-    if walk is None:
-        return [
-            _length_bins(_sub_polyline_points(cur, a, b))
-            for cur in _refinements(base, max_level)
-            if cur.level >= keep_from
-        ]
     blocks: list[list] = [[] for _ in range(keep_from, max_level + 1)]
-    for level, _, lengths in walk:
+    for level, _, _, lengths in _level_lengths(curve, a, b, keep_from, max_level):
         blocks[level - keep_from].append(np.unique(lengths, return_counts=True))
     return [_merged_bins(found) for found in blocks]
 

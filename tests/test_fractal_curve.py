@@ -1,6 +1,7 @@
 """Curve generation, mass sums, dimension estimation and the staircase table."""
 
 import dataclasses
+import gc
 import io
 import json
 import math
@@ -298,16 +299,17 @@ class TestGammaDimension:
 
 class TestPeakMemory:
     """Peaks traced by tracemalloc for the largest curve passes. Refinement
-    and length binning run a block of segments at a time. A dimension
-    estimate refines whole only the levels above its fit and walks the
-    fitted levels depth first, a block of base segments at a time in small
-    reused buffers, so no fitted level is ever held: a Koch estimate to
-    level 10 peaks at ~2 MB (not ~10.5 MB with level 9 held, nor ~36 MB
-    with level 10), a segment estimate to level 20 at ~4 MB (not ~23 MB).
-    A mass sum holds its deepest level's lengths, not its points (~16 MB
-    for Koch-10, not ~42 MB). The staircase masses are formed in blocks
-    straight into the table (~18.4 MB for Koch-10, not ~26 MB), and its
-    CSV is formatted and written in blocks (~6 MB, not ~145 MB)."""
+    and length binning run a block of segments at a time. Mass sums and
+    dimension estimates refine a built-in curve whole only while a level
+    fits one block of segments, and walk every deeper level depth first, a
+    block of base segments at a time in small reused buffers, so no level
+    past one block is ever held: a Koch estimate to level 10 peaks at
+    ~2.4 MB (not ~10.5 MB with level 9 held, nor ~36 MB with level 10), a
+    segment estimate to level 20 at ~3.7 MB (not ~23 MB). A mass sum holds
+    its walked levels' lengths, not their points (~13 MB for Koch-10, not
+    ~42 MB). The staircase masses are formed in blocks straight into the
+    table (~18.4 MB for Koch-10, not ~26 MB), and its CSV is formatted and
+    written in blocks (~6 MB, not ~145 MB)."""
 
     @staticmethod
     def _peak(fn) -> int:
@@ -327,8 +329,9 @@ class TestPeakMemory:
         assert self._peak(lambda: gamma_dimension(generate_segment(), max_level=20)) < 6e6
 
     def test_a_deep_fit_peaks_below_4_mb(self):
-        # eleven walked levels from the one-segment curve: blocks are split
-        # again on the way down, so the deepest level's blocks stay small
+        # eleven fitted levels from the one-segment curve: levels up to one
+        # block are whole, so the walk from level 7 takes blocks of 512 base
+        # segments, and the deepest level's blocks stay small
         gamma_dimension(generate_koch(0), max_level=5)
         peak = self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10, fit_levels=11))
         assert peak < 4e6
@@ -336,6 +339,28 @@ class TestPeakMemory:
     def test_koch_mass_peaks_below_20_mb(self):
         mass_function(generate_koch(0), KOCH_DIM, max_level=3)
         assert self._peak(lambda: mass_function(generate_koch(0), KOCH_DIM, max_level=10)) < 20e6
+
+    def test_repeated_estimates_hold_no_memory_without_the_cyclic_collector(self):
+        # a walk that refers to itself would keep its buffers, ~2 MB a call,
+        # until the cyclic garbage collector ran; with it off, two calls of
+        # each must leave the traced memory where it was
+        def estimates():
+            gamma_dimension(generate_koch(0), max_level=10)
+            mass_function(generate_koch(0), KOCH_DIM, max_level=10)
+            gamma_dimension(generate_koch(0), 0.123456, 0.654321, max_level=10)
+
+        estimates()  # first-call caches
+        gc.disable()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            estimates()
+            estimates()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+            gc.enable()
+        assert kept < 256 * 1024
 
     def test_koch_staircase_peaks_below_21_mb(self):
         curve = generate_koch(10)
@@ -357,7 +382,7 @@ class TestPeakMemory:
             ("segment", 24, "gamma-dimension estimate: 1 (curve=segment, levels<=24)\n"),
         ],
     )
-    def test_dim_at_the_level_caps_stays_below_120_mb(
+    def test_dim_at_the_level_caps_stays_below_60_mb(
         self, tmp_path, cli_env, curve, level, stdout
     ):
         # the child reads its own peak resident set, VmHWM, which starts
@@ -377,7 +402,7 @@ class TestPeakMemory:
         )
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == stdout
-        assert int(proc.stderr) * 1024 < 120e6  # VmHWM is in kB
+        assert int(proc.stderr) * 1024 < 60e6  # VmHWM is in kB
 
 
 class TestStaircase:

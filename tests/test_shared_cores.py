@@ -55,7 +55,7 @@ from ffcalc import (
     validate,
 )
 from ffcalc import ffde, fractal_calc, fractal_curve, fuzzy_core
-from ffcalc._textio import sub_interval
+from ffcalc._textio import _block_rows, sub_interval
 from ffcalc.fuzzy_core import (
     DEFAULT_R_LEVELS,
     _DEFAULT_RS,
@@ -252,6 +252,18 @@ def ref_sub_polyline_points(curve, a, b):
     i0 = int(np.searchsorted(t, a, side="right"))
     i1 = int(np.searchsorted(t, b, side="left"))
     return curve.point_at(np.concatenate([[a], t[i0:i1], [b]]))
+
+
+def whole_level_blocks(curve, a, b):
+    """The blocks of lengths that fractal_curve._level_lengths yields for the
+    curve's own level over [a, b], copied; they must come in order, each
+    starting where the one before it ended, and cover the level's n lengths."""
+    blocks = []
+    for level, i, n, part in fractal_curve._level_lengths(curve, a, b, curve.level, curve.level):
+        assert level == curve.level and i == sum(p.size for p in blocks)
+        blocks.append(part.copy())
+    assert sum(p.size for p in blocks) == n
+    return blocks
 
 
 def ref_segment_lengths(points):
@@ -627,7 +639,7 @@ class TestVertexKnots:
     def test_sub_polyline_lengths_match_point_at_knots(self, interval):
         a, b = interval
         for curve in (KOCH5, generate_segment(level=4)):
-            got = fractal_curve._sub_polyline_lengths(curve, a, b)
+            got = np.concatenate(whole_level_blocks(curve, a, b))
             want = ref_sub_polyline_lengths(curve, a, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -1062,7 +1074,7 @@ def ref_gamma_dimension(curve, a, b, tol, max_level, fit_levels, slope):
     cur = curve
     while True:
         if cur.level >= keep_from:
-            length_arrays.append(fractal_curve._sub_polyline_lengths(cur, a, b))
+            length_arrays.append(ref_sub_polyline_lengths(cur, a, b))
         if cur.level >= max_level:
             break
         cur = cur.refine()
@@ -2085,11 +2097,20 @@ def same_refinements(curve, level):
             ref = ref.refine()
 
 
-def same_bins(points):
-    got = fractal_curve._length_bins(points)
-    want = ref_length_bins(points)
+def same_bins(curve, a, b):
+    """Bin the curve's own level over [a, b], which _fitted_bins takes from
+    the whole-level blocks of _level_lengths, and require the bytes of one
+    np.unique of the reference lengths."""
+    (got,) = fractal_curve._fitted_bins(curve, a, b, curve.level, curve.level)
+    want = ref_length_bins(ref_sub_polyline_points(curve, a, b))
     assert len(got) == 2 and got[1].dtype == np.int64
     assert same_bytes(got[0], want[0]) and same_bytes(got[1], want[1])
+
+
+def polyline_of(points):
+    """The points as a polyline over [0, m - 1], and its two ends."""
+    curve = fractal_curve.generate_polyline(np.arange(points.shape[0], dtype=float), points)
+    return curve, curve.a0, curve.b0
 
 
 # three unequal segments: 3 * 4**7 segments at level 7 are one and a half blocks
@@ -2156,35 +2177,39 @@ class TestBlockedBins:
     @pytest.mark.parametrize("level", range(7, 11))
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321)])
     def test_koch(self, level, interval):
-        same_bins(fractal_curve._sub_polyline_points(generate_koch(level), *interval))
+        same_bins(generate_koch(level), *interval)
 
     @pytest.mark.parametrize(
         "curve, level", [(UNEQUAL, 8), (UNEQUAL, 11), (JITTERED, 14), (JITTERED, 16)]
     )
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (1 / 3, 0.9), (0.5, 1.0)])
     def test_unequal_and_distinct_lengths(self, curve, level, interval):
-        same_bins(fractal_curve._sub_polyline_points(curve.refined_to(level), *interval))
+        same_bins(curve.refined_to(level), *interval)
 
     @pytest.mark.parametrize("source", ["koch", "jittered"])
     @pytest.mark.parametrize("extra", [-1, 0, 1, STEP - 1, STEP, STEP + 1])
     def test_one_block_and_one_more_length(self, source, extra):
         points = (generate_koch(9) if source == "koch" else JITTERED.refined_to(17)).points
-        same_bins(points[: STEP + 1 + extra])  # STEP + extra lengths
+        curve, a, b = polyline_of(points[: STEP + 1 + extra])  # STEP + extra lengths
+        same_bins(curve, a, b)
+        sizes = [part.size for part in whole_level_blocks(curve, a, b)]
+        total = STEP + extra
+        assert sizes == [min(STEP, total - i) for i in range(0, total, STEP)]
 
     @given(lattice_polylines(), BLOCK_ROWS)
     @settings(max_examples=200, deadline=None)
     def test_small_blocks_merge_exactly(self, points, rows):
         with block_rows(rows) as calls:
-            same_bins(points)
+            same_bins(*polyline_of(points))
         assert calls == [2]
 
     def test_gamma_dimension_bins_in_blocks(self):
         with block_rows(None) as calls:
             gamma_dimension(generate_koch(0), max_level=8)
-        # the level-1 to level-4 refinements in blocks of 2-column rows; then
-        # the walk of fitted levels 5 to 8, in blocks of level-4 segments whose
-        # level-8 pieces are about one block of 2-column rows
-        assert calls == [2] * 5
+        # the rule reads the block size of 2-column rows once; levels 1 to 7
+        # have at most one block of segments and are refined whole, each in
+        # blocks; level 8 is walked from level 7, which asks no more
+        assert calls == [2] * 8
 
 
 # ---------------------------------------------------------------------------
@@ -2215,18 +2240,48 @@ def counting_refines():
     return mock.patch.object(FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine)
 
 
+def whole_refines(curve, rows, last):
+    """The refine() calls of the one rule on the way to level ``last``, with
+    ``rows`` segments per block (None: the library's). A built-in refiner
+    refines whole while the next level has at most ``rows`` segments, and
+    walks the rest if _refines_cleanly vouches for the params of the last
+    whole level; otherwise, and for any other refiner, every level is
+    refined whole."""
+    builtin = fractal_curve._builtin(curve)
+    if builtin is None:
+        return last - curve.level
+    rows = _block_rows(curve.ndim) if rows is None else rows
+    s, level, segments, t = builtin.splits, curve.level, curve.n_segments, curve.params
+    while level < last and s * segments <= rows:
+        level, segments, t = level + 1, s * segments, builtin.params(t)
+    if level < last and not fractal_curve._refines_cleanly(t, s, last - level):
+        return last - curve.level
+    return level - curve.level
+
+
+def ref_mass_levels(curve, alpha, a, b, top):
+    """(level, order-alpha mass) of every level of the curve up to ``top``,
+    each from one np.sum over its reference lengths."""
+    return [
+        (level, float(np.sum(ref_sub_polyline_lengths(curve.refined_to(level), a, b) ** alpha)
+                      / math.gamma(alpha + 1.0)))
+        for level in range(curve.level, top + 1)
+    ]
+
+
 def same_fitted_bins(curve, interval, rows, keep_from, max_level):
-    """Walk the levels keep_from..max_level of a curve with a built-in
-    refiner, in blocks whose deepest level is about ``rows`` segments, and
-    require the reference's bins on every level, or its error. Only the
-    levels below keep_from are refined through refine(), and the walk asks
-    once for its block size, for rows of the curve's columns."""
+    """Bin the levels keep_from..max_level of a curve with a built-in
+    refiner, with ``rows`` segments per block, and require the reference's
+    bins on every level, or its error. The levels that the one rule holds
+    whole are refined through refine() (see whole_refines); the rule asks
+    once for its block size, for rows of the curve's columns, and each
+    refinement asks once more."""
     want = fitted_outcome(ref_fitted_bins, curve, *interval, keep_from, max_level)
+    whole = whole_refines(curve, rows, max_level)
     with block_rows(rows) as calls, counting_refines() as refine:
         got = fitted_outcome(fractal_curve._fitted_bins, curve, *interval, keep_from, max_level)
-    assert refine.call_count == max(keep_from - 1 - curve.level, 0)
-    if refine.call_count == 0:
-        assert calls == [curve.ndim]
+    assert refine.call_count == whole
+    assert calls == [curve.ndim] * (1 + whole)
     assert got == want
     return got
 
@@ -2306,18 +2361,15 @@ class TestStreamedLevel:
     @given(st.sampled_from(STREAMED), st.sampled_from([1.0, KOCH_DIM, 1.7]), WALK_ROWS, st.data())
     @settings(max_examples=100, deadline=None)
     def test_mass_levels_are_bit_equal_in_any_blocks(self, curve, alpha, rows, data):
-        # the deepest level's lengths are walked into one array, in order,
-        # so np.sum adds them as it adds the reference's
+        # each level's lengths, whole or walked, are gathered into one array,
+        # in order, so np.sum adds them as it adds the reference's
         a, b = data.draw(sub_intervals(curve.refine().params))
-        want = [
-            (level, float(np.sum(ref_sub_polyline_lengths(curve.refined_to(level), a, b) ** alpha)
-                          / math.gamma(alpha + 1.0)))
-            for level in range(curve.level, curve.level + 3)
-        ]
+        want = ref_mass_levels(curve, alpha, a, b, curve.level + 2)
+        whole = whole_refines(curve, rows, curve.level + 2)
         with block_rows(rows) as calls, counting_refines() as refine:
             got = mass_function(curve, alpha, a, b, max_level=curve.level + 2).levels
         assert got == want
-        assert refine.call_count == 1 and calls == [curve.ndim] * 2
+        assert refine.call_count == whole and calls == [curve.ndim] * (1 + whole)
 
     @pytest.mark.parametrize("fit", [2, 5])
     @pytest.mark.parametrize(
@@ -2351,15 +2403,19 @@ class TestStreamedLevel:
 
     @pytest.mark.parametrize(
         "curve, refines",
-        [(generate_koch(0), 3), (generate_segment(), 3), (UNEQUAL, 6), (JITTERED, 6)],
+        [(generate_koch(0), 2), (generate_segment(), 4), (UNEQUAL, 6), (JITTERED, 6)],
         ids=["koch", "segment", "unequal", "jittered"],
     )
     def test_only_builtin_refiners_stream(self, curve, refines):
-        # a built-in refiner refines levels 1 to 3 whole and walks the
-        # fitted levels 4 to 6; the others refine every level
-        with counting_refines() as refine:
-            gamma_dimension(curve, max_level=6, fit_levels=3)
+        # in blocks of 16 segments, the Koch curve refines levels 1 and 2
+        # (16 segments) whole and walks levels 3 to 6, and the segment
+        # refines levels 1 to 4 whole and walks 5 and 6; the others refine
+        # every level. With the library's blocks every level here is whole.
+        want = gamma_dimension(curve, max_level=6, fit_levels=3)
+        with block_rows(16), counting_refines() as refine:
+            got = gamma_dimension(curve, max_level=6, fit_levels=3)
         assert refine.call_count == refines
+        assert got.hex() == want.hex()
 
     @pytest.mark.parametrize("gap", [2.0**-49, 2.0**-45], ids=["refused", "accepted"])
     def test_params_too_close_to_vouch_for_go_through_refine(self, gap):
@@ -2373,7 +2429,8 @@ class TestStreamedLevel:
         assert not fractal_curve._refines_cleanly(curve.params, 4, 1)
         interval = (0.3, curve.b0)
         want = fitted_outcome(ref_fitted_bins, curve, *interval, 2, 2)
-        with counting_refines() as refine:
+        # in blocks of two segments the rule would walk level 2 from level 1
+        with block_rows(2), counting_refines() as refine:
             assert fitted_outcome(fractal_curve._fitted_bins, curve, *interval, 2, 2) == want
         assert refine.call_count == 1
         assert (want[0] == "error") == (gap == 2.0**-49)
@@ -2382,7 +2439,8 @@ class TestStreamedLevel:
     def test_params_vouched_for_fewer_levels_go_through_refine(self, depth):
         # the shortest segment is 40 spacings of the largest end: one
         # quartering is vouched for, two or more are not, and then every
-        # level is refined whole, as the reference refines it
+        # level is refined whole, as the reference refines it; in blocks of
+        # two segments the rule would walk every level from the curve's own
         curve = FractalCurve(
             np.array([0.0, 1.0, 1.0 + 40 * float(np.spacing(2.0)), 2.0]),
             np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [2.0, 0.0]]),
@@ -2391,7 +2449,7 @@ class TestStreamedLevel:
         assert fractal_curve._refines_cleanly(curve.params, 4, depth) == (depth == 1)
         interval = (0.3, 1.7)
         want = fitted_outcome(ref_fitted_bins, curve, *interval, 1, depth)
-        with counting_refines() as refine:
+        with block_rows(2), counting_refines() as refine:
             assert fitted_outcome(fractal_curve._fitted_bins, curve, *interval, 1, depth) == want
         assert refine.call_count == (0 if depth == 1 else depth)
 
@@ -2450,3 +2508,48 @@ class TestStreamedLevel:
             fractal_curve.staircase_to_csv(table, got)
         assert got.getvalue() == want.getvalue()
         assert calls == [2]
+
+
+class TestWholeOrWalked:
+    """The one rule at its boundary: a level of at most ``rows`` segments is
+    refined whole through refine(), and the next, with more, is walked from
+    it. Every level from the curve's own is measured, so both sides of the
+    boundary are compared with the reference."""
+
+    @pytest.mark.parametrize(
+        "curve, rows, whole",
+        [
+            (generate_koch(0), 64, 3),  # level 3 has 64 segments
+            (generate_koch(0), 63, 2),
+            (generate_segment(), 16, 4),  # level 4 has 16
+            (generate_segment(), 15, 3),
+            (THREE, 48, 2),  # 3 * 4**2 segments at level 2
+            (SEGMENTS[-1], 64, 2),  # 3 columns: 16 segments at level 4, 64 at level 6
+        ],
+        ids=[
+            "koch_exact", "koch_below", "segment_exact", "segment_below", "three_exact",
+            "segment3d_exact",
+        ],
+    )
+    @pytest.mark.parametrize("share", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321)])
+    def test_a_level_of_one_block_is_whole_and_the_next_walked(self, curve, rows, whole, share):
+        s = fractal_curve._builtin(curve).splits
+        last = curve.level + whole + 2
+        segments = curve.n_segments * s**whole
+        assert segments <= rows < s * segments
+        a, b = (curve.a0 + x * (curve.b0 - curve.a0) for x in share)
+
+        def ruled(fn, *args):
+            walk = mock.patch.object(fractal_curve, "_walk", wraps=fractal_curve._walk)
+            with block_rows(rows), counting_refines() as refine, walk as walked:
+                got = fn(*args)
+            assert refine.call_count == whole  # the levels up to one block
+            assert walked.call_count == 1  # then the rest, from the last whole level
+            assert walked.call_args.args[0].level == curve.level + whole
+            return got
+
+        want = fitted_outcome(ref_fitted_bins, curve, a, b, curve.level, last)
+        assert ruled(fitted_outcome, fractal_curve._fitted_bins, curve, a, b, curve.level, last) == want
+        for alpha in (1.0, 1.5):
+            got = ruled(mass_function, curve, alpha, a, b, last).levels
+            assert got == ref_mass_levels(curve, alpha, a, b, last)
