@@ -36,13 +36,12 @@ from ._textio import (
 from .errors import ConditioningError, DivergenceError, ValidationError
 from .fractal_curve import J_at, StaircaseTable, _in_query_order
 from .fuzzy_core import (
-    _SHAPE_TOL,
     DEFAULT_R_LEVELS,
     FuzzyNumber,
     TriangularFuzzy,
     _check_level_grid,
+    _level_linear,
     _rejected_rows,
-    _scale_of,
     default_r_grid,
 )
 
@@ -184,7 +183,7 @@ def _finite_coefficients(x: np.ndarray, y: np.ndarray, m: np.ndarray) -> bool:
     return 16.0 * (y_max + m_max) * g * g * g <= sys.float_info.max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CrispTrajectory:
     """RK4 trajectory on a uniform J grid with cubic Hermite dense output."""
 
@@ -507,7 +506,7 @@ class FirstOrderFfdeProblem:
         object.__setattr__(self, "span", (u0, u1))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FuzzySolution:
     """Solution band table over a parameter grid and a level grid.
 
@@ -571,14 +570,6 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
         return np.concatenate([np.asarray(dlo, dtype=float), np.asarray(dup, dtype=float)])
 
     return solve_crisp_in_J(system, np.concatenate([lo0, up0]), (J0, J1), problem.j_steps)
-
-
-def _level_linear(x: FuzzyNumber) -> bool:
-    """Whether each endpoint row of x is the linear interpolation of its
-    0-cut and 1-cut, within the constructor's tolerance."""
-    band = np.stack([x.lowers, x.uppers])
-    line = (1.0 - x.rs) * band[:, :1] + x.rs * band[:, -1:]
-    return bool(np.all(np.abs(band - line) <= _SHAPE_TOL * _scale_of(band)))
 
 
 def _cuts_exact(problem: FirstOrderFfdeProblem) -> bool:
@@ -838,7 +829,7 @@ def _fundamental_pair(p: float, q: float):
     return (lambda J: np.exp(m * J)), (lambda J: J * np.exp(m * J))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SecondOrderSolution:
     """Crisp solution plus uncertainty envelope of a fuzzy-boundary BVP.
 

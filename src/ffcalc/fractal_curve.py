@@ -70,7 +70,7 @@ def _float_array(x, name: str, ndim: int) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FractalCurve:
     """Polyline approximation of a curve w(t), t in [a0, b0].
 
@@ -180,7 +180,7 @@ class MassEstimate:
             raise ValidationError("mass must be non-negative")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StaircaseTable:
     """Tabulated cumulative mass J = S(u) anchored so that S(p0) = 0.
 
@@ -464,23 +464,16 @@ def _check_order(alpha: float, ndim: int):
         raise OrderError(f"order alpha must lie in [1, {ndim}], got {alpha}")
 
 
-def _inner_vertices(t: np.ndarray, a: float, b: float) -> slice:
-    """Index range of the vertices t strictly between a and b."""
-    return slice(int(np.searchsorted(t, a, side="right")), int(np.searchsorted(t, b, side="left")))
+def _span(t: np.ndarray, a: float, b: float) -> tuple[int, int]:
+    """The first and last segment of the vertex grid t that hold [a, b]: an
+    end on a vertex is held by the segment on the inner side of it."""
+    return int(np.searchsorted(t, a, side="right")) - 1, int(np.searchsorted(t, b, side="left")) - 1
 
 
 def _vertex_knots(t: np.ndarray, a: float, b: float) -> np.ndarray:
     """Knots of [a, b] on the vertex grid t: a, the vertices strictly between, b."""
-    return np.concatenate([[a], t[_inner_vertices(t, a, b)], [b]])
-
-
-def _sub_polyline_points(curve: FractalCurve, a: float, b: float) -> np.ndarray:
-    """Vertices from w(a) to w(b): the curve's own vertices in between and
-    the two ends."""
-    if a == curve.a0 and b == curve.b0:  # w(a0), w(b0) interpolate to the end vertices exactly
-        return curve.points
-    ends = curve.point_at([a, b])
-    return np.concatenate([ends[:1], curve.points[_inner_vertices(curve.params, a, b)], ends[1:]])
+    first, last = _span(t, a, b)
+    return np.concatenate([[a], t[first + 1 : last + 1], [b]])
 
 
 def mass_function(
@@ -559,19 +552,16 @@ def _level_spans(builtin: _Builtin, t: np.ndarray, a: float, b: float, depth: in
 
     Each end's params on the next level are ``builtin.params`` of its two on
     this one. That is elementwise, so they have the bits of the whole
-    level's params.
+    level's params. At depth 0 ``builtin`` is not read: it may be None.
     """
-    s, m = builtin.splits, t.size - 1
+    first, last = _span(t, a, b)
     if a == t[0] and b == t[-1]:  # w(a0), w(b0) are the end vertices
-        return [(0, m * s**d - 1, ()) for d in range(depth + 1)]
-    first = int(np.searchsorted(t, a, side="right")) - 1
-    last = int(np.searchsorted(t, b, side="left")) - 1
+        return [(0, (last + 1) * (builtin.splits**d if d else 1) - 1, ()) for d in range(depth + 1)]
     ta, tb = t[first : first + 2], t[last : last + 2]
     spans = [(first, last, ((a, ta), (b, tb)))]
     for _ in range(depth):
-        ta, tb = builtin.params(ta), builtin.params(tb)
-        ka = int(np.searchsorted(ta, a, side="right")) - 1
-        kb = int(np.searchsorted(tb, b, side="left")) - 1
+        s, ta, tb = builtin.splits, builtin.params(ta), builtin.params(tb)
+        ka, kb = _span(ta, a, b)[0], _span(tb, a, b)[1]
         first, last = s * first + ka, s * last + kb
         ta, tb = ta[ka : ka + 2], tb[kb : kb + 2]
         spans.append((first, last, ((a, ta), (b, tb))))
@@ -581,7 +571,8 @@ def _level_spans(builtin: _Builtin, t: np.ndarray, a: float, b: float, depth: in
 def _level_lengths(curve: FractalCurve, a: float, b: float, first: int, last: int):
     """The segment lengths of the sub-polyline over [a, b] on each level
     from ``first`` to ``last``, a block at a time, as (level, i, n,
-    lengths): the level's lengths i, i + 1, ... of its n, in order.
+    lengths): the level's lengths i, i + 1, ... of its n, in order. The
+    lengths are views of reused buffers, valid until the next are yielded.
 
     The one rule for which levels are held: a built-in refiner refines the
     curve whole through :meth:`FractalCurve.refine` while the next level has
@@ -589,17 +580,21 @@ def _level_lengths(curve: FractalCurve, a: float, b: float, first: int, last: in
     the last whole level (see :func:`_walk`). A user refiner refines every
     level whole, and so do params that :func:`_refines_cleanly` cannot vouch
     for on every walked level: ``refine()`` then raises what the walk could
-    not check. A whole level's lengths come ``_block_rows`` at a time, from
-    w(a), the curve's own vertices in between and w(b).
+    not check. A whole level's lengths come ``_block_rows`` at a time from
+    the first segment that holds [a, b], each block read as the walk reads
+    one, with no inner pieces (see :func:`_span_lengths`).
     """
     rows = _block_rows(curve.ndim)
     builtin = _builtin(curve)
+    buf = np.empty((2, rows))
     for cur in _refinements(curve, last):
         if cur.level >= first:
-            points = _sub_polyline_points(cur, a, b)
-            n = points.shape[0] - 1
-            for i in range(0, n, rows):
-                yield cur.level, i, n, _polyline_lengths(points[i : i + rows + 1])
+            [span] = _level_spans(builtin, cur.params, a, b, 0)
+            start, end, _ = span
+            for i in range(start, end + 1, rows):
+                block = cur.points[i : min(i + rows, end + 1) + 1]
+                _, lengths = _span_lengths(span, buf, block, [], i)
+                yield cur.level, i - start, end - start + 1, lengths
         if builtin is not None and cur.level < last and builtin.splits * cur.n_segments > rows:
             if _refines_cleanly(cur.params, builtin.splits, last - cur.level):
                 yield from _walk(cur, builtin, a, b, first, last, rows)
@@ -663,7 +658,8 @@ def _span_lengths(span: tuple, buf: np.ndarray, rows: np.ndarray, inner, offset:
     segment order in the second.
 
     The block's vertices are ``rows`` with the ``inner`` vertices of each of
-    their segments between them (see :func:`_interleave`); its first
+    their segments between them (see :func:`_interleave`), or ``rows``
+    alone if ``inner`` is empty, as on a level held whole; its first
     segment is segment ``offset`` of its level. A sub-polyline's end that is
     not a vertex replaces the vertex before it on its first segment, or the
     one after it on its last.

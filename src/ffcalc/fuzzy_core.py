@@ -238,6 +238,14 @@ def _scale_of(*arrays) -> float:
     return max(1.0, *peaks) if all(map(math.isfinite, peaks)) else math.inf
 
 
+def _level_linear(x: FuzzyNumber) -> bool:
+    """Whether each endpoint row of x is the linear interpolation of its
+    0-cut and 1-cut, within the constructor's tolerance."""
+    band = np.stack([x.lowers, x.uppers])
+    line = (1.0 - x.rs) * band[:, :1] + x.rs * band[:, -1:]
+    return bool(np.all(np.abs(band - line) <= _SHAPE_TOL * _scale_of(band)))
+
+
 # ---------------------------------------------------------------------------
 # constructors
 

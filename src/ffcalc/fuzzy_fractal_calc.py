@@ -23,6 +23,7 @@ from .fuzzy_core import (
     hausdorff_distance,
     hukuhara_diff,
     make_crisp,
+    make_triangular,
     scale,
 )
 
@@ -116,8 +117,6 @@ def triangular_field(f1, f2, f3, domain) -> FuzzyCurveFunction:
     f1, f2 and f3 must accept numpy arrays: :meth:`FuzzyCurveFunction.bands`
     calls each of them once on all its points.
     """
-    from .fuzzy_core import make_triangular
-
     def rows(us):
         a, b, c = per_point(f1(us), us, "f1"), per_point(f2(us), us, "f2"), per_point(f3(us), us, "f3")
         # make_triangular's cuts, one row per point; an infinite value makes
@@ -137,7 +136,7 @@ def triangular_field(f1, f2, f3, domain) -> FuzzyCurveFunction:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ContinuityProbe:
     """Distances d_H(f(u0 +- delta), f(u0)) for a shrinking family of deltas.
 

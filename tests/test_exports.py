@@ -2,10 +2,11 @@
 the package exports exactly the names the modules list in their
 ``__all__``, each as its module's own object, no module imports a name it
 does not use and every private module-level name is used somewhere in the
-package. What importing the package, a submodule or a CLI command loads is
+package. Value types that hold arrays compare and hash by identity. What importing the package, a submodule or a CLI command loads is
 checked in fresh interpreters."""
 
 import ast
+import copy
 import importlib
 import json
 import pkgutil
@@ -14,6 +15,7 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ffcalc
@@ -217,3 +219,27 @@ ffcalc.scale(2.0, x)
 assert arith_spans() == 1, "an untraced call recorded a span"
 """
     _loaded_after(code, cli_env, tmp_path)
+
+
+# a field-wise __eq__ would compare arrays, and raise on any two distinct
+# objects; these types compare and hash by identity, as FuzzyNumber does
+VALUE_TYPES = {
+    "FractalCurve": lambda: ffcalc.generate_koch(1),
+    "StaircaseTable": lambda: ffcalc.build_staircase(ffcalc.generate_koch(1), 1.0),
+    "CrispTrajectory": lambda: ffcalc.solve_crisp_in_J(lambda j, y: -y, [1.0], (0.0, 1.0), 16),
+    "FuzzySolution": lambda: ffcalc.solve_first_order(ffcalc.example1_problem(j_steps=16)),
+    "SecondOrderSolution": lambda: ffcalc.solve_second_order_bvp(ffcalc.example2_bvp(steps=16)),
+    "ContinuityProbe": lambda: ffcalc.ff_continuity_probe(
+        ffcalc.crisp_embedding(np.sin, (0.0, 1.0)), 0.5, [0.1, 0.01]
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALUE_TYPES))
+def test_value_types_compare_by_identity(name):
+    x = VALUE_TYPES[name]()
+    twin = copy.copy(x)
+    assert type(x).__name__ == name and twin is not x
+    assert x == x and not x != x
+    assert x != twin and not x == twin
+    assert hash(x) == hash(x) and len({x, twin}) == 2

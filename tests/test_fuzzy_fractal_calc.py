@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ffcalc import fuzzy_core
+from ffcalc import fuzzy_fractal_calc
 from ffcalc import (
     CaseInapplicableError,
     DegenerateDenominatorError,
@@ -304,7 +304,7 @@ class TestBandEvaluation:
     def test_triangular_parts_called_once(self, monkeypatch, level, rule):
         calls = {}
         monkeypatch.setattr(
-            fuzzy_core, "make_triangular", counted(calls, "make_triangular", make_triangular)
+            fuzzy_fractal_calc, "make_triangular", counted(calls, "make_triangular", make_triangular)
         )
         curve = generate_koch(level)
         table = build_staircase(curve, KOCH_ALPHA)

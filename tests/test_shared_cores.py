@@ -682,6 +682,71 @@ class TestVertexKnots:
         assert got == gamma_dimension(base, *interval, max_level=7)
         assert levels == [4, 5, 6, 7]  # the fitted levels all matched the reference
 
+    def test_span_at_the_ends_of_a_grid(self):
+        t, m = KOCH5.params, KOCH5.n_segments
+        mid_first, mid_last = 0.5 * (t[0] + t[1]), 0.5 * (t[-2] + t[-1])
+        # an end on a vertex is held by the segment on the inner side of it
+        assert fractal_curve._span(t, t[0], t[-1]) == (0, m - 1)
+        assert fractal_curve._span(t, t[0], t[1]) == (0, 0)
+        assert fractal_curve._span(t, t[0], mid_first) == (0, 0)
+        assert fractal_curve._span(t, mid_first, t[2]) == (0, 1)
+        assert fractal_curve._span(t, t[-2], t[-1]) == (m - 1, m - 1)
+        assert fractal_curve._span(t, mid_last, t[-1]) == (m - 1, m - 1)
+        assert fractal_curve._span(t, t[-3], mid_last) == (m - 2, m - 1)
+        assert fractal_curve._span(t, t[3], t[7]) == (3, 6)
+        assert all(type(k) is int for k in fractal_curve._span(t, t[0], t[-1]))
+
+    @pytest.mark.parametrize("name", ["koch", "segment", "three", "user_refiner", "no_refiner"])
+    @pytest.mark.parametrize("where", ["one_segment", "vertices", "from_a0", "to_b0"])
+    @pytest.mark.parametrize("rows", [None, 2, 3])
+    def test_held_levels_read_the_span_as_the_reference(self, name, where, rows):
+        # a level held whole reads [a, b] through the span rule, as a walked
+        # block does; a user refiner and a curve without one hold every level
+        curve = {
+            "koch": generate_koch(2),
+            "segment": SEGMENTS[-2],
+            "three": THREE.refined_to(1),
+            "user_refiner": UNEQUAL.refined_to(2),
+            "no_refiner": fractal_curve.generate_polyline(KOCH5.params, KOCH5.points),
+        }[name]
+        t = curve.params
+        k = t.size // 2
+        a, b = {
+            "one_segment": (t[k] + 0.25 * (t[k + 1] - t[k]), t[k] + 0.75 * (t[k + 1] - t[k])),
+            "vertices": (t[1], t[k]),
+            "from_a0": (t[0], 0.5 * (t[k] + t[k + 1])),
+            "to_b0": (0.5 * (t[k] + t[k + 1]), t[-1]),
+        }[where]
+        a, b = float(a), float(b)
+        first, last = fractal_curve._span(t, a, b)
+        assert (first == last) == (where == "one_segment")
+        top = curve.level + (0 if curve.refiner is None else 2)
+        want = fitted_outcome(ref_fitted_bins, curve, a, b, curve.level, top)
+        with block_rows(rows):
+            assert fitted_outcome(fractal_curve._fitted_bins, curve, a, b, curve.level, top) == want
+            for alpha in (1.0, KOCH_DIM):
+                got = mass_function(curve, alpha, a, b, max_level=top).levels
+                assert got == ref_mass_levels(curve, alpha, a, b, top)
+
+    @pytest.mark.parametrize("i, j", [(0, 5), (3, 17), (64, 1024), (1023, 1024)])
+    def test_integrals_over_vertex_ends_match_reference(self, i, j):
+        # with both ends on vertices, every cell is one segment of the table
+        table = build_staircase(KOCH5, KOCH_DIM)
+        a, b = float(KOCH5.params[i]), float(KOCH5.params[j])
+        knots, dJ = ref_cells(table, a, b)
+        assert same_bytes(knots, KOCH5.params[i : j + 1])
+
+        def f(u):
+            return np.sin(3.0 * u) + u * u
+
+        got = fractal_calc.f_integral(f, KOCH5, table, a, b)
+        assert got.n_cells == j - i
+        assert got.value == float(np.sum(f(0.5 * (knots[:-1] + knots[1:])) * dJ))
+        field = quadratic_peak(table)
+        for rule in ("left", "midpoint"):
+            want = outcome(ref_ff_riemann_integral, field, KOCH5, table, a, b, rule)
+            assert outcome(ff_riemann_integral, field, KOCH5, table, a, b, rule) == want
+
     @given(sub_intervals(KOCH5.params))
     @settings(max_examples=100, deadline=None)
     def test_cells_match_reference(self, interval):
@@ -2531,7 +2596,13 @@ class TestWholeOrWalked:
             "segment3d_exact",
         ],
     )
-    @pytest.mark.parametrize("share", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321)])
+    # (0.505, 0.51) lies inside one segment of the curve's own level; 0.25
+    # and 0.5 are vertices of koch and segment from level 2 on
+    @pytest.mark.parametrize(
+        "share",
+        [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321), (0.505, 0.51), (0.25, 0.5), (0.0, 0.5),
+         (0.5, 1.0)],
+    )
     def test_a_level_of_one_block_is_whole_and_the_next_walked(self, curve, rows, whole, share):
         s = fractal_curve._builtin(curve).splits
         last = curve.level + whole + 2
