@@ -97,7 +97,8 @@ def _cmd_curve(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    # gamma_dimension refines the level-0 curve itself, and refuses an over-cap --level first
+    # gamma_dimension reads the levels below the level-0 curve from its refiner's ratio, and
+    # refuses an over-cap --level first
     est = gamma_dimension(_curve(args, 0), tol=args.tol, max_level=args.level)
     _write_record(args.out, {"curve": args.curve, "max_level": args.level, "estimate": est})
     print(f"gamma-dimension estimate: {est:.6g} (curve={args.curve}, levels<={args.level})")

@@ -2,10 +2,11 @@
 
 A curve is a polyline sampling of a parametrization w(t) on [a0, b0].
 Self-similar curves carry a refinement rule producing the next, finer
-polyline. Mass sums, dimension estimates and the staircase table are all
-computed from the vertex subdivision at the working refinement level; the
-staircase value J(u) is the cumulative order-alpha mass from an anchor and
-serves as the differentiation/integration coordinate everywhere else.
+polyline. The staircase table, and a mass sum or dimension estimate on the
+curve's own level, are computed from its vertex subdivision; the levels
+below a built-in curve's own follow from its refiner's similarity ratio.
+The staircase value J(u) is the cumulative order-alpha mass from an anchor
+and serves as the differentiation/integration coordinate everywhere else.
 """
 
 from __future__ import annotations
@@ -413,14 +414,16 @@ def generate_segment(start=(0.0, 0.0), end=(1.0, 0.0), level: int = 0) -> Fracta
 
 class _Builtin(NamedTuple):
     """What the library knows of a built-in refiner: its name and level cap,
-    the pieces it splits each segment into, the refined params of given
-    params, and ``pieces(p, q, out)``, which writes the inner vertices of
-    each segment p -> q, in order along it, to out[0], out[1], ...; ``out``
-    holds ``splits`` arrays of p's shape, the last for scratch."""
+    the pieces it splits each segment into, each similar to the segment at
+    the ratio 1 / ``divisor``, the refined params of given params, and
+    ``pieces(p, q, out)``, which writes the inner vertices of each segment
+    p -> q, in order along it, to out[0], out[1], ...; ``out`` holds
+    ``splits`` arrays of p's shape, the last for scratch."""
 
     name: str
     cap: int
     splits: int
+    divisor: int
     params: Callable[[np.ndarray], np.ndarray]
     pieces: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
 
@@ -429,10 +432,10 @@ class _Builtin(NamedTuple):
 # hashable); the caps keep refinement from running the machine out of memory
 _LEVEL_CAPS = {
     _koch_refiner: _Builtin(
-        "koch", KOCH_MAX_LEVEL, 4, lambda t: _refine_params(t, 4), _koch_pieces
+        "koch", KOCH_MAX_LEVEL, 4, 3, lambda t: _refine_params(t, 4), _koch_pieces
     ),
     _midpoint_refiner: _Builtin(
-        "segment", SEGMENT_MAX_LEVEL, 2, _midpoint_params, _midpoint_pieces
+        "segment", SEGMENT_MAX_LEVEL, 2, 2, _midpoint_params, _midpoint_pieces
     ),
 }
 
@@ -457,6 +460,13 @@ def _target_level(curve: FractalCurve, level) -> int:
 
 # ---------------------------------------------------------------------------
 # mass and dimension
+
+# the levels below a built-in curve are read from its refiner's ratio only
+# while every coordinate of the curve is below this: then no refined point,
+# and no squared length, can overflow, so refine() would refuse none of them
+_RATIO_BOUND = 2.0**500
+
+_OVERFLOW = "mass sums overflow on the requested range"
 
 
 def _check_order(alpha: float, ndim: int):
@@ -486,43 +496,40 @@ def mass_function(
     """Order-alpha mass of the sub-curve over [a, b].
 
     Sums |w(t_{i+1}) - w(t_i)|**alpha / Gamma(alpha + 1) over the natural
-    vertex subdivision restricted to [a, b], refining the curve up to
-    ``max_level`` and recording one partial sum per level. The returned
-    value is the sum at the deepest level computed.
+    vertex subdivision restricted to [a, b], on each level from the curve's
+    own to ``max_level``, and records one partial sum per level (see
+    :func:`_levels`). The returned value is the sum at the deepest level
+    computed.
     """
     _check_order(alpha, curve.ndim)
     a, b = sub_interval(a, b, curve.a0, curve.b0, "interval")
     top = _target_level(curve, curve.level if max_level is None else max_level)
     gamma = math.gamma(alpha + 1.0)
-    # each level's blocks are written in order into one array, so np.sum adds
-    # them as it adds a whole level's; a level is summed once it is complete
     levels: list[tuple[int, float]] = []
-    held: dict[int, np.ndarray] = {}
-    for level, i, n, part in _level_lengths(curve, a, b, curve.level, top):
-        if i == 0:
-            held[level] = np.empty(n)
-        held[level][i : i + part.size] = part
-        if i + part.size == n:
-            lengths = held.pop(level)
-            lengths **= alpha
-            levels.append((level, float(np.sum(lengths) / gamma)))
+    for level, values, counts in _levels(curve, a, b, curve.level, top):
+        values **= alpha
+        if counts is not None:
+            values *= counts
+        total = float(np.sum(values) / gamma)
+        if not math.isfinite(total):
+            raise EstimationError(_OVERFLOW)
+        levels.append((level, total))
     return MassEstimate(alpha=float(alpha), value=levels[-1][1], levels=levels)
 
 
-def _merged_bins(blocks: list[tuple[np.ndarray, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct lengths and counts of all blocks, from each block's own.
+def _merged_bins(values: np.ndarray, counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct lengths of a level of :func:`_levels` and their counts.
 
-    The merge is exact: a stable sort of all blocks' values, then one sum of
-    counts per run of equal values. The result has the same bytes as one
-    ``np.unique`` of every length, but no temporary holds a length per
-    segment of the whole curve.
+    A level read from points is one ``np.unique``. Otherwise the merge is
+    exact: a stable sort of the values, then one sum of counts per run of
+    equal values.
     """
-    values = np.concatenate([v for v, _ in blocks])
+    if counts is None:
+        return np.unique(values, return_counts=True)
     order = np.argsort(values, kind="stable")
     values = values[order]
-    counts = np.concatenate([c for _, c in blocks])[order]
     starts = np.flatnonzero(np.concatenate([[True], values[1:] != values[:-1]]))
-    return values[starts], np.add.reduceat(counts, starts)
+    return values[starts], np.add.reduceat(counts[order], starts)
 
 
 def _refines_cleanly(t: np.ndarray, splits: int, levels: int) -> bool:
@@ -568,131 +575,105 @@ def _level_spans(builtin: _Builtin, t: np.ndarray, a: float, b: float, depth: in
     return spans
 
 
-def _level_lengths(curve: FractalCurve, a: float, b: float, first: int, last: int):
-    """The segment lengths of the sub-polyline over [a, b] on each level
-    from ``first`` to ``last``, a block at a time, as (level, i, n,
-    lengths): the level's lengths i, i + 1, ... of its n, in order. The
-    lengths are views of reused buffers, valid until the next are yielded.
+def _levels(curve: FractalCurve, a: float, b: float, first: int, last: int):
+    """The sub-polyline over [a, b] on each level from ``first`` to
+    ``last``, as (level, values, counts): its segments have the lengths
+    ``values``, each ``counts`` times, or once each if ``counts`` is None.
+    Every ``values`` is a fresh array that the caller may overwrite.
 
-    The one rule for which levels are held: a built-in refiner refines the
-    curve whole through :meth:`FractalCurve.refine` while the next level has
-    at most ``_block_rows`` segments, and every deeper level is walked from
-    the last whole level (see :func:`_walk`). A user refiner refines every
-    level whole, and so do params that :func:`_refines_cleanly` cannot vouch
-    for on every walked level: ``refine()`` then raises what the walk could
-    not check. A whole level's lengths come ``_block_rows`` at a time from
-    the first segment that holds [a, b], each block read as the walk reads
-    one, with no inner pieces (see :func:`_span_lengths`).
+    A level read from points, the curve's own or one refined whole through
+    :meth:`FractalCurve.refine`, has each length once, in segment order
+    (see :func:`_read`). Below the curve's own level, each piece that a
+    built-in refiner makes is similar to its segment at the ratio
+    1 / ``divisor``: a level-d piece of a base segment of length l has
+    length l / divisor**d. Such a level is each base segment's scaled length
+    with the count of its pieces whole inside [a, b], and the lengths of the
+    pieces that hold a and b. Those segments are followed down one level at
+    a time, as the two rows of one block, through the refiner's own
+    ``pieces``: numpy rounds a block of two rows or more as it rounds the
+    whole level (see :func:`_blocks`), so they have the refined curve's bits.
+    Only a curve of one segment is refined as one row, and so is its step.
+
+    The ratio is read only where refine() would refuse none of the levels:
+    :func:`_refines_cleanly` vouches for their params, and every coordinate
+    is below ``_RATIO_BOUND``. Elsewhere, and for any other refiner, every
+    level is refined whole, so every error is still refine()'s.
     """
-    rows = _block_rows(curve.ndim)
-    builtin = _builtin(curve)
-    buf = np.empty((2, rows))
-    for cur in _refinements(curve, last):
-        if cur.level >= first:
-            [span] = _level_spans(builtin, cur.params, a, b, 0)
-            start, end, _ = span
-            for i in range(start, end + 1, rows):
-                block = cur.points[i : min(i + rows, end + 1) + 1]
-                _, lengths = _span_lengths(span, buf, block, [], i)
-                yield cur.level, i - start, end - start + 1, lengths
-        if builtin is not None and cur.level < last and builtin.splits * cur.n_segments > rows:
-            if _refines_cleanly(cur.params, builtin.splits, last - cur.level):
-                yield from _walk(cur, builtin, a, b, first, last, rows)
-                return
-            builtin = None  # every deeper level is refined whole
+    rows, builtin, depth = _block_rows(curve.ndim), _builtin(curve), last - curve.level
+    w = curve.points
+    if not (
+        builtin is not None
+        and depth > 0
+        and _refines_cleanly(curve.params, builtin.splits, depth)
+        and max(float(w.max()), -float(w.min())) < _RATIO_BOUND
+    ):
+        for cur in _refinements(curve, last):
+            if cur.level >= first:
+                [span] = _level_spans(builtin, cur.params, a, b, 0)
+                yield cur.level, _read(cur.points, span, rows), None
+        return
+    spans = _level_spans(builtin, curve.params, a, b, depth)
+    if curve.level >= first:
+        yield curve.level, _read(w, spans[0], rows), None
+    s, (base_first, base_last, _) = builtin.splits, spans[0]
+    base = _lengths(w, base_first, base_last, rows)
+    # base segment i holds the pieces i * s**d up to (i + 1) * s**d of level d
+    bounds = np.arange(base_first, base_last + 2)
+    p, q = w[[base_first, base_last]], w[[base_first + 1, base_last + 1]]
+    work = np.empty((s, 2, curve.ndim))
+    for d in range(1, depth + 1):
+        lo, hi, ends = spans[d]
+        if ends:  # step down into the segments that hold a and b
+            k = 1 if d == 1 and curve.n_segments == 1 else 2  # one segment refines as a lone row
+            builtin.pieces(p[:k], q[:k], work[:, :k])
+            vs = [p, *work[: s - 1, [0, k - 1]], q]
+            ka, kb = lo - s * spans[d - 1][0], hi - s * spans[d - 1][1]
+            p, q = np.array([vs[ka][0], vs[kb][1]]), np.array([vs[ka + 1][0], vs[kb + 1][1]])
+        if curve.level + d < first:
+            continue
+        found = _end_lengths(ends, p, q, lo == hi) if ends else []
+        # the pieces lo..hi - 1 lie whole inside [a, b]: all but the end pieces
+        lo, hi = (lo + 1, hi) if ends else (lo, hi + 1)
+        counts = np.diff(np.clip(bounds * s**d, lo, max(lo, hi)))
+        whole = counts > 0
+        values = np.concatenate([base[whole] / builtin.divisor**d, found])
+        counts = np.concatenate([counts[whole], np.ones(len(found), dtype=counts.dtype)])
+        yield curve.level + d, values, counts
 
 
-def _walk(
-    base: FractalCurve, builtin: _Builtin, a: float, b: float, first: int, last: int, rows: int
-):
-    """The lengths that :func:`_level_lengths` yields on the levels below
-    ``base`` from ``first`` to ``last``, with none of those levels held.
-
-    The levels are walked depth first, one block of ``max(2, rows //
-    s**depth)`` base segments at a time (see :func:`_blocks`), so that a
-    block's deepest level is about ``rows`` segments. Each block is refined
-    level by level into buffers that every block reuses, with the refiner's
-    own operations on blocks of two rows or more, so every point has the
-    bits of the whole level's, and checked as the refined curve's
-    constructor checks its points. The deepest level is never written as
-    vertices: its lengths are measured between consecutive pieces of its
-    parent segments. The lengths are views of reused buffers, valid until
-    the next are yielded.
-    """
-    s, n_cols, depth = builtin.splits, base.ndim, last - base.level
-    spans = _level_spans(builtin, base.params, a, b, depth)
-    step = max(2, rows // s**depth)
-    m = min(step + 1, base.n_segments)  # the most base segments of a block
-    # the buffers of each level d = 1..depth below the base, reused by every
-    # block: the pieces of its parent segments and their scratch; its
-    # vertices, if a level below refines them; and the squared lengths of
-    # one piece and its lengths in order
-    pieces = [np.empty((s, m * s**d, n_cols)) for d in range(depth)]
-    vertices = [np.empty((m * s**d + 1, n_cols)) for d in range(1, depth)]
-    lengths = [np.empty((2, m * s**d)) for d in range(1, depth + 1)]
-    for i, j in _blocks(base.n_segments, step):
-        v = base.points[i : j + 1]  # the block's vertices on the level above
-        for d in range(1, depth + 1):
-            k = v.shape[0] - 1
-            work = pieces[d - 1][:, :k]
-            builtin.pieces(v[:-1], v[1:], work)
-            inner = work[: s - 1]
-            if not np.isfinite(inner).all():
-                raise ValidationError(_POINTS_RULE)
-            if base.level + d >= first:
-                found = _span_lengths(spans[d], lengths[d - 1], v, inner, s**d * i)
-                if found is not None:
-                    start, end, _ = spans[d]
-                    yield base.level + d, found[0] - start, end - start + 1, found[1]
-            if d < depth:
-                below = vertices[d - 1][: s * k + 1]
-                _interleave(v, inner, below)
-                v = below
+def _lengths(w: np.ndarray, first: int, last: int, rows: int) -> np.ndarray:
+    """The lengths of the segments first..last of the vertices w, formed
+    ``rows`` segments at a time into one array, so no temporary is larger
+    than a block."""
+    lengths = np.empty(last - first + 1)
+    for i in range(first, last + 1, rows):
+        j = min(i + rows, last + 1)
+        squares = _squared_distances(w[i:j], w[i + 1 : j + 1], out=lengths[i - first : j - first])
+        np.sqrt(squares, out=squares)
+    return lengths
 
 
-def _span_lengths(span: tuple, buf: np.ndarray, rows: np.ndarray, inner, offset: int):
-    """(lo, lengths) of the segments lo..hi-1 of a block that the
-    sub-polyline ``span`` of :func:`_level_spans` holds, or None if it holds
-    none of them. Each piece's squared lengths are summed in the first row
-    of ``buf``, and their square roots go straight to their places in
-    segment order in the second.
-
-    The block's vertices are ``rows`` with the ``inner`` vertices of each of
-    their segments between them (see :func:`_interleave`), or ``rows``
-    alone if ``inner`` is empty, as on a level held whole; its first
-    segment is segment ``offset`` of its level. A sub-polyline's end that is
-    not a vertex replaces the vertex before it on its first segment, or the
-    one after it on its last.
-    """
+def _read(w: np.ndarray, span: tuple, rows: int) -> np.ndarray:
+    """The lengths of the sub-polyline ``span`` of :func:`_level_spans` on
+    the vertices w, in segment order: a sub-polyline's end that is not a
+    vertex replaces the vertex before it on its first segment, or the one
+    after it on its last."""
     first, last, ends = span
-    s, n_rows = len(inner) + 1, rows.shape[0] - 1
-    lo, hi = max(first, offset), min(last + 1, offset + s * n_rows)
-    if lo >= hi:
-        return None
-    vs = [rows[:-1], *inner, rows[1:]]
-    lengths = buf[1, : s * n_rows]
-    for k in range(s):
-        squares = _squared_distances(vs[k], vs[k + 1], out=buf[0, :n_rows])
-        np.sqrt(squares, out=lengths[k::s])
-    lengths = lengths[lo - offset : hi - offset]
+    lengths = _lengths(w, first, last, rows)
     if ends:
+        found = _end_lengths(ends, w[[first, last]], w[[first + 1, last + 1]], first == last)
+        lengths[0], lengths[-1] = found[0], found[-1]
+    return lengths
 
-        def vertex(x: int) -> np.ndarray:
-            r, k = divmod(x - offset, s)
-            return rows[r] if k == 0 else inner[k - 1][r]
 
-        (a, ta), (b, tb) = ends
-        # both ends are formed before either length is: they may share a segment
-        moved = {}
-        if lo == first:
-            moved[lo] = _point_on(a, ta, vertex(lo), vertex(lo + 1))
-        if hi == last + 1:
-            moved[hi] = _point_on(b, tb, vertex(hi - 1), vertex(hi))
-        for x in {lo, hi - 1}:
-            if x in moved or x + 1 in moved:
-                pair = np.array([moved.get(x, vertex(x)), moved.get(x + 1, vertex(x + 1))])
-                lengths[x - lo] = _polyline_lengths(pair)[0]
-    return lo, lengths
+def _end_lengths(ends: tuple, p: np.ndarray, q: np.ndarray, one: bool) -> list:
+    """The lengths of the end pieces of a sub-polyline with the ``ends`` of
+    :func:`_level_spans`, held by the segments p[0] -> q[0] and p[1] -> q[1]:
+    one piece from w(a) to w(b) if ``one`` segment holds both."""
+    (a, ta), (b, tb) = ends
+    wa, wb = _point_on(a, ta, p[0], q[0]), _point_on(b, tb, p[1], q[1])
+    pairs = [(wa, wb)] if one else [(wa, q[0]), (p[1], wb)]
+    return [_polyline_lengths(np.array(pair))[0] for pair in pairs]
 
 
 def _point_on(u: float, tu: np.ndarray, p: np.ndarray, q: np.ndarray) -> list:
@@ -706,15 +687,10 @@ def _fitted_bins(curve: FractalCurve, a: float, b: float, keep_from: int, max_le
     """The distinct lengths and their counts of the sub-polyline over [a, b]
     on each level from ``keep_from`` to ``max_level``.
 
-    Self-similar curves have few distinct lengths (Koch-10: 984 among
-    4**10), so each level is binned once instead of once per alpha: each
-    block of :func:`_level_lengths` is binned, and each level's bins are
-    merged once.
+    Self-similar curves have few distinct lengths, so each level is binned
+    once instead of once per alpha.
     """
-    blocks: list[list] = [[] for _ in range(keep_from, max_level + 1)]
-    for level, _, _, lengths in _level_lengths(curve, a, b, keep_from, max_level):
-        blocks[level - keep_from].append(np.unique(lengths, return_counts=True))
-    return [_merged_bins(found) for found in blocks]
+    return [_merged_bins(values, counts) for _, values, counts in _levels(curve, a, b, keep_from, max_level)]
 
 
 def _log_sum_slope(bins: list[tuple[np.ndarray, np.ndarray]], alpha: float) -> float:
@@ -724,6 +700,8 @@ def _log_sum_slope(bins: list[tuple[np.ndarray, np.ndarray]], alpha: float) -> f
     differ from a sum over every segment in their last ulps only.
     """
     sums = [float(counts @ values**alpha) for values, counts in bins]
+    if not math.isfinite(max(sums)):
+        raise EstimationError(_OVERFLOW)
     if min(sums) <= 0.0:
         raise EstimationError("mass sums vanish on the requested range")
     ys = np.log(sums)

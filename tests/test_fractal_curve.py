@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, strategies as st
 from ffcalc import (
     CapabilityError,
     DomainError,
+    EstimationError,
     FractalCurve,
     OrderError,
     StaircaseTable,
@@ -297,19 +299,45 @@ class TestGammaDimension:
             gamma_dimension(tent)
 
 
+# squared lengths past the largest float: past 2**500 every level is refined
+# whole, and its lengths overflow
+HUGE = {
+    "segment": (generate_segment((0.0, 0.0), (1e160, 0.0)), 10),
+    "koch": (FractalCurve(np.array([0.0, 1.0]), [[0.0, 0.0], [1e160, 0.0]], _koch_refiner), 6),
+}
+
+
+class TestOverflowAndUnderflow:
+    @pytest.mark.parametrize("name", sorted(HUGE))
+    def test_overflowing_sums_are_refused(self, name):
+        curve, max_level = HUGE[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # overflow in the lengths
+            with pytest.raises(EstimationError, match="^mass sums overflow on the requested range$"):
+                gamma_dimension(curve, max_level=max_level)
+            for top in (0, max_level):
+                with pytest.raises(EstimationError, match="overflow"):
+                    mass_function(curve, 1.0, max_level=top)
+
+    def test_underflowing_segment_is_straight(self):
+        # squared lengths of 1e-320 lose bits, but every level below the
+        # curve's own is its length halved, so the sums do not vanish
+        curve = generate_segment((0.0, 0.0), (1e-160, 0.0))
+        assert gamma_dimension(curve, max_level=10) == 1.0
+        sums = {total for _, total in mass_function(curve, 1.0, max_level=10).levels}
+        assert len(sums) == 1 and 0.0 < sums.pop() < 1.1e-160
+
+
 class TestPeakMemory:
     """Peaks traced by tracemalloc for the largest curve passes. Refinement
     and length binning run a block of segments at a time. Mass sums and
-    dimension estimates refine a built-in curve whole only while a level
-    fits one block of segments, and walk every deeper level depth first, a
-    block of base segments at a time in small reused buffers, so no level
-    past one block is ever held: a Koch estimate to level 10 peaks at
-    ~2.4 MB (not ~10.5 MB with level 9 held, nor ~36 MB with level 10), a
-    segment estimate to level 20 at ~3.7 MB (not ~23 MB). A mass sum holds
-    its walked levels' lengths, not their points (~13 MB for Koch-10, not
-    ~42 MB). The staircase masses are formed in blocks straight into the
-    table (~18.4 MB for Koch-10, not ~26 MB), and its CSV is formatted and
-    written in blocks (~6 MB, not ~145 MB)."""
+    dimension estimates read the levels below a built-in curve's own from
+    its refiner's ratio, with no refined vertices, so an estimate to level
+    10 or 20 from one segment peaks at ~6 KB (~2.4 MB for a Koch estimate
+    and ~3.7 MB for a segment one when every level was walked) and so does
+    a Koch-10 mass sum (~13 MB then). The staircase masses are formed in
+    blocks straight into the table (~18.4 MB for Koch-10, not ~26 MB), and
+    its CSV is formatted and written in blocks (~6 MB, not ~145 MB)."""
 
     @staticmethod
     def _peak(fn) -> int:
@@ -320,25 +348,24 @@ class TestPeakMemory:
         finally:
             tracemalloc.stop()
 
-    def test_koch_dimension_peaks_below_4_mb(self):
+    def test_koch_dimension_peaks_below_256_kb(self):
         gamma_dimension(generate_koch(0), max_level=5)  # first-call caches
-        assert self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10)) < 4e6
+        assert self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10)) < 256 * 1024
 
-    def test_segment_dimension_peaks_below_6_mb(self):
+    def test_segment_dimension_peaks_below_256_kb(self):
         gamma_dimension(generate_segment(), max_level=5)
-        assert self._peak(lambda: gamma_dimension(generate_segment(), max_level=20)) < 6e6
+        assert self._peak(lambda: gamma_dimension(generate_segment(), max_level=20)) < 256 * 1024
 
-    def test_a_deep_fit_peaks_below_4_mb(self):
-        # eleven fitted levels from the one-segment curve: levels up to one
-        # block are whole, so the walk from level 7 takes blocks of 512 base
-        # segments, and the deepest level's blocks stay small
+    def test_a_deep_fit_peaks_below_256_kb(self):
+        # eleven fitted levels from the one-segment curve
         gamma_dimension(generate_koch(0), max_level=5)
         peak = self._peak(lambda: gamma_dimension(generate_koch(0), max_level=10, fit_levels=11))
-        assert peak < 4e6
+        assert peak < 256 * 1024
 
-    def test_koch_mass_peaks_below_20_mb(self):
+    def test_koch_mass_peaks_below_256_kb(self):
         mass_function(generate_koch(0), KOCH_DIM, max_level=3)
-        assert self._peak(lambda: mass_function(generate_koch(0), KOCH_DIM, max_level=10)) < 20e6
+        peak = self._peak(lambda: mass_function(generate_koch(0), KOCH_DIM, max_level=10))
+        assert peak < 256 * 1024
 
     def test_repeated_estimates_hold_no_memory_without_the_cyclic_collector(self):
         # a walk that refers to itself would keep its buffers, ~2 MB a call,

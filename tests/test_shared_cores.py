@@ -1,9 +1,10 @@
 """The shared band-shape check, vertex-knot path, curve-geometry kernels, the
 shared default r-grid, the binned dimension estimate, the band-valued
 fuzzy fields and the blocked passes (dense output, validity flags, CSV
-body, Koch refinement, length binning, the streamed deepest level of a
-dimension estimate, staircase masses and staircase CSV) against the
-implementations they replaced.
+body, Koch refinement, length binning, staircase masses and staircase CSV)
+against the implementations they replaced, and the levels below a built-in
+curve's own, read from its refiner's similarity ratio, against references
+built from the refined vertices.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -11,6 +12,7 @@ library must give the same reports, flags, messages, exceptions and bits on
 every input.
 """
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -254,16 +256,12 @@ def ref_sub_polyline_points(curve, a, b):
     return curve.point_at(np.concatenate([[a], t[i0:i1], [b]]))
 
 
-def whole_level_blocks(curve, a, b):
-    """The blocks of lengths that fractal_curve._level_lengths yields for the
-    curve's own level over [a, b], copied; they must come in order, each
-    starting where the one before it ended, and cover the level's n lengths."""
-    blocks = []
-    for level, i, n, part in fractal_curve._level_lengths(curve, a, b, curve.level, curve.level):
-        assert level == curve.level and i == sum(p.size for p in blocks)
-        blocks.append(part.copy())
-    assert sum(p.size for p in blocks) == n
-    return blocks
+def own_level_lengths(curve, a, b):
+    """The lengths that fractal_curve._levels reads on the curve's own level
+    over [a, b]: one array, each length once."""
+    [(level, lengths, counts)] = fractal_curve._levels(curve, a, b, curve.level, curve.level)
+    assert level == curve.level and counts is None
+    return lengths
 
 
 def ref_segment_lengths(points):
@@ -639,7 +637,7 @@ class TestVertexKnots:
     def test_sub_polyline_lengths_match_point_at_knots(self, interval):
         a, b = interval
         for curve in (KOCH5, generate_segment(level=4)):
-            got = np.concatenate(whole_level_blocks(curve, a, b))
+            got = own_level_lengths(curve, a, b)
             want = ref_sub_polyline_lengths(curve, a, b)
             assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
@@ -656,7 +654,11 @@ class TestVertexKnots:
             if cur.level >= 5:
                 break
             cur = cur.refine()
-        assert mass_function(base, alpha, a, b, max_level=5).levels == want
+        got = mass_function(base, alpha, a, b, max_level=5).levels
+        # the levels below the curve's own follow from the Koch ratio
+        assert got == ref_rule_mass(base, alpha, a, b, 5)
+        assert got[0] == want[0]
+        assert near([m for _, m in got], [m for _, m in want])
 
     @pytest.mark.parametrize(
         "interval",
@@ -669,13 +671,17 @@ class TestVertexKnots:
         walked = fractal_curve._fitted_bins
 
         def checked(curve, a, b, keep_from, max_level):
-            # the fitted levels are walked, never held as vertices: each
-            # level's bins must be those of its reference vertices
+            # the fitted levels follow from the Koch ratio, with no vertices:
+            # each level's bins must be the rule's, and their sums near those
+            # of its reference vertices
             found = walked(curve, a, b, keep_from, max_level)
-            for level, bins in zip(range(keep_from, max_level + 1), found, strict=True):
+            wants = ref_rule_bins(curve, a, b, keep_from, max_level)
+            geometric = ref_fitted_bins(curve, a, b, keep_from, max_level)
+            for level, bins, want in zip(range(keep_from, max_level + 1), found, wants, strict=True):
                 levels.append(level)
-                want = ref_length_bins(ref_sub_polyline_points(curve.refined_to(level), a, b))
                 assert same_bytes(bins[0], want[0]) and same_bytes(bins[1], want[1])
+            for alpha in (1.0, KOCH_DIM):
+                assert near(bin_sums(found, alpha), bin_sums(geometric, alpha))
             return found
 
         monkeypatch.setattr(fractal_curve, "_fitted_bins", checked)
@@ -700,8 +706,9 @@ class TestVertexKnots:
     @pytest.mark.parametrize("where", ["one_segment", "vertices", "from_a0", "to_b0"])
     @pytest.mark.parametrize("rows", [None, 2, 3])
     def test_held_levels_read_the_span_as_the_reference(self, name, where, rows):
-        # a level held whole reads [a, b] through the span rule, as a walked
-        # block does; a user refiner and a curve without one hold every level
+        # a level read from points reads [a, b] through the span rule, and
+        # so does the ratio rule below a built-in curve's own level; a user
+        # refiner and a curve without one read every level from points
         curve = {
             "koch": generate_koch(2),
             "segment": SEGMENTS[-2],
@@ -721,12 +728,14 @@ class TestVertexKnots:
         first, last = fractal_curve._span(t, a, b)
         assert (first == last) == (where == "one_segment")
         top = curve.level + (0 if curve.refiner is None else 2)
-        want = fitted_outcome(ref_fitted_bins, curve, a, b, curve.level, top)
+        want = fitted_outcome(ref_rule_bins, curve, a, b, curve.level, top)
         with block_rows(rows):
             assert fitted_outcome(fractal_curve._fitted_bins, curve, a, b, curve.level, top) == want
             for alpha in (1.0, KOCH_DIM):
                 got = mass_function(curve, alpha, a, b, max_level=top).levels
-                assert got == ref_mass_levels(curve, alpha, a, b, top)
+                assert got == ref_rule_mass(curve, alpha, a, b, top)
+                geometric = ref_mass_levels(curve, alpha, a, b, top)
+                assert near([m for _, m in got], [m for _, m in geometric])
 
     @pytest.mark.parametrize("i, j", [(0, 5), (3, 17), (64, 1024), (1023, 1024)])
     def test_integrals_over_vertex_ends_match_reference(self, i, j):
@@ -2257,7 +2266,12 @@ class TestBlockedBins:
         points = (generate_koch(9) if source == "koch" else JITTERED.refined_to(17)).points
         curve, a, b = polyline_of(points[: STEP + 1 + extra])  # STEP + extra lengths
         same_bins(curve, a, b)
-        sizes = [part.size for part in whole_level_blocks(curve, a, b)]
+        squared = mock.patch.object(
+            fractal_curve, "_squared_distances", wraps=fractal_curve._squared_distances
+        )
+        with squared as blocks:
+            own_level_lengths(curve, a, b)
+        sizes = [len(call.args[0]) for call in blocks.call_args_list]
         total = STEP + extra
         assert sizes == [min(STEP, total - i) for i in range(0, total, STEP)]
 
@@ -2268,17 +2282,17 @@ class TestBlockedBins:
             same_bins(*polyline_of(points))
         assert calls == [2]
 
-    def test_gamma_dimension_bins_in_blocks(self):
-        with block_rows(None) as calls:
+    def test_gamma_dimension_reads_the_ratio_without_refining(self):
+        with block_rows(None) as calls, counting_refines() as refine:
             gamma_dimension(generate_koch(0), max_level=8)
-        # the rule reads the block size of 2-column rows once; levels 1 to 7
-        # have at most one block of segments and are refined whole, each in
-        # blocks; level 8 is walked from level 7, which asks no more
-        assert calls == [2] * 8
+        # the block size of 2-column rows is read once, for the base
+        # lengths; levels 5 to 8 follow from them and the Koch ratio
+        assert calls == [2]
+        assert refine.call_count == 0
 
 
 # ---------------------------------------------------------------------------
-# the streamed deepest level, the blocked staircase and its blocked CSV
+# the levels below a built-in curve's own, the blocked staircase and its CSV
 
 
 def fitted_outcome(fn, *args):
@@ -2305,23 +2319,92 @@ def counting_refines():
     return mock.patch.object(FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine)
 
 
-def whole_refines(curve, rows, last):
-    """The refine() calls of the one rule on the way to level ``last``, with
-    ``rows`` segments per block (None: the library's). A built-in refiner
-    refines whole while the next level has at most ``rows`` segments, and
-    walks the rest if _refines_cleanly vouches for the params of the last
-    whole level; otherwise, and for any other refiner, every level is
-    refined whole."""
+def ref_reads_ratio(curve, last):
+    """Whether the levels below a curve's own, down to ``last``, are read
+    from its built-in refiner's ratio: the params are vouched for and every
+    coordinate is below 2**500."""
     builtin = fractal_curve._builtin(curve)
-    if builtin is None:
-        return last - curve.level
-    rows = _block_rows(curve.ndim) if rows is None else rows
-    s, level, segments, t = builtin.splits, curve.level, curve.n_segments, curve.params
-    while level < last and s * segments <= rows:
-        level, segments, t = level + 1, s * segments, builtin.params(t)
-    if level < last and not fractal_curve._refines_cleanly(t, s, last - level):
-        return last - curve.level
-    return level - curve.level
+    return (
+        builtin is not None
+        and last > curve.level
+        and fractal_curve._refines_cleanly(curve.params, builtin.splits, last - curve.level)
+        and float(np.abs(curve.points).max()) < 2.0**500
+    )
+
+
+def whole_refines(curve, last):
+    """The refine() calls on the way to level ``last``: none where the
+    ratio is read; otherwise one per level, up to the first that refine()
+    refuses."""
+    if ref_reads_ratio(curve, last):
+        return 0
+    calls, cur = 0, curve
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        while cur.level < last:
+            calls += 1
+            try:
+                cur = cur.refine()
+            except ValidationError:
+                break
+    return calls
+
+
+def ref_scaled_bins(curve, a, b, level):
+    """The level ``level`` below a built-in curve's own by the ratio rule, as
+    (values, counts) in the library's order: the length of each base
+    segment, from ref_segment_lengths, over divisor**d, with the count of
+    its level-d pieces whole inside [a, b] in Python ints (none if 0); then
+    the end pieces, the first and last of ref_sub_polyline_lengths on the
+    refined curve, once each."""
+    builtin = fractal_curve._builtin(curve)
+    d = level - curve.level
+    n, t = builtin.splits**d, curve.params
+    refined = curve.refined_to(level)
+    pieces = ref_sub_polyline_lengths(refined, a, b)
+    first = int(np.searchsorted(refined.params, a, side="right")) - 1
+    whole, ends = range(first, first + pieces.size), []
+    if not (a == t[0] and b == t[-1]):
+        whole, ends = whole[1:-1], [pieces[0]] if pieces.size == 1 else [pieces[0], pieces[-1]]
+    base = ref_segment_lengths(curve.points)
+    values, counts = [], []
+    for i in range(curve.n_segments):
+        k = len(range(max(i * n, whole.start), min((i + 1) * n, whole.stop)))
+        if k:
+            values.append(base[i] / builtin.divisor**d)
+            counts.append(k)
+    return np.array(values + ends), np.array(counts + [1] * len(ends), dtype=np.int64)
+
+
+def ref_rule_levels(curve, a, b, keep_from, max_level):
+    """(values, counts) of each level keep_from..max_level: a level below a
+    built-in curve's own from ref_scaled_bins where the ratio is read, and
+    every other level from its refined vertices, each length once (counts
+    None)."""
+    ratio = ref_reads_ratio(curve, max_level)
+    return [
+        ref_scaled_bins(curve, a, b, level)
+        if ratio and level > curve.level
+        else (ref_sub_polyline_lengths(curve.refined_to(level), a, b), None)
+        for level in range(keep_from, max_level + 1)
+    ]
+
+
+def ref_rule_bins(curve, a, b, keep_from, max_level):
+    """The distinct lengths and their counts on each level of
+    ref_rule_levels: one np.unique of a level read from vertices, and an
+    exact merge in Python ints of a scaled one."""
+    bins = []
+    for values, counts in ref_rule_levels(curve, a, b, keep_from, max_level):
+        if counts is None:
+            bins.append(np.unique(values, return_counts=True))
+            continue
+        merged = collections.Counter()
+        for value, k in zip(values.tolist(), counts.tolist()):
+            merged[value] += k
+        keys = sorted(merged)
+        bins.append((np.array(keys), np.array([merged[v] for v in keys], dtype=np.int64)))
+    return bins
 
 
 def ref_mass_levels(curve, alpha, a, b, top):
@@ -2334,20 +2417,43 @@ def ref_mass_levels(curve, alpha, a, b, top):
     ]
 
 
+def ref_rule_mass(curve, alpha, a, b, top):
+    """(level, order-alpha mass) of every level of ref_rule_levels up to
+    ``top``, each one np.sum of length**alpha times its count."""
+    levels = ref_rule_levels(curve, a, b, curve.level, top)
+    return [
+        (level, float(np.sum(values**alpha * (1 if counts is None else counts))
+                      / math.gamma(alpha + 1.0)))
+        for level, (values, counts) in enumerate(levels, curve.level)
+    ]
+
+
+def near(got, want, rel=1e-12):
+    """Level sums within ``rel`` of the geometric reference's, relative."""
+    return len(got) == len(want) and all(abs(g - w) <= rel * abs(w) for g, w in zip(got, want))
+
+
+def bin_sums(bins, alpha):
+    return [math.fsum((counts * values**alpha).tolist()) for values, counts in bins]
+
+
 def same_fitted_bins(curve, interval, rows, keep_from, max_level):
     """Bin the levels keep_from..max_level of a curve with a built-in
-    refiner, with ``rows`` segments per block, and require the reference's
-    bins on every level, or its error. The levels that the one rule holds
-    whole are refined through refine() (see whole_refines); the rule asks
-    once for its block size, for rows of the curve's columns, and each
-    refinement asks once more."""
-    want = fitted_outcome(ref_fitted_bins, curve, *interval, keep_from, max_level)
-    whole = whole_refines(curve, rows, max_level)
-    with block_rows(rows) as calls, counting_refines() as refine:
+    refiner, with ``rows`` segments per block, and require the bins of
+    ref_rule_bins on every level, or refine()'s error. refine() runs only
+    where the ratio is not read (see whole_refines), and each level's sums
+    are within 1e-12 of those over its refined vertices."""
+    want = fitted_outcome(ref_rule_bins, curve, *interval, keep_from, max_level)
+    whole = whole_refines(curve, max_level)
+    with block_rows(rows), counting_refines() as refine:
         got = fitted_outcome(fractal_curve._fitted_bins, curve, *interval, keep_from, max_level)
     assert refine.call_count == whole
-    assert calls == [curve.ndim] * (1 + whole)
     assert got == want
+    if got[0] == "bins":
+        bins = ref_rule_bins(curve, *interval, keep_from, max_level)
+        geometric = ref_fitted_bins(curve, *interval, keep_from, max_level)
+        for alpha in (1.0, min(KOCH_DIM, curve.ndim)):
+            assert near(bin_sums(bins, alpha), bin_sums(geometric, alpha))
     return got
 
 
@@ -2356,9 +2462,8 @@ def ref_staircase_to_csv(table, target):
     fractal_curve.write_csv(target, "u,J", fractal_curve.format_columns(table.us, table.Js))
 
 
-# deepest-level block targets down to blocks of two base segments, the
-# fewest the walk takes: the Koch generator multiplies a lone row by a
-# vector kernel (see TestBlockedKoch)
+# block sizes of the levels read from points, and of the refinements where
+# the ratio is not read
 WALK_ROWS = st.sampled_from([None, 2, 64, 512])
 # THREE from 3 to 192 segments; segments from 1 to 64 pieces, in 2 and 3 columns
 STREAMED = [THREE.refined_to(k) for k in (0, 1, 3)] + SEGMENTS
@@ -2426,37 +2531,40 @@ class TestStreamedLevel:
     @given(st.sampled_from(STREAMED), st.sampled_from([1.0, KOCH_DIM, 1.7]), WALK_ROWS, st.data())
     @settings(max_examples=100, deadline=None)
     def test_mass_levels_are_bit_equal_in_any_blocks(self, curve, alpha, rows, data):
-        # each level's lengths, whole or walked, are gathered into one array,
-        # in order, so np.sum adds them as it adds the reference's
+        # the curve's own level is read in segment order into one array, so
+        # np.sum adds it as it adds the reference's; the levels below it are
+        # the rule's, near those of the refined vertices
         a, b = data.draw(sub_intervals(curve.refine().params))
-        want = ref_mass_levels(curve, alpha, a, b, curve.level + 2)
-        whole = whole_refines(curve, rows, curve.level + 2)
-        with block_rows(rows) as calls, counting_refines() as refine:
+        want = ref_rule_mass(curve, alpha, a, b, curve.level + 2)
+        with block_rows(rows), counting_refines() as refine:
             got = mass_function(curve, alpha, a, b, max_level=curve.level + 2).levels
         assert got == want
-        assert refine.call_count == whole and calls == [curve.ndim] * (1 + whole)
+        assert refine.call_count == 0
+        geometric = ref_mass_levels(curve, alpha, a, b, curve.level + 2)
+        assert got[0] == geometric[0]
+        assert near([m for _, m in got], [m for _, m in geometric])
 
     @pytest.mark.parametrize("fit", [2, 5])
     @pytest.mark.parametrize(
         "interval", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321), (0.2, 0.7)]
     )
     def test_partial_last_blocks_bin_as_the_reference(self, fit, interval):
-        # 3 * 4**4 level-4 segments: one and a half blocks of 2**9 level-5
-        # segments, and many of 64; the deepest level has 3 * 4**8 segments
+        # 3 * 4**4 level-4 segments: one and a half blocks of 2**9, and many
+        # of 64; the deepest level has 3 * 4**8 segments
         for rows in (None, 64, 2**9):
             same_fitted_bins(THREE.refined_to(4), interval, rows, 9 - fit, 8)
 
     @pytest.mark.parametrize("fit", [2, 3, 5])
     @pytest.mark.parametrize("interval", [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321)])
     def test_koch_fits_bin_as_the_reference(self, fit, interval):
-        # the base is refined whole through refine() up to keep_from - 1
         same_fitted_bins(generate_koch(0), interval, 2**9, 8 - fit, 7)
 
     @pytest.mark.parametrize("own", [False, True])
     @pytest.mark.parametrize("kind", sorted(OVERFLOWING))
     @pytest.mark.parametrize("share", [(0.0, 1.0), (0.1, 0.5), (0.84, 0.94), (0.04, 0.06)])
     def test_an_overflowing_level_is_refused_as_by_refine(self, own, kind, share):
-        # every block on every level is checked, also those outside the interval
+        # coordinates past 2**500 send every level through refine(), which
+        # checks every point, also those outside the interval
         curve = OVERFLOWING[kind]
         interval = (share[0] * curve.b0, share[1] * curve.b0)
         got = same_fitted_bins(curve, interval, 2, 0 if own else 1, 2)
@@ -2468,19 +2576,16 @@ class TestStreamedLevel:
 
     @pytest.mark.parametrize(
         "curve, refines",
-        [(generate_koch(0), 2), (generate_segment(), 4), (UNEQUAL, 6), (JITTERED, 6)],
+        [(generate_koch(0), 0), (generate_segment(), 0), (UNEQUAL, 6), (JITTERED, 6)],
         ids=["koch", "segment", "unequal", "jittered"],
     )
-    def test_only_builtin_refiners_stream(self, curve, refines):
-        # in blocks of 16 segments, the Koch curve refines levels 1 and 2
-        # (16 segments) whole and walks levels 3 to 6, and the segment
-        # refines levels 1 to 4 whole and walks 5 and 6; the others refine
-        # every level. With the library's blocks every level here is whole.
-        want = gamma_dimension(curve, max_level=6, fit_levels=3)
-        with block_rows(16), counting_refines() as refine:
+    def test_only_builtin_refiners_read_the_ratio(self, curve, refines):
+        # a built-in refiner's levels come from its ratio, with no refine();
+        # a user refiner refines every level whole
+        with counting_refines() as refine:
             got = gamma_dimension(curve, max_level=6, fit_levels=3)
         assert refine.call_count == refines
-        assert got.hex() == want.hex()
+        assert ("float", got.hex()) == same_bisection(curve, (None, None), 0.01, 6, 3)
 
     @pytest.mark.parametrize("gap", [2.0**-49, 2.0**-45], ids=["refused", "accepted"])
     def test_params_too_close_to_vouch_for_go_through_refine(self, gap):
@@ -2494,7 +2599,7 @@ class TestStreamedLevel:
         assert not fractal_curve._refines_cleanly(curve.params, 4, 1)
         interval = (0.3, curve.b0)
         want = fitted_outcome(ref_fitted_bins, curve, *interval, 2, 2)
-        # in blocks of two segments the rule would walk level 2 from level 1
+        # the ratio is read only where refine() is sure to accept level 2
         with block_rows(2), counting_refines() as refine:
             assert fitted_outcome(fractal_curve._fitted_bins, curve, *interval, 2, 2) == want
         assert refine.call_count == 1
@@ -2503,9 +2608,9 @@ class TestStreamedLevel:
     @pytest.mark.parametrize("depth", [1, 2, 3])
     def test_params_vouched_for_fewer_levels_go_through_refine(self, depth):
         # the shortest segment is 40 spacings of the largest end: one
-        # quartering is vouched for, two or more are not, and then every
-        # level is refined whole, as the reference refines it; in blocks of
-        # two segments the rule would walk every level from the curve's own
+        # quartering is vouched for, and its level is read from the ratio;
+        # two or more are not, and then every level is refined whole, as the
+        # reference refines it
         curve = FractalCurve(
             np.array([0.0, 1.0, 1.0 + 40 * float(np.spacing(2.0)), 2.0]),
             np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [2.0, 0.0]]),
@@ -2513,7 +2618,7 @@ class TestStreamedLevel:
         )
         assert fractal_curve._refines_cleanly(curve.params, 4, depth) == (depth == 1)
         interval = (0.3, 1.7)
-        want = fitted_outcome(ref_fitted_bins, curve, *interval, 1, depth)
+        want = fitted_outcome(ref_rule_bins, curve, *interval, 1, depth)
         with block_rows(2), counting_refines() as refine:
             assert fitted_outcome(fractal_curve._fitted_bins, curve, *interval, 1, depth) == want
         assert refine.call_count == (0 if depth == 1 else depth)
@@ -2575,26 +2680,16 @@ class TestStreamedLevel:
         assert calls == [2]
 
 
-class TestWholeOrWalked:
-    """The one rule at its boundary: a level of at most ``rows`` segments is
-    refined whole through refine(), and the next, with more, is walked from
-    it. Every level from the curve's own is measured, so both sides of the
-    boundary are compared with the reference."""
+class TestRatioRule:
+    """The levels below a built-in curve's own follow from its refiner's
+    ratio, with no refine() call, wherever refine() would accept every one
+    of them. Any other curve refines every level whole through refine(),
+    once per level, up to the first that refine() refuses."""
 
     @pytest.mark.parametrize(
-        "curve, rows, whole",
-        [
-            (generate_koch(0), 64, 3),  # level 3 has 64 segments
-            (generate_koch(0), 63, 2),
-            (generate_segment(), 16, 4),  # level 4 has 16
-            (generate_segment(), 15, 3),
-            (THREE, 48, 2),  # 3 * 4**2 segments at level 2
-            (SEGMENTS[-1], 64, 2),  # 3 columns: 16 segments at level 4, 64 at level 6
-        ],
-        ids=[
-            "koch_exact", "koch_below", "segment_exact", "segment_below", "three_exact",
-            "segment3d_exact",
-        ],
+        "curve",
+        [generate_koch(0), generate_koch(2), generate_segment(), THREE, SEGMENTS[-1]],
+        ids=["koch0", "koch2", "segment", "three", "segment3d"],
     )
     # (0.505, 0.51) lies inside one segment of the curve's own level; 0.25
     # and 0.5 are vertices of koch and segment from level 2 on
@@ -2603,24 +2698,67 @@ class TestWholeOrWalked:
         [(0.0, 1.0), (0.25, 0.75), (0.123456, 0.654321), (0.505, 0.51), (0.25, 0.5), (0.0, 0.5),
          (0.5, 1.0)],
     )
-    def test_a_level_of_one_block_is_whole_and_the_next_walked(self, curve, rows, whole, share):
-        s = fractal_curve._builtin(curve).splits
-        last = curve.level + whole + 2
-        segments = curve.n_segments * s**whole
-        assert segments <= rows < s * segments
+    def test_builtin_curves_refine_nothing(self, curve, share):
+        last = curve.level + 4
         a, b = (curve.a0 + x * (curve.b0 - curve.a0) for x in share)
+        with counting_refines() as refine:
+            got = fitted_outcome(fractal_curve._fitted_bins, curve, a, b, curve.level, last)
+            masses = [mass_function(curve, alpha, a, b, last).levels for alpha in (1.0, 1.5)]
+        assert refine.call_count == 0
+        assert got == fitted_outcome(ref_rule_bins, curve, a, b, curve.level, last)
+        for alpha, levels in zip((1.0, 1.5), masses):
+            assert levels == ref_rule_mass(curve, alpha, a, b, last)
 
-        def ruled(fn, *args):
-            walk = mock.patch.object(fractal_curve, "_walk", wraps=fractal_curve._walk)
-            with block_rows(rows), counting_refines() as refine, walk as walked:
-                got = fn(*args)
-            assert refine.call_count == whole  # the levels up to one block
-            assert walked.call_count == 1  # then the rest, from the last whole level
-            assert walked.call_args.args[0].level == curve.level + whole
-            return got
+    def test_a_curve_of_one_segment_steps_down_as_one_row(self):
+        # numpy multiplies the lone row of a one-segment curve by a vector
+        # kernel, which rounds this Koch apex unlike a two-row block
+        curve = FractalCurve(
+            np.array([1.0, 2.0]),
+            np.array([[0.0, 0.03125], [1.0, 0.0]]),
+            refiner=fractal_curve._koch_refiner,
+        )
+        same_fitted_bins(curve, (1.0, 1.5), None, 1, 2)
 
-        want = fitted_outcome(ref_fitted_bins, curve, a, b, curve.level, last)
-        assert ruled(fitted_outcome, fractal_curve._fitted_bins, curve, a, b, curve.level, last) == want
-        for alpha in (1.0, 1.5):
-            got = ruled(mass_function, curve, alpha, a, b, last).levels
-            assert got == ref_mass_levels(curve, alpha, a, b, last)
+    def test_a_narrow_estimate_refines_nothing(self):
+        curve = generate_koch(0)
+        with counting_refines() as refine:
+            got = gamma_dimension(curve, 0.5, 0.51, max_level=10)
+        assert refine.call_count == 0
+        assert ("float", got.hex()) == same_bisection(curve, (0.5, 0.51), 0.01, 10, 4)
+
+    @pytest.mark.parametrize(
+        "name, refines",
+        [("unequal", 3), ("jittered", 3), ("unvouched", 3), ("koch_overflowing", 1),
+         ("segment_overflowing", 1), ("segment_deeper_overflowing", 2)],
+    )
+    @pytest.mark.parametrize("share", [(0.0, 1.0), (0.1, 0.5), (0.84, 0.94)])
+    def test_other_curves_refine_every_level(self, name, refines, share):
+        curve = {
+            "unequal": UNEQUAL,
+            "jittered": JITTERED,
+            # two quarterings of its shortest segment are not vouched for
+            "unvouched": FractalCurve(
+                np.array([0.0, 1.0, 1.0 + 40 * float(np.spacing(2.0)), 2.0]),
+                np.array([[0.0, 0.0], [1.0, 0.0], [1.5, 1.0], [2.0, 0.0]]),
+                refiner=fractal_curve._koch_refiner,
+            ),
+            **{f"{k}_overflowing": c for k, c in OVERFLOWING.items()},
+        }[name]
+        last = curve.level + 3
+        a, b = (curve.a0 + x * (curve.b0 - curve.a0) for x in share)
+        assert whole_refines(curve, last) == refines
+        with counting_refines() as refine:
+            got = fitted_outcome(fractal_curve._fitted_bins, curve, a, b, curve.level, last)
+        assert refine.call_count == refines
+        assert got == fitted_outcome(ref_fitted_bins, curve, a, b, curve.level, last)
+        assert (got[0] == "error") == name.endswith("overflowing")
+
+    @pytest.mark.parametrize("end, refines", [(np.nextafter(2.0**500, 0.0), 0), (2.0**500, 4)])
+    def test_coordinates_from_2_to_the_500_go_through_refine(self, end, refines):
+        # below the bound no refined point nor squared length can overflow
+        curve = generate_segment((0.0, -end), (1.0, end))
+        with counting_refines() as refine:
+            got = mass_function(curve, 1.0, max_level=4)
+        assert refine.call_count == refines
+        assert got.levels == ref_rule_mass(curve, 1.0, curve.a0, curve.b0, 4)
+        assert gamma_dimension(curve, max_level=4) == 1.0
