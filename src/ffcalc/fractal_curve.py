@@ -795,6 +795,9 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
 
 def J_at(table: StaircaseTable, u):
     """Staircase value at u (piecewise-linear between tabulated vertices)."""
+    if isinstance(u, float):  # one point, np.float64 too: no array round trip
+        inside(u, table.us.item(0), table.us.item(-1), "parameter")
+        return float(np.interp(u, table.us, table.Js))
     inside(u, *table.domain, "parameter")
     u_arr = np.asarray(u, dtype=float)
     out = _in_query_order(lambda q: np.interp(q, table.us, table.Js), u_arr)

@@ -158,6 +158,9 @@ class FuzzyNumber:
         rs, lowers, uppers = self.rs, self.lowers, self.uppers
         if not _default_grid_rows(rs, lowers, uppers):  # a grid of its own, or input to convert
             rs, lowers, uppers = _endpoint_table(rs, lowers, uppers)
+            object.__setattr__(self, "rs", rs)
+            object.__setattr__(self, "lowers", lowers)
+            object.__setattr__(self, "uppers", uppers)
         if not _exactly_ordered(lowers, uppers):
             scale = _scale_of(lowers, uppers)
             if scale == math.inf:  # an entry on the shared grid is not finite
@@ -169,9 +172,6 @@ class FuzzyNumber:
                     f"not a valid fuzzy number: {v.condition} violated at r={v.r} "
                     f"by {v.magnitude:g}"
                 )
-        object.__setattr__(self, "rs", rs)
-        object.__setattr__(self, "lowers", lowers)
-        object.__setattr__(self, "uppers", uppers)
 
     @property
     def support(self) -> Interval:
@@ -234,8 +234,8 @@ class FuzzyNumber:
 
 def _scale_of(*arrays) -> float:
     """max(1, largest |entry|) over the arrays; inf when an entry is NaN or infinite."""
-    peaks = [float(abs(a).max()) if a.size else 0.0 for a in arrays]
-    return max(1.0, *peaks) if all(map(math.isfinite, peaks)) else math.inf
+    peak = float(np.abs(np.concatenate(arrays, axis=None)).max(initial=0.0))
+    return max(1.0, peak) if peak < math.inf else math.inf  # NaN fails the test
 
 
 def _level_linear(x: FuzzyNumber) -> bool:
@@ -257,13 +257,19 @@ def make_triangular(a: float, b: float, c: float, rs: np.ndarray | None = None) 
     """
     if not (a <= b <= c):
         raise ValidationError(f"triangular feet/peak out of order: ({a}, {b}, {c})")
+    if not (-math.inf < a and c < math.inf):  # in order, so b is finite too
+        raise ValidationError(f"triangular feet/peak must be finite: ({a}, {b}, {c})")
     rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
     return FuzzyNumber(rs, *_triangular_cuts(a, b, c, rs))
 
 
+# 1 - r on the shared grid, read-only for good as the grid itself is.
+_DEFAULT_FOOT = np.frombuffer((1.0 - _DEFAULT_RS).tobytes())
+
+
 def _triangular_cuts(a, b, c, rs):
     """Cuts [a (1 - r) + b r, c (1 - r) + b r] at the levels rs, broadcast over a, b, c."""
-    foot, peak = 1.0 - rs, b * rs
+    foot, peak = _DEFAULT_FOOT if rs is _DEFAULT_RS else 1.0 - rs, b * rs
     return a * foot + peak, c * foot + peak
 
 
@@ -290,18 +296,54 @@ def _common_grid(A: FuzzyNumber, B: FuzzyNumber):
     return rs, A.cuts_at(rs), B.cuts_at(rs)
 
 
+# Every entry of a number strays from its r = 0 cut by at most
+# (n_levels + 1) * _SHAPE_TOL of its scale max(1, largest |entry|), so for any
+# grid of fewer than 5e8 levels no entry exceeds 1 + 2 |lower(0)| + 2 |upper(0)|.
+# While the summed |r = 0 ends| of two numbers, or |lam| times 1 plus those of
+# one, stay below this bound, their sum, difference or multiple stays below
+# 2**1022 and cannot overflow; only past it is numpy's overflow flag watched.
+_NO_OVERFLOW = 2.0**1020
+
+
+def _zero_cut_sum(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray) -> float:
+    """The summed |r = 0 ends| of two bands: below _NO_OVERFLOW, neither
+    their sum nor their difference can overflow."""
+    return abs(alo.item(0)) + abs(ahi.item(0)) + abs(blo.item(0)) + abs(bhi.item(0))
+
+
+def _refuse_overflow(rs, lo, up, what: str, expr: str) -> None:
+    """Raise a ValidationError naming the operation and the first level where
+    its result lo, up is not finite, if there is one."""
+    overflow = ~(np.isfinite(lo) & np.isfinite(up))
+    if overflow.any():
+        r = float(rs[np.argmax(overflow)])
+        raise ValidationError(f"{what} overflows at r={r}: {expr} is not finite")
+
+
 def add(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
-    """Endpoint-wise sum of level cuts."""
+    """Endpoint-wise sum of level cuts. A sum that overflows raises
+    :class:`ValidationError`."""
     rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
-    return FuzzyNumber(rs, alo + blo, ahi + bhi)
+    if _zero_cut_sum(alo, ahi, blo, bhi) < _NO_OVERFLOW:
+        return FuzzyNumber(rs, alo + blo, ahi + bhi)
+    with np.errstate(over="ignore"):  # reported below
+        lo, up = alo + blo, ahi + bhi
+    _refuse_overflow(rs, lo, up, "fuzzy sum", "A + B")
+    return FuzzyNumber(rs, lo, up)
 
 
 def scale(lam: float, A: FuzzyNumber) -> FuzzyNumber:
-    """Scalar multiple of A; endpoints swap when the scalar is negative."""
+    """Scalar multiple of A; endpoints swap when the scalar is negative. A
+    multiple that overflows raises :class:`ValidationError`."""
     lam = float(lam)
-    if lam >= 0.0:
-        return FuzzyNumber(A.rs, lam * A.lowers, lam * A.uppers)
-    return FuzzyNumber(A.rs, lam * A.uppers, lam * A.lowers)
+    lo, up = (A.lowers, A.uppers) if lam >= 0.0 else (A.uppers, A.lowers)
+    if abs(lam) * (1.0 + abs(lo.item(0)) + abs(up.item(0))) < _NO_OVERFLOW:
+        return FuzzyNumber(A.rs, lam * lo, lam * up)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 for a non-finite lam
+        lo, up = lam * lo, lam * up
+    if math.isfinite(lam):  # otherwise the constructor refuses the entries as not finite
+        _refuse_overflow(A.rs, lo, up, "scalar multiple", "lam * A")
+    return FuzzyNumber(A.rs, lo, up)
 
 
 def hausdorff_distance(A: FuzzyNumber, B: FuzzyNumber) -> float:
@@ -321,18 +363,19 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     A difference that overflows raises :class:`ValidationError` first.
     """
     rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
-    with np.errstate(over="ignore"):  # overflow is reported below
+    if _zero_cut_sum(alo, ahi, blo, bhi) < _NO_OVERFLOW:
         clo = alo - blo
         chi = ahi - bhi
+    else:
+        with np.errstate(over="ignore"):  # overflow is reported below
+            clo = alo - blo
+            chi = ahi - bhi
     if _exactly_ordered(clo, chi):  # finite, so nothing overflowed, and free of defects
         return FuzzyNumber(rs, clo, chi)
     scale = _scale_of(alo, ahi, blo, bhi)
     # |A - B| <= 2 * scale, so only operands this large (or not finite) can overflow
     if not 2.0 * scale < math.inf:
-        overflow = ~(np.isfinite(clo) & np.isfinite(chi))
-        if overflow.any():
-            r = float(rs[np.argmax(overflow)])
-            raise ValidationError(f"Hukuhara difference overflows at r={r}: A - B is not finite")
+        _refuse_overflow(rs, clo, chi, "Hukuhara difference", "A - B")
     # ties (equal widths, crisp stretches) wobble by an ulp under subtraction
     bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * scale)
     if bad_w.any():
@@ -381,9 +424,16 @@ def _exactly_ordered(lowers: np.ndarray, uppers: np.ndarray):
     level; between two finite ends every entry is finite, and NaN fails every
     comparison. Nothing is subtracted, so inf and NaN raise no warning. A row
     this refuses may still be within tolerance; callers then measure its
-    defects with :func:`_band_defects`.
+    defects with :func:`_band_defects`. One band gives one verdict, a table
+    one per row.
     """
     path = np.concatenate((lowers, uppers[..., ::-1]), axis=-1)
+    if path.ndim == 1:  # one band: a count and two plain floats cost less than a row reduction
+        return (
+            np.count_nonzero(path[:-1] <= path[1:]) == path.size - 1
+            and -math.inf < path.item(0)
+            and path.item(-1) < math.inf
+        )
     ends = path.T  # ends[0] and ends[-1]: each row's first and last entry
     ordered = (path[..., :-1] <= path[..., 1:]).all(axis=-1)
     return ordered & (-math.inf < ends[0]) & (ends[-1] < math.inf)

@@ -2,9 +2,11 @@
 shared default r-grid, the binned dimension estimate, the band-valued
 fuzzy fields and the blocked passes (dense output, validity flags, CSV
 body, Koch refinement, length binning, staircase masses and staircase CSV)
-against the implementations they replaced, and the levels below a built-in
+against the implementations they replaced, the levels below a built-in
 curve's own, read from its refiner's similarity ratio, against references
-built from the refined vertices.
+built from the refined vertices, and the per-number floor (the one-band
+shape test and scale, the scalar J_at, overflow watched only where the
+operands' r = 0 ends call for it) against the table and array forms.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -2762,3 +2764,188 @@ class TestRatioRule:
         assert refine.call_count == refines
         assert got.levels == ref_rule_mass(curve, 1.0, curve.a0, curve.b0, 4)
         assert gamma_dimension(curve, max_level=4) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the per-number floor: the one-band shape test and scale, the scalar J_at,
+# and overflow watched only where the operands' r = 0 ends call for it
+
+
+def ref_per_array_scale_of(*arrays) -> float:
+    """fuzzy_core._scale_of as it reduced each array on its own."""
+    peaks = [float(abs(a).max()) if a.size else 0.0 for a in arrays]
+    return max(1.0, *peaks) if all(map(math.isfinite, peaks)) else math.inf
+
+
+# two levels, with -0.0 against 0.0 and each non-finite value at each end
+TWO_LEVEL_BANDS = (
+    np.array([[-0.0, 0.0], [0.0, -0.0], [np.nan, 0.0], [-np.inf, 0.0], [0.0, 1.0], [-1.0, 0.0]]),
+    np.array([[0.0, -0.0], [-0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [np.inf, 1.0], [0.0, np.nan]]),
+)
+ANY_BANDS = st.one_of(defective_bands(), ordered_band_tables(), block_tables())
+
+
+@st.composite
+def scale_operands(draw):
+    """One to four arrays: rows and whole tables of the band strategies, and
+    empty arrays among them."""
+    lower, upper = draw(ANY_BANDS)
+    pool = [lower, upper, *lower, *upper, np.empty(0), np.empty((0, 3))]
+    return [draw(st.sampled_from(pool)) for _ in range(draw(st.integers(1, 4)))]
+
+
+def scalar_outcome(fn, *args):
+    """What a scalar lookup returned, as its type and bits, or what it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            value = fn(*args)
+        except ValidationError as exc:
+            return (type(exc), str(exc))
+    return (type(value), value.hex())
+
+
+def refusal(name):
+    """A stand-in for ``name`` that fails the test when it is called."""
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+
+    return refuse
+
+
+class TestPerNumberFloor:
+    @given(ANY_BANDS)
+    @example(TWO_LEVEL_BANDS)
+    @settings(max_examples=400, deadline=None)
+    def test_one_band_order_test_matches_the_table_form(self, bands):
+        lower, upper = bands
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = fuzzy_core._exactly_ordered(lower, upper)
+            rows = [fuzzy_core._exactly_ordered(lo, up) for lo, up in zip(lower, upper)]
+        assert table.dtype == bool and all(isinstance(row, (bool, np.bool_)) for row in rows)
+        assert [bool(row) for row in rows] == table.tolist()
+
+    @given(scale_operands())
+    @example([*TWO_LEVEL_BANDS, np.empty(0)])
+    @example([np.empty(0)])
+    @example([np.empty(0), np.array([-0.0])])
+    @settings(max_examples=400, deadline=None)
+    def test_scale_of_matches_the_per_array_form(self, arrays):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = fuzzy_core._scale_of(*arrays)
+        want = ref_per_array_scale_of(*arrays)
+        assert type(got) is float and got.hex() == want.hex()
+
+    @pytest.mark.parametrize("table", lookup_tables(), ids=["koch", "segment"])
+    def test_scalar_J_at_matches_the_array_path(self, table):
+        lo, hi = table.domain
+        points = [
+            lo, hi, -0.0, 0.25, 0.3, 0.5, lo + 0.37 * (hi - lo), float(table.us[7]),
+            np.nextafter(lo, -np.inf), np.nextafter(hi, np.inf), np.nan, np.inf, -np.inf,
+        ]
+        for u in points:
+            want = scalar_outcome(lambda x: float(J_at(table, np.array([x]))[0]), u)
+            forms = [u, np.float64(u), np.array(u)]
+            if math.isfinite(u) and u == int(u):
+                forms.append(int(u))
+            for x in forms:
+                assert scalar_outcome(J_at, table, x) == want, (u, type(x))
+
+    def test_scalar_J_at_skips_the_query_sort(self, monkeypatch):
+        table = lookup_tables()[0]
+        monkeypatch.setattr(fractal_curve, "_in_query_order", refusal("_in_query_order"))
+        assert J_at(table, 0.3) == J_at(table, np.float64(0.3)) == ref_J_at(table, 0.3)
+
+    def test_mutated_numbers_are_checked_again(self):
+        # no verdict is kept on a number: each operation checks its result
+        B = make_triangular(-0.5, 0.0, 0.5)
+        for drop in (0.5, np.inf):
+            A = make_triangular(-1.0, 0.0, 1.0)
+            A.lowers[50] = A.lowers[49] - drop
+            with pytest.raises(ValidationError):
+                add(A, B)
+            with pytest.raises(ValidationError):
+                scale(2.0, A)
+            if drop == np.inf:
+                with pytest.raises(ValidationError):
+                    hukuhara_diff(A, B)
+            else:  # A - B loses monotonicity by more than rounding
+                with pytest.raises(HukuharaNonexistenceError, match="lose monotonicity at r=0.5"):
+                    hukuhara_diff(A, B)
+
+    def test_common_path_takes_no_errstate(self, monkeypatch):
+        A = make_triangular(-3.0, 0.0, 4.0)
+        B = make_triangular(-1.0, 0.5, 1.5)
+        far = make_triangular(-(2.0**1017), 0.0, 2.0**1017)  # r = 0 ends sum to 2**1019
+        monkeypatch.setattr(np, "errstate", refusal("np.errstate"))
+        twice = add(far, far)
+        for number in (add(A, B), scale(-2.5, A), hukuhara_diff(A, B), scale(3.0, far), twice):
+            assert number.rs is _DEFAULT_RS
+        with pytest.raises(HukuharaNonexistenceError):
+            hukuhara_diff(B, A)
+        with pytest.raises(AssertionError, match="np.errstate called"):
+            add(twice, twice)  # r = 0 ends sum to 2**1020: watched for overflow
+
+    @pytest.mark.parametrize("peak", [1.0, 2.0**1017, 2.0**1019, 1e307, 8e307, 1.7e308])
+    @pytest.mark.parametrize("lam", [0.5, -1.0, 2.0, -3.0, 1e10])
+    def test_sums_and_multiples_near_overflow(self, peak, lam):
+        # the result is the plain one, or, where that overflows, one error
+        # naming the operation and its first such level; never a warning
+        A = make_triangular(0.25 * peak, 0.5 * peak, peak)
+        B = make_triangular(-peak, -0.75 * peak, 0.5 * peak)
+        A_lo, A_up = (A.lowers, A.uppers) if lam >= 0.0 else (A.uppers, A.lowers)
+        with np.errstate(over="ignore"):
+            cases = [
+                (add, (A, B), "fuzzy sum", "A + B", A.lowers + B.lowers, A.uppers + B.uppers),
+                (add, (A, A), "fuzzy sum", "A + B", A.lowers + A.lowers, A.uppers + A.uppers),
+                (scale, (lam, A), "scalar multiple", "lam * A", lam * A_lo, lam * A_up),
+            ]
+        for fn, args, what, expr, lo, up in cases:
+            finite = np.isfinite(lo) & np.isfinite(up)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    result = fn(*args)
+                except ValidationError as exc:
+                    r = float(A.rs[np.argmin(finite)])
+                    assert str(exc) == f"{what} overflows at r={r}: {expr} is not finite"
+                    assert not finite.all()
+                    continue
+            assert finite.all()
+            assert same_bytes(result.lowers, lo) and same_bytes(result.uppers, up)
+
+    @pytest.mark.parametrize("lam", [np.inf, -np.inf, np.nan])
+    def test_non_finite_multiple_is_refused_as_before(self, lam):
+        for A in (make_triangular(-1.0, 0.0, 2.0), make_crisp(0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="^(low|upp)ers must be a finite 1-d array$"):
+                    scale(lam, A)
+
+    @pytest.mark.parametrize("feet", [(0.0, 0.0, np.inf), (-np.inf, 0.0, 1.0), (-np.inf, -np.inf, 0.0),
+                                      (0.0, np.inf, np.inf), (-np.inf, 0.0, np.inf)])
+    def test_infinite_feet_are_refused_before_any_cut(self, feet):
+        message = f"triangular feet/peak must be finite: {feet}"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError) as exc:
+                make_triangular(*feet)
+            assert str(exc.value) == message
+            with pytest.raises(ValidationError, match="^triangular feet/peak must be finite"):
+                TriangularFuzzy(*feet)
+            f = triangular_field(
+                lambda u: np.where(u > 0.5, feet[0], -1.0 + 0.0 * u),
+                lambda u: np.where(u > 0.5, feet[1], 0.0 * u),
+                lambda u: np.where(u > 0.5, feet[2], 1.0 + 0.0 * u),
+                (0.0, 1.0),
+            )
+            with pytest.raises(ValidationError) as exc:
+                f.bands(np.linspace(0.0, 1.0, 5))
+            assert str(exc.value) == message
+
+    def test_nan_feet_are_still_out_of_order(self):
+        with pytest.raises(ValidationError, match=r"^triangular feet/peak out of order: \(nan, 0, 1\)$"):
+            make_triangular(np.nan, 0, 1)
