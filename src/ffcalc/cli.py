@@ -13,9 +13,16 @@ import sys
 
 import numpy as np
 
-from ._textio import _RUN_FIELDS, BUILTIN_NAMES, _check_tol, format_columns, write_csv
+from ._textio import _RUN_FIELDS, BUILTIN_NAMES, _check_tol
 from .errors import FFCalcError, NumericError, ValidationError
-from .fractal_curve import J_at, build_staircase, curve_from_json, gamma_dimension, staircase_to_csv
+from .fractal_curve import (
+    J_at,
+    _write_columns,
+    build_staircase,
+    curve_from_json,
+    gamma_dimension,
+    staircase_to_csv,
+)
 
 # The calculus, solver and problem modules are imported by the commands that
 # use them, each from its own module, so that `ffcalc dim` or `ffcalc
@@ -91,7 +98,7 @@ def _cmd_curve(args) -> int:
         names = ["x", "y", "z"][: curve.ndim]
     else:
         names = [f"x{k}" for k in range(curve.ndim)]
-    write_csv(args.out, "u," + ",".join(names), format_columns(curve.params, curve.points))
+    _write_columns(args.out, "u," + ",".join(names), (curve.params, *curve.points.T))
     print(f"{args.curve} level {curve.level}: {curve.params.size} vertices -> {args.out}")
     return 0
 

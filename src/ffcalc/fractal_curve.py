@@ -314,33 +314,33 @@ _KOCH_ROT = np.array(
 )  # +60 degrees
 
 
-def _koch_pieces(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """Write the inner vertices a, b, c of the Koch generator on each
-    segment p -> q to out[0], out[1] and out[2], with out[3] for scratch:
-    a and c at a third and two thirds of it, b the apex.
+def _koch_pieces(p: np.ndarray, q: np.ndarray) -> tuple:
+    """The inner vertices a, b, c of the Koch generator on each segment
+    p -> q: a and c at a third and two thirds of it, b the apex.
 
     With d = q - p, each value has the operations of ``p + d / 3.0``,
     ``a + (d / 3.0) @ R.T`` and ``p + 2.0 * d / 3.0``; the rotation is one
     small matmul over all rows.
     """
-    a, b, c, third = out
-    np.subtract(q, p, out=c)
-    np.divide(c, 3.0, out=third)
-    np.add(p, third, out=a)
-    np.matmul(third, _KOCH_ROT.T, out=b)
+    d = q - p
+    third = d / 3.0
+    a = p + third
+    b = third @ _KOCH_ROT.T
     b += a
-    c *= 2.0
-    c /= 3.0
-    c += p
+    d *= 2.0
+    d /= 3.0
+    d += p
+    return a, b, d
 
 
-def _midpoint_pieces(p: np.ndarray, q: np.ndarray, out: np.ndarray) -> None:
-    """Write the midpoint ``0.5 * (p + q)`` of each segment p -> q to out[0]."""
-    np.add(p, q, out=out[0])
-    out[0] *= 0.5
+def _midpoint_pieces(p: np.ndarray, q: np.ndarray) -> tuple:
+    """The midpoint ``0.5 * (p + q)`` of each segment p -> q."""
+    m = p + q
+    m *= 0.5
+    return (m,)
 
 
-def _interleave(w: np.ndarray, inner: np.ndarray, out: np.ndarray) -> None:
+def _interleave(w: np.ndarray, inner: Sequence[np.ndarray], out: np.ndarray) -> None:
     """Write the vertices w with the inner vertices of each of their
     segments between them to ``out``: w[i], inner[0][i], inner[1][i], ...,
     w[i + 1]."""
@@ -364,11 +364,8 @@ def _refined(curve: FractalCurve, refiner: Refiner) -> FractalCurve:
     s, w, m = builtin.splits, curve.points, curve.n_segments
     params = builtin.params(curve.params)
     out = np.empty((s * m + 1, w.shape[1]))
-    step = _block_rows(w.shape[1])
-    work = np.empty((s, min(step + 1, m), w.shape[1]))
-    for i, j in _blocks(m, step):
-        builtin.pieces(w[i:j], w[i + 1 : j + 1], work[:, : j - i])
-        _interleave(w[i : j + 1], work[: s - 1, : j - i], out[s * i : s * j + 1])
+    for i, j in _blocks(m, _block_rows(w.shape[1])):
+        _interleave(w[i : j + 1], builtin.pieces(w[i:j], w[i + 1 : j + 1]), out[s * i : s * j + 1])
     return FractalCurve(params, out, refiner=refiner, level=curve.level + 1)
 
 
@@ -416,16 +413,15 @@ class _Builtin(NamedTuple):
     """What the library knows of a built-in refiner: its name and level cap,
     the pieces it splits each segment into, each similar to the segment at
     the ratio 1 / ``divisor``, the refined params of given params, and
-    ``pieces(p, q, out)``, which writes the inner vertices of each segment
-    p -> q, in order along it, to out[0], out[1], ...; ``out`` holds
-    ``splits`` arrays of p's shape, the last for scratch."""
+    ``pieces(p, q)``, which returns the inner vertices of each segment
+    p -> q, in order along it, as ``splits - 1`` arrays of p's shape."""
 
     name: str
     cap: int
     splits: int
     divisor: int
     params: Callable[[np.ndarray], np.ndarray]
-    pieces: Callable[[np.ndarray, np.ndarray, np.ndarray], None]
+    pieces: Callable[[np.ndarray, np.ndarray], tuple]
 
 
 # the built-in refiners, looked up by identity (a refiner need not be
@@ -551,28 +547,13 @@ def _refines_cleanly(t: np.ndarray, splits: int, levels: int) -> bool:
     return math.isfinite(2.0 * top) and float(np.diff(t).min()) > margin
 
 
-def _level_spans(builtin: _Builtin, t: np.ndarray, a: float, b: float, depth: int) -> list:
-    """The sub-polyline over [a, b] on the level of the params t and on each
-    of the ``depth`` levels below it, as (first, last, ends): the first and
-    last segment that hold it, and each of its ends as (u, the params of the
-    segment that holds it), or no ends if they are the level's end vertices.
-
-    Each end's params on the next level are ``builtin.params`` of its two on
-    this one. That is elementwise, so they have the bits of the whole
-    level's params. At depth 0 ``builtin`` is not read: it may be None.
-    """
-    first, last = _span(t, a, b)
+def _ends(t: np.ndarray, a: float, b: float, first: int, last: int) -> tuple:
+    """The ends of the sub-polyline over [a, b] on the vertex grid t, held
+    by its segments ``first`` and ``last``, as (u, the params of the segment
+    that holds it), or none if they are the grid's end vertices."""
     if a == t[0] and b == t[-1]:  # w(a0), w(b0) are the end vertices
-        return [(0, (last + 1) * (builtin.splits**d if d else 1) - 1, ()) for d in range(depth + 1)]
-    ta, tb = t[first : first + 2], t[last : last + 2]
-    spans = [(first, last, ((a, ta), (b, tb)))]
-    for _ in range(depth):
-        s, ta, tb = builtin.splits, builtin.params(ta), builtin.params(tb)
-        ka, kb = _span(ta, a, b)[0], _span(tb, a, b)[1]
-        first, last = s * first + ka, s * last + kb
-        ta, tb = ta[ka : ka + 2], tb[kb : kb + 2]
-        spans.append((first, last, ((a, ta), (b, tb))))
-    return spans
+        return ()
+    return (a, t[first : first + 2]), (b, t[last : last + 2])
 
 
 def _levels(curve: FractalCurve, a: float, b: float, first: int, last: int):
@@ -589,10 +570,12 @@ def _levels(curve: FractalCurve, a: float, b: float, first: int, last: int):
     length l / divisor**d. Such a level is each base segment's scaled length
     with the count of its pieces whole inside [a, b], and the lengths of the
     pieces that hold a and b. Those segments are followed down one level at
-    a time, as the two rows of one block, through the refiner's own
-    ``pieces``: numpy rounds a block of two rows or more as it rounds the
-    whole level (see :func:`_blocks`), so they have the refined curve's bits.
-    Only a curve of one segment is refined as one row, and so is its step.
+    a time, in one loop that carries their params and their points: the
+    params through the refiner's own ``params``, the points as the two rows
+    of one block through its own ``pieces``. numpy rounds a block of two
+    rows or more as it rounds the whole level (see :func:`_blocks`), so they
+    have the refined curve's bits. Only a curve of one segment is refined as
+    one row, and so is its step.
 
     The ratio is read only where refine() would refuse none of the levels:
     :func:`_refines_cleanly` vouches for their params, and every coordinate
@@ -600,41 +583,42 @@ def _levels(curve: FractalCurve, a: float, b: float, first: int, last: int):
     level is refined whole, so every error is still refine()'s.
     """
     rows, builtin, depth = _block_rows(curve.ndim), _builtin(curve), last - curve.level
-    w = curve.points
+    w, t = curve.points, curve.params
     if not (
         builtin is not None
         and depth > 0
-        and _refines_cleanly(curve.params, builtin.splits, depth)
+        and _refines_cleanly(t, builtin.splits, depth)
         and max(float(w.max()), -float(w.min())) < _RATIO_BOUND
     ):
         for cur in _refinements(curve, last):
             if cur.level >= first:
-                [span] = _level_spans(builtin, cur.params, a, b, 0)
-                yield cur.level, _read(cur.points, span, rows), None
+                yield cur.level, _read(cur.points, cur.params, a, b, rows), None
         return
-    spans = _level_spans(builtin, curve.params, a, b, depth)
     if curve.level >= first:
-        yield curve.level, _read(w, spans[0], rows), None
-    s, (base_first, base_last, _) = builtin.splits, spans[0]
-    base = _lengths(w, base_first, base_last, rows)
+        yield curve.level, _read(w, t, a, b, rows), None
+    s, (lo, hi) = builtin.splits, _span(t, a, b)
+    ends, base = _ends(t, a, b, lo, hi), _lengths(w, lo, hi, rows)
     # base segment i holds the pieces i * s**d up to (i + 1) * s**d of level d
-    bounds = np.arange(base_first, base_last + 2)
-    p, q = w[[base_first, base_last]], w[[base_first + 1, base_last + 1]]
-    work = np.empty((s, 2, curve.ndim))
+    bounds = np.arange(lo, hi + 2)
+    p, q = w[[lo, hi]], w[[lo + 1, hi + 1]]
     for d in range(1, depth + 1):
-        lo, hi, ends = spans[d]
+        ka, kb = 0, s - 1  # the first and the last piece, unless an end is inside
         if ends:  # step down into the segments that hold a and b
+            (_, ta), (_, tb) = ends
+            ta, tb = builtin.params(ta), builtin.params(tb)
+            ka, kb = _span(ta, a, b)[0], _span(tb, a, b)[1]
             k = 1 if d == 1 and curve.n_segments == 1 else 2  # one segment refines as a lone row
-            builtin.pieces(p[:k], q[:k], work[:, :k])
-            vs = [p, *work[: s - 1, [0, k - 1]], q]
-            ka, kb = lo - s * spans[d - 1][0], hi - s * spans[d - 1][1]
-            p, q = np.array([vs[ka][0], vs[kb][1]]), np.array([vs[ka + 1][0], vs[kb + 1][1]])
+            inner = builtin.pieces(p[:k], q[:k])
+            va, vb = [p[0], *(v[0] for v in inner), q[0]], [p[1], *(v[-1] for v in inner), q[1]]
+            p, q = np.array([va[ka], vb[kb]]), np.array([va[ka + 1], vb[kb + 1]])
+            ends = (a, ta[ka : ka + 2]), (b, tb[kb : kb + 2])
+        lo, hi = s * lo + ka, s * hi + kb
         if curve.level + d < first:
             continue
         found = _end_lengths(ends, p, q, lo == hi) if ends else []
-        # the pieces lo..hi - 1 lie whole inside [a, b]: all but the end pieces
-        lo, hi = (lo + 1, hi) if ends else (lo, hi + 1)
-        counts = np.diff(np.clip(bounds * s**d, lo, max(lo, hi)))
+        # the pieces lo..hi lie whole inside [a, b], all but the end pieces
+        cut = (lo + 1, max(lo + 1, hi)) if ends else (lo, hi + 1)
+        counts = np.diff(np.clip(bounds * s**d, *cut))
         whole = counts > 0
         values = np.concatenate([base[whole] / builtin.divisor**d, found])
         counts = np.concatenate([counts[whole], np.ones(len(found), dtype=counts.dtype)])
@@ -653,13 +637,14 @@ def _lengths(w: np.ndarray, first: int, last: int, rows: int) -> np.ndarray:
     return lengths
 
 
-def _read(w: np.ndarray, span: tuple, rows: int) -> np.ndarray:
-    """The lengths of the sub-polyline ``span`` of :func:`_level_spans` on
-    the vertices w, in segment order: a sub-polyline's end that is not a
-    vertex replaces the vertex before it on its first segment, or the one
-    after it on its last."""
-    first, last, ends = span
+def _read(w: np.ndarray, t: np.ndarray, a: float, b: float, rows: int) -> np.ndarray:
+    """The lengths of the sub-polyline over [a, b] of the vertices w at the
+    params t, in segment order: a sub-polyline's end that is not a vertex
+    replaces the vertex before it on its first segment, or the one after it
+    on its last."""
+    first, last = _span(t, a, b)
     lengths = _lengths(w, first, last, rows)
+    ends = _ends(t, a, b, first, last)
     if ends:
         found = _end_lengths(ends, w[[first, last]], w[[first + 1, last + 1]], first == last)
         lengths[0], lengths[-1] = found[0], found[-1]
@@ -668,7 +653,7 @@ def _read(w: np.ndarray, span: tuple, rows: int) -> np.ndarray:
 
 def _end_lengths(ends: tuple, p: np.ndarray, q: np.ndarray, one: bool) -> list:
     """The lengths of the end pieces of a sub-polyline with the ``ends`` of
-    :func:`_level_spans`, held by the segments p[0] -> q[0] and p[1] -> q[1]:
+    :func:`_ends`, held by the segments p[0] -> q[0] and p[1] -> q[1]:
     one piece from w(a) to w(b) if ``one`` segment holds both."""
     (a, ta), (b, tb) = ends
     wa, wb = _point_on(a, ta, p[0], q[0]), _point_on(b, tb, p[1], q[1])
@@ -840,16 +825,25 @@ def euclidean_rise(curve: FractalCurve, u):
 # i/o
 
 
-def staircase_to_csv(table: StaircaseTable, target) -> None:
-    """Write the table as ``u,J`` rows at full double precision.
+def _write_columns(target, header: str, columns: Sequence[np.ndarray]) -> None:
+    """Write a header line and the rows of the 1-d ``columns``, side by side,
+    at full double precision to a path or a writable text buffer.
 
-    ``target`` is a path or a writable text buffer. The rows are formatted
-    and written a block of ``_block_rows`` at a time, so the text of the
-    whole table is never held.
+    The rows are formatted and written a block of ``_block_rows`` at a time,
+    so the text of the whole table is never held.
     """
-    us, Js, step = table.us, table.Js, _block_rows(2)
-    blocks = (format_columns(us[i : i + step], Js[i : i + step]) for i in range(0, us.size, step))
-    write_csv(target, "u,J", blocks)
+    step = _block_rows(len(columns))
+    blocks = (
+        format_columns(*(col[i : i + step] for col in columns))
+        for i in range(0, columns[0].size, step)
+    )
+    write_csv(target, header, blocks)
+
+
+def staircase_to_csv(table: StaircaseTable, target) -> None:
+    """Write the table as ``u,J`` rows at full double precision; ``target``
+    is a path or a writable text buffer."""
+    _write_columns(target, "u,J", (table.us, table.Js))
 
 
 _CURVE_KINDS = {"koch": ("level",), "segment": ("level",), "polyline": ("params", "points")}

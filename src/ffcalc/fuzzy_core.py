@@ -358,9 +358,11 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     C has cuts [A_lo - B_lo, A_hi - B_hi]. Existence requires the cut of A
     to be at least as wide as the cut of B at every level (else lower would
     exceed upper) and the resulting endpoints to stay monotone in r. A
-    violation beyond rounding scale raises
-    :class:`HukuharaNonexistenceError` carrying the smallest failing level.
-    A difference that overflows raises :class:`ValidationError` first.
+    violation beyond the constructor's tolerance, ``_SHAPE_TOL`` times the
+    difference's own scale, raises :class:`HukuharaNonexistenceError`
+    carrying the smallest failing level, so a difference exists exactly
+    when :class:`FuzzyNumber` accepts its cuts. A difference that overflows
+    raises :class:`ValidationError` first.
     """
     rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
     if _zero_cut_sum(alo, ahi, blo, bhi) < _NO_OVERFLOW:
@@ -372,12 +374,13 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
             chi = ahi - bhi
     if _exactly_ordered(clo, chi):  # finite, so nothing overflowed, and free of defects
         return FuzzyNumber(rs, clo, chi)
-    scale = _scale_of(alo, ahi, blo, bhi)
-    # |A - B| <= 2 * scale, so only operands this large (or not finite) can overflow
-    if not 2.0 * scale < math.inf:
+    # the operands are finite, so an entry that is not is an overflow
+    scale = _scale_of(clo, chi)
+    if scale == math.inf:
         _refuse_overflow(rs, clo, chi, "Hukuhara difference", "A - B")
-    # ties (equal widths, crisp stretches) wobble by an ulp under subtraction
-    bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * scale)
+    # the constructor's own test: ties (equal widths, crisp stretches) that
+    # wobble by an ulp under subtraction pass it only within its tolerance
+    bad_lo, bad_up, bad_w = _band_defects(clo, chi, _SHAPE_TOL * scale)
     if bad_w.any():
         r = float(rs[np.argmax(bad_w)])
         raise HukuharaNonexistenceError(

@@ -37,7 +37,7 @@ from ffcalc import (
     staircase_to_csv,
     u_at,
 )
-from ffcalc import fractal_curve
+from ffcalc import cli, fractal_curve
 from ffcalc.fractal_curve import SEGMENT_MAX_LEVEL, _koch_refiner, _midpoint_refiner
 
 KOCH_DIM = math.log(4.0) / math.log(3.0)
@@ -337,7 +337,8 @@ class TestPeakMemory:
     and ~3.7 MB for a segment one when every level was walked) and so does
     a Koch-10 mass sum (~13 MB then). The staircase masses are formed in
     blocks straight into the table (~18.4 MB for Koch-10, not ~26 MB), and
-    its CSV is formatted and written in blocks (~6 MB, not ~145 MB)."""
+    its CSV and the curve command's are formatted and written in blocks
+    (~6 MB, not ~145 MB; Koch-9 ~12 MB for ``ffcalc curve``, not ~58 MB)."""
 
     @staticmethod
     def _peak(fn) -> int:
@@ -366,6 +367,12 @@ class TestPeakMemory:
         mass_function(generate_koch(0), KOCH_DIM, max_level=3)
         peak = self._peak(lambda: mass_function(generate_koch(0), KOCH_DIM, max_level=10))
         assert peak < 256 * 1024
+
+    def test_curve_command_peaks_below_20_mb(self, tmp_path, capsys):
+        # ~12 MB measured: the Koch-9 curve, its last refinement and one
+        # block of text; the whole table as one string peaked at ~58 MB
+        argv = ["curve", "--level", "9", "--out", str(tmp_path / "koch9.csv")]
+        assert self._peak(lambda: cli.main(argv)) < 20 * 2**20
 
     def test_repeated_estimates_hold_no_memory_without_the_cyclic_collector(self):
         # a walk that refers to itself would keep its buffers, ~2 MB a call,

@@ -250,6 +250,23 @@ class TestHukuhara:
         with pytest.raises(HukuharaNonexistenceError, match="monotonicity"):
             hukuhara_diff(A, B)
 
+    def test_existence_is_judged_on_the_differences_own_scale(self):
+        # equal widths near 1e9 wobble by an ulp of 1e9 in a difference of
+        # scale 1: past the constructor's tolerance, so no difference exists
+        A = make_triangular(1e9 - 0.5, 1e9 + 0.5, 1e9 + 1.5)
+        B = make_triangular(1e9 - 1.0, 1e9, 1e9 + 1.0)
+        with pytest.raises(HukuharaNonexistenceError) as exc:
+            hukuhara_diff(A, B)
+        assert exc.value.failing_r == 0.03
+
+    def test_a_difference_within_the_constructors_tolerance_exists(self):
+        A, B = make_triangular(-1.0, 0.0, 1.0), make_triangular(-1.0, 0.0, 1.0 + 5e-10)
+        C = hukuhara_diff(A, B)
+        assert np.array_equal(C.lowers, A.lowers - B.lowers)
+        assert np.array_equal(C.uppers, A.uppers - B.uppers)
+        with pytest.raises(HukuharaNonexistenceError):
+            hukuhara_diff(A, make_triangular(-1.0, 0.0, 1.0 + 5e-9))
+
     @given(triangular_numbers(), triangular_numbers())
     @settings(max_examples=200)
     def test_round_trip_when_difference_exists(self, A, B):

@@ -58,7 +58,7 @@ from ffcalc import (
     u_at,
     validate,
 )
-from ffcalc import ffde, fractal_calc, fractal_curve, fuzzy_core
+from ffcalc import cli, ffde, fractal_calc, fractal_curve, fuzzy_core
 from ffcalc._textio import _block_rows, sub_interval
 from ffcalc.fuzzy_core import (
     DEFAULT_R_LEVELS,
@@ -127,8 +127,8 @@ def ref_checked_hukuhara_diff(A, B):
     if overflow.any():
         r = float(rs[np.argmax(overflow)])
         raise ValidationError(f"Hukuhara difference overflows at r={r}: A - B is not finite")
-    # ties (equal widths, crisp stretches) wobble by an ulp under subtraction
-    bad_lo, bad_up, bad_w = _band_defects(clo, chi, 1e-12 * ref_scale_of(alo, ahi, blo, bhi))
+    # the constructor's tolerance on the difference's own scale
+    bad_lo, bad_up, bad_w = _band_defects(clo, chi, _SHAPE_TOL * ref_scale_of(clo, chi))
     if bad_w.any():
         r = float(rs[np.argmax(bad_w)])
         raise HukuharaNonexistenceError(
@@ -221,7 +221,7 @@ def ref_hukuhara_diff(A, B):
     rs, (alo, ahi), (blo, bhi) = ref_common_grid(A, B)
     clo = alo - blo
     chi = ahi - bhi
-    tol = 1e-12 * ref_scale_of(alo, ahi, blo, bhi)
+    tol = _SHAPE_TOL * ref_scale_of(clo, chi)
     bad = clo - chi > tol
     if np.any(bad):
         r = float(rs[np.argmax(bad)])
@@ -408,11 +408,13 @@ def hukuhara_pairs(draw):
     A = FuzzyNumber(rs, alo, aup)
     if mode == "tweak":
         blo, bup = alo.copy(), aup.copy()
-        tol = 1e-12 * ref_scale_of(alo, aup)
+        # A - B is near 0, so its scale is 1: B steps off A by the
+        # constructor's tolerance on it, or by the next float past it
+        tol, past = _SHAPE_TOL, np.nextafter(_SHAPE_TOL, 1.0)
         for _ in range(draw(st.integers(1, 3))):
             i = draw(st.integers(0, rs.size - 1))
             target = blo if draw(st.booleans()) else bup
-            target[i] += draw(st.sampled_from([tol, -tol, 2.0 * tol, -2.0 * tol, 0.0, -0.0]))
+            target[i] += draw(st.sampled_from([tol, -tol, past, -past, 0.0, -0.0]))
         brs = rs
     else:
         m = rs.size if mode == "independent" else draw(st.integers(2, 8))
@@ -960,11 +962,13 @@ def shared_grid_pairs(draw):
     A = FuzzyNumber(_DEFAULT_RS, alo, aup)
     if mode == "tweak":
         blo, bup = alo.copy(), aup.copy()
-        tol = 1e-12 * ref_scale_of(alo, aup)
+        # A - B is near 0, so its scale is 1: B steps off A by the
+        # constructor's tolerance on it, or by the next float past it
+        tol, past = _SHAPE_TOL, np.nextafter(_SHAPE_TOL, 1.0)
         for _ in range(draw(st.integers(1, 3))):
             i = draw(st.integers(0, DEFAULT_R_LEVELS - 1))
             target = blo if draw(st.booleans()) else bup
-            target[i] += draw(st.sampled_from([tol, -tol, 2.0 * tol, -2.0 * tol, 0.0, -0.0]))
+            target[i] += draw(st.sampled_from([tol, -tol, past, -past, 0.0, -0.0]))
     elif mode == "independent":
         blo, bup, _ = draw(default_grid_rows())
     else:
@@ -2680,6 +2684,18 @@ class TestStreamedLevel:
             fractal_curve.staircase_to_csv(table, got)
         assert got.getvalue() == want.getvalue()
         assert calls == [2]
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_curve_csv_bytes_are_the_same(self, rows, tmp_path, capsys):
+        # the bytes of one format of the whole vertex table, in any blocks; a
+        # block of one row refines unlike the whole level, so the curve that
+        # the command writes is refined in the same blocks as this one
+        with block_rows(rows) as calls:
+            curve = generate_koch(3)
+            want = "u,x,y\n" + fractal_curve.format_columns(curve.params, curve.points)
+            assert cli.main(["curve", "--level", "3", "--out", str(tmp_path / "c.csv")]) == 0
+        assert (tmp_path / "c.csv").read_text(encoding="utf-8") == want
+        assert calls[-1] == 3  # the CSV pass ran blocked, over u, x and y
 
 
 class TestRatioRule:
