@@ -2356,22 +2356,47 @@ def whole_refines(curve, last):
     return calls
 
 
-def ref_scaled_bins(curve, a, b, level):
-    """The level ``level`` below a built-in curve's own by the ratio rule, as
-    (values, counts) in the library's order: the length of each base
-    segment, from ref_segment_lengths, over divisor**d, with the count of
-    its level-d pieces whole inside [a, b] in Python ints (none if 0); then
-    the end pieces, the first and last of ref_sub_polyline_lengths on the
-    refined curve, once each."""
-    builtin = fractal_curve._builtin(curve)
-    d = level - curve.level
-    n, t = builtin.splits**d, curve.params
-    refined = curve.refined_to(level)
+def ref_whole_and_ends(curve, a, b, level):
+    """The level ``level`` pieces over [a, b] of a built-in curve: the range
+    of the refined curve's segments that lie whole inside [a, b], and the
+    end pieces, the first and last of ref_sub_polyline_lengths on the
+    refined curve, none if [a, b] is the whole curve."""
+    t, refined = curve.params, curve.refined_to(level)
     pieces = ref_sub_polyline_lengths(refined, a, b)
     first = int(np.searchsorted(refined.params, a, side="right")) - 1
     whole, ends = range(first, first + pieces.size), []
     if not (a == t[0] and b == t[-1]):
         whole, ends = whole[1:-1], [pieces[0]] if pieces.size == 1 else [pieces[0], pieces[-1]]
+    return whole, ends
+
+
+def ref_framed_lengths(curve, level):
+    """The lengths of the level ``level`` pieces of a built-in curve, in
+    segment order, with each base segment p -> q refined in its own frame,
+    as 0 -> q - p. Lengths do not change under the move, but a segment far
+    below the rounding of its coordinates keeps its shape, where refine()
+    of the curve would round its inner vertices onto a line. One polyline
+    holds every frame, each base segment followed by a segment back to the
+    origin, and is refined whole: its even runs of pieces are the base
+    segments'."""
+    frames = np.zeros((2 * curve.n_segments, curve.ndim))
+    frames[1::2] = np.diff(curve.points, axis=0)
+    framed = FractalCurve(np.arange(float(frames.shape[0])), frames, refiner=curve.refiner,
+                          level=curve.level)
+    n = fractal_curve._builtin(curve).splits ** (level - curve.level)
+    return ref_segment_lengths(framed.refined_to(level).points).reshape(-1, n)[0::2].ravel()
+
+
+def ref_scaled_bins(curve, a, b, level):
+    """The level ``level`` below a built-in curve's own by the ratio rule, as
+    (values, counts) in the library's order: the length of each base
+    segment, from ref_segment_lengths, over divisor**d, with the count of
+    its level-d pieces whole inside [a, b] in Python ints (none if 0); then
+    the end pieces of ref_whole_and_ends, once each."""
+    builtin = fractal_curve._builtin(curve)
+    d = level - curve.level
+    n = builtin.splits**d
+    whole, ends = ref_whole_and_ends(curve, a, b, level)
     base = ref_segment_lengths(curve.points)
     values, counts = [], []
     for i in range(curve.n_segments):
@@ -2394,6 +2419,23 @@ def ref_rule_levels(curve, a, b, keep_from, max_level):
         else (ref_sub_polyline_lengths(curve.refined_to(level), a, b), None)
         for level in range(keep_from, max_level + 1)
     ]
+
+
+def ref_framed_bins(curve, a, b, keep_from, max_level):
+    """ref_fitted_bins, but on each level that ref_rule_levels reads from the
+    ratio, the pieces whole inside [a, b] are those of ref_framed_lengths;
+    only the end pieces are the refined curve's, as the ratio rule takes
+    them."""
+    ratio = ref_reads_ratio(curve, max_level)
+    bins = []
+    for level in range(keep_from, max_level + 1):
+        if not (ratio and level > curve.level):
+            bins.append(ref_length_bins(ref_sub_polyline_points(curve.refined_to(level), a, b)))
+            continue
+        whole, ends = ref_whole_and_ends(curve, a, b, level)
+        framed = ref_framed_lengths(curve, level)[whole.start : whole.stop]
+        bins.append(np.unique(np.concatenate([framed, ends]), return_counts=True))
+    return bins
 
 
 def ref_rule_bins(curve, a, b, keep_from, max_level):
@@ -2448,7 +2490,9 @@ def same_fitted_bins(curve, interval, rows, keep_from, max_level):
     refiner, with ``rows`` segments per block, and require the bins of
     ref_rule_bins on every level, or refine()'s error. refine() runs only
     where the ratio is not read (see whole_refines), and each level's sums
-    are within 1e-12 of those over its refined vertices."""
+    are within 1e-12 of those over its refined vertices, with the pieces
+    that the ratio scales refined in their base segment's frame (see
+    ref_framed_bins)."""
     want = fitted_outcome(ref_rule_bins, curve, *interval, keep_from, max_level)
     whole = whole_refines(curve, max_level)
     with block_rows(rows), counting_refines() as refine:
@@ -2457,7 +2501,7 @@ def same_fitted_bins(curve, interval, rows, keep_from, max_level):
     assert got == want
     if got[0] == "bins":
         bins = ref_rule_bins(curve, *interval, keep_from, max_level)
-        geometric = ref_fitted_bins(curve, *interval, keep_from, max_level)
+        geometric = ref_framed_bins(curve, *interval, keep_from, max_level)
         for alpha in (1.0, min(KOCH_DIM, curve.ndim)):
             assert near(bin_sums(bins, alpha), bin_sums(geometric, alpha))
     return got
@@ -2736,6 +2780,22 @@ class TestRatioRule:
             refiner=fractal_curve._koch_refiner,
         )
         same_fitted_bins(curve, (1.0, 1.5), None, 1, 2)
+
+    @pytest.mark.parametrize("interval", [(1.0, 2.0), (1.2, 1.7), (1.5, 2.0)])
+    def test_a_segment_below_its_coordinates_rounding_keeps_its_ratio(self, interval):
+        # refine() rounds this Koch apex onto y = 1, so the refined vertices
+        # give the level-1 pieces l/3, l/6, l/6, l/3; the ratio keeps 4 x l/3,
+        # as the segment refined in its own frame does
+        curve = FractalCurve(
+            np.array([1.0, 2.0]),
+            np.array([[0.0, 1.0], [4.3399149e-57, 1.0]]),
+            refiner=fractal_curve._koch_refiner,
+        )
+        l = float(curve.points[1, 0])
+        assert np.all(curve.refine().points[:, 1] == 1.0)
+        assert near(ref_segment_lengths(curve.refine().points).tolist(), [l / 3, l / 6, l / 6, l / 3])
+        assert near(ref_framed_lengths(curve, 1).tolist(), [l / 3] * 4)
+        same_fitted_bins(curve, interval, None, 1, 2)
 
     def test_a_narrow_estimate_refines_nothing(self):
         curve = generate_koch(0)
