@@ -462,6 +462,12 @@ def _target_level(curve: FractalCurve, level) -> int:
 # and no squared length, can overflow, so refine() would refuse none of them
 _RATIO_BOUND = 2.0**500
 
+# ... and while each piece of a segment over [a, b] that is not a point spans
+# at least this many spacings of the largest coordinate: refine() rounds each
+# inner vertex by a few such spacings, so its pieces keep the ratio's length
+# to within about 1e-5 (a Koch piece far below them is rounded onto a line)
+_PIECE_SPACINGS = 2.0**20
+
 _OVERFLOW = "mass sums overflow on the requested range"
 
 
@@ -577,27 +583,36 @@ def _levels(curve: FractalCurve, a: float, b: float, first: int, last: int):
     have the refined curve's bits. Only a curve of one segment is refined as
     one row, and so is its step.
 
-    The ratio is read only where refine() would refuse none of the levels:
-    :func:`_refines_cleanly` vouches for their params, and every coordinate
-    is below ``_RATIO_BOUND``. Elsewhere, and for any other refiner, every
-    level is refined whole, so every error is still refine()'s.
+    The ratio is read only where refine() would refuse none of the levels
+    and keeps the shape of every piece: :func:`_refines_cleanly` vouches for
+    their params, every coordinate is below ``_RATIO_BOUND``, and each
+    deepest piece of a base segment over [a, b] is a point or spans
+    ``_PIECE_SPACINGS`` spacings of the largest coordinate. Elsewhere, and
+    for any other refiner, every level is refined whole, so every error and
+    every rounding is still refine()'s.
     """
     rows, builtin, depth = _block_rows(curve.ndim), _builtin(curve), last - curve.level
     w, t = curve.points, curve.params
-    if not (
+    (lo, hi), top = _span(t, a, b), max(float(w.max()), -float(w.min()))
+    ratio = (
         builtin is not None
         and depth > 0
         and _refines_cleanly(t, builtin.splits, depth)
-        and max(float(w.max()), -float(w.min())) < _RATIO_BOUND
-    ):
+        and top < _RATIO_BOUND
+    )
+    if ratio:
+        base = _lengths(w, lo, hi, rows)
+        # a segment that is a point refines to points exactly
+        shortest = float(np.min(base, where=base > 0.0, initial=math.inf))
+        ratio = shortest / builtin.divisor**depth >= _PIECE_SPACINGS * float(np.spacing(top))
+    if not ratio:
         for cur in _refinements(curve, last):
             if cur.level >= first:
                 yield cur.level, _read(cur.points, cur.params, a, b, rows), None
         return
     if curve.level >= first:
         yield curve.level, _read(w, t, a, b, rows), None
-    s, (lo, hi) = builtin.splits, _span(t, a, b)
-    ends, base = _ends(t, a, b, lo, hi), _lengths(w, lo, hi, rows)
+    s, ends = builtin.splits, _ends(t, a, b, lo, hi)
     # base segment i holds the pieces i * s**d up to (i + 1) * s**d of level d
     bounds = np.arange(lo, hi + 2)
     p, q = w[[lo, hi]], w[[lo + 1, hi + 1]]

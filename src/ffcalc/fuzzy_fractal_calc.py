@@ -16,15 +16,18 @@ from .fractal_calc import _cells, _increment, _step
 from .fractal_curve import FractalCurve, StaircaseTable
 from .fuzzy_core import (
     _DEFAULT_RS,
+    _SHAPE_TOL,
     FuzzyNumber,
     _rejected_rows,
     _same_grid,
+    _scale_of,
     _triangular_cuts,
     hausdorff_distance,
     hukuhara_diff,
     make_crisp,
     make_triangular,
     scale,
+    validate,
 )
 
 __all__ = [
@@ -204,7 +207,10 @@ def fractal_hukuhara_derivative(
     (lower, upper) in place while case II swaps them, so a case-II
     derivative of a valid shrinking band is again a valid fuzzy number.
     Inapplicability of the requested case raises
-    :class:`CaseInapplicableError` naming the smallest failing level.
+    :class:`CaseInapplicableError` naming the smallest failing level: the
+    difference does not exist, or it exists only within the constructor's
+    tolerance of its own scale and 1 / dJ magnifies a defect past the
+    quotient's.
     """
     one_of(case, "case", ("I", "II"))
     u0 = point(u0, "parameter")
@@ -212,16 +218,29 @@ def fractal_hukuhara_derivative(
     dJ = _increment(table, u0, u0 + h, "forward stencil")
     f0 = f(u0)
     f1 = f(u0 + h)
+    A, B, lam = (f1, f0, 1.0 / dJ) if case == "I" else (f0, f1, -1.0 / dJ)
     try:
-        if case == "I":
-            return scale(1.0 / dJ, hukuhara_diff(f1, f0))
-        return scale(-1.0 / dJ, hukuhara_diff(f0, f1))
+        diff = hukuhara_diff(A, B)
     except HukuharaNonexistenceError as exc:
-        raise CaseInapplicableError(
-            f"case {case} difference does not exist at u0={u0} (failing level r={exc.failing_r})",
-            case=case,
-            failing_r=exc.failing_r,
-        ) from exc
+        raise _inapplicable(case, u0, exc.failing_r) from exc
+    try:
+        return scale(lam, diff)
+    except ValidationError as exc:
+        lo, up = (diff.lowers, diff.uppers) if lam >= 0.0 else (diff.uppers, diff.lowers)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 for an infinite lam
+            lo, up = lam * lo, lam * up
+        if not (np.isfinite(lo).all() and np.isfinite(up).all()):
+            raise  # the quotient overflows
+        found = validate(diff.rs, lo, up, tol=_SHAPE_TOL * _scale_of(lo, up)).violations
+        raise _inapplicable(case, u0, found[0].r) from exc
+
+
+def _inapplicable(case: str, u0: float, r: float) -> CaseInapplicableError:
+    return CaseInapplicableError(
+        f"case {case} difference does not exist at u0={u0} (failing level r={r})",
+        case=case,
+        failing_r=r,
+    )
 
 
 def ff_riemann_integral(

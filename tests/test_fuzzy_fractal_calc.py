@@ -25,6 +25,7 @@ from ffcalc import (
     generate_koch,
     generate_segment,
     hausdorff_distance,
+    hukuhara_diff,
     make_crisp,
     make_triangular,
     scale,
@@ -156,6 +157,25 @@ class TestHukuharaDerivative:
         f = FuzzyCurveFunction(case2_band(table), (0.0, 1.0))
         with pytest.raises(CaseInapplicableError):
             fractal_hukuhara_derivative(f, table, 0.3, "I", h=1e-7)
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_a_difference_that_1_over_dJ_magnifies_past_the_tolerance(self, case):
+        # narrow - wide exists: its cut inversion of 5e-10 is within the
+        # constructor's tolerance of its scale 1; over dJ = 1e-3 it is 5e-7,
+        # so case I does not apply from r = 0, and case II's quotient exists
+        table = StaircaseTable(alpha=1.0, p0=0.0, us=np.array([0.0, 1.0]), Js=np.array([0.0, 1e-3]))
+        wide, narrow = make_triangular(-1.0, 0.0, 1.0 + 5e-10), make_triangular(-1.0, 0.0, 1.0)
+        f = FuzzyCurveFunction(lambda u: wide if u == 0.0 else narrow, (0.0, 1.0))
+        hukuhara_diff(narrow, wide)
+        if case == "I":
+            with pytest.raises(CaseInapplicableError) as exc:
+                fractal_hukuhara_derivative(f, table, 0.0, "I", h=1.0)
+            assert (exc.value.case, exc.value.failing_r) == ("I", 0.0)
+            return
+        d = fractal_hukuhara_derivative(f, table, 0.0, "II", h=1.0)
+        want = scale(-1.0 / 1e-3, hukuhara_diff(wide, narrow))
+        assert np.array_equal(d.lowers, want.lowers) and np.array_equal(d.uppers, want.uppers)
+        assert np.all(d.lowers <= d.uppers)
 
     def test_flat_staircase_degenerate(self):
         table = StaircaseTable(

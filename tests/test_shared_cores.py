@@ -2325,24 +2325,34 @@ def counting_refines():
     return mock.patch.object(FractalCurve, "refine", autospec=True, side_effect=FractalCurve.refine)
 
 
-def ref_reads_ratio(curve, last):
+def ref_reads_ratio(curve, a, b, last):
     """Whether the levels below a curve's own, down to ``last``, are read
-    from its built-in refiner's ratio: the params are vouched for and every
-    coordinate is below 2**500."""
+    from its built-in refiner's ratio over [a, b]: the params are vouched
+    for, every coordinate is below 2**500, and each level-``last`` piece of
+    a segment over [a, b] is a point or spans 2**20 spacings of the largest
+    coordinate."""
     builtin = fractal_curve._builtin(curve)
-    return (
+    top = float(np.abs(curve.points).max())
+    if not (
         builtin is not None
         and last > curve.level
         and fractal_curve._refines_cleanly(curve.params, builtin.splits, last - curve.level)
-        and float(np.abs(curve.points).max()) < 2.0**500
-    )
+        and top < 2.0**500
+    ):
+        return False
+    t = curve.params
+    first = int(np.searchsorted(t, a, side="right")) - 1
+    after = int(np.searchsorted(t, b, side="left")) + 1
+    base = ref_segment_lengths(curve.points[first:after])
+    pieces = base[base > 0.0] / builtin.divisor ** (last - curve.level)
+    return bool(np.all(pieces >= 2.0**20 * np.spacing(top)))
 
 
-def whole_refines(curve, last):
+def whole_refines(curve, a, b, last):
     """The refine() calls on the way to level ``last``: none where the
-    ratio is read; otherwise one per level, up to the first that refine()
-    refuses."""
-    if ref_reads_ratio(curve, last):
+    ratio is read over [a, b]; otherwise one per level, up to the first
+    that refine() refuses."""
+    if ref_reads_ratio(curve, a, b, last):
         return 0
     calls, cur = 0, curve
     with warnings.catch_warnings():
@@ -2356,47 +2366,22 @@ def whole_refines(curve, last):
     return calls
 
 
-def ref_whole_and_ends(curve, a, b, level):
-    """The level ``level`` pieces over [a, b] of a built-in curve: the range
-    of the refined curve's segments that lie whole inside [a, b], and the
-    end pieces, the first and last of ref_sub_polyline_lengths on the
-    refined curve, none if [a, b] is the whole curve."""
-    t, refined = curve.params, curve.refined_to(level)
-    pieces = ref_sub_polyline_lengths(refined, a, b)
-    first = int(np.searchsorted(refined.params, a, side="right")) - 1
-    whole, ends = range(first, first + pieces.size), []
-    if not (a == t[0] and b == t[-1]):
-        whole, ends = whole[1:-1], [pieces[0]] if pieces.size == 1 else [pieces[0], pieces[-1]]
-    return whole, ends
-
-
-def ref_framed_lengths(curve, level):
-    """The lengths of the level ``level`` pieces of a built-in curve, in
-    segment order, with each base segment p -> q refined in its own frame,
-    as 0 -> q - p. Lengths do not change under the move, but a segment far
-    below the rounding of its coordinates keeps its shape, where refine()
-    of the curve would round its inner vertices onto a line. One polyline
-    holds every frame, each base segment followed by a segment back to the
-    origin, and is refined whole: its even runs of pieces are the base
-    segments'."""
-    frames = np.zeros((2 * curve.n_segments, curve.ndim))
-    frames[1::2] = np.diff(curve.points, axis=0)
-    framed = FractalCurve(np.arange(float(frames.shape[0])), frames, refiner=curve.refiner,
-                          level=curve.level)
-    n = fractal_curve._builtin(curve).splits ** (level - curve.level)
-    return ref_segment_lengths(framed.refined_to(level).points).reshape(-1, n)[0::2].ravel()
-
-
 def ref_scaled_bins(curve, a, b, level):
     """The level ``level`` below a built-in curve's own by the ratio rule, as
     (values, counts) in the library's order: the length of each base
     segment, from ref_segment_lengths, over divisor**d, with the count of
     its level-d pieces whole inside [a, b] in Python ints (none if 0); then
-    the end pieces of ref_whole_and_ends, once each."""
+    the end pieces, the first and last of ref_sub_polyline_lengths on the
+    refined curve, once each."""
     builtin = fractal_curve._builtin(curve)
     d = level - curve.level
-    n = builtin.splits**d
-    whole, ends = ref_whole_and_ends(curve, a, b, level)
+    n, t = builtin.splits**d, curve.params
+    refined = curve.refined_to(level)
+    pieces = ref_sub_polyline_lengths(refined, a, b)
+    first = int(np.searchsorted(refined.params, a, side="right")) - 1
+    whole, ends = range(first, first + pieces.size), []
+    if not (a == t[0] and b == t[-1]):
+        whole, ends = whole[1:-1], [pieces[0]] if pieces.size == 1 else [pieces[0], pieces[-1]]
     base = ref_segment_lengths(curve.points)
     values, counts = [], []
     for i in range(curve.n_segments):
@@ -2412,30 +2397,13 @@ def ref_rule_levels(curve, a, b, keep_from, max_level):
     built-in curve's own from ref_scaled_bins where the ratio is read, and
     every other level from its refined vertices, each length once (counts
     None)."""
-    ratio = ref_reads_ratio(curve, max_level)
+    ratio = ref_reads_ratio(curve, a, b, max_level)
     return [
         ref_scaled_bins(curve, a, b, level)
         if ratio and level > curve.level
         else (ref_sub_polyline_lengths(curve.refined_to(level), a, b), None)
         for level in range(keep_from, max_level + 1)
     ]
-
-
-def ref_framed_bins(curve, a, b, keep_from, max_level):
-    """ref_fitted_bins, but on each level that ref_rule_levels reads from the
-    ratio, the pieces whole inside [a, b] are those of ref_framed_lengths;
-    only the end pieces are the refined curve's, as the ratio rule takes
-    them."""
-    ratio = ref_reads_ratio(curve, max_level)
-    bins = []
-    for level in range(keep_from, max_level + 1):
-        if not (ratio and level > curve.level):
-            bins.append(ref_length_bins(ref_sub_polyline_points(curve.refined_to(level), a, b)))
-            continue
-        whole, ends = ref_whole_and_ends(curve, a, b, level)
-        framed = ref_framed_lengths(curve, level)[whole.start : whole.stop]
-        bins.append(np.unique(np.concatenate([framed, ends]), return_counts=True))
-    return bins
 
 
 def ref_rule_bins(curve, a, b, keep_from, max_level):
@@ -2490,18 +2458,16 @@ def same_fitted_bins(curve, interval, rows, keep_from, max_level):
     refiner, with ``rows`` segments per block, and require the bins of
     ref_rule_bins on every level, or refine()'s error. refine() runs only
     where the ratio is not read (see whole_refines), and each level's sums
-    are within 1e-12 of those over its refined vertices, with the pieces
-    that the ratio scales refined in their base segment's frame (see
-    ref_framed_bins)."""
+    are within 1e-12 of those over its refined vertices."""
     want = fitted_outcome(ref_rule_bins, curve, *interval, keep_from, max_level)
-    whole = whole_refines(curve, max_level)
+    whole = whole_refines(curve, *interval, max_level)
     with block_rows(rows), counting_refines() as refine:
         got = fitted_outcome(fractal_curve._fitted_bins, curve, *interval, keep_from, max_level)
     assert refine.call_count == whole
     assert got == want
     if got[0] == "bins":
         bins = ref_rule_bins(curve, *interval, keep_from, max_level)
-        geometric = ref_framed_bins(curve, *interval, keep_from, max_level)
+        geometric = ref_fitted_bins(curve, *interval, keep_from, max_level)
         for alpha in (1.0, min(KOCH_DIM, curve.ndim)):
             assert near(bin_sums(bins, alpha), bin_sums(geometric, alpha))
     return got
@@ -2782,20 +2748,40 @@ class TestRatioRule:
         same_fitted_bins(curve, (1.0, 1.5), None, 1, 2)
 
     @pytest.mark.parametrize("interval", [(1.0, 2.0), (1.2, 1.7), (1.5, 2.0)])
-    def test_a_segment_below_its_coordinates_rounding_keeps_its_ratio(self, interval):
-        # refine() rounds this Koch apex onto y = 1, so the refined vertices
-        # give the level-1 pieces l/3, l/6, l/6, l/3; the ratio keeps 4 x l/3,
-        # as the segment refined in its own frame does
+    def test_a_segment_below_its_coordinates_rounding_goes_through_refine(self, interval):
+        # refine() rounds this Koch apex onto y = 1 and gives the level-1
+        # pieces l/3, l/6, l/6, l/3, where the ratio would read 4 x l/3
         curve = FractalCurve(
             np.array([1.0, 2.0]),
             np.array([[0.0, 1.0], [4.3399149e-57, 1.0]]),
             refiner=fractal_curve._koch_refiner,
         )
         l = float(curve.points[1, 0])
-        assert np.all(curve.refine().points[:, 1] == 1.0)
         assert near(ref_segment_lengths(curve.refine().points).tolist(), [l / 3, l / 6, l / 6, l / 3])
-        assert near(ref_framed_lengths(curve, 1).tolist(), [l / 3] * 4)
-        same_fitted_bins(curve, interval, None, 1, 2)
+        got = same_fitted_bins(curve, interval, None, 1, 2)
+        assert got == fitted_outcome(ref_fitted_bins, curve, *interval, 1, 2)
+        with counting_refines() as refine:
+            levels = mass_function(curve, KOCH_DIM, *interval, max_level=2).levels
+        assert refine.call_count == 2
+        assert levels == ref_mass_levels(curve, KOCH_DIM, *interval, 2)
+
+    @pytest.mark.parametrize("under", [False, True], ids=["at", "under"])
+    @pytest.mark.parametrize("depth", [1, 3])
+    @pytest.mark.parametrize("refiner", [fractal_curve._koch_refiner, fractal_curve._midpoint_refiner])
+    def test_pieces_from_2_to_the_20_spacings_read_the_ratio(self, refiner, depth, under):
+        # each level-depth piece of this segment is 2**-32, 2**20 spacings of
+        # its largest coordinate 1; one float shorter, every level is refined
+        divisor = next(v.divisor for k, v in fractal_curve._LEVEL_CAPS.items() if k is refiner)
+        x = divisor**depth * 2.0**-32
+        x = float(np.nextafter(x, 0.0)) if under else x
+        curve = FractalCurve(np.array([1.0, 2.0]), np.array([[0.0, 1.0], [x, 1.0]]), refiner=refiner)
+        for interval in [(1.0, 2.0), (1.2, 1.7)]:
+            assert ref_reads_ratio(curve, *interval, depth) is not under
+            want = fitted_outcome(ref_rule_bins, curve, *interval, 1, depth)
+            with counting_refines() as refine:
+                got = fitted_outcome(fractal_curve._fitted_bins, curve, *interval, 1, depth)
+            assert got == want
+            assert refine.call_count == (depth if under else 0)
 
     def test_a_narrow_estimate_refines_nothing(self):
         curve = generate_koch(0)
@@ -2824,7 +2810,7 @@ class TestRatioRule:
         }[name]
         last = curve.level + 3
         a, b = (curve.a0 + x * (curve.b0 - curve.a0) for x in share)
-        assert whole_refines(curve, last) == refines
+        assert whole_refines(curve, a, b, last) == refines
         with counting_refines() as refine:
             got = fitted_outcome(fractal_curve._fitted_bins, curve, a, b, curve.level, last)
         assert refine.call_count == refines
