@@ -188,7 +188,9 @@ class StaircaseTable:
     ``us`` are the curve vertices at the working level, ``Js`` the running
     order-alpha mass; J is non-decreasing, negative below the anchor and
     non-negative above it. Between vertices both directions interpolate
-    linearly.
+    linearly. A table from :func:`build_staircase` shares its curve's
+    ``params`` array as ``us``: no library path writes it, and a write
+    through either object invalidates both.
     """
 
     alpha: float
@@ -772,12 +774,9 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
     inside(p0, curve.a0, curve.b0, f"anchor {p0}")
     gamma = math.gamma(alpha + 1.0)
     w = curve.points
-    # us and Js are the rows of one allocation: a large table is then one
-    # block, which glibc's malloc maps on its own and, once it is freed,
-    # takes as its threshold for mapping, so the next table of that size
-    # reuses heap pages instead of faulting in fresh ones
-    us, Js = np.empty((2, curve.params.size))
-    us[:] = curve.params
+    # borrow the curve's grid; copy it once if read-only (np.interp would on every lookup)
+    us = np.require(curve.params, requirements="CW")
+    Js = np.empty(us.size)
     Js[0] = 0.0
     step = _block_rows(1)
     for i in range(0, curve.n_segments, step):
@@ -789,7 +788,8 @@ def build_staircase(curve: FractalCurve, alpha: float, p0: float | None = None) 
         # value has the bits of one cumsum over every segment
         masses[0] += Js[i]
         np.cumsum(masses, out=Js[i + 1 : j + 1])
-    Js -= np.interp(p0, curve.params, Js)
+    if shift := np.interp(p0, us, Js):  # Js holds no -0.0, so +0.0 would change no bit
+        Js -= shift
     return StaircaseTable(alpha=float(alpha), p0=p0, us=us, Js=Js)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import gc
+import hashlib
 import io
 import json
 import math
@@ -20,12 +21,19 @@ from ffcalc import (
     CapabilityError,
     DomainError,
     EstimationError,
+    FirstOrderFfdeProblem,
     FractalCurve,
+    LinearRhs,
     OrderError,
     StaircaseTable,
     ValidationError,
     J_at,
     build_staircase,
+    f_integral,
+    ff_riemann_integral,
+    make_triangular,
+    solve_first_order,
+    triangular_field,
     curve_from_json,
     curve_to_json,
     euclidean_rise,
@@ -401,6 +409,13 @@ class TestPeakMemory:
         build_staircase(generate_koch(2), KOCH_DIM)
         assert self._peak(lambda: build_staircase(curve, KOCH_DIM)) < 21e6
 
+    def test_koch_staircase_peaks_below_12_mb(self):
+        # ~10.0 MB measured: Js and one block of masses, with us the curve's
+        # own params; a copied grid beside Js peaked at ~18.4 MB
+        curve = generate_koch(10)
+        build_staircase(generate_koch(2), KOCH_DIM)
+        assert self._peak(lambda: build_staircase(curve, KOCH_DIM)) < 12e6
+
     def test_koch_staircase_csv_peaks_below_10_mb(self, tmp_path):
         table = build_staircase(generate_koch(10), KOCH_DIM)
         staircase_to_csv(build_staircase(generate_koch(2), KOCH_DIM), io.StringIO())
@@ -478,6 +493,64 @@ class TestStaircase:
     def test_mid_cell_anchor_allowed(self):
         table = build_staircase(generate_koch(2), 1.0, p0=0.4)
         assert J_at(table, 0.4) == pytest.approx(0.0, abs=1e-15)
+
+
+def _sha256(a: np.ndarray) -> str:
+    return hashlib.sha256(a.tobytes()).hexdigest()
+
+
+class TestBorrowedGrid:
+    """A built table holds its curve's params as ``us``, unless they are
+    read-only or strided: np.interp copies a read-only grid on every call."""
+
+    @pytest.mark.parametrize(
+        "curve",
+        [
+            generate_koch(3),
+            generate_segment(level=4),
+            generate_polyline([0.0, 0.5, 2.0], [[0.0, 0.0], [1.0, 1.0], [3.0, 0.0]]),
+        ],
+        ids=["koch", "segment", "polyline"],
+    )
+    def test_table_shares_the_curve_params(self, curve):
+        table = build_staircase(curve, 1.0, 0.3 * curve.b0)
+        assert table.us is curve.params and np.shares_memory(table.us, curve.params)
+
+    @pytest.mark.parametrize("layout", ["strided", "read-only"])
+    def test_a_grid_numpy_would_copy_is_copied_once(self, layout):
+        grid = np.linspace(0.0, 1.0, 33)
+        params = grid[::2] if layout == "strided" else np.frombuffer(grid[::2].tobytes())
+        curve = generate_polyline(params, np.column_stack([params, np.sin(7.0 * params)]))
+        flags = curve.params.flags
+        assert not (flags.c_contiguous if layout == "strided" else flags.writeable)
+        table = build_staircase(curve, 1.2, 0.3)
+        assert table.us.flags.c_contiguous and table.us.flags.writeable
+        assert not np.shares_memory(table.us, curve.params)
+        assert table.us.tobytes() == np.ascontiguousarray(curve.params).tobytes()
+        reference = build_staircase(generate_polyline(params.copy(), curve.points), 1.2, 0.3)
+        assert table.Js.tobytes() == reference.Js.tobytes()
+
+    def test_no_library_path_writes_the_grid(self):
+        curve = generate_koch(4)
+        before = _sha256(curve.params)
+        table = build_staircase(curve, KOCH_DIM, 0.3)
+        us = np.linspace(0.0, 1.0, 65)
+        J_at(table, 0.37)
+        u_at(table, float(table.Js[5]))
+        u_at(table, J_at(table, us[::-1]))  # batches out of order are sorted
+        problem = FirstOrderFfdeProblem(
+            table=table,
+            rhs=LinearRhs(-1.0, make_triangular(0.0, 0.1, 0.2)),
+            x0=make_triangular(0.9, 1.0, 1.1),
+            span=(0.0, 1.0),
+            case="I",
+            j_steps=16,
+        )
+        solve_first_order(problem)
+        f_integral(lambda u: np.cos(u), curve, table, 0.1, 0.9)
+        field = triangular_field(lambda u: u, lambda u: 2.0 * u, lambda u: 3.0 * u, table.domain)
+        ff_riemann_integral(field, curve, table, 0.2, 0.8)
+        assert _sha256(curve.params) == before and table.us is curve.params
 
 
 class TestLookups:
@@ -605,12 +678,68 @@ class TestEuclideanRise:
             euclidean_rise(curve, u)
 
 
+def _one_bad(at: int, bad: float) -> list:
+    """The column 0, 1, 2 with ``bad`` at index ``at``: an end or inside."""
+    column = [0.0, 1.0, 2.0]
+    column[at] = bad
+    return column
+
+
 class TestTypesAndIO:
-    def test_staircase_table_validation(self):
-        with pytest.raises(ValidationError):
-            StaircaseTable(1.0, 0.0, np.array([0.0, 1.0]), np.array([0.0, -1.0]))
-        with pytest.raises(ValidationError):
-            StaircaseTable(1.0, 0.5, np.array([0.0, 1.0]), np.array([0.0, 1.0]))  # S(p0) != 0
+    @pytest.mark.parametrize(
+        "p0, us, Js, error, message",
+        [
+            (0.0, 0.5, [0, 1], ValidationError, "us must be 1-dimensional, got shape ()"),
+            (0.0, [[0, 1]], [0, 1], ValidationError, "us must be 1-dimensional, got shape (1, 2)"),
+            (0.0, [0, 1], 0.0, ValidationError, "Js must be 1-dimensional, got shape ()"),
+            (0.0, [0, 1], [[0, 1]], ValidationError, "Js must be 1-dimensional, got shape (1, 2)"),
+            *(
+                (0.0, _one_bad(at, bad), [0, 1, 2], ValidationError, "us contains non-finite values")
+                for bad in (math.nan, math.inf, -math.inf)
+                for at in range(3)
+            ),
+            *(
+                (0.0, [0, 1, 2], _one_bad(at, bad), ValidationError, "Js contains non-finite values")
+                for bad in (math.nan, math.inf, -math.inf)
+                for at in range(3)
+            ),
+            (0.0, [0, 1, 2], [0, 1], ValidationError, "us and Js must have equal length >= 2"),
+            (0.0, [0], [0], ValidationError, "us and Js must have equal length >= 2"),
+            (0.0, [0, 1, 1, 2], [0, 1, 2, 3], ValidationError, "us must be strictly increasing"),
+            (0.0, [0, 2, 1], [0, 1, 2], ValidationError, "us must be strictly increasing"),
+            (0.0, [0, 1], [0, -1], ValidationError, "Js must be non-decreasing"),
+            (0.5, [0, 1], [0, 1], ValidationError, "table is not anchored: S(p0) != 0"),
+            (2.0, [0, 1], [0, 1], DomainError, "anchor 2.0 outside [0.0, 1.0]"),
+            # the checks run in this order
+            (0.0, [[0, 1]], [math.nan, 1], ValidationError, "us must be 1-dimensional, got shape (1, 2)"),
+            (0.0, [math.nan, 1], 0.0, ValidationError, "us contains non-finite values"),
+            (0.0, [0, 2, 1], [0, 1], ValidationError, "us and Js must have equal length >= 2"),
+            (0.0, [0, 2, 1], [0, 2, 1], ValidationError, "us must be strictly increasing"),
+            (0.5, [0, 1, 2], [0, 2, 1], ValidationError, "Js must be non-decreasing"),
+            (9.0, [0, 1], [0, 1], DomainError, "anchor 9.0 outside [0.0, 1.0]"),
+        ],
+    )
+    def test_staircase_table_validation(self, p0, us, Js, error, message):
+        us, Js = np.array(us, dtype=float), np.array(Js, dtype=float)
+        with pytest.raises(error, match="^" + re.escape(message) + "$"):
+            StaircaseTable(1.0, p0, us, Js)
+
+    @pytest.mark.parametrize(
+        "us, Js",
+        [
+            ([0, 1, 2], [-1, 0, 1]),
+            (np.arange(3), np.array([-1, 0, 1])),
+            (np.arange(3, dtype=np.float32), np.array([-1.0, 0.0, 1.0], dtype=">f8")),
+            ((np.arange(6.0) / 2.0)[::2], np.array([-1.0, 0.0, 1.0])),
+            (np.arange(3.0).view(np.ma.MaskedArray), np.array([-1.0, 0.0, 1.0])),
+        ],
+        ids=["lists", "ints", "float32-and-big-endian", "strided", "subclass"],
+    )
+    def test_staircase_table_converts_what_it_accepts(self, us, Js):
+        table = StaircaseTable(1.0, 1.0, us, Js)
+        for column, given in ((table.us, us), (table.Js, Js)):
+            assert type(column) is np.ndarray and column.dtype == np.float64
+            assert np.array_equal(column, np.asarray(given, dtype=float))
 
     def test_csv_export_full_precision(self):
         table = build_staircase(generate_koch(2), KOCH_DIM, p0=0.0)
