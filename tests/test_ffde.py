@@ -482,6 +482,34 @@ class TestGeneralRhs:
         assert np.allclose(sol.lower, -w * np.exp(sol.Js[:, None]), atol=1e-6)
         assert np.allclose(sol.upper, w * np.exp(sol.Js[:, None]), atol=1e-6)
 
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_callback_sees_level_k_at_index_k(self, case):
+        seen = []
+
+        def record(J, lo, up, rs):
+            seen.append((J, lo.copy(), up.copy(), rs.copy()))
+            return lo + up
+
+        problem = _func_problem(case, record, record)
+        solve_first_order(problem)
+        J, lo, up, rs = seen[0]
+        x0_lo, x0_up = problem.x0.cuts_at(rs)
+        assert J == 0.0 and np.array_equal(rs, default_r_grid(21))
+        assert np.array_equal(lo, x0_lo) and np.array_equal(up, x0_up)
+
+    @pytest.mark.parametrize(
+        "bad",
+        [lambda J, lo, up, rs: 1.0, lambda J, lo, up, rs: np.float64(1.0), lambda J, lo, up, rs: lo[1:]],
+        ids=["float", "0-d", "one-short"],
+    )
+    @pytest.mark.parametrize("side", ["lower", "upper"])
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_callback_of_the_wrong_shape_raises_value_error(self, case, side, bad):
+        good = lambda J, lo, up, rs: lo + up
+        fns = (bad, good) if side == "lower" else (good, bad)
+        with pytest.raises(ValueError):
+            solve_first_order(_func_problem(case, *fns))
+
 
 def _generic_band_solve(problem, rs, swap):
     """The band system driven through LinearRhs.lower/upper by the generic
@@ -708,6 +736,110 @@ class TestGoldenCutsBytes:
     def test_cuts_solution_bytes(self, name):
         make_problem, expected = self.CASES[name]
         sol = solve_first_order(make_problem(), method="cuts")
+        digest = hashlib.sha256()
+        for arr in (sol.us, sol.Js, sol.rs, sol.lower, sol.upper, sol.validity):
+            digest.update(arr.tobytes())
+        assert digest.hexdigest() == expected
+
+
+def _koch5_example1(case):
+    from ffcalc import build_staircase, generate_koch
+
+    table = build_staircase(generate_koch(5), math.log(4.0) / math.log(3.0), p0=0.0)
+    return example1_problem(case, table=table)
+
+
+def _band_problem(a, case, r_points):
+    return _linear_problem(a, (-0.5, 0.25, 1.0), (0.5, 1.0, 2.0), (0.0, 1.0), case, r_points, 256)
+
+
+def _func_problem(case, lower_fn, upper_fn):
+    return FirstOrderFfdeProblem(
+        table=unit_segment_table(),
+        rhs=FuncRhs(lower_fn, upper_fn),
+        x0=make_triangular(0.5, 1.0, 2.0),
+        span=(0.0, 1.0),
+        case=case,
+        r_points=21,
+        j_steps=64,
+    )
+
+
+class TestGoldenBandBytes:
+    """sha256 of (us, Js, rs, lower, upper, validity) of solves that cross
+    every band layout of the first-order solver: both linear kernels with
+    and without the swap P (flip from a < 0, from case II, or from both),
+    a 0/1-cut solve, a fractal staircase and the generic loop."""
+
+    CASES = {
+        # P from a < 0 alone, and case II's swap with no P
+        "full_101_negative_a_I": (
+            lambda: _band_problem(-1.5, "I", 101),
+            "full",
+            "f96539eeaeacc0c8322023324a01344d21180905648c5b2f8b8a37804c79cfa5",
+        ),
+        "full_101_negative_a_II": (
+            lambda: _band_problem(-1.5, "II", 101),
+            "full",
+            "0992f16190ee7490facef2db4cbab0a0c1fbb84e412a6d99955710c457d81f09",
+        ),
+        "full_8_negative_a_I": (
+            lambda: _band_problem(-1.5, "I", 8),
+            "full",
+            "d6b3302d47d2d1057b860d0779d485e58dcaf027b9557dea6054d386113943ab",
+        ),
+        "full_8_positive_a_I": (
+            lambda: _band_problem(1.5, "I", 8),
+            "full",
+            "d8d69c6b4387a6a6a065b0dfaca6037161f9c0683d40ce4fbd5c83ba96627078",
+        ),
+        "full_8_negative_a_II": (
+            lambda: _band_problem(-1.5, "II", 8),
+            "full",
+            "13c3e47c7c17715e0f71118297075f7c0bbe9fa8abde558e38aabdc712573fe6",
+        ),
+        "full_8_example1_II": (
+            lambda: example1_problem("II", r_points=8),
+            "full",
+            "bc1c6bd2576e829175479f3d87cbaed501e07d563b0995b14e4f8d38a48c9233",
+        ),
+        "cuts_negative_a_II": (
+            lambda: _band_problem(-1.5, "II", 101),
+            "cuts",
+            "b40adb27ab48d8e4bb162b2c5cededc8156b65dc83a8266ad1afd20afab40d81",
+        ),
+        "full_koch5_example1_II": (
+            lambda: _koch5_example1("II"),
+            "full",
+            "27c300bcfaf91c91db60485248931ce88fe2b9226448479e5ceeb71b388c108d",
+        ),
+        # level k of each band is read at index k and weighted by rs[k]
+        "func_I": (
+            lambda: _func_problem(
+                "I",
+                lambda J, lo, up, rs: 0.5 * lo - 0.25 * rs * up + np.cos(J),
+                lambda J, lo, up, rs: 0.75 * up + 0.125 * rs * lo,
+            ),
+            "full",
+            "9d0a525ba2d23caaa7306f2e6a573a5b8791a043c4c282f5cf9f3be3f27c3750",
+        ),
+        "func_II": (
+            lambda: _func_problem(
+                "II",
+                lambda J, lo, up, rs: -0.5 * up + 0.25 * rs * lo,
+                lambda J, lo, up, rs: -0.75 * lo - 0.125 * rs * up + np.sin(J),
+            ),
+            "full",
+            "d2e442b67f53a4aa37c645855d0531651abc959b91b33679436b2808a056e23a",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_solution_bytes(self, name):
+        make_problem, method, expected = self.CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sol = solve_first_order(make_problem(), method=method)
         digest = hashlib.sha256()
         for arr in (sol.us, sol.Js, sol.rs, sol.lower, sol.upper, sol.validity):
             digest.update(arr.tobytes())
