@@ -273,16 +273,24 @@ def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
 _FLOAT_LEVELS = 8
 
 
+def _path(lowers, uppers) -> np.ndarray:
+    """The row of a band system in path order: the lowers by rising level,
+    then the uppers by falling level, the walk round the band that
+    ``fuzzy_core._exactly_ordered`` takes. In it the swap P of the lower and
+    upper bands is the reversal of the row."""
+    return np.concatenate((lowers, np.flip(uppers)))
+
+
 def _linear_steps_inplace(a, c: np.ndarray, flip: bool, h: float, states, slopes) -> None:
     """Fill states[1:] and slopes of the band system from states[0] with
     19 ufunc calls per step, whatever the band width. Every stage is written
     in place into preallocated 1-d buffers: k1 straight into the slope
     table, the new state straight into the state table.
 
-    With ``flip`` set, each row and ``c`` are in path order (see
-    :func:`_path_order`), where P is the reversal of the row: a 1-d view
-    with a negative stride, which numpy runs on its strided fast path, not
-    row by row as it does a 2-d view with a negative row stride."""
+    Each row and ``c`` are in path order (see :func:`_path`), so with
+    ``flip`` set P is the reversal of the row: a 1-d view with a negative
+    stride, which numpy runs on its strided fast path, not row by row as it
+    does a 2-d view with a negative row stride."""
     yt, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
     # P applied as a view; 0-d arrays are the cheapest scalars to pass to a ufunc.
     # Each row of p_states is the 1-d reversal of a state row.
@@ -319,14 +327,16 @@ def _linear_steps_inplace(a, c: np.ndarray, flip: bool, h: float, states, slopes
 
 def _linear_steps_floats(a, c: np.ndarray, flip: bool, h: float, states, slopes) -> None:
     """Fill states[1:] and slopes like :func:`_linear_steps_inplace`, one
-    level's (lower, upper) pair at a time in Python floats. Each stage
-    repeats the in-place kernel's operations in the same order and
-    association (a product and a sum commute exactly), so the tables are
-    bit-identical; the cost grows with the level count instead of being a
-    fixed dispatch cost per step."""
+    level's (lower, upper) pair at a time in Python floats: path entries i
+    and -1 - i. Each stage repeats the in-place kernel's operations in the
+    same order and association (a product and a sum commute exactly), so
+    the tables are bit-identical; the cost grows with the level count
+    instead of being a fixed dispatch cost per step."""
     steps = states.shape[0] - 1
     a, half, sixth = float(a), 0.5 * h, h / 6.0
-    for i, ((lo, up), (c_lo, c_up)) in enumerate(zip(states[0].T.tolist(), c.T.tolist())):
+    y0, cs = states[0].tolist(), c.tolist()
+    for i in range(c.size // 2):
+        lo, up, c_lo, c_up = y0[i], y0[-1 - i], cs[i], cs[-1 - i]
         los, ups, k1s_lo, k1s_up = [], [], [], []
         for _ in range(steps):
             # (p_lo, p_up) is P applied to the stage state
@@ -350,15 +360,16 @@ def _linear_steps_floats(a, c: np.ndarray, flip: bool, h: float, states, slopes)
         p_lo, p_up = (up, lo) if flip else (lo, up)
         k1s_lo.append(p_lo * a + c_lo)
         k1s_up.append(p_up * a + c_up)
-        states[1:, 0, i] = los
-        states[1:, 1, i] = ups
-        slopes[:, 0, i] = k1s_lo
-        slopes[:, 1, i] = k1s_up
+        states[1:, i] = los
+        states[1:, -1 - i] = ups
+        slopes[:, i] = k1s_lo
+        slopes[:, -1 - i] = k1s_up
 
 
-def _rk4_linear(a: float, c_lo, c_up, flip: bool, x0, j_span, steps: int) -> CrispTrajectory:
-    """RK4 for the band system y' = a*P*y + c, y = (lower, upper), where P
-    swaps the two bands when ``flip`` is set.
+def _rk4_linear(a: float, c, flip: bool, y0, j_span, steps: int) -> CrispTrajectory:
+    """RK4 for the band system y' = a*P*y + c from y0, with y, c and y0
+    rows in path order (see :func:`_path`) and P the reversal of the row
+    when ``flip`` is set, the identity otherwise.
 
     The same floating-point operations as :func:`solve_crisp_in_J` driven by
     ``LinearRhs.lower``/``upper``, in the same order and association, so the
@@ -370,52 +381,22 @@ def _rk4_linear(a: float, c_lo, c_up, flip: bool, x0, j_span, steps: int) -> Cri
     levels and 27 ms for 8 against 32 ms in place at either width, bands
     swapped or not; the two cross between 9 and 10 levels whatever the step
     count, since both are linear in it.
-
-    The in-place kernel takes swapped bands in path order: ``c`` and the
-    initial row are put in it before the kernel runs, and the state and
-    slope tables are put back in band order before they are returned.
     """
     js, h = _uniform_grid(j_span, steps, "j_steps")
-    c = np.array([c_lo, c_up], dtype=float)
-    n = c.shape[1]
-    # rows of (lower, upper) bands, each band by rising level
-    states = np.empty((js.size, 2 * n))
+    states = np.empty((js.size, c.size))
     slopes = np.empty_like(states)
-    states[0].reshape(2, n)[...] = x0
-    path = flip and n > _FLOAT_LEVELS  # the in-place kernel swaps bands in path order
-    if path:
-        _path_order(c.reshape(1, -1), n)
-        _path_order(states[:1], n)
+    states[0] = y0
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected below
-        if n <= _FLOAT_LEVELS:
-            _linear_steps_floats(a, c, flip, h, states.reshape(-1, 2, n), slopes.reshape(-1, 2, n))
+        if c.size <= 2 * _FLOAT_LEVELS:
+            _linear_steps_floats(a, c, flip, h, states, slopes)
         else:
-            _linear_steps_inplace(a, c.reshape(-1), flip, h, states, slopes)
+            _linear_steps_inplace(a, c, flip, h, states, slopes)
     # a non-finite entry stays non-finite in this recurrence, so the first
     # non-finite row is where a per-step check would have stopped
     finite = np.isfinite(states[1:]).all(axis=1)
     if not finite.all():
         _raise_divergence(js, int(np.argmin(finite)))
-    if path:
-        _path_order(states, n)
-        _path_order(slopes, n)
     return CrispTrajectory(js=js, states=states, slopes=slopes)
-
-
-def _path_order(rows: np.ndarray, n: int) -> None:
-    """Reverse the upper band of each row of a (k, 2n) table in place, a
-    block of ``_block_rows`` rows at a time.
-
-    This takes a row from band order (lowers, then uppers, each by rising
-    level) to path order (the lowers by rising level, then the uppers by
-    falling level: the walk round the band that
-    ``fuzzy_core._exactly_ordered`` takes) and back. In path order, the
-    swap P of the lower and upper bands is the reversal of the row.
-    """
-    step = _block_rows(n)
-    for a in range(0, rows.shape[0], step):
-        up = rows[a : a + step, n:]
-        up[...] = up[:, ::-1]  # numpy copies an overlapping operand first
 
 
 # ---------------------------------------------------------------------------
@@ -545,8 +526,9 @@ class FuzzySolution:
 
 
 def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool) -> CrispTrajectory:
+    """The band trajectory over the problem's J span, in path-order rows."""
     rhs = problem.rhs
-    lo0, up0 = problem.x0.cuts_at(rs)
+    y0 = _path(*problem.x0.cuts_at(rs))
     J0 = J_at(problem.table, problem.span[0])
     J1 = J_at(problem.table, problem.span[1])
     # exact type: a subclass may override lower/upper. LinearRhs multiplies
@@ -554,22 +536,22 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
     # trades the constants and flips the band once more
     if type(rhs) is LinearRhs:
         clo, chi = rhs.c.cuts_at(rs)
-        c_lo, c_up = (chi, clo) if swap else (clo, chi)
+        c = _path(chi, clo) if swap else _path(clo, chi)
         flip = (rhs.a < 0.0) != swap
-        return _rk4_linear(rhs.a, c_lo, c_up, flip, (lo0, up0), (J0, J1), problem.j_steps)
+        return _rk4_linear(rhs.a, c, flip, y0, (J0, J1), problem.j_steps)
     n = rs.size
 
     def system(J, y):
-        lo, up = y[:n], y[n:]
+        lo, up = y[:n], y[: n - 1 : -1]  # level k at index k in both bands
         if swap:
             dlo = rhs.upper(J, lo, up, rs)
             dup = rhs.lower(J, lo, up, rs)
         else:
             dlo = rhs.lower(J, lo, up, rs)
             dup = rhs.upper(J, lo, up, rs)
-        return np.concatenate([np.asarray(dlo, dtype=float), np.asarray(dup, dtype=float)])
+        return _path(np.asarray(dlo, dtype=float), np.asarray(dup, dtype=float))
 
-    return solve_crisp_in_J(system, np.concatenate([lo0, up0]), (J0, J1), problem.j_steps)
+    return solve_crisp_in_J(system, y0, (J0, J1), problem.j_steps)
 
 
 def _cuts_exact(problem: FirstOrderFfdeProblem) -> bool:
@@ -596,6 +578,7 @@ def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> F
         raise ValidationError("method 'cuts' needs a LinearRhs with level-linear x0 and c; use 'full'")
     swap = problem.case == "II"
     rs = default_r_grid(problem.r_points)
+    n = rs.size
     u0, u1 = problem.span
     n_u = problem.u_points if problem.u_points is not None else problem.j_steps + 1
     us = np.linspace(u0, u1, n_u)
@@ -605,13 +588,13 @@ def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> F
         # neither the trajectory nor the dense table outlives the split into
         # bands, so both are freed before the validity pass
         vals = _integrate_bands(problem, rs, swap).at(Jus)
-        lower = vals[:, : rs.size].copy()
-        upper = vals[:, rs.size :].copy()
+        lower = vals[:, :n].copy()
+        upper = vals[:, : n - 1 : -1].copy()
         del vals
     else:
         cut_rs = np.array([0.0, 1.0])
         vals = _integrate_bands(problem, cut_rs, swap).at(Jus)
-        lo_c, up_c = vals[:, :2], vals[:, 2:]
+        lo_c, up_c = vals[:, :2], vals[:, :1:-1]
         w1 = rs[None, :]
         w0 = 1.0 - w1
         lower = w0 * lo_c[:, 0:1] + w1 * lo_c[:, 1:2]

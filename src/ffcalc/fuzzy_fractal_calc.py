@@ -156,9 +156,7 @@ class ContinuityProbe:
 
     @property
     def sup(self) -> np.ndarray:
-        both = np.stack([self.left, self.right])
-        with np.errstate(invalid="ignore"):
-            return np.nanmax(both, axis=0)
+        return np.fmax(self.left, self.right)  # NaN only where neither side was probed
 
     @property
     def decaying(self) -> bool:
@@ -172,7 +170,8 @@ class ContinuityProbe:
 
 def ff_continuity_probe(f: FuzzyCurveFunction, u0: float, deltas, tol: float = 1e-6) -> ContinuityProbe:
     """Probe fuzzy continuity of f at u0 along a decreasing delta family;
-    ``tol`` must be finite and non-negative."""
+    ``tol`` must be finite and non-negative. Each delta must keep at least
+    one of u0 - delta and u0 + delta inside f's domain."""
     _check_tol(tol)
     deltas = np.asarray(deltas, dtype=float)
     if deltas.ndim != 1 or deltas.size == 0 or not (deltas > 0.0).all():  # also false for NaN
@@ -181,6 +180,10 @@ def ff_continuity_probe(f: FuzzyCurveFunction, u0: float, deltas, tol: float = 1
         raise ValidationError("deltas must be strictly decreasing")
     lo, hi = f.domain
     inside(u0, lo, hi, f"u0={u0}")
+    nowhere = (u0 - deltas < lo) & (u0 + deltas > hi)  # the loop below samples neither side
+    if nowhere.any():
+        d = deltas[np.argmax(nowhere)]
+        raise ValidationError(f"delta={d} leaves the domain [{lo}, {hi}] on both sides of u0={u0}")
     center = f(u0)
     left = np.full(deltas.shape, np.nan)
     right = np.full(deltas.shape, np.nan)

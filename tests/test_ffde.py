@@ -505,7 +505,9 @@ class TestGeneralRhs:
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("case", ["I", "II"])
     def test_callback_of_the_wrong_shape_raises_value_error(self, case, side, bad):
-        good = lambda J, lo, up, rs: lo + up
+        def good(J, lo, up, rs):
+            return lo + up
+
         fns = (bad, good) if side == "lower" else (good, bad)
         with pytest.raises(ValueError):
             solve_first_order(_func_problem(case, *fns))
@@ -513,7 +515,8 @@ class TestGeneralRhs:
 
 def _generic_band_solve(problem, rs, swap):
     """The band system driven through LinearRhs.lower/upper by the generic
-    loop, as every first-order solve ran before the linear kernel."""
+    loop, as every first-order solve ran before the linear kernel, with its
+    rows in band order: the lowers, then the uppers, each by rising level."""
     rhs, n = problem.rhs, rs.size
 
     def system(J, y):
@@ -588,7 +591,7 @@ class TestLinearKernel:
     @example(a=2.0, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.1, u1=0.9, case="I",
              r_points=_FLOAT_LEVELS + 1, j_steps=32)
     # the benchmark's 101 levels: a < 0 in case I and a > 0 in case II swap
-    # the bands (path order), a < 0 in case II does not
+    # the bands (P reverses the path-order row), a < 0 in case II does not
     @example(a=-1.5, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.0, u1=1.0, case="I",
              r_points=101, j_steps=64)
     @example(a=1.5, c=(-1.0, 0.5, 2.0), x0=(0.0, 1.0, 2.5), u0=0.0, u1=1.0, case="II",
@@ -602,6 +605,9 @@ class TestLinearKernel:
         fast = ffde._integrate_bands(problem, rs, swap)
         slow = _generic_band_solve(problem, rs, swap)
         assert np.array_equal(fast.js, slow.js)
+        # the kernels' rows are in path order, the reference's in band order
+        for table in (slow.states, slow.slopes):
+            table[:, r_points:] = table[:, : r_points - 1 : -1]
         assert np.array_equal(fast.states, slow.states)
         assert np.array_equal(fast.slopes, slow.slopes)
 
@@ -709,6 +715,13 @@ class TestSolverPaths:
         assert sol.crisp.shape == (65,)
 
 
+def _solution_digest(sol):
+    digest = hashlib.sha256()
+    for arr in (sol.us, sol.Js, sol.rs, sol.lower, sol.upper, sol.validity):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
 class TestGoldenCutsBytes:
     """sha256 of (us, Js, rs, lower, upper, validity) of three 0/1-cut
     solves at the default 101 levels and 256 steps, recorded while every
@@ -735,18 +748,14 @@ class TestGoldenCutsBytes:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_cuts_solution_bytes(self, name):
         make_problem, expected = self.CASES[name]
-        sol = solve_first_order(make_problem(), method="cuts")
-        digest = hashlib.sha256()
-        for arr in (sol.us, sol.Js, sol.rs, sol.lower, sol.upper, sol.validity):
-            digest.update(arr.tobytes())
-        assert digest.hexdigest() == expected
+        assert _solution_digest(solve_first_order(make_problem(), method="cuts")) == expected
 
 
-def _koch5_example1(case):
+def _koch5_example1_II():
     from ffcalc import build_staircase, generate_koch
 
     table = build_staircase(generate_koch(5), math.log(4.0) / math.log(3.0), p0=0.0)
-    return example1_problem(case, table=table)
+    return example1_problem("II", table=table)
 
 
 def _band_problem(a, case, r_points):
@@ -766,10 +775,11 @@ def _func_problem(case, lower_fn, upper_fn):
 
 
 class TestGoldenBandBytes:
-    """sha256 of (us, Js, rs, lower, upper, validity) of solves that cross
-    every band layout of the first-order solver: both linear kernels with
-    and without the swap P (flip from a < 0, from case II, or from both),
-    a 0/1-cut solve, a fractal staircase and the generic loop."""
+    """sha256 of (us, Js, rs, lower, upper, validity) of first-order solves
+    through every band path: both linear kernels with the swap P (a < 0 in
+    case I, a > 0 in case II) and without it, a 0/1-cut solve, a Koch-5
+    staircase and the generic loop that a FuncRhs takes. Recorded while
+    only swapped bands wider than _FLOAT_LEVELS ran in path order."""
 
     CASES = {
         # P from a < 0 alone, and case II's swap with no P
@@ -809,7 +819,7 @@ class TestGoldenBandBytes:
             "b40adb27ab48d8e4bb162b2c5cededc8156b65dc83a8266ad1afd20afab40d81",
         ),
         "full_koch5_example1_II": (
-            lambda: _koch5_example1("II"),
+            _koch5_example1_II,
             "full",
             "27c300bcfaf91c91db60485248931ce88fe2b9226448479e5ceeb71b388c108d",
         ),
@@ -840,10 +850,7 @@ class TestGoldenBandBytes:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             sol = solve_first_order(make_problem(), method=method)
-        digest = hashlib.sha256()
-        for arr in (sol.us, sol.Js, sol.rs, sol.lower, sol.upper, sol.validity):
-            digest.update(arr.tobytes())
-        assert digest.hexdigest() == expected
+        assert _solution_digest(sol) == expected
 
 
 class TestVerificationHarness:

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from ffcalc import fuzzy_fractal_calc
 from ffcalc import (
     CaseInapplicableError,
+    ContinuityProbe,
     DegenerateDenominatorError,
     DomainError,
     FuzzyCurveFunction,
@@ -98,6 +100,29 @@ class TestContinuityProbe:
         assert f(2.5).core.lo == 5.0
         probe = ff_continuity_probe(f, 3.0, [0.5])  # 3 is inside the domain
         assert np.isnan(probe.right[0]) and probe.left[0] == 1.0
+
+    def test_delta_that_samples_neither_side_refused(self):
+        f = crisp_embedding(lambda u: 2 * np.asarray(u), (0, 1))
+        message = r"^delta=2\.0 leaves the domain \[0\.0, 1\.0\] on both sides of u0=0\.5$"
+        with pytest.raises(ValidationError, match=message):
+            ff_continuity_probe(f, 0.5, [2.0, 1.0, 0.1, 0.01])
+        # a delta that reaches an end exactly still samples it
+        probe = ff_continuity_probe(f, 0.5, [0.5, 0.1, 0.01])
+        assert probe.sup.tolist() == pytest.approx([1.0, 0.2, 0.02], rel=1e-12)
+        assert probe.decaying
+
+    def test_sup_without_warning_where_neither_side_was_probed(self):
+        probe = ContinuityProbe(
+            u0=0.5,
+            deltas=np.array([2.0, 0.4, 0.1]),
+            left=np.array([np.nan, np.nan, 0.25]),
+            right=np.array([np.nan, 0.5, 0.125]),
+            tol=1e-6,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            sup = probe.sup
+        assert np.isnan(sup[0]) and sup[1:].tolist() == [0.5, 0.25]
 
     @pytest.mark.parametrize("tol", [math.nan, math.inf, -1e-6])
     def test_tol_must_be_finite_and_non_negative(self, segment6, tol):
