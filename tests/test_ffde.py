@@ -774,12 +774,46 @@ def _func_problem(case, lower_fn, upper_fn):
     )
 
 
+def _koch5_func(case):
+    """The benchmark's FuncRhs form, x' = a x + c written as endpoint
+    callables, at 101 levels on a Koch-5 staircase over a sub-span."""
+    from ffcalc import build_staircase, generate_koch
+
+    a, (c0, c1, c2) = 0.9, (-0.4, 0.1, 0.7)
+
+    def lower(J, lo, up, rs):
+        return a * lo + (c0 * (1.0 - rs) + c1 * rs)
+
+    def upper(J, lo, up, rs):
+        return a * up + (c2 * (1.0 - rs) + c1 * rs)
+
+    return FirstOrderFfdeProblem(
+        table=build_staircase(generate_koch(5), math.log(4.0) / math.log(3.0), p0=0.0),
+        rhs=FuncRhs(lower, upper),
+        x0=make_triangular(-0.6, 0.2, 1.1),
+        span=(0.15, 0.85),
+        case=case,
+        r_points=101,
+        j_steps=256,
+    )
+
+
+class _Damped(LinearRhs):
+    """A LinearRhs subclass: its own lower/upper override the linear form."""
+
+    def lower(self, J, lo, up, rs):
+        return super().lower(J, lo, up, rs) - 0.5 * lo
+
+
 class TestGoldenBandBytes:
     """sha256 of (us, Js, rs, lower, upper, validity) of first-order solves
     through every band path: both linear kernels with the swap P (a < 0 in
     case I, a > 0 in case II) and without it, a 0/1-cut solve, a Koch-5
     staircase and the generic loop that a FuncRhs takes. Recorded while
-    only swapped bands wider than _FLOAT_LEVELS ran in path order."""
+    only swapped bands wider than _FLOAT_LEVELS ran in path order; the
+    func_koch5_*, func_own_inputs_*, func_opposite_bands_I and
+    linear_subclass_101_I digests were recorded while every FuncRhs and
+    LinearRhs subclass solve ran the generic loop, solve_crisp_in_J."""
 
     CASES = {
         # P from a < 0 alone, and case II's swap with no P
@@ -841,6 +875,39 @@ class TestGoldenBandBytes:
             ),
             "full",
             "d2e442b67f53a4aa37c645855d0531651abc959b91b33679436b2808a056e23a",
+        ),
+        "func_koch5_101_I": (lambda: _koch5_func("I"), "full", "4ae1e2102cb2865ec2b3781b6070a8b968850a1fbbddc374e13282c830177431"),
+        "func_koch5_101_II": (lambda: _koch5_func("II"), "full", "da26a56ee98bdd0e196e18adcd7817dcd35e287d1a6fc4c3640eead20cce02de"),
+        # callbacks that hand back their own band arguments, or the other
+        # side's; case II's swap makes own_inputs_II the system of
+        # opposite_bands_I, so the two share a digest
+        "func_own_inputs_I": (
+            lambda: _func_problem("I", lambda J, lo, up, rs: lo, lambda J, lo, up, rs: up),
+            "full",
+            "773a34354e39d97f92fe518c301e5bbc4e4ab776da0d4363a9788feab290d01d",
+        ),
+        "func_own_inputs_II": (
+            lambda: _func_problem("II", lambda J, lo, up, rs: lo, lambda J, lo, up, rs: up),
+            "full",
+            "8653355a27b9dc35d1ce7c37bcff0349837e67ae628ec1b9030a22d8fd4caeca",
+        ),
+        "func_opposite_bands_I": (
+            lambda: _func_problem("I", lambda J, lo, up, rs: up, lambda J, lo, up, rs: lo),
+            "full",
+            "8653355a27b9dc35d1ce7c37bcff0349837e67ae628ec1b9030a22d8fd4caeca",
+        ),
+        "linear_subclass_101_I": (
+            lambda: FirstOrderFfdeProblem(
+                table=unit_segment_table(),
+                rhs=_Damped(1.0, make_triangular(-1.0, 0.0, 1.0)),
+                x0=make_triangular(0.0, 1.0, 2.0),
+                span=(0.0, 1.0),
+                case="I",
+                r_points=101,
+                j_steps=256,
+            ),
+            "full",
+            "de6d884d60868537ddbbfc6a45ffebcd7b363d9077bf16b65fc0a547c2a1cb6f",
         ),
     }
 
