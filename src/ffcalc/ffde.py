@@ -283,15 +283,18 @@ def _path(lowers, uppers) -> np.ndarray:
 
 def _linear_steps_inplace(a, c: np.ndarray, flip: bool, h: float, states, slopes) -> None:
     """Fill states[1:] and slopes of the band system from states[0] with
-    19 ufunc calls per step, whatever the band width. Every stage is written
+    18 ufunc calls per step, whatever the band width. Every stage is written
     in place into preallocated 1-d buffers: k1 straight into the slope
-    table, the new state straight into the state table.
+    table, the new state straight into the state table, and k2 and k3 as
+    the rows of one buffer, so one call doubles both (exactly).
 
     Each row and ``c`` are in path order (see :func:`_path`), so with
     ``flip`` set P is the reversal of the row: a 1-d view with a negative
     stride, which numpy runs on its strided fast path, not row by row as it
     does a 2-d view with a negative row stride."""
-    yt, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
+    yt, k4 = np.empty_like(c), np.empty_like(c)
+    k23 = np.empty((2, c.size))
+    k2, k3 = k23
     # P applied as a view; 0-d arrays are the cheapest scalars to pass to a ufunc.
     # Each row of p_states is the 1-d reversal of a state row.
     p_states, p_yt = (states[:, ::-1], yt[::-1]) if flip else (states, yt)
@@ -314,9 +317,8 @@ def _linear_steps_inplace(a, c: np.ndarray, flip: bool, h: float, states, slopes
         mul(p_yt, a, k4)
         add(k4, c, k4)
         # ((k1 + 2 k2) + 2 k3) + k4
-        mul(k2, two, k2)
+        mul(k23, two, k23)
         add(k2, k1, k2)
-        mul(k3, two, k3)
         add(k2, k3, k2)
         add(k2, k4, k2)
         mul(k2, sixth, k2)
@@ -399,6 +401,85 @@ def _rk4_linear(a: float, c, flip: bool, y0, j_span, steps: int) -> CrispTraject
     return CrispTrajectory(js=js, states=states, slopes=slopes)
 
 
+def _rk4_func(rhs, swap: bool, rs: np.ndarray, y0, j_span, steps: int) -> CrispTrajectory:
+    """RK4 for the band system of a ``FuncRhs`` or a ``LinearRhs`` subclass
+    from y0, with y and y0 rows in path order (see :func:`_path`): the lower
+    band's slope is ``rhs.lower``, the upper band's ``rhs.upper``, the two
+    traded when ``swap`` is set.
+
+    The operations of :func:`solve_crisp_in_J` driven through the two
+    callbacks, in the same order and association and at the same J values,
+    so the tables are bit-identical; its per-call overhead is gone. Stages
+    are written in place into preallocated rows, as in
+    :func:`_linear_steps_inplace`. Each callback gets read-only views of one
+    stored or stage row and of ``rs``, and its result, once checked to hold
+    one value per level, is copied into a stage row, so a result that is
+    the callback's own input never aliases a buffer the loop writes. A row
+    is checked once per step, after the update, so no callback is handed a
+    non-finite state.
+    """
+    js, h = _uniform_grid(j_span, steps, "j_steps")
+    n = rs.size
+    states = np.empty((js.size, 2 * n))
+    slopes = np.empty_like(states)
+    states[0] = y0
+    yt, k4 = np.empty(2 * n), np.empty(2 * n)
+    k23 = np.empty((2, 2 * n))
+    k2, k3 = k23
+    zeros = np.zeros(2 * n)
+    shape = (n,)
+    sides = ("upper", "lower") if swap else ("lower", "upper")
+    f_lo, f_up = (getattr(rhs, side) for side in sides)
+
+    def bands(rows):
+        """Level k at index k of both bands: views of path-order rows."""
+        return rows[..., :n], rows[..., : n - 1 : -1]
+
+    (s_lo, s_up), (t_lo, t_up), levels = bands(states), bands(yt), rs.view()
+    for view in (s_lo, s_up, t_lo, t_up, levels):
+        view.flags.writeable = False  # a callback that writes into its input raises
+    (k1_lo, k1_up), (k2_lo, k2_up), (k3_lo, k3_up), (k4_lo, k4_up) = map(
+        bands, (slopes, k2, k3, k4)
+    )
+
+    def stage(J, lo, up):
+        dlo = np.asarray(f_lo(J, lo, up, levels), dtype=float)
+        dup = np.asarray(f_up(J, lo, up, levels), dtype=float)
+        if dlo.shape != shape or dup.shape != shape:
+            side, d = (sides[0], dlo) if dlo.shape != shape else (sides[1], dup)
+            raise ValidationError(
+                f"{type(rhs).__name__} {side} returned shape {d.shape}, expected {shape}"
+            )
+        return dlo, dup
+    two, half, hh, sixth = (np.array(v) for v in (2.0, 0.5 * h, h, h / 6.0))
+    mul, add = np.multiply, np.add
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is detected explicitly
+        for k, (j0, jm, j1) in enumerate(zip(js[:-1], js[:-1] + 0.5 * h, js[:-1] + h)):
+            y, k1 = states[k], slopes[k]
+            k1_lo[k], k1_up[k] = stage(j0, s_lo[k], s_up[k])
+            mul(k1, half, yt)
+            add(yt, y, yt)
+            k2_lo[...], k2_up[...] = stage(jm, t_lo, t_up)
+            mul(k2, half, yt)
+            add(yt, y, yt)
+            k3_lo[...], k3_up[...] = stage(jm, t_lo, t_up)
+            mul(k3, hh, yt)
+            add(yt, y, yt)
+            k4_lo[...], k4_up[...] = stage(j1, t_lo, t_up)
+            # ((k1 + 2 k2) + 2 k3) + k4
+            mul(k23, two, k23)
+            add(k2, k1, k2)
+            add(k2, k3, k2)
+            add(k2, k4, k2)
+            mul(k2, sixth, k2)
+            # 0 * x is 0 for finite x and NaN for inf or NaN, so the dot
+            # with zeros is finite exactly when every entry is
+            if not math.isfinite(add(y, k2, states[k + 1]).dot(zeros)):
+                _raise_divergence(js, k)
+        k1_lo[-1], k1_up[-1] = stage(js[-1], s_lo[-1], s_up[-1])
+    return CrispTrajectory(js=js, states=states, slopes=slopes)
+
+
 # ---------------------------------------------------------------------------
 # first-order problems
 
@@ -423,10 +504,18 @@ class FuncRhs:
     """Parametric right-hand side (f_lower, f_upper) of a first-order problem,
     built from two endpoint callables.
 
-    Both sides receive (J, lower_band, upper_band, levels) with the band
-    arrays aligned to the level grid, and return arrays of the same shape.
-    Exposing both bands to both sides is what lets case II couple the
-    endpoint equations.
+    Both sides receive (J, lower_band, upper_band, levels), with level k at
+    index k of both bands, and return one value per level: a result that
+    ``np.asarray(..., dtype=float)`` does not make shape (n,), for n levels,
+    raises a ``ValidationError`` naming the side and both shapes. Exposing
+    both bands to both sides is what lets case II couple the endpoint
+    equations.
+
+    The band arguments are read-only views of the solver's own rows, valid
+    only during the call: writing into one raises, and a callback that holds
+    on to them past the call must keep a copy. The levels are a read-only
+    view of the solution's level grid. The result is copied, so a callback
+    may return a band argument as it is.
     """
 
     def __init__(self, lower_fn: Callable, upper_fn: Callable):
@@ -539,19 +628,7 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
         c = _path(chi, clo) if swap else _path(clo, chi)
         flip = (rhs.a < 0.0) != swap
         return _rk4_linear(rhs.a, c, flip, y0, (J0, J1), problem.j_steps)
-    n = rs.size
-
-    def system(J, y):
-        lo, up = y[:n], y[: n - 1 : -1]  # level k at index k in both bands
-        if swap:
-            dlo = rhs.upper(J, lo, up, rs)
-            dup = rhs.lower(J, lo, up, rs)
-        else:
-            dlo = rhs.lower(J, lo, up, rs)
-            dup = rhs.upper(J, lo, up, rs)
-        return _path(np.asarray(dlo, dtype=float), np.asarray(dup, dtype=float))
-
-    return solve_crisp_in_J(system, y0, (J0, J1), problem.j_steps)
+    return _rk4_func(rhs, swap, rs, y0, (J0, J1), problem.j_steps)
 
 
 def _cuts_exact(problem: FirstOrderFfdeProblem) -> bool:

@@ -498,19 +498,61 @@ class TestGeneralRhs:
         assert np.array_equal(lo, x0_lo) and np.array_equal(up, x0_up)
 
     @pytest.mark.parametrize(
-        "bad",
-        [lambda J, lo, up, rs: 1.0, lambda J, lo, up, rs: np.float64(1.0), lambda J, lo, up, rs: lo[1:]],
+        "bad, shape",
+        [
+            (lambda J, lo, up, rs: 1.0, "()"),
+            (lambda J, lo, up, rs: np.float64(1.0), "()"),
+            (lambda J, lo, up, rs: lo[1:], "(20,)"),
+        ],
         ids=["float", "0-d", "one-short"],
     )
     @pytest.mark.parametrize("side", ["lower", "upper"])
     @pytest.mark.parametrize("case", ["I", "II"])
-    def test_callback_of_the_wrong_shape_raises_value_error(self, case, side, bad):
+    def test_callback_of_the_wrong_shape_raises_value_error(self, case, side, bad, shape):
         def good(J, lo, up, rs):
             return lo + up
 
         fns = (bad, good) if side == "lower" else (good, bad)
-        with pytest.raises(ValueError):
+        # the side named is the callable's, also where case II swaps the bands
+        message = f"FuncRhs {side} returned shape {shape}, expected (21,)"
+        with pytest.raises(ValidationError, match=re.escape(message)):
             solve_first_order(_func_problem(case, *fns))
+
+    def test_short_lower_with_long_upper_is_refused(self):
+        # n - 1 and n + 1 values make one 2n row, which the generic loop took
+        problem = _func_problem(
+            "I", lambda J, lo, up, rs: lo[1:], lambda J, lo, up, rs: np.append(up, 0.0)
+        )
+        with pytest.raises(ValidationError, match=re.escape("lower returned shape (20,)")):
+            solve_first_order(problem)
+
+    # calls 0 and 4 get stored rows (steps 0 and 1), call 1 a stage row
+    @pytest.mark.parametrize("call", [0, 1, 4], ids=["first-row", "stage-row", "next-row"])
+    @pytest.mark.parametrize("arg", ["lo", "up", "rs"])
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_callback_writing_into_its_input_raises(self, case, arg, call):
+        # the bands are views of the solver's rows, and rs is the solution's
+        # level grid: the write must raise before it reaches them, and the
+        # problem's data stays as it was
+        views, before = [], []
+
+        def lower(J, lo, up, rs):
+            target = {"lo": lo, "up": up, "rs": rs}[arg]
+            views.append(target)
+            before.append(target.copy())
+            if len(views) > call:
+                target[0] = 123.0
+            return lo + up
+
+        problem = _func_problem(case, lower, lambda J, lo, up, rs: up - lo)
+        rs = default_r_grid(21)
+        x0_lo, x0_up = (band.copy() for band in problem.x0.cuts_at(rs))
+        with pytest.raises(ValueError, match="read-only"):
+            solve_first_order(problem)
+        assert len(views) == call + 1
+        assert np.array_equal(views[-1], before[-1])
+        assert np.array_equal(problem.x0.cuts_at(rs)[0], x0_lo)
+        assert np.array_equal(problem.x0.cuts_at(rs)[1], x0_up)
 
 
 def _generic_band_solve(problem, rs, swap):
@@ -631,11 +673,107 @@ class TestLinearKernel:
         assert str(fast) == str(slow)
 
 
+# endpoint callables of the band-kernel equivalence test, each of
+# (J, lo, up, rs, p, q): linear and coupled, nonlinear but of bounded growth,
+# J-dependent, and ones that return a band argument as it is
+_BAND_FNS = {
+    "linear": lambda J, lo, up, rs, p, q: p * lo + q * up + rs,
+    "coupled_cos": lambda J, lo, up, rs, p, q: p * up * np.cos(J) - q * lo,
+    "tanh": lambda J, lo, up, rs, p, q: p * lo * np.tanh(up) + q * np.sin(lo - up),
+    "cos_forced": lambda J, lo, up, rs, p, q: q * rs * lo + np.cos(p * J),
+    "own_lo": lambda J, lo, up, rs, p, q: lo,
+    "own_up": lambda J, lo, up, rs, p, q: up,
+}
+
+
+def _recorded_func_rhs(lower, upper, p, q, seen):
+    """A FuncRhs of two _BAND_FNS entries that logs each call's side and J."""
+
+    def side(name, fn, coef):
+        def call(J, lo, up, rs):
+            seen.append((name, J, type(J)))
+            return _BAND_FNS[fn](J, lo, up, rs, *coef)
+
+        return call
+
+    return FuncRhs(side("lower", lower, (p, q)), side("upper", upper, (q, p)))
+
+
+class TestFuncKernel:
+    """The FuncRhs band kernel, _rk4_func, against the generic RK4 loop
+    driven through the same callbacks: the same tables bit for bit, the
+    same J values in the same order, and the same divergence report."""
+
+    @given(
+        lower=st.sampled_from(sorted(_BAND_FNS)),
+        upper=st.sampled_from(sorted(_BAND_FNS)),
+        p=st.floats(min_value=-2.0, max_value=2.0),
+        q=st.floats(min_value=-2.0, max_value=2.0),
+        x0=st.tuples(_moderate, _moderate, _moderate),
+        u0=st.floats(min_value=0.0, max_value=0.4),
+        u1=st.floats(min_value=0.6, max_value=1.0),
+        case=st.sampled_from(["I", "II"]),
+        r_points=st.integers(min_value=2, max_value=25),
+        j_steps=st.integers(min_value=16, max_value=128),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_generic_loop(self, lower, upper, p, q, x0, u0, u1, case, r_points, j_steps):
+        rs = np.linspace(0.0, 1.0, r_points)
+        swap = case == "II"
+        runs = []
+        for solve in (ffde._integrate_bands, _generic_band_solve):
+            seen = []
+            problem = FirstOrderFfdeProblem(
+                table=unit_segment_table(),
+                rhs=_recorded_func_rhs(lower, upper, p, q, seen),
+                x0=make_triangular(*sorted(x0)),
+                span=(u0, u1),
+                case=case,
+                r_points=r_points,
+                j_steps=j_steps,
+            )
+            runs.append((solve(problem, rs, swap), seen))
+        (fast, fast_seen), (slow, slow_seen) = runs
+        assert fast_seen == slow_seen
+        assert len(fast_seen) == 2 * (4 * j_steps + 1)
+        assert np.array_equal(fast.js, slow.js)
+        # the kernel's rows are in path order, the reference's in band order
+        for table in (slow.states, slow.slopes):
+            table[:, r_points:] = table[:, : r_points - 1 : -1]
+        assert np.array_equal(fast.states, slow.states)
+        assert np.array_equal(fast.slopes, slow.slopes)
+
+    @pytest.mark.parametrize("case", ["I", "II"])
+    def test_divergence_reported_identically(self, case):
+        # past J = 0.5 each slope is 1.5e308: every stage state stays finite
+        # (h/2 of it is ~1e306), and the RK4 sum k1 + 2 k2 overflows
+        rs = np.linspace(0.0, 1.0, 11)
+        runs = []
+        for solve in (ffde._integrate_bands, _generic_band_solve):
+            seen = []
+
+            def steep(J, lo, up, rs, seen=seen):
+                seen.append(np.concatenate((lo, up)))
+                return np.full(lo.shape, 1.5e308) if J >= 0.5 else np.cos(J) * up + lo
+
+            problem = _func_problem(case, steep, steep)
+            with pytest.raises(DivergenceError) as exc:
+                solve(problem, rs, case == "II")
+            runs.append((exc.value, seen))
+        (fast, fast_seen), (slow, slow_seen) = runs
+        assert 0.0 < fast.last_valid < 1.0
+        assert fast.last_valid == slow.last_valid
+        assert str(fast) == str(slow)
+        assert len(fast_seen) == len(slow_seen)
+        assert all(np.isfinite(band).all() for band in fast_seen + slow_seen)
+
+
 class TestSolverPaths:
-    """LinearRhs solves and the BVP take their own kernels; every other
-    right-hand side still reaches the generic loop. A LinearRhs band of at
-    most _FLOAT_LEVELS levels takes the float kernel, a wider one the
-    in-place kernel."""
+    """No solve reaches the generic loop: LinearRhs solves take the linear
+    kernels, every other right-hand side (a FuncRhs or a LinearRhs
+    subclass) the band kernel _rk4_func, and the BVP its own. A LinearRhs
+    band of at most _FLOAT_LEVELS levels takes the float kernel, a wider
+    one the in-place kernel."""
 
     @pytest.fixture()
     def no_generic_loop(self, monkeypatch):
@@ -680,34 +818,24 @@ class TestSolverPaths:
         ffde.solve_first_order(example1_problem(case, r_points=101, j_steps=256), method=method)
         assert sizes == [1]
 
-    def test_func_rhs_reaches_generic_loop(self, no_generic_loop):
+    @pytest.mark.parametrize("case, kind", [("I", "FuncRhs"), ("II", "FuncRhs"), ("I", "subclass")])
+    def test_other_rhs_takes_band_kernel(self, monkeypatch, no_generic_loop, case, kind):
+        if kind == "FuncRhs":
+            rhs = FuncRhs(lambda J, lo, up, rs: lo, lambda J, lo, up, rs: up)
+        else:
+            rhs = _Damped(1.0, make_triangular(-1.0, 0.0, 1.0))
         problem = FirstOrderFfdeProblem(
             table=unit_segment_table(),
-            rhs=FuncRhs(lambda J, lo, up, rs: lo, lambda J, lo, up, rs: up),
+            rhs=rhs,
             x0=make_triangular(0.0, 1.0, 2.0),
             span=(0.0, 1.0),
-            case="I",
+            case=case,
             r_points=5,
             j_steps=32,
         )
-        with pytest.raises(no_generic_loop):
-            ffde.solve_first_order(problem)
-
-    def test_linear_rhs_subclass_reaches_generic_loop(self, no_generic_loop):
-        class Damped(LinearRhs):
-            def lower(self, J, lo, up, rs):
-                return super().lower(J, lo, up, rs) - lo
-
-        problem = FirstOrderFfdeProblem(
-            table=unit_segment_table(),
-            rhs=Damped(1.0, make_triangular(-1.0, 0.0, 1.0)),
-            x0=make_triangular(0.0, 1.0, 2.0),
-            span=(0.0, 1.0),
-            case="I",
-            r_points=5,
-            j_steps=32,
-        )
-        with pytest.raises(no_generic_loop):
+        # solves with the generic loop refused, and reaches _rk4_func
+        assert ffde.solve_first_order(problem).lower.shape == (33, 5)
+        with pytest.raises(_refuse(monkeypatch, "_rk4_func")):
             ffde.solve_first_order(problem)
 
     def test_bvp_skips_generic_loop(self, no_generic_loop):
@@ -809,7 +937,7 @@ class TestGoldenBandBytes:
     """sha256 of (us, Js, rs, lower, upper, validity) of first-order solves
     through every band path: both linear kernels with the swap P (a < 0 in
     case I, a > 0 in case II) and without it, a 0/1-cut solve, a Koch-5
-    staircase and the generic loop that a FuncRhs takes. Recorded while
+    staircase and the band kernel that a FuncRhs takes. Recorded while
     only swapped bands wider than _FLOAT_LEVELS ran in path order; the
     func_koch5_*, func_own_inputs_*, func_opposite_bands_I and
     linear_subclass_101_I digests were recorded while every FuncRhs and
