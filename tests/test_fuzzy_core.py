@@ -1,28 +1,38 @@
 """Fuzzy-number arithmetic, metric, Hukuhara difference and diagnostics."""
 
+import hashlib
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ffcalc import (
+    CaseInapplicableError,
     DomainError,
     FuzzyNumber,
     HukuharaNonexistenceError,
     Interval,
     TriangularFuzzy,
     ValidationError,
+    J_at,
     add,
+    build_staircase,
     default_r_grid,
+    example1_problem,
+    fractal_hukuhara_derivative,
     fuzzy_from_json,
     fuzzy_to_json,
+    generate_koch,
     hausdorff_distance,
     hukuhara_diff,
     make_crisp,
     make_triangular,
     scale,
+    solve_first_order,
+    triangular_field,
     validate,
 )
 
@@ -341,3 +351,163 @@ class TestJson:
             fuzzy_from_json({"kind": "gaussian"})
         with pytest.raises(ValidationError):
             fuzzy_from_json({"kind": "triangular", "a": 1, "b": 2})
+
+
+# ---------------------------------------------------------------------------
+# golden bytes of the number operations
+
+OWN_GRID = np.array([0.0, 0.1, 0.35, 0.5, 0.8, 1.0])
+KOCH_ALPHA = math.log(4.0) / math.log(3.0)
+
+
+def _number_digest(X) -> str:
+    parts = (np.ascontiguousarray(a).tobytes() for a in (X.rs, X.lowers, X.uppers))
+    return hashlib.sha256(b"".join(parts)).hexdigest()
+
+
+def _pair():
+    return make_triangular(-1.25, 0.5, 2.0), make_triangular(-0.75, 0.25, 1.0)
+
+
+def _koch6_field(spreads):
+    """A triangular field on Koch-6 with a quadratic peak in J and spreads
+    (left, right), each a function of J."""
+    table = build_staircase(generate_koch(6), KOCH_ALPHA)
+    left, right = spreads
+
+    def peak(u):
+        J = J_at(table, u)
+        return 0.2 + 0.4 * J - 0.3 * J * J
+
+    f = triangular_field(
+        lambda u: peak(u) - left(J_at(table, u)),
+        peak,
+        lambda u: peak(u) + right(J_at(table, u)),
+        table.domain,
+    )
+    return f, table
+
+
+WIDENING = (lambda J: 0.5 + 0.3 * J, lambda J: 0.4 + 0.6 * J)
+SHRINKING = (lambda J: 1.5 - 0.5 * J, lambda J: 1.2 - 0.4 * J)
+
+
+def _derivative(spreads, case):
+    f, table = _koch6_field(spreads)
+    return fractal_hukuhara_derivative(f, table, 0.37, case, h=3.0 / 4**6)
+
+
+class TestGoldenNumberBytes:
+    """sha256 of (rs, lowers, uppers) of the number operations, each array
+    taken C-contiguous, and the exact messages of their refusals. Recorded
+    while a number held its lowers and uppers as two arrays of its own."""
+
+    CASES = {
+        "triangular_default": (
+            lambda: make_triangular(-1.25, 0.5, 2.0),
+            "27515af4d3c6962bac4f425e53c1ccf3290d12dcfbf81dd66667115e6039359a",
+        ),
+        "triangular_own_grid": (
+            lambda: make_triangular(-1.25, 0.5, 2.0, rs=OWN_GRID),
+            "3c1cddaf4abfbaa0dc0c7da39a7284702001d283ff424af3f39ab0227e2acad7",
+        ),
+        "crisp": (
+            lambda: make_crisp(0.3),
+            "49c0777cd3cb0e37f2128f6df70152df8a025ace9d8641d5094ac89992581478",
+        ),
+        "crisp_negative_zero": (
+            lambda: make_crisp(-0.0),
+            "89585de6aa231363e6070a2088d640255db52a69fa704ea69f36cb5a639b605b",
+        ),
+        "add": (
+            lambda: add(*_pair()),
+            "1ba77bbb2d0480eb18686451a65a23889258544908fc8c2765f7b8b156438bb1",
+        ),
+        "add_mixed_grids": (
+            lambda: add(_pair()[0], make_triangular(-0.75, 0.25, 1.0, rs=OWN_GRID)),
+            "fdcff21539e9a34e5155470df3b86d347b66f0e43bfdc5609269d3601d281deb",
+        ),
+        "scale_2.5": (
+            lambda: scale(2.5, _pair()[0]),
+            "2827e5b2d86f41fac26d19a0ebe900613d68b3d4fcab1b619ab590d8ff06906c",
+        ),
+        "scale_0.0": (
+            lambda: scale(0.0, _pair()[0]),
+            "b6ffbea4467a19f98d57d8a6573b451f911541312f3aee3dcbb0d67c8d0f290b",
+        ),
+        "scale_-0.0": (
+            lambda: scale(-0.0, _pair()[0]),
+            "ac7411c149b4d67e54415c795cbefc0258f24a483eccf9330c1ceb9d1c8fc7b5",
+        ),
+        "scale_-1.5": (
+            lambda: scale(-1.5, _pair()[0]),
+            "b260e06c6ba510b7569121f696cff1992d81cd7ec87b91659f4c14f1c76fb4c5",
+        ),
+        "hukuhara_exists": (
+            lambda: hukuhara_diff(*_pair()),
+            "a62f0618eb0549690762658ea55d2833ef43a7e7586fc8b33a36b43fba52fc40",
+        ),
+        # equal widths: the difference is crisp 0.9 up to an ulp's wobble,
+        # which only the constructor's tolerance accepts
+        "hukuhara_tie": (
+            lambda: hukuhara_diff(
+                make_triangular(-1.42, 0.05, 1.8), make_triangular(-0.52, 0.95, 2.7)
+            ),
+            "f473a1d20772433076143f955c5fdba23881bc0862812f576312ce43e288a3ed",
+        ),
+        "derivative_I_koch6": (
+            lambda: _derivative(WIDENING, "I"),
+            "51eeb88e6ffa77ba00faba3ed16ac666ec383418fce4d95386cbcf361c704c0f",
+        ),
+        "derivative_II_koch6": (
+            lambda: _derivative(SHRINKING, "II"),
+            "6555d7dbff44e462e45f44da7edf6dab6517c4a960aa37500f69def7ac177c0a",
+        ),
+        "r_slice": (
+            lambda: solve_first_order(example1_problem("I", j_steps=64)).r_slice(40),
+            "658bc29fc6c0449ae4af2cafd6808110a06236d2343da602e6cccfc8092d90df",
+        ),
+    }
+
+    REFUSED_DIFFERENCES = {
+        "width": (
+            lambda: hukuhara_diff(_pair()[1], _pair()[0]),
+            "difference not a fuzzy number: cut of the subtrahend wider at r=0.0",
+            0.0,
+        ),
+        "monotonicity": (
+            lambda: hukuhara_diff(make_triangular(-1.0, 0.0, 3.0), make_triangular(-2.0, 0.0, 0.5)),
+            "difference endpoints lose monotonicity at r=0.01",
+            0.01,
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_number_bytes(self, name):
+        build, expected = self.CASES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert _number_digest(build()) == expected
+
+    def test_hausdorff_distance_repr(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            d = hausdorff_distance(_pair()[0], make_triangular(-0.7, 0.31, 1.13))
+        assert repr(d) == "0.8700000000000001"
+
+    @pytest.mark.parametrize("name", sorted(REFUSED_DIFFERENCES))
+    def test_refused_difference(self, name):
+        refuse, message, failing_r = self.REFUSED_DIFFERENCES[name]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HukuharaNonexistenceError) as exc:
+                refuse()
+        assert (str(exc.value), repr(exc.value.failing_r)) == (message, repr(failing_r))
+
+    def test_refused_case(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(CaseInapplicableError) as exc:
+                _derivative(WIDENING, "II")
+        message = "case II difference does not exist at u0=0.37 (failing level r=0.0)"
+        assert (str(exc.value), repr(exc.value.failing_r)) == (message, "0.0")
