@@ -275,9 +275,9 @@ _FLOAT_LEVELS = 8
 
 def _path(lowers, uppers) -> np.ndarray:
     """The row of a band system in path order: the lowers by rising level,
-    then the uppers by falling level, the walk round the band that
-    ``fuzzy_core._exactly_ordered`` takes. In it the swap P of the lower and
-    upper bands is the reversal of the row."""
+    then the uppers by falling level, the layout of a ``FuzzyNumber``'s own
+    row. In it the swap P of the lower and upper bands is the reversal of
+    the row."""
     return np.concatenate((lowers, np.flip(uppers)))
 
 
@@ -491,13 +491,14 @@ class LinearRhs:
         self.a = float(a)
         self.c = c
 
+    # each side reads its own band of c, which on c's own levels is a copy
     def lower(self, J, lo, up, rs):
-        clo, _ = self.c.cuts_at(rs)
-        return (self.a * lo if self.a >= 0.0 else self.a * up) + clo
+        c = self.c
+        return (self.a * lo if self.a >= 0.0 else self.a * up) + c._band_at(rs, c.lowers)
 
     def upper(self, J, lo, up, rs):
-        _, chi = self.c.cuts_at(rs)
-        return (self.a * up if self.a >= 0.0 else self.a * lo) + chi
+        c = self.c
+        return (self.a * up if self.a >= 0.0 else self.a * lo) + c._band_at(rs, c.uppers)
 
 
 class FuncRhs:

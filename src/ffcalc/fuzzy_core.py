@@ -7,10 +7,13 @@ the r = 1 cut is the (nonempty) core. All arithmetic acts endpoint-wise
 on the cuts, with operands on different grids resampled onto the union
 grid first.
 
-In path form the shape rule reads: the lowers followed by the uppers in
-reverse order never decrease. A table whose path never decreases and has
-finite ends is accepted as it stands; any other table is measured for
-defects, and those up to rounding scale are still accepted.
+A number holds its band as one row in path order: the lowers by rising
+level, then the uppers by falling level. In that form the shape rule reads:
+the row never decreases. A row that never decreases and has finite ends is
+accepted as it stands; any other row is measured for defects, and those up
+to rounding scale are still accepted. Sums, differences and multiples act
+on the rows, and a negative multiple's swap of lower and upper is the
+reversal of the row.
 """
 
 from __future__ import annotations
@@ -146,23 +149,65 @@ def _default_grid_rows(rs, lowers, uppers) -> bool:
     )
 
 
-@dataclass(frozen=True, eq=False)
+def _path_row(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
+    """A fresh row holding a band in path order: the lowers by rising level,
+    then the uppers by falling level."""
+    n = lowers.size
+    row = np.empty(2 * n)
+    row[:n] = lowers
+    row[n:] = uppers[::-1]
+    return row
+
+
+def _bands(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lowers and uppers of a path-order row, as views of it."""
+    n = row.size // 2
+    return row[:n], row[: n - 1 : -1]
+
+
+@dataclass(frozen=True, eq=False, init=False)
 class FuzzyNumber:
-    """Fuzzy number tabulated as nested level cuts [lowers[k], uppers[k]] at rs[k]."""
+    """Fuzzy number tabulated as nested level cuts [lowers[k], uppers[k]] at rs[k].
+
+    The number owns its band as one float64 row in path order: the lowers
+    by rising level, then the uppers by falling level. The constructor
+    copies the given rows into it, and keeps ``rs`` as given (converted to
+    a float array if need be). ``lowers`` and ``uppers`` are views of the
+    row, so copies, deep copies and pickles keep them together; ``uppers``
+    has a negative stride, and a caller that needs contiguous memory uses
+    ``np.ascontiguousarray``. A write through either view changes the
+    number, and the next operation on it checks the band again.
+    """
 
     rs: np.ndarray
-    lowers: np.ndarray
-    uppers: np.ndarray
+    _row: np.ndarray
 
-    def __post_init__(self):
-        rs, lowers, uppers = self.rs, self.lowers, self.uppers
+    def __init__(self, rs, lowers, uppers):
         if not _default_grid_rows(rs, lowers, uppers):  # a grid of its own, or input to convert
             rs, lowers, uppers = _endpoint_table(rs, lowers, uppers)
-            object.__setattr__(self, "rs", rs)
-            object.__setattr__(self, "lowers", lowers)
-            object.__setattr__(self, "uppers", uppers)
-        if not _exactly_ordered(lowers, uppers):
-            scale = _scale_of(lowers, uppers)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "_row", _path_row(lowers, uppers))
+        self.__post_init__()
+
+    @classmethod
+    def _of_path(cls, rs: np.ndarray, row: np.ndarray) -> "FuzzyNumber":
+        """The number on the levels rs whose band is ``row``, a fresh
+        path-order float64 row of 2 * rs.size entries that it takes over.
+        A grid other than the shared one is checked as the constructor
+        checks it."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "rs", rs)
+        object.__setattr__(self, "_row", row)
+        if rs is not _DEFAULT_RS:
+            _endpoint_table(rs, *_bands(row))
+        self.__post_init__()
+        return self
+
+    def __post_init__(self):
+        row = self._row
+        if not _ordered_path(row):
+            rs, (lowers, uppers) = self.rs, _bands(row)
+            scale = _scale_of(row)
             if scale == math.inf:  # an entry on the shared grid is not finite
                 _endpoint_table(rs, lowers, uppers)  # raises
             bad_lo, bad_up, bad_w = _band_defects(lowers, uppers, _SHAPE_TOL * scale)
@@ -172,6 +217,17 @@ class FuzzyNumber:
                     f"not a valid fuzzy number: {v.condition} violated at r={v.r} "
                     f"by {v.magnitude:g}"
                 )
+
+    @property
+    def lowers(self) -> np.ndarray:
+        """Lower endpoints by rising level: a view of the number's row."""
+        return self._row[: self.rs.size]
+
+    @property
+    def uppers(self) -> np.ndarray:
+        """Upper endpoints by rising level: a view of the number's row, with
+        a negative stride."""
+        return self._row[: self.rs.size - 1 : -1]
 
     @property
     def support(self) -> Interval:
@@ -195,10 +251,16 @@ class FuzzyNumber:
         return Interval(lo, hi)
 
     def cuts_at(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper endpoints interpolated at the given levels."""
+        """Lower/upper endpoints interpolated at the given levels, as new arrays."""
+        return self._band_at(rs, self.lowers), self._band_at(rs, self.uppers)
+
+    def _band_at(self, rs, band: np.ndarray) -> np.ndarray:
+        """One of the number's bands interpolated at the levels rs. On the
+        number's own levels that is a copy of the band: np.interp returns
+        fp[j] itself where x == xp[j], signbit included."""
         inside(rs, 0, 1, "membership levels")
         rs = np.asarray(rs, dtype=float)
-        return np.interp(rs, self.rs, self.lowers), np.interp(rs, self.rs, self.uppers)
+        return band.copy() if _same_grid(rs, self.rs) else np.interp(rs, self.rs, band)
 
     def resample(self, rs: np.ndarray) -> "FuzzyNumber":
         rs = np.asarray(rs, dtype=float)
@@ -232,9 +294,9 @@ class FuzzyNumber:
         )
 
 
-def _scale_of(*arrays) -> float:
-    """max(1, largest |entry|) over the arrays; inf when an entry is NaN or infinite."""
-    peak = float(np.abs(np.concatenate(arrays, axis=None)).max(initial=0.0))
+def _scale_of(x: np.ndarray) -> float:
+    """max(1, largest |entry| of x); inf when an entry is NaN or infinite."""
+    peak = float(np.abs(x).max(initial=0.0))
     return max(1.0, peak) if peak < math.inf else math.inf  # NaN fails the test
 
 
@@ -260,11 +322,23 @@ def make_triangular(a: float, b: float, c: float, rs: np.ndarray | None = None) 
     if not (-math.inf < a and c < math.inf):  # in order, so b is finite too
         raise ValidationError(f"triangular feet/peak must be finite: ({a}, {b}, {c})")
     rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
-    return FuzzyNumber(rs, *_triangular_cuts(a, b, c, rs))
+    if rs is not _DEFAULT_RS:
+        return FuzzyNumber(rs, *_triangular_cuts(a, b, c, rs))
+    # _triangular_cuts written straight into the row: a (1 - r) + b r, c (1 - r) + b r;
+    # the feet as floats, since the products go into a float64 row
+    a, b, c = float(a), float(b), float(c)
+    n = rs.size
+    row = np.empty(2 * n)
+    np.multiply(a, _DEFAULT_FOOT, out=row[:n])
+    np.multiply(c, _DEFAULT_FOOT[::-1], out=row[n:])
+    row += b * _DEFAULT_RS_PATH
+    return FuzzyNumber._of_path(rs, row)
 
 
-# 1 - r on the shared grid, read-only for good as the grid itself is.
+# 1 - r on the shared grid, and the grid in path order, read-only for good
+# as the grid itself is.
 _DEFAULT_FOOT = np.frombuffer((1.0 - _DEFAULT_RS).tobytes())
+_DEFAULT_RS_PATH = np.frombuffer(_path_row(_DEFAULT_RS, _DEFAULT_RS).tobytes())
 
 
 def _triangular_cuts(a, b, c, rs):
@@ -276,8 +350,7 @@ def _triangular_cuts(a, b, c, rs):
 def make_crisp(x: float, rs: np.ndarray | None = None) -> FuzzyNumber:
     """Real number embedded as a zero-width fuzzy number."""
     rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
-    vals = np.full(rs.shape, float(x))
-    return FuzzyNumber(rs, vals, vals.copy())
+    return FuzzyNumber._of_path(rs, np.full(2 * rs.size, float(x)))
 
 
 # ---------------------------------------------------------------------------
@@ -290,10 +363,12 @@ def _same_grid(rs: np.ndarray, other: np.ndarray) -> bool:
 
 
 def _common_grid(A: FuzzyNumber, B: FuzzyNumber):
+    """The levels of A and B, or the union of both grids, and each band as a
+    path-order row on them."""
     if _same_grid(A.rs, B.rs):
-        return A.rs, (A.lowers, A.uppers), (B.lowers, B.uppers)
+        return A.rs, A._row, B._row
     rs = np.union1d(A.rs, B.rs)
-    return rs, A.cuts_at(rs), B.cuts_at(rs)
+    return rs, _path_row(*A.cuts_at(rs)), _path_row(*B.cuts_at(rs))
 
 
 # Every entry of a number strays from its r = 0 cut by at most
@@ -305,15 +380,16 @@ def _common_grid(A: FuzzyNumber, B: FuzzyNumber):
 _NO_OVERFLOW = 2.0**1020
 
 
-def _zero_cut_sum(alo: np.ndarray, ahi: np.ndarray, blo: np.ndarray, bhi: np.ndarray) -> float:
-    """The summed |r = 0 ends| of two bands: below _NO_OVERFLOW, neither
-    their sum nor their difference can overflow."""
-    return abs(alo.item(0)) + abs(ahi.item(0)) + abs(blo.item(0)) + abs(bhi.item(0))
+def _zero_cut_sum(pa: np.ndarray, pb: np.ndarray) -> float:
+    """The summed |r = 0 ends| of two path-order rows: below _NO_OVERFLOW,
+    neither their sum nor their difference can overflow."""
+    return abs(pa.item(0)) + abs(pa.item(-1)) + abs(pb.item(0)) + abs(pb.item(-1))
 
 
-def _refuse_overflow(rs, lo, up, what: str, expr: str) -> None:
+def _refuse_overflow(rs, row, what: str, expr: str) -> None:
     """Raise a ValidationError naming the operation and the first level where
-    its result lo, up is not finite, if there is one."""
+    its result, the path-order row, is not finite, if there is one."""
+    lo, up = _bands(row)
     overflow = ~(np.isfinite(lo) & np.isfinite(up))
     if overflow.any():
         r = float(rs[np.argmax(overflow)])
@@ -323,33 +399,33 @@ def _refuse_overflow(rs, lo, up, what: str, expr: str) -> None:
 def add(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     """Endpoint-wise sum of level cuts. A sum that overflows raises
     :class:`ValidationError`."""
-    rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
-    if _zero_cut_sum(alo, ahi, blo, bhi) < _NO_OVERFLOW:
-        return FuzzyNumber(rs, alo + blo, ahi + bhi)
+    rs, pa, pb = _common_grid(A, B)
+    if _zero_cut_sum(pa, pb) < _NO_OVERFLOW:
+        return FuzzyNumber._of_path(rs, pa + pb)
     with np.errstate(over="ignore"):  # reported below
-        lo, up = alo + blo, ahi + bhi
-    _refuse_overflow(rs, lo, up, "fuzzy sum", "A + B")
-    return FuzzyNumber(rs, lo, up)
+        row = pa + pb
+    _refuse_overflow(rs, row, "fuzzy sum", "A + B")
+    return FuzzyNumber._of_path(rs, row)
 
 
 def scale(lam: float, A: FuzzyNumber) -> FuzzyNumber:
     """Scalar multiple of A; endpoints swap when the scalar is negative. A
     multiple that overflows raises :class:`ValidationError`."""
     lam = float(lam)
-    lo, up = (A.lowers, A.uppers) if lam >= 0.0 else (A.uppers, A.lowers)
-    if abs(lam) * (1.0 + abs(lo.item(0)) + abs(up.item(0))) < _NO_OVERFLOW:
-        return FuzzyNumber(A.rs, lam * lo, lam * up)
+    p = A._row if lam >= 0.0 else A._row[::-1]  # the swap of lower and upper reverses the row
+    if abs(lam) * (1.0 + abs(p.item(0)) + abs(p.item(-1))) < _NO_OVERFLOW:
+        return FuzzyNumber._of_path(A.rs, lam * p)
     with np.errstate(over="ignore", invalid="ignore"):  # inf * 0 for a non-finite lam
-        lo, up = lam * lo, lam * up
+        row = lam * p
     if math.isfinite(lam):  # otherwise the constructor refuses the entries as not finite
-        _refuse_overflow(A.rs, lo, up, "scalar multiple", "lam * A")
-    return FuzzyNumber(A.rs, lo, up)
+        _refuse_overflow(A.rs, row, "scalar multiple", "lam * A")
+    return FuzzyNumber._of_path(A.rs, row)
 
 
 def hausdorff_distance(A: FuzzyNumber, B: FuzzyNumber) -> float:
     """sup over the level grid of the larger endpoint deviation."""
-    _, (alo, ahi), (blo, bhi) = _common_grid(A, B)
-    return float(np.max(np.maximum(np.abs(alo - blo), np.abs(ahi - bhi))))
+    _, pa, pb = _common_grid(A, B)
+    return float(np.abs(pa - pb).max())
 
 
 def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
@@ -364,23 +440,21 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
     when :class:`FuzzyNumber` accepts its cuts. A difference that overflows
     raises :class:`ValidationError` first.
     """
-    rs, (alo, ahi), (blo, bhi) = _common_grid(A, B)
-    if _zero_cut_sum(alo, ahi, blo, bhi) < _NO_OVERFLOW:
-        clo = alo - blo
-        chi = ahi - bhi
+    rs, pa, pb = _common_grid(A, B)
+    if _zero_cut_sum(pa, pb) < _NO_OVERFLOW:
+        row = pa - pb
     else:
         with np.errstate(over="ignore"):  # overflow is reported below
-            clo = alo - blo
-            chi = ahi - bhi
-    if _exactly_ordered(clo, chi):  # finite, so nothing overflowed, and free of defects
-        return FuzzyNumber(rs, clo, chi)
+            row = pa - pb
+    if _ordered_path(row):  # finite, so nothing overflowed, and free of defects
+        return FuzzyNumber._of_path(rs, row)
     # the operands are finite, so an entry that is not is an overflow
-    scale = _scale_of(clo, chi)
+    scale = _scale_of(row)
     if scale == math.inf:
-        _refuse_overflow(rs, clo, chi, "Hukuhara difference", "A - B")
+        _refuse_overflow(rs, row, "Hukuhara difference", "A - B")
     # the constructor's own test: ties (equal widths, crisp stretches) that
     # wobble by an ulp under subtraction pass it only within its tolerance
-    bad_lo, bad_up, bad_w = _band_defects(clo, chi, _SHAPE_TOL * scale)
+    bad_lo, bad_up, bad_w = _band_defects(*_bands(row), _SHAPE_TOL * scale)
     if bad_w.any():
         r = float(rs[np.argmax(bad_w)])
         raise HukuharaNonexistenceError(
@@ -391,7 +465,7 @@ def hukuhara_diff(A: FuzzyNumber, B: FuzzyNumber) -> FuzzyNumber:
         raise HukuharaNonexistenceError(
             f"difference endpoints lose monotonicity at r={r}", failing_r=r
         )
-    return FuzzyNumber(rs, clo, chi)
+    return FuzzyNumber._of_path(rs, row)
 
 
 # ---------------------------------------------------------------------------
@@ -418,19 +492,19 @@ class ValidationReport:
         return {v.condition for v in self.violations}
 
 
-def _exactly_ordered(lowers: np.ndarray, uppers: np.ndarray):
-    """Whether band arrays of shape (n_r,) or (n, n_r) are, row by row, finite
-    and free of shape defects at any tolerance: the lowers followed by the
-    reversed uppers never decrease, and both ends of that path are finite.
+def _ordered_path(path: np.ndarray):
+    """Whether path-order rows (the lowers, then the uppers reversed) of
+    shape (2 n_r,) or (n, 2 n_r) are, row by row, finite and free of shape
+    defects at any tolerance: the row never decreases, and both its ends
+    are finite.
 
-    Monotone rows and lower <= upper at r = 1 give lower <= upper at every
+    Monotone bands and lower <= upper at r = 1 give lower <= upper at every
     level; between two finite ends every entry is finite, and NaN fails every
     comparison. Nothing is subtracted, so inf and NaN raise no warning. A row
     this refuses may still be within tolerance; callers then measure its
-    defects with :func:`_band_defects`. One band gives one verdict, a table
+    defects with :func:`_band_defects`. One row gives one verdict, a table
     one per row.
     """
-    path = np.concatenate((lowers, uppers[..., ::-1]), axis=-1)
     if path.ndim == 1:  # one band: a count and two plain floats cost less than a row reduction
         return (
             np.count_nonzero(path[:-1] <= path[1:]) == path.size - 1
@@ -440,6 +514,11 @@ def _exactly_ordered(lowers: np.ndarray, uppers: np.ndarray):
     ends = path.T  # ends[0] and ends[-1]: each row's first and last entry
     ordered = (path[..., :-1] <= path[..., 1:]).all(axis=-1)
     return ordered & (-math.inf < ends[0]) & (ends[-1] < math.inf)
+
+
+def _exactly_ordered(lowers: np.ndarray, uppers: np.ndarray):
+    """:func:`_ordered_path` of band arrays of shape (n_r,) or (n, n_r)."""
+    return _ordered_path(np.concatenate((lowers, uppers[..., ::-1]), axis=-1))
 
 
 def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float):

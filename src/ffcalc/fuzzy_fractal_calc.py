@@ -234,7 +234,8 @@ def fractal_hukuhara_derivative(
             lo, up = lam * lo, lam * up
         if not (np.isfinite(lo).all() and np.isfinite(up).all()):
             raise  # the quotient overflows
-        found = validate(diff.rs, lo, up, tol=_SHAPE_TOL * _scale_of(lo, up)).violations
+        tol = _SHAPE_TOL * max(_scale_of(lo), _scale_of(up))
+        found = validate(diff.rs, lo, up, tol=tol).violations
         raise _inapplicable(case, u0, found[0].r) from exc
 
 

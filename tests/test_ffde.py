@@ -926,6 +926,43 @@ def _koch5_func(case):
     )
 
 
+class TestLinearRhsSides:
+    """Each side of a LinearRhs adds its own band of c: read as it stands on
+    c's own levels, interpolated on any other."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("interpolated")
+
+    @pytest.mark.parametrize("a", [1.5, -0.5])
+    def test_on_the_levels_of_c_nothing_is_interpolated(self, monkeypatch, a):
+        c = make_triangular(-1.0, -0.0, 2.0)
+        rhs = LinearRhs(a, c)
+        rs = default_r_grid()
+        lo, up = rs - 2.0, 3.0 - rs
+        want = [
+            (a * lo if a >= 0.0 else a * up) + np.interp(rs, c.rs, c.lowers),
+            (a * up if a >= 0.0 else a * lo) + np.interp(rs, c.rs, c.uppers),
+        ]
+        monkeypatch.setattr(np, "interp", self._refuse)
+        monkeypatch.setattr(FuzzyNumber, "cuts_at", self._refuse)
+        got = [rhs.lower(0.0, lo, up, rs.view()), rhs.upper(0.0, lo, up, rs.view())]
+        for g, w in zip(got, want):
+            assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+
+    def test_other_levels_are_interpolated(self):
+        c = make_triangular(-1.0, 0.25, 2.0)
+        rs = default_r_grid(7)
+        lo, up = rs - 2.0, 3.0 - rs
+        rhs = LinearRhs(1.5, c)
+        want_lo = 1.5 * lo + np.interp(rs, c.rs, c.lowers)
+        want_up = 1.5 * up + np.interp(rs, c.rs, c.uppers)
+        assert rhs.lower(0.0, lo, up, rs).tolist() == want_lo.tolist()
+        assert rhs.upper(0.0, lo, up, rs).tolist() == want_up.tolist()
+        with pytest.raises(DomainError, match=r"^membership levels outside \[0, 1\]$"):
+            rhs.lower(0.0, lo, up, rs + 0.5)
+
+
 class _Damped(LinearRhs):
     """A LinearRhs subclass: its own lower/upper override the linear form."""
 

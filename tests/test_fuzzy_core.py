@@ -155,6 +155,32 @@ class TestCuts:
             make_triangular(0.0, 1.0, 2.0).cuts_at(rs)
 
 
+    @pytest.mark.parametrize("grid", ["shared", "own"])
+    def test_cuts_on_the_own_grid_are_the_interpolated_bits(self, grid):
+        # np.interp returns fp[j] itself where x == xp[j]: -0.0 keeps its
+        # sign and +-1e300 entries make no inf - inf; the cuts are copies
+        rs = None if grid == "shared" else np.linspace(0.0, 1.0, 101) ** 2
+        A = make_triangular(-1e300, -0.0, 1e300, rs=rs)
+        B = FuzzyNumber(A.rs, np.minimum(A.lowers, -0.0), np.maximum(A.uppers, 0.0))
+        for X in (A, B, make_crisp(-0.0, rs=rs)):
+            got = X.cuts_at(X.rs)
+            want = (np.interp(X.rs, X.rs, X.lowers), np.interp(X.rs, X.rs, X.uppers))
+            for g, w, band in zip(got, want, (X.lowers, X.uppers)):
+                assert g.flags.c_contiguous and g.flags.writeable
+                assert not np.shares_memory(g, band)
+                assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
+        lo, up = make_crisp(-0.0, rs=rs).cuts_at(A.rs)
+        assert np.signbit(lo).all() and np.signbit(up).all()
+
+    def test_cuts_on_another_grid_are_interpolated(self):
+        A = make_triangular(-1.0, 0.25, 2.0)
+        levels = np.array([0.0, 0.005, 0.333, 0.5, 0.9999, 1.0])
+        lo, up = A.cuts_at(levels)
+        assert lo.tolist() == np.interp(levels, A.rs, A.lowers).tolist()
+        assert up.tolist() == np.interp(levels, A.rs, A.uppers).tolist()
+        assert lo[1] == np.interp(0.005, A.rs, A.lowers) != A.lowers[0]
+
+
 class TestArithmetic:
     def test_add_triangulars(self):
         S = add(make_triangular(0.0, 1.0, 2.0), make_triangular(1.0, 2.0, 3.0))

@@ -16,10 +16,12 @@ every input.
 
 import collections
 import contextlib
+import copy
 import hashlib
 import io
 import itertools
 import math
+import pickle
 import re
 import warnings
 from unittest import mock
@@ -29,6 +31,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ffcalc import (
+    CaseInapplicableError,
     DomainError,
     EstimationError,
     FractalCurve,
@@ -52,6 +55,8 @@ from ffcalc import (
     example1_problem,
     ff_riemann_integral,
     gamma_dimension,
+    hausdorff_distance,
+    fractal_hukuhara_derivative,
     scale,
     solve_first_order,
     triangular_field,
@@ -1007,6 +1012,14 @@ def lookup_queries(draw):
     return values if kind == "1d" or values.size % 2 else values.reshape(2, -1)
 
 
+DUPLICATES = {
+    "itself": lambda x: x,
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+}
+
+
 class TestSharedDefaultGrid:
     @given(default_grid_tables())
     @settings(max_examples=600, deadline=None)
@@ -1016,17 +1029,49 @@ class TestSharedDefaultGrid:
 
     @given(default_grid_tables())
     @settings(max_examples=200, deadline=None)
-    def test_constructor_keeps_the_arrays_it_is_given(self, table):
-        # the stored arrays are the inputs exactly when the reference's
-        # np.asarray conversions return their inputs
+    def test_constructor_copies_the_rows_it_is_given(self, table):
+        # the grid is stored as given exactly when the reference's np.asarray
+        # returns it; the rows are copied into the number's own row, so a
+        # later write into the caller's arrays does not reach the number
         rs, lo, up = table
         try:
             got = FuzzyNumber(rs, lo, up)
         except ValidationError:
             return
         want = ref_constructor_check(rs, lo, up)
-        for stored, expected, given_ in zip((got.rs, got.lowers, got.uppers), want, (rs, lo, up)):
-            assert (stored is given_) == (expected is given_)
+        assert (got.rs is rs) == (want[0] is rs)
+        held = [got.lowers.tobytes(), got.uppers.tobytes()]
+        for given_ in (lo, up):
+            if isinstance(given_, np.ndarray):
+                assert not np.shares_memory(given_, got.lowers.base)
+                if given_.flags.writeable:
+                    given_.fill(7)
+        assert [got.lowers.tobytes(), got.uppers.tobytes()] == held
+        assert got.lowers.base is got.uppers.base is not None
+
+    @pytest.mark.parametrize("duplicate", sorted(DUPLICATES))
+    def test_writes_through_the_bands_reach_the_next_operation(self, duplicate):
+        # lowers and uppers are views of the number's row, in the number, in
+        # its copies, its deep copies and its pickles alike; an operation
+        # reads what was written through them and checks it again
+        B = make_triangular(-0.5, 0.0, 0.5)
+        original = make_triangular(-1.0, 0.0, 1.0)
+        A = DUPLICATES[duplicate](original)
+        assert A.lowers.base is A.uppers.base is not None
+        assert A.data_equal(original)
+        A.uppers[50] = A.uppers[49] + 0.25  # the upper rises at r = 0.5
+        with pytest.raises(ValidationError, match="violated at r=0.5 by 0.245$"):
+            add(A, B)
+        with pytest.raises(ValidationError, match="violated at r=0.5 by 0.5$"):
+            scale(-2.0, A)
+        with pytest.raises(HukuharaNonexistenceError, match="lose monotonicity at r=0.5"):
+            hukuhara_diff(A, B)
+        A.uppers[50] = 0.5  # valid again, with the support widened at r = 0
+        A.lowers[0], A.uppers[0] = -1.5, 1.25
+        S, L, D = add(A, B), scale(-2.0, A), hukuhara_diff(A, B)
+        assert (S.lowers[0], S.uppers[0]) == (-2.0, 1.75)
+        assert (L.lowers[0], L.uppers[0]) == (-2.5, 3.0)
+        assert (D.lowers[0], D.uppers[0]) == (-1.0, 0.75)
 
     @pytest.mark.parametrize("rs", [_DEFAULT_RS, default_r_grid()], ids=["shared", "copy"])
     @pytest.mark.parametrize("condition", ["lower_monotone", "upper_monotone", "lower_le_upper"])
@@ -2895,9 +2940,11 @@ class TestPerNumberFloor:
     @example([np.empty(0), np.array([-0.0])])
     @settings(max_examples=400, deadline=None)
     def test_scale_of_matches_the_per_array_form(self, arrays):
+        # a number's scale is read from its one path-order row, which holds
+        # every entry of its bands; here the row is the arrays laid end to end
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = fuzzy_core._scale_of(*arrays)
+            got = fuzzy_core._scale_of(np.concatenate(arrays, axis=None))
         want = ref_per_array_scale_of(*arrays)
         assert type(got) is float and got.hex() == want.hex()
 
@@ -3011,3 +3058,161 @@ class TestPerNumberFloor:
     def test_nan_feet_are_still_out_of_order(self):
         with pytest.raises(ValidationError, match=r"^triangular feet/peak out of order: \(nan, 0, 1\)$"):
             make_triangular(np.nan, 0, 1)
+
+
+# ---------------------------------------------------------------------------
+# numbers that own one path-order row: sums, differences, multiples and
+# distances against the operations on two rows that they replaced
+
+
+def ref_two_row_scale_of(*arrays) -> float:
+    peak = float(np.abs(np.concatenate(arrays, axis=None)).max(initial=0.0))
+    return max(1.0, peak) if peak < math.inf else math.inf
+
+
+def ref_zero_cut_sum(alo, ahi, blo, bhi) -> float:
+    return abs(alo.item(0)) + abs(ahi.item(0)) + abs(blo.item(0)) + abs(bhi.item(0))
+
+
+def ref_refuse_overflow(rs, lo, up, what, expr) -> None:
+    overflow = ~(np.isfinite(lo) & np.isfinite(up))
+    if overflow.any():
+        r = float(rs[np.argmax(overflow)])
+        raise ValidationError(f"{what} overflows at r={r}: {expr} is not finite")
+
+
+def ref_two_row_add(A, B):
+    rs, (alo, ahi), (blo, bhi) = ref_common_grid(A, B)
+    if ref_zero_cut_sum(alo, ahi, blo, bhi) < fuzzy_core._NO_OVERFLOW:
+        return FuzzyNumber(rs, alo + blo, ahi + bhi)
+    with np.errstate(over="ignore"):
+        lo, up = alo + blo, ahi + bhi
+    ref_refuse_overflow(rs, lo, up, "fuzzy sum", "A + B")
+    return FuzzyNumber(rs, lo, up)
+
+
+def ref_two_row_scale(lam, A):
+    lam = float(lam)
+    lo, up = (A.lowers, A.uppers) if lam >= 0.0 else (A.uppers, A.lowers)
+    if abs(lam) * (1.0 + abs(lo.item(0)) + abs(up.item(0))) < fuzzy_core._NO_OVERFLOW:
+        return FuzzyNumber(A.rs, lam * lo, lam * up)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, up = lam * lo, lam * up
+    if math.isfinite(lam):
+        ref_refuse_overflow(A.rs, lo, up, "scalar multiple", "lam * A")
+    return FuzzyNumber(A.rs, lo, up)
+
+
+def ref_two_row_hausdorff_distance(A, B):
+    _, (alo, ahi), (blo, bhi) = ref_common_grid(A, B)
+    return float(np.max(np.maximum(np.abs(alo - blo), np.abs(ahi - bhi))))
+
+
+def ref_two_row_hukuhara_diff(A, B):
+    rs, (alo, ahi), (blo, bhi) = ref_common_grid(A, B)
+    if ref_zero_cut_sum(alo, ahi, blo, bhi) < fuzzy_core._NO_OVERFLOW:
+        clo = alo - blo
+        chi = ahi - bhi
+    else:
+        with np.errstate(over="ignore"):
+            clo = alo - blo
+            chi = ahi - bhi
+    if fuzzy_core._exactly_ordered(clo, chi):
+        return FuzzyNumber(rs, clo, chi)
+    scale_ = ref_two_row_scale_of(clo, chi)
+    if scale_ == math.inf:
+        ref_refuse_overflow(rs, clo, chi, "Hukuhara difference", "A - B")
+    bad_lo, bad_up, bad_w = _band_defects(clo, chi, _SHAPE_TOL * scale_)
+    if bad_w.any():
+        r = float(rs[np.argmax(bad_w)])
+        raise HukuharaNonexistenceError(
+            f"difference not a fuzzy number: cut of the subtrahend wider at r={r}", failing_r=r
+        )
+    if bad_lo.any() or bad_up.any():
+        r = float(rs[np.argmax(bad_lo | bad_up) + 1])
+        raise HukuharaNonexistenceError(
+            f"difference endpoints lose monotonicity at r={r}", failing_r=r
+        )
+    return FuzzyNumber(rs, clo, chi)
+
+
+def bits(a) -> list:
+    return np.ascontiguousarray(a).view(np.uint64).tolist()
+
+
+def bit_outcome(fn, *args):
+    """What a call returned, to the bit (signbit of zeros included), or what
+    it raised, and the warnings it emitted on the way as the default filter
+    shows them: each distinct one once (a distance whose two-row
+    subtractions both overflowed warned twice from one line)."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            value = fn(*args)
+        except (ValidationError, HukuharaNonexistenceError) as exc:
+            value = (type(exc), str(exc), getattr(exc, "failing_r", None))
+    if isinstance(value, FuzzyNumber):
+        shared = value.rs is _DEFAULT_RS
+        value = ("number", shared, bits(value.rs), bits(value.lowers), bits(value.uppers))
+    elif isinstance(value, float):
+        value = ("float", value.hex())
+    return value, sorted({(w.category.__name__, str(w.message)) for w in caught})
+
+
+OPERAND_PAIRS = st.one_of(shared_grid_pairs(), hukuhara_pairs())
+MULTIPLES = st.one_of(
+    st.sampled_from([2.5, 0.0, -0.0, -1.5, 1e10, -1e10, 1e300, -1e300, np.inf, -np.inf, np.nan]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+class TestPathOrderNumbers:
+    @given(OPERAND_PAIRS)
+    @settings(max_examples=400, deadline=None)
+    def test_sums_differences_and_distances_match_the_two_row_code(self, pair):
+        A, B = pair
+        for X, Y in ((A, B), (B, A), (A, A)):  # A + A overflows in the overflow draws
+            assert bit_outcome(add, X, Y) == bit_outcome(ref_two_row_add, X, Y)
+            assert bit_outcome(hukuhara_diff, X, Y) == bit_outcome(ref_two_row_hukuhara_diff, X, Y)
+            assert bit_outcome(hausdorff_distance, X, Y) == bit_outcome(
+                ref_two_row_hausdorff_distance, X, Y
+            )
+
+    @given(OPERAND_PAIRS, MULTIPLES)
+    @example((make_crisp(-0.0), make_crisp(0.0)), -0.0)
+    @example((make_triangular(-1e308, 0.0, 1.7e308), make_crisp(0.0)), -1.5)
+    @settings(max_examples=400, deadline=None)
+    def test_multiples_match_the_two_row_code(self, pair, lam):
+        for X in pair:
+            assert bit_outcome(scale, lam, X) == bit_outcome(ref_two_row_scale, lam, X)
+
+    def test_default_grid_operations_never_concatenate(self, monkeypatch):
+        A = make_triangular(-1.25, 0.5, 2.0)
+        B = make_triangular(-0.75, 0.25, 1.0)
+        table = build_staircase(generate_koch(6), KOCH_DIM)
+
+        def field(spread):
+            J = lambda u: J_at(table, u)  # noqa: E731
+            return triangular_field(
+                lambda u: 0.2 - spread(J(u)), lambda u: 0.2 + 0.0 * u, lambda u: 0.2 + spread(J(u)),
+                table.domain,
+            )
+
+        widening, shrinking = field(lambda J: 0.5 + 0.3 * J), field(lambda J: 1.5 - 0.5 * J)
+        monkeypatch.setattr(np, "concatenate", refusal("np.concatenate"))
+        numbers = [
+            make_triangular(-1.0, 0.0, 3.0),
+            add(A, B),
+            scale(2.5, A),
+            scale(-1.5, A),
+            hukuhara_diff(A, B),
+            fractal_hukuhara_derivative(widening, table, 0.37, "I", h=3.0 / 4**6),
+            fractal_hukuhara_derivative(shrinking, table, 0.37, "II", h=3.0 / 4**6),
+        ]
+        assert all(n.rs is _DEFAULT_RS for n in numbers)
+        with pytest.raises(HukuharaNonexistenceError, match="subtrahend wider"):
+            hukuhara_diff(B, A)
+        with pytest.raises(CaseInapplicableError):
+            fractal_hukuhara_derivative(widening, table, 0.37, "II", h=3.0 / 4**6)
+        with pytest.raises(CaseInapplicableError):
+            fractal_hukuhara_derivative(shrinking, table, 0.37, "I", h=3.0 / 4**6)
