@@ -41,6 +41,7 @@ from .fuzzy_core import (
     TriangularFuzzy,
     _check_level_grid,
     _level_linear,
+    _path_row,
     _rejected_rows,
     default_r_grid,
 )
@@ -273,14 +274,6 @@ def solve_crisp_in_J(rhs: Callable, x0, j_span, steps: int) -> CrispTrajectory:
 _FLOAT_LEVELS = 8
 
 
-def _path(lowers, uppers) -> np.ndarray:
-    """The row of a band system in path order: the lowers by rising level,
-    then the uppers by falling level, the layout of a ``FuzzyNumber``'s own
-    row. In it the swap P of the lower and upper bands is the reversal of
-    the row."""
-    return np.concatenate((lowers, np.flip(uppers)))
-
-
 def _linear_steps_inplace(a, c: np.ndarray, flip: bool, h: float, states, slopes) -> None:
     """Fill states[1:] and slopes of the band system from states[0] with
     18 ufunc calls per step, whatever the band width. Every stage is written
@@ -288,7 +281,7 @@ def _linear_steps_inplace(a, c: np.ndarray, flip: bool, h: float, states, slopes
     table, the new state straight into the state table, and k2 and k3 as
     the rows of one buffer, so one call doubles both (exactly).
 
-    Each row and ``c`` are in path order (see :func:`_path`), so with
+    Each row and ``c`` are in path order (see :func:`fuzzy_core._path_row`), so with
     ``flip`` set P is the reversal of the row: a 1-d view with a negative
     stride, which numpy runs on its strided fast path, not row by row as it
     does a 2-d view with a negative row stride."""
@@ -370,7 +363,7 @@ def _linear_steps_floats(a, c: np.ndarray, flip: bool, h: float, states, slopes)
 
 def _rk4_linear(a: float, c, flip: bool, y0, j_span, steps: int) -> CrispTrajectory:
     """RK4 for the band system y' = a*P*y + c from y0, with y, c and y0
-    rows in path order (see :func:`_path`) and P the reversal of the row
+    rows in path order (see :func:`fuzzy_core._path_row`) and P the reversal of the row
     when ``flip`` is set, the identity otherwise.
 
     The same floating-point operations as :func:`solve_crisp_in_J` driven by
@@ -403,7 +396,7 @@ def _rk4_linear(a: float, c, flip: bool, y0, j_span, steps: int) -> CrispTraject
 
 def _rk4_func(rhs, swap: bool, rs: np.ndarray, y0, j_span, steps: int) -> CrispTrajectory:
     """RK4 for the band system of a ``FuncRhs`` or a ``LinearRhs`` subclass
-    from y0, with y and y0 rows in path order (see :func:`_path`): the lower
+    from y0, with y and y0 rows in path order (see :func:`fuzzy_core._path_row`): the lower
     band's slope is ``rhs.lower``, the upper band's ``rhs.upper``, the two
     traded when ``swap`` is set.
 
@@ -618,7 +611,7 @@ class FuzzySolution:
 def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool) -> CrispTrajectory:
     """The band trajectory over the problem's J span, in path-order rows."""
     rhs = problem.rhs
-    y0 = _path(*problem.x0.cuts_at(rs))
+    y0 = _path_row(*problem.x0.cuts_at(rs))
     J0 = J_at(problem.table, problem.span[0])
     J1 = J_at(problem.table, problem.span[1])
     # exact type: a subclass may override lower/upper. LinearRhs multiplies
@@ -626,7 +619,7 @@ def _integrate_bands(problem: FirstOrderFfdeProblem, rs: np.ndarray, swap: bool)
     # trades the constants and flips the band once more
     if type(rhs) is LinearRhs:
         clo, chi = rhs.c.cuts_at(rs)
-        c = _path(chi, clo) if swap else _path(clo, chi)
+        c = _path_row(chi, clo) if swap else _path_row(clo, chi)
         flip = (rhs.a < 0.0) != swap
         return _rk4_linear(rhs.a, c, flip, y0, (J0, J1), problem.j_steps)
     return _rk4_func(rhs, swap, rs, y0, (J0, J1), problem.j_steps)

@@ -151,7 +151,8 @@ def _default_grid_rows(rs, lowers, uppers) -> bool:
 
 def _path_row(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     """A fresh row holding a band in path order: the lowers by rising level,
-    then the uppers by falling level."""
+    then the uppers by falling level. In it the swap of the two bands is the
+    reversal of the row."""
     n = lowers.size
     row = np.empty(2 * n)
     row[:n] = lowers
