@@ -486,12 +486,12 @@ class LinearRhs:
 
     # each side reads its own band of c, which on c's own levels is a copy
     def lower(self, J, lo, up, rs):
-        c = self.c
-        return (self.a * lo if self.a >= 0.0 else self.a * up) + c._band_at(rs, c.lowers)
+        (clo,) = self.c._bands_at(rs, self.c.lowers)
+        return (self.a * lo if self.a >= 0.0 else self.a * up) + clo
 
     def upper(self, J, lo, up, rs):
-        c = self.c
-        return (self.a * up if self.a >= 0.0 else self.a * lo) + c._band_at(rs, c.uppers)
+        (cup,) = self.c._bands_at(rs, self.c.uppers)
+        return (self.a * up if self.a >= 0.0 else self.a * lo) + cup
 
 
 class FuncRhs:

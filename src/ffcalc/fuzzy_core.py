@@ -253,15 +253,17 @@ class FuzzyNumber:
 
     def cuts_at(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Lower/upper endpoints interpolated at the given levels, as new arrays."""
-        return self._band_at(rs, self.lowers), self._band_at(rs, self.uppers)
+        return self._bands_at(rs, self.lowers, self.uppers)
 
-    def _band_at(self, rs, band: np.ndarray) -> np.ndarray:
-        """One of the number's bands interpolated at the levels rs. On the
-        number's own levels that is a copy of the band: np.interp returns
-        fp[j] itself where x == xp[j], signbit included."""
+    def _bands_at(self, rs, *bands: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The given bands of the number interpolated at the levels rs. On
+        the number's own levels that is a copy of each band: np.interp
+        returns fp[j] itself where x == xp[j], signbit included."""
         inside(rs, 0, 1, "membership levels")
         rs = np.asarray(rs, dtype=float)
-        return band.copy() if _same_grid(rs, self.rs) else np.interp(rs, self.rs, band)
+        if _same_grid(rs, self.rs):
+            return tuple(band.copy() for band in bands)
+        return tuple(np.interp(rs, self.rs, band) for band in bands)
 
     def resample(self, rs: np.ndarray) -> "FuzzyNumber":
         rs = np.asarray(rs, dtype=float)

@@ -4,9 +4,11 @@ fuzzy fields and the blocked passes (dense output, validity flags, CSV
 body, Koch refinement, length binning, staircase masses and staircase CSV)
 against the implementations they replaced, the levels below a built-in
 curve's own, read from its refiner's similarity ratio, against references
-built from the refined vertices, and the per-number floor (the one-band
+built from the refined vertices, the per-number floor (the one-band
 shape test and scale, the scalar J_at, overflow watched only where the
-operands' r = 0 ends call for it) against the table and array forms.
+operands' r = 0 ends call for it) against the table and array forms, and
+numbers that own one path-order row (triangular rows, sums, differences,
+multiples and distances) against the operations on two rows.
 
 Each reference below is the code a caller ran before the callers shared
 one helper, copied unchanged unless its docstring says otherwise. The
@@ -24,6 +26,7 @@ import math
 import pickle
 import re
 import warnings
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -3081,6 +3084,14 @@ def ref_refuse_overflow(rs, lo, up, what, expr) -> None:
         raise ValidationError(f"{what} overflows at r={r}: {expr} is not finite")
 
 
+def ref_two_row_make_triangular(a, b, c):
+    if not (a <= b <= c):
+        raise ValidationError(f"triangular feet/peak out of order: ({a}, {b}, {c})")
+    if not (-math.inf < a and c < math.inf):
+        raise ValidationError(f"triangular feet/peak must be finite: ({a}, {b}, {c})")
+    return FuzzyNumber(_DEFAULT_RS, *fuzzy_core._triangular_cuts(a, b, c, _DEFAULT_RS))
+
+
 def ref_two_row_add(A, B):
     rs, (alo, ahi), (blo, bhi) = ref_common_grid(A, B)
     if ref_zero_cut_sum(alo, ahi, blo, bhi) < fuzzy_core._NO_OVERFLOW:
@@ -3167,6 +3178,17 @@ MULTIPLES = st.one_of(
 
 
 class TestPathOrderNumbers:
+    @given(st.lists(st.floats(allow_nan=False), min_size=3, max_size=3))
+    @example([Fraction(1, 3), Fraction(1, 2), 2])
+    @example([np.float32(0.1), np.float32(0.2), np.float32(0.7)])
+    @example([np.int64(-3), True, 7])
+    @example([-0.0, -0.0, -0.0])
+    @example([-1.7e308, 0.0, 1.7e308])
+    @settings(max_examples=300, deadline=None)
+    def test_triangular_rows_match_the_two_row_cuts(self, feet):
+        feet = sorted(feet)
+        assert bit_outcome(make_triangular, *feet) == bit_outcome(ref_two_row_make_triangular, *feet)
+
     @given(OPERAND_PAIRS)
     @settings(max_examples=400, deadline=None)
     def test_sums_differences_and_distances_match_the_two_row_code(self, pair):
@@ -3185,6 +3207,29 @@ class TestPathOrderNumbers:
     def test_multiples_match_the_two_row_code(self, pair, lam):
         for X in pair:
             assert bit_outcome(scale, lam, X) == bit_outcome(ref_two_row_scale, lam, X)
+
+    @pytest.mark.parametrize(
+        "rs, x, message",
+        [
+            ([0.0, 0.5], 0.3, "the r-grid must include the levels 0 and 1"),
+            ([[0.0, 1.0]], 0.3, "rs must be a finite 1-d array"),
+            ([0.0, 0.7, 0.5, 1.0], 0.3, "rs must be strictly increasing with >= 2 levels"),
+            ([0.0, 1.0], np.inf, "lowers must be a finite 1-d array"),
+        ],
+    )
+    def test_a_crisp_number_on_its_own_grid_is_checked_as_by_the_constructor(self, rs, x, message):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            make_crisp(x, rs=rs)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            FuzzyNumber(rs, np.full(np.shape(rs), x), np.full(np.shape(rs), x))
+
+    def test_results_on_a_grid_changed_in_place_are_checked_again(self):
+        A = make_triangular(-1.0, 0.0, 1.0, rs=np.linspace(0.0, 1.0, 5))
+        A.rs[2] = 0.9  # the number's own grid is writable, and now out of order
+        message = "^rs must be strictly increasing with >= 2 levels$"
+        for operation in (lambda: add(A, A), lambda: scale(-2.0, A), lambda: hukuhara_diff(A, A)):
+            with pytest.raises(ValidationError, match=message):
+                operation()
 
     def test_default_grid_operations_never_concatenate(self, monkeypatch):
         A = make_triangular(-1.25, 0.5, 2.0)
