@@ -40,6 +40,7 @@ from .fuzzy_core import (
     FuzzyNumber,
     TriangularFuzzy,
     _check_level_grid,
+    _bands,
     _level_linear,
     _path_row,
     _rejected_rows,
@@ -424,15 +425,11 @@ def _rk4_func(rhs, swap: bool, rs: np.ndarray, y0, j_span, steps: int) -> CrispT
     sides = ("upper", "lower") if swap else ("lower", "upper")
     f_lo, f_up = (getattr(rhs, side) for side in sides)
 
-    def bands(rows):
-        """Level k at index k of both bands: views of path-order rows."""
-        return rows[..., :n], rows[..., : n - 1 : -1]
-
-    (s_lo, s_up), (t_lo, t_up), levels = bands(states), bands(yt), rs.view()
+    (s_lo, s_up), (t_lo, t_up), levels = _bands(states), _bands(yt), rs.view()
     for view in (s_lo, s_up, t_lo, t_up, levels):
         view.flags.writeable = False  # a callback that writes into its input raises
     (k1_lo, k1_up), (k2_lo, k2_up), (k3_lo, k3_up), (k4_lo, k4_up) = map(
-        bands, (slopes, k2, k3, k4)
+        _bands, (slopes, k2, k3, k4)
     )
 
     def stage(J, lo, up):
@@ -484,13 +481,15 @@ class LinearRhs:
         self.a = float(a)
         self.c = c
 
-    # each side reads its own band of c, which on c's own levels is a copy
+    # each side interpolates only its own band of c
     def lower(self, J, lo, up, rs):
-        (clo,) = self.c._bands_at(rs, self.c.lowers)
+        inside(rs, 0, 1, "membership levels")
+        clo = np.interp(rs, self.c.rs, self.c.lowers)
         return (self.a * lo if self.a >= 0.0 else self.a * up) + clo
 
     def upper(self, J, lo, up, rs):
-        (cup,) = self.c._bands_at(rs, self.c.uppers)
+        inside(rs, 0, 1, "membership levels")
+        cup = np.interp(rs, self.c.rs, self.c.uppers)
         return (self.a * up if self.a >= 0.0 else self.a * lo) + cup
 
 
@@ -649,7 +648,6 @@ def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> F
         raise ValidationError("method 'cuts' needs a LinearRhs with level-linear x0 and c; use 'full'")
     swap = problem.case == "II"
     rs = default_r_grid(problem.r_points)
-    n = rs.size
     u0, u1 = problem.span
     n_u = problem.u_points if problem.u_points is not None else problem.j_steps + 1
     us = np.linspace(u0, u1, n_u)
@@ -659,13 +657,12 @@ def solve_first_order(problem: FirstOrderFfdeProblem, method: str = "full") -> F
         # neither the trajectory nor the dense table outlives the split into
         # bands, so both are freed before the validity pass
         vals = _integrate_bands(problem, rs, swap).at(Jus)
-        lower = vals[:, :n].copy()
-        upper = vals[:, : n - 1 : -1].copy()
+        lower, upper = (band.copy() for band in _bands(vals))
         del vals
     else:
         cut_rs = np.array([0.0, 1.0])
         vals = _integrate_bands(problem, cut_rs, swap).at(Jus)
-        lo_c, up_c = vals[:, :2], vals[:, :1:-1]
+        lo_c, up_c = _bands(vals)
         w1 = rs[None, :]
         w0 = 1.0 - w1
         lower = w0 * lo_c[:, 0:1] + w1 * lo_c[:, 1:2]

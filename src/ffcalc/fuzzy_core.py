@@ -160,10 +160,11 @@ def _path_row(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     return row
 
 
-def _bands(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The lowers and uppers of a path-order row, as views of it."""
-    n = row.size // 2
-    return row[:n], row[: n - 1 : -1]
+def _bands(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The lowers and uppers of path-order rows (along the last axis), as
+    views of them, with level k at index k of both."""
+    n = rows.shape[-1] // 2
+    return rows[..., :n], rows[..., : n - 1 : -1]
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -222,13 +223,13 @@ class FuzzyNumber:
     @property
     def lowers(self) -> np.ndarray:
         """Lower endpoints by rising level: a view of the number's row."""
-        return self._row[: self.rs.size]
+        return _bands(self._row)[0]
 
     @property
     def uppers(self) -> np.ndarray:
         """Upper endpoints by rising level: a view of the number's row, with
         a negative stride."""
-        return self._row[: self.rs.size - 1 : -1]
+        return _bands(self._row)[1]
 
     @property
     def support(self) -> Interval:
@@ -252,18 +253,10 @@ class FuzzyNumber:
         return Interval(lo, hi)
 
     def cuts_at(self, rs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Lower/upper endpoints interpolated at the given levels, as new arrays."""
-        return self._bands_at(rs, self.lowers, self.uppers)
-
-    def _bands_at(self, rs, *bands: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The given bands of the number interpolated at the levels rs. On
-        the number's own levels that is a copy of each band: np.interp
-        returns fp[j] itself where x == xp[j], signbit included."""
+        """Lower/upper endpoints interpolated at the given levels."""
         inside(rs, 0, 1, "membership levels")
         rs = np.asarray(rs, dtype=float)
-        if _same_grid(rs, self.rs):
-            return tuple(band.copy() for band in bands)
-        return tuple(np.interp(rs, self.rs, band) for band in bands)
+        return np.interp(rs, self.rs, self.lowers), np.interp(rs, self.rs, self.uppers)
 
     def resample(self, rs: np.ndarray) -> "FuzzyNumber":
         rs = np.asarray(rs, dtype=float)
@@ -325,11 +318,10 @@ def make_triangular(a: float, b: float, c: float, rs: np.ndarray | None = None) 
     if not (-math.inf < a and c < math.inf):  # in order, so b is finite too
         raise ValidationError(f"triangular feet/peak must be finite: ({a}, {b}, {c})")
     rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
-    if rs is not _DEFAULT_RS:
+    if rs is not _DEFAULT_RS or not all(type(x) in (float, np.float64) for x in (a, b, c)):
+        # other feet (ints, Fractions, other dtypes) keep the arithmetic they define
         return FuzzyNumber(rs, *_triangular_cuts(a, b, c, rs))
-    # _triangular_cuts written straight into the row: a (1 - r) + b r, c (1 - r) + b r;
-    # the feet as floats, since the products go into a float64 row
-    a, b, c = float(a), float(b), float(c)
+    # _triangular_cuts written straight into the row: a (1 - r) + b r, c (1 - r) + b r
     n = rs.size
     row = np.empty(2 * n)
     np.multiply(a, _DEFAULT_FOOT, out=row[:n])
@@ -519,11 +511,6 @@ def _ordered_path(path: np.ndarray):
     return ordered & (-math.inf < ends[0]) & (ends[-1] < math.inf)
 
 
-def _exactly_ordered(lowers: np.ndarray, uppers: np.ndarray):
-    """:func:`_ordered_path` of band arrays of shape (n_r,) or (n, n_r)."""
-    return _ordered_path(np.concatenate((lowers, uppers[..., ::-1]), axis=-1))
-
-
 def _band_defects(lowers: np.ndarray, uppers: np.ndarray, tol: float):
     """Where band arrays of shape (..., n_r) break the level-cut conditions by more than tol.
 
@@ -552,7 +539,8 @@ def _rejected_rows(lowers: np.ndarray, uppers: np.ndarray) -> np.ndarray:
     rejected = np.zeros(lowers.shape[0], dtype=bool)
     step = _block_rows(lowers.shape[1])
     for a in range(0, lowers.shape[0], step):
-        refused = np.flatnonzero(~_exactly_ordered(lowers[a : a + step], uppers[a : a + step]))
+        block = np.concatenate((lowers[a : a + step], uppers[a : a + step, ::-1]), axis=1)
+        refused = np.flatnonzero(~_ordered_path(block))
         if not refused.size:
             continue
         rows = slice(a + refused[0], a + refused[-1] + 1)

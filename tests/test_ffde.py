@@ -927,26 +927,29 @@ def _koch5_func(case):
 
 
 class TestLinearRhsSides:
-    """Each side of a LinearRhs adds its own band of c: read as it stands on
-    c's own levels, interpolated on any other."""
+    """Each side of a LinearRhs interpolates only its own band of c."""
 
     @staticmethod
     def _refuse(*args, **kwargs):
-        raise AssertionError("interpolated")
+        raise AssertionError("both bands interpolated")
 
     @pytest.mark.parametrize("a", [1.5, -0.5])
-    def test_on_the_levels_of_c_nothing_is_interpolated(self, monkeypatch, a):
+    def test_each_side_interpolates_one_band(self, monkeypatch, a):
         c = make_triangular(-1.0, -0.0, 2.0)
         rhs = LinearRhs(a, c)
         rs = default_r_grid()
         lo, up = rs - 2.0, 3.0 - rs
+        clo, cup = c.cuts_at(rs)
         want = [
-            (a * lo if a >= 0.0 else a * up) + np.interp(rs, c.rs, c.lowers),
-            (a * up if a >= 0.0 else a * lo) + np.interp(rs, c.rs, c.uppers),
+            (a * lo if a >= 0.0 else a * up) + clo,
+            (a * up if a >= 0.0 else a * lo) + cup,
         ]
-        monkeypatch.setattr(np, "interp", self._refuse)
+        calls = []
+        interp = np.interp
+        monkeypatch.setattr(np, "interp", lambda *args: calls.append(args[2]) or interp(*args))
         monkeypatch.setattr(FuzzyNumber, "cuts_at", self._refuse)
         got = [rhs.lower(0.0, lo, up, rs.view()), rhs.upper(0.0, lo, up, rs.view())]
+        assert [band.tolist() for band in calls] == [c.lowers.tolist(), c.uppers.tolist()]
         for g, w in zip(got, want):
             assert g.view(np.uint64).tolist() == w.view(np.uint64).tolist()
 

@@ -154,11 +154,10 @@ class TestCuts:
         with pytest.raises(DomainError, match=r"^membership levels outside \[0, 1\]$"):
             make_triangular(0.0, 1.0, 2.0).cuts_at(rs)
 
-
     @pytest.mark.parametrize("grid", ["shared", "own"])
     def test_cuts_on_the_own_grid_are_the_interpolated_bits(self, grid):
         # np.interp returns fp[j] itself where x == xp[j]: -0.0 keeps its
-        # sign and +-1e300 entries make no inf - inf; the cuts are copies
+        # sign and +-1e300 entries make no inf - inf; the cuts are new arrays
         rs = None if grid == "shared" else np.linspace(0.0, 1.0, 101) ** 2
         A = make_triangular(-1e300, -0.0, 1e300, rs=rs)
         B = FuzzyNumber(A.rs, np.minimum(A.lowers, -0.0), np.maximum(A.uppers, 0.0))

@@ -26,6 +26,7 @@ import math
 import pickle
 import re
 import warnings
+from decimal import Decimal
 from fractions import Fraction
 from unittest import mock
 
@@ -2932,8 +2933,9 @@ class TestPerNumberFloor:
         lower, upper = bands
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = fuzzy_core._exactly_ordered(lower, upper)
-            rows = [fuzzy_core._exactly_ordered(lo, up) for lo, up in zip(lower, upper)]
+            paths = np.concatenate((lower, upper[:, ::-1]), axis=1)
+            table = fuzzy_core._ordered_path(paths)
+            rows = [fuzzy_core._ordered_path(path) for path in paths]
         assert table.dtype == bool and all(isinstance(row, (bool, np.bool_)) for row in rows)
         assert [bool(row) for row in rows] == table.tolist()
 
@@ -3084,6 +3086,15 @@ def ref_refuse_overflow(rs, lo, up, what, expr) -> None:
         raise ValidationError(f"{what} overflows at r={r}: {expr} is not finite")
 
 
+def ref_exactly_ordered(lowers, uppers) -> bool:
+    path = np.concatenate((lowers, uppers[::-1]))
+    return (
+        np.count_nonzero(path[:-1] <= path[1:]) == path.size - 1
+        and -math.inf < path.item(0)
+        and path.item(-1) < math.inf
+    )
+
+
 def ref_two_row_make_triangular(a, b, c):
     if not (a <= b <= c):
         raise ValidationError(f"triangular feet/peak out of order: ({a}, {b}, {c})")
@@ -3128,7 +3139,7 @@ def ref_two_row_hukuhara_diff(A, B):
         with np.errstate(over="ignore"):
             clo = alo - blo
             chi = ahi - bhi
-    if fuzzy_core._exactly_ordered(clo, chi):
+    if ref_exactly_ordered(clo, chi):
         return FuzzyNumber(rs, clo, chi)
     scale_ = ref_two_row_scale_of(clo, chi)
     if scale_ == math.inf:
@@ -3160,7 +3171,7 @@ def bit_outcome(fn, *args):
         warnings.simplefilter("always")
         try:
             value = fn(*args)
-        except (ValidationError, HukuharaNonexistenceError) as exc:
+        except (ValidationError, HukuharaNonexistenceError, TypeError) as exc:
             value = (type(exc), str(exc), getattr(exc, "failing_r", None))
     if isinstance(value, FuzzyNumber):
         shared = value.rs is _DEFAULT_RS
@@ -3182,6 +3193,8 @@ class TestPathOrderNumbers:
     @example([Fraction(1, 3), Fraction(1, 2), 2])
     @example([np.float32(0.1), np.float32(0.2), np.float32(0.7)])
     @example([np.int64(-3), True, 7])
+    @example([np.longdouble(1) / 3, np.longdouble(0.5), np.longdouble(2) / 3])
+    @example([Decimal("0.5"), Decimal(1), Decimal(2)])  # refused with the same TypeError
     @example([-0.0, -0.0, -0.0])
     @example([-1.7e308, 0.0, 1.7e308])
     @settings(max_examples=300, deadline=None)
