@@ -318,7 +318,7 @@ def make_triangular(a: float, b: float, c: float, rs: np.ndarray | None = None) 
     if not (-math.inf < a and c < math.inf):  # in order, so b is finite too
         raise ValidationError(f"triangular feet/peak must be finite: ({a}, {b}, {c})")
     rs = _DEFAULT_RS if rs is None else np.asarray(rs, dtype=float)
-    if rs is not _DEFAULT_RS or not all(type(x) in (float, np.float64) for x in (a, b, c)):
+    if rs is not _DEFAULT_RS or not {type(a), type(b), type(c)} <= _FLOAT_FEET:
         # other feet (ints, Fractions, other dtypes) keep the arithmetic they define
         return FuzzyNumber(rs, *_triangular_cuts(a, b, c, rs))
     # _triangular_cuts written straight into the row: a (1 - r) + b r, c (1 - r) + b r
@@ -329,6 +329,9 @@ def make_triangular(a: float, b: float, c: float, rs: np.ndarray | None = None) 
     row += b * _DEFAULT_RS_PATH
     return FuzzyNumber._of_path(rs, row)
 
+
+# The feet that make_triangular writes straight into a float64 row.
+_FLOAT_FEET = frozenset((float, np.float64))
 
 # 1 - r on the shared grid, and the grid in path order, read-only for good
 # as the grid itself is.
